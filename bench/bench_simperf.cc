@@ -435,7 +435,9 @@ BM_ParallelSweep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(sim_insts));
     state.counters["jobs"] = static_cast<double>(runner.jobs());
 }
-BENCHMARK(BM_ParallelSweep)->Unit(benchmark::kMillisecond);
+// Real time: the main thread mostly waits on the pool, so CPU time
+// would inflate items/s by the idle fraction.
+BENCHMARK(BM_ParallelSweep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /**
  * Console output as usual, plus a capture of every run's items/sec for

@@ -1395,6 +1395,14 @@ System::buildWaitGraph(sim::WaitGraph &g) const
                     }
                 }
             }
+        } else if (phase == "way-wait") {
+            // Parked until a transaction holding a way of its set ends.
+            bank_dir.forEachTxn([&](const mem::Directory::TxnView &o) {
+                if (o.set == t.set && bank_dir.findBlock(o.block)) {
+                    g.addEdge(txn, WaitNode{Kind::DirTxn, wid, o.block},
+                              "awaiting a free way of its L2 set");
+                }
+            });
         }
         // A recall transaction unblocks the request parked behind it;
         // victim and blocked request both live in this bank's slice.

@@ -44,12 +44,11 @@ class BlockData
     const std::uint8_t *data() const { return ptr_; }
 
     /** Copy a full payload in (sizes must match). */
-    BlockData &
-    operator=(const std::vector<std::uint8_t> &v)
+    void
+    assign(const std::uint8_t *src, std::size_t n)
     {
-        flAssert(v.size() == len_, "block payload size mismatch");
-        std::memcpy(ptr_, v.data(), len_);
-        return *this;
+        flAssert(n == len_, "block payload size mismatch");
+        std::memcpy(ptr_, src, len_);
     }
 
     bool

@@ -1,5 +1,6 @@
 #include "mem/directory.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -22,6 +23,17 @@ bankIndexShift(std::uint32_t banks)
     flAssert(isPowerOf2(banks), "directory banks must be a power of two "
              "(got ", banks, ")");
     return floorLog2(banks);
+}
+
+/** The first entry of a block-sorted index at or after @p block_addr. */
+template <typename Index>
+auto
+lowerBound(Index &index, Addr block_addr)
+{
+    return std::lower_bound(index.begin(), index.end(), block_addr,
+                            [](const auto &entry, Addr a) {
+                                return entry.first < a;
+                            });
 }
 
 } // namespace
@@ -59,6 +71,9 @@ Directory::Directory(sim::SimContext &ctx, const std::string &name,
 {
     flAssert(num_cores <= max_cores, "directory supports at most ",
              max_cores, " cores");
+    flAssert(params.block_size <= MsgPayload::capacity, name,
+             ": block size ", params.block_size, " exceeds the ",
+             MsgPayload::capacity, "-byte message payload");
     flAssert(params.bank < params.banks, name, ": bank index ",
              params.bank, " out of range for ", params.banks, " banks");
     network_.registerEndpoint(node_id_, this);
@@ -92,15 +107,46 @@ Directory::receiveMsg(const Msg &msg)
 }
 
 // ---------------------------------------------------------------------
+// transaction table
+// ---------------------------------------------------------------------
+
+Directory::Txn *
+Directory::findTxn(Addr block_addr)
+{
+    const auto it = lowerBound(active_, block_addr);
+    return it != active_.end() && it->first == block_addr ? it->second
+                                                          : nullptr;
+}
+
+Directory::Txn &
+Directory::addTxn(Addr block_addr)
+{
+    const auto it = lowerBound(active_, block_addr);
+    flAssert(it == active_.end() || it->first != block_addr, name(),
+             ": second transaction for 0x", std::hex, block_addr);
+    Txn *txn;
+    if (txn_free_.empty()) {
+        txn = &txn_pool_.emplace_back();
+    } else {
+        txn = txn_free_.back();
+        txn_free_.pop_back();
+        *txn = Txn{};
+    }
+    active_.insert(it, {block_addr, txn});
+    return *txn;
+}
+
+// ---------------------------------------------------------------------
 // dispatch / queueing
 // ---------------------------------------------------------------------
 
 void
 Directory::dispatch(const Msg &msg)
 {
+    const bool busy = findTxn(msg.block_addr);
     FL_TRACE(trace::Flag::Dir, *this, "dispatch ", msg.toString(),
-             (active_.count(msg.block_addr) ? " (queued)" : ""));
-    if (active_.count(msg.block_addr)) {
+             (busy ? " (queued)" : ""));
+    if (busy) {
         pending_[msg.block_addr].push_back(QueuedReq{curTick(), msg});
         ++total_pending_;
         if (rtrace_ && rtrace_->sampled(msg.req_id)) {
@@ -122,7 +168,7 @@ Directory::startTxn(const Msg &msg, Tick recv_tick)
         static_cast<double>(curTick() - recv_tick));
     FL_TEVENT(*this, trace::EventKind::ReqDirIngress, msg.req_id,
               static_cast<std::uint64_t>(msg.type));
-    Txn &txn = active_[msg.block_addr];
+    Txn &txn = addTxn(msg.block_addr);
     txn.req = msg;
     txn.phase = Txn::Phase::Start;
     txn.start_tick = curTick();
@@ -141,10 +187,9 @@ Directory::startTxn(const Msg &msg, Tick recv_tick)
 void
 Directory::processRequest(Addr block_addr)
 {
-    auto it = active_.find(block_addr);
-    flAssert(it != active_.end(), name(), ": processRequest with no "
-             "active transaction");
-    Txn &txn = it->second;
+    Txn *found = findTxn(block_addr);
+    flAssert(found, name(), ": processRequest with no active transaction");
+    Txn &txn = *found;
     const Msg &req = txn.req;
 
     switch (req.type) {
@@ -186,26 +231,53 @@ Directory::processRequest(Addr block_addr)
 void
 Directory::complete(Addr block_addr)
 {
-    auto active_it = active_.find(block_addr);
-    flAssert(active_it != active_.end(),
+    const auto active_it = lowerBound(active_, block_addr);
+    flAssert(active_it != active_.end() && active_it->first == block_addr,
              name(), ": complete with no active transaction");
-    const Txn &txn = active_it->second;
+    const Txn &txn = *active_it->second;
     stat_txn_service_.sample(
         static_cast<double>(curTick() - txn.start_tick));
     FL_TEVENT(*this, trace::EventKind::ReqDirDone, txn.req.req_id,
               txn.dram_reads);
+    const bool was_recall = txn.is_recall;
+    txn_free_.push_back(active_it->second);
     active_.erase(active_it);
 
     auto it = pending_.find(block_addr);
-    if (it == pending_.end())
+    if (it != pending_.end()) {
+        flAssert(!it->second.empty(), "empty pending queue left behind");
+        QueuedReq next = it->second.front();
+        it->second.pop_front();
+        --total_pending_;
+        if (it->second.empty())
+            pending_.erase(it);
+        startTxn(next.msg, next.recv_tick);
+    }
+
+    // Any completion but a recall's may free a way of this set (a
+    // recalled way is already promised to the request it resumes).
+    if (!was_recall && !way_waiters_.empty())
+        retryWayWaiter(block_addr);
+}
+
+void
+Directory::retryWayWaiter(Addr block_addr)
+{
+    const std::uint64_t set = array_.setIndex(block_addr);
+    const auto it = std::find_if(way_waiters_.begin(), way_waiters_.end(),
+                                 [&](Addr waiter) {
+                                     return array_.setIndex(waiter) == set;
+                                 });
+    if (it == way_waiters_.end())
         return;
-    flAssert(!it->second.empty(), "empty pending queue left behind");
-    QueuedReq next = it->second.front();
-    it->second.pop_front();
-    --total_pending_;
-    if (it->second.empty())
-        pending_.erase(it);
-    startTxn(next.msg, next.recv_tick);
+    // The oldest waiter of the set retries; it keeps its place in the
+    // FIFO if the set is still full (ensurePresent parks it again).
+    const Addr waiter = *it;
+    processRequest(waiter);
+    if (findTxn(waiter)->phase != Txn::Phase::WayWait) {
+        way_waiters_.erase(std::find(way_waiters_.begin(),
+                                     way_waiters_.end(), waiter));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +389,7 @@ Directory::processPut(Txn &txn, L2Block &blk)
         if (blk.owner == sender) {
             flAssert(txn.req.data.size() == array_.blockSize(),
                      name(), ": PutM with bad payload");
-            blk.data = txn.req.data;
+            blk.data.assign(txn.req.data.data(), txn.req.data.size());
             blk.dirty = true;
             blk.owner = invalid_core;
         } else {
@@ -358,7 +430,7 @@ Directory::handleWbClean(const Msg &msg)
              msg.src);
     flAssert(msg.data.size() == array_.blockSize(),
              name(), ": WbClean with bad payload");
-    blk->data = msg.data;
+    blk->data.assign(msg.data.data(), msg.data.size());
     blk->dirty = true;
 }
 
@@ -369,10 +441,10 @@ Directory::handleWbClean(const Msg &msg)
 void
 Directory::handleAck(const Msg &msg)
 {
-    auto it = active_.find(msg.block_addr);
-    flAssert(it != active_.end(), name(), ": ", msg.toString(),
+    Txn *found = findTxn(msg.block_addr);
+    flAssert(found, name(), ": ", msg.toString(),
              " with no active transaction");
-    Txn &txn = it->second;
+    Txn &txn = *found;
     L2Block *blk = array_.find(msg.block_addr);
     flAssert(blk, name(), ": ack for a block not in L2");
 
@@ -405,7 +477,7 @@ Directory::handleAck(const Msg &msg)
     if (msg.type == MsgType::FwdDataAck) {
         flAssert(msg.data.size() == array_.blockSize(),
                  name(), ": FwdDataAck with bad payload");
-        blk->data = msg.data;
+        blk->data.assign(msg.data.data(), msg.data.size());
         blk->dirty = true;
     }
     // On FwdNoDataAck the L2 copy is already the authoritative value.
@@ -456,17 +528,24 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
         // Prefer victims nobody caches; otherwise recall one.
         L2Block *victim = array_.findVictim(block_addr,
             [this](const L2Block &b) {
-                return !active_.count(b.block_addr) && !b.hasOwner() &&
-                       !b.hasSharers();
+                return !b.hasOwner() && !b.hasSharers() &&
+                       !findTxn(b.block_addr);
             });
         if (!victim) {
             victim = array_.findVictim(block_addr,
                 [this](const L2Block &b) {
-                    return !active_.count(b.block_addr);
+                    return !findTxn(b.block_addr);
                 });
-            flAssert(victim, name(), ": all L2 ways busy in set for 0x",
-                     std::hex, block_addr, std::dec,
-                     " - L2 too small for the transaction load");
+            if (!victim) {
+                // Every way of the set belongs to an active transaction.
+                // Park until one of them completes (complete() retries
+                // the set's oldest waiter).
+                if (txn.phase != Txn::Phase::WayWait) {
+                    txn.phase = Txn::Phase::WayWait;
+                    way_waiters_.push_back(block_addr);
+                }
+                return false;
+            }
             txn.phase = Txn::Phase::Blocked;
             if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
                 rtrace_->record(txn.req.req_id, curTick(),
@@ -518,9 +597,7 @@ Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
              victim_addr, " to make room for 0x",
              blocked_req.block_addr);
     ++stat_recalls_;
-    flAssert(!active_.count(victim_addr),
-             name(), ": recalling a busy block");
-    Txn &txn = active_[victim_addr];
+    Txn &txn = addTxn(victim_addr);
     txn.is_recall = true;
     txn.start_tick = curTick();
     txn.resume = blocked_req;
@@ -565,8 +642,7 @@ Directory::finishRecall(Txn &txn, L2Block &victim)
     if (resume) {
         // Continue the transaction that was blocked on this recall.
         const Addr orig = resume->block_addr;
-        flAssert(active_.count(orig),
-                 name(), ": blocked transaction vanished");
+        flAssert(findTxn(orig), name(), ": blocked transaction vanished");
         processRequest(orig);
     }
 }
@@ -600,7 +676,7 @@ Directory::sendToL1(MsgType type, NodeId dst, Addr block_addr,
     msg.block_addr = block_addr;
     msg.req_id = req_id;
     if (data)
-        msg.data.assign(data, data + array_.blockSize());
+        msg.data.assign(data, array_.blockSize());
     network_.send(std::move(msg));
 }
 
@@ -633,6 +709,7 @@ Directory::phaseName(Txn::Phase p)
       case Txn::Phase::Fwd: return "fwd";
       case Txn::Phase::InvAcks: return "inv-acks";
       case Txn::Phase::Blocked: return "blocked";
+      case Txn::Phase::WayWait: return "way-wait";
     }
     return "?";
 }

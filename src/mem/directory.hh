@@ -19,6 +19,8 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "base/flat_memory.hh"
 #include "mem/cache_array.hh"
@@ -108,6 +110,7 @@ class Directory : public sim::SimObject, public MsgReceiver
     struct TxnView
     {
         Addr block = 0;
+        std::uint64_t set = 0;    //!< L2 set the block maps to
         const char *phase = "?";
         MsgType req_type = MsgType::GetS;
         NodeId requester = 0;
@@ -125,9 +128,11 @@ class Directory : public sim::SimObject, public MsgReceiver
     void
     forEachTxn(Fn fn) const
     {
-        for (const auto &[addr, txn] : active_) {
+        for (const auto &[addr, node] : active_) {
+            const Txn &txn = *node;
             TxnView v;
             v.block = addr;
+            v.set = array_.setIndex(addr);
             v.phase = phaseName(txn.phase);
             v.req_type = txn.req.type;
             v.requester = txn.req.src;
@@ -154,6 +159,7 @@ class Directory : public sim::SimObject, public MsgReceiver
             Fwd,      //!< waiting for the owner's Fwd*Ack
             InvAcks,  //!< waiting for sharer InvAcks
             Blocked,  //!< waiting for a recall of an L2 victim
+            WayWait,  //!< every way of the set busy; parked for one
         };
 
         Msg req;                   //!< request being served
@@ -174,11 +180,16 @@ class Directory : public sim::SimObject, public MsgReceiver
 
     static const char *phaseName(Txn::Phase p);
 
+    // transaction table
+    Txn *findTxn(Addr block_addr);
+    Txn &addTxn(Addr block_addr);
+
     // dispatch / queueing
     void dispatch(const Msg &msg);
     void startTxn(const Msg &msg, Tick recv_tick);
     void processRequest(Addr block_addr);
     void complete(Addr block_addr);
+    void retryWayWaiter(Addr block_addr);
 
     // request handlers (block guaranteed present in L2)
     void processGetS(Txn &txn, L2Block &blk);
@@ -211,7 +222,20 @@ class Directory : public sim::SimObject, public MsgReceiver
     reqtrace::ReqTraceSink *const rtrace_; //!< null when spans are off
 
     CacheArray<L2Block> array_;
-    std::map<Addr, Txn> active_;
+
+    /**
+     * Active transactions: pooled nodes that never move (ensurePresent
+     * holds a Txn& while startRecall adds another), indexed by
+     * (block, node) pairs sorted by block address.  Finished nodes go
+     * on a free list, so a steady state allocates nothing.
+     */
+    std::deque<Txn> txn_pool_;
+    std::vector<Txn *> txn_free_;
+    std::vector<std::pair<Addr, Txn *>> active_;
+
+    /** Blocks of WayWait transactions, oldest first. */
+    std::vector<Addr> way_waiters_;
+
     std::map<Addr, std::deque<QueuedReq>> pending_;
     std::size_t total_pending_ = 0;
     Tick dram_next_free_ = 0;

@@ -60,6 +60,13 @@ L1Cache::L1Cache(sim::SimContext &ctx, const std::string &name,
       stat_miss_fill_wait_(statGroup().addDistribution("miss_fill_wait",
           "cycles a buffered fill waited for an evictable way"))
 {
+    flAssert(params_.block_size <= MsgPayload::capacity, name,
+             ": block size ", params_.block_size, " exceeds the ",
+             MsgPayload::capacity, "-byte message payload");
+    mshrs_.resize(params_.num_mshrs);
+    live_.reserve(params_.num_mshrs);
+    for (Mshr &mshr : mshrs_)
+        free_.push_back(&mshr);
     network_.registerEndpoint(node_id_, this);
 }
 
@@ -162,8 +169,8 @@ L1Cache::specCleared()
 void
 L1Cache::commitQueuedSpecRequests(std::uint32_t epoch)
 {
-    for (auto &[addr, mshr] : mshrs_) {
-        for (auto &req : mshr.waiting) {
+    for (auto &[block, mshr] : live_) {
+        for (auto &req : mshr->waiting) {
             if (req.spec && req.spec_epoch == epoch) {
                 req.spec = false;
                 req.spec_epoch = 0;
@@ -191,23 +198,19 @@ L1Cache::access(MemRequest req)
       case MemOp::PrefetchEx: ++stat_prefetches_; break;
     }
 
-    // Queue behind an outstanding miss to the same block.  The map
-    // lookup is skipped entirely in the common no-outstanding-miss case.
-    if (!mshrs_.empty()) {
-        auto it = mshrs_.find(block_addr);
-        if (it != mshrs_.end()) {
-            if (rtrace_ && it->second.traced) {
-                // Coalesced waiter: flagged, not on the tiled path --
-                // span assembly turns it into its own L1Queue span.
-                rtrace_->record(it->second.req_id, curTick(),
-                                reqtrace::Stage::L1Queue, traceId(),
-                                block_addr,
-                                static_cast<std::uint32_t>(req.pc),
-                                reqtrace::span_flag_waiter);
-            }
-            it->second.waiting.push_back(std::move(req));
-            return;
+    // Queue behind an outstanding miss to the same block.
+    if (Mshr *mshr = findMshr(block_addr)) {
+        if (rtrace_ && mshr->traced) {
+            // Coalesced waiter: flagged, not on the tiled path -- span
+            // assembly turns it into its own L1Queue span.
+            rtrace_->record(mshr->req_id, curTick(),
+                            reqtrace::Stage::L1Queue, traceId(),
+                            block_addr,
+                            static_cast<std::uint32_t>(req.pc),
+                            reqtrace::span_flag_waiter);
         }
+        mshr->waiting.push_back(std::move(req));
+        return;
     }
 
     L1Block *blk = array_.find(req.addr);
@@ -248,12 +251,7 @@ L1Cache::handleMiss(MemRequest req, bool want_m)
     const Addr block_addr = array_.blockAlign(req.addr);
     FL_TRACE(trace::Flag::L1, *this, "miss 0x", std::hex, block_addr,
              (want_m ? " (GetM)" : " (GetS)"));
-    flAssert(mshrs_.size() < params_.num_mshrs, name(),
-             ": out of MSHRs (", params_.num_mshrs, ") - the core model "
-             "should bound outstanding misses");
-
-    Mshr &mshr = mshrs_[block_addr];
-    mshr.block_addr = block_addr;
+    Mshr &mshr = allocMshr(block_addr);
     mshr.want_m = want_m;
     mshr.miss_start = curTick();
     // Request ids are minted per L1 (node in the high bits, local
@@ -402,16 +400,61 @@ L1Cache::respond(MemRequest &req, std::uint64_t value)
 }
 
 // ---------------------------------------------------------------------
+// MSHR slots
+// ---------------------------------------------------------------------
+
+L1Cache::Mshr *
+L1Cache::findMshr(Addr block_addr)
+{
+    for (const auto &[block, mshr] : live_) {
+        if (block == block_addr)
+            return mshr;
+    }
+    return nullptr;
+}
+
+L1Cache::Mshr &
+L1Cache::allocMshr(Addr block_addr)
+{
+    flAssert(!free_.empty(), name(), ": out of MSHRs (", params_.num_mshrs,
+             ") - the core model should bound outstanding misses");
+    Mshr &mshr = *free_.back();
+    free_.pop_back();
+    live_.emplace_back(block_addr, &mshr);
+    // Reset everything a miss does not set itself; the waiter vector
+    // was emptied (capacity kept) when the slot was last freed.
+    mshr.block_addr = block_addr;
+    mshr.fill_pending = false;
+    mshr.fill_blocked = false;
+    mshr.fill_arrival = 0;
+    mshr.traced = false;
+    mshr.pc = 0;
+    return mshr;
+}
+
+void
+L1Cache::freeMshr(Mshr &mshr)
+{
+    const auto it = std::find_if(live_.begin(), live_.end(),
+                                 [&](const auto &entry) {
+                                     return entry.second == &mshr;
+                                 });
+    *it = live_.back();
+    live_.pop_back();
+    free_.push_back(&mshr);
+}
+
+// ---------------------------------------------------------------------
 // fills
 // ---------------------------------------------------------------------
 
 void
 L1Cache::handleData(const Msg &msg)
 {
-    auto it = mshrs_.find(msg.block_addr);
-    flAssert(it != mshrs_.end(), name(), ": data for 0x", std::hex,
-             msg.block_addr, std::dec, " with no MSHR");
-    Mshr &mshr = it->second;
+    Mshr *found = findMshr(msg.block_addr);
+    flAssert(found, name(), ": data for 0x", std::hex, msg.block_addr,
+             std::dec, " with no MSHR");
+    Mshr &mshr = *found;
     flAssert(!mshr.fill_pending, name(), ": duplicate fill");
     mshr.fill = msg;
     mshr.fill_pending = true;
@@ -444,10 +487,10 @@ L1Cache::tryCompleteFill(Mshr &mshr)
             // by rolling back or by making the fill wait.
             auto evictable = [this](const L1Block &b) {
                 return !srValid(b) && !swValid(b) &&
-                       !mshrs_.count(b.block_addr);
+                       !findMshr(b.block_addr);
             };
             auto mshr_free = [this](const L1Block &b) {
-                return !mshrs_.count(b.block_addr);
+                return !findMshr(b.block_addr);
             };
             L1Block *victim = array_.findVictim(mshr.block_addr,
                                                 evictable);
@@ -497,7 +540,7 @@ L1Cache::tryCompleteFill(Mshr &mshr)
 
     flAssert(msg.data.size() == array_.blockSize(),
              name(), ": fill with wrong payload size");
-    blk->data = msg.data;
+    blk->data.assign(msg.data.data(), msg.data.size());
     blk->dirty = false;
     switch (msg.type) {
       case MsgType::DataS: blk->state = L1State::S; break;
@@ -524,10 +567,14 @@ L1Cache::tryCompleteFill(Mshr &mshr)
     // Retire the MSHR, then replay the queued requests in order.  A
     // replayed write may re-miss for an upgrade and allocate a fresh
     // MSHR for the same block; later replays then queue behind it.
-    std::deque<MemRequest> waiting = std::move(mshr.waiting);
-    mshrs_.erase(mshr.block_addr);
-    for (auto &req : waiting)
+    // The swap hands the slot the (empty) replay buffer, so both keep
+    // their capacity and a steady-state miss allocates nothing.
+    flAssert(replay_.empty(), name(), ": nested fill replay");
+    replay_.swap(mshr.waiting);
+    freeMshr(mshr);
+    for (auto &req : replay_)
         access(std::move(req));
+    replay_.clear();
 
     // A completed miss unpins its block: fills parked on a full set may
     // now have a victim (deferred: we may be deep inside a fill chain).
@@ -537,20 +584,22 @@ L1Cache::tryCompleteFill(Mshr &mshr)
 void
 L1Cache::retryPendingFills()
 {
-    // A retried fill completes and erases its MSHR (and its replays may
-    // allocate new ones), so collect the candidates before touching any.
-    std::vector<Addr> to_retry;
-    for (const auto &[addr, mshr] : mshrs_) {
-        if (mshr.fill_pending && mshr.fill_blocked)
-            to_retry.push_back(addr);
+    // A retried fill completes and frees its MSHR (and its replays may
+    // allocate new ones), so collect the candidates before touching
+    // any, and retry them in block-address order.
+    retry_addrs_.clear();
+    for (const auto &[block, mshr] : live_) {
+        if (mshr->fill_pending && mshr->fill_blocked)
+            retry_addrs_.push_back(block);
     }
-    for (Addr addr : to_retry) {
-        auto it = mshrs_.find(addr);
-        if (it == mshrs_.end() || !it->second.fill_pending)
+    std::sort(retry_addrs_.begin(), retry_addrs_.end());
+    for (Addr addr : retry_addrs_) {
+        Mshr *mshr = findMshr(addr);
+        if (!mshr || !mshr->fill_pending)
             continue;
-        it->second.fill_blocked = false;
+        mshr->fill_blocked = false;
         ++stat_fill_retries_;
-        tryCompleteFill(it->second);
+        tryCompleteFill(*mshr);
     }
 }
 
@@ -576,8 +625,7 @@ L1Cache::evict(L1Block &victim)
         // silently upgraded, and the directory cannot tell.
         wb.state = WbEntry::State::MIA;
         wb.has_data = true;
-        wb.data.assign(victim.data.data(),
-                       victim.data.data() + victim.data.size());
+        wb.data.assign(victim.data.data(), victim.data.size());
         sendToDir(MsgType::PutM, victim.block_addr, victim.data.data());
         break;
       case L1State::MStale:
@@ -682,9 +730,9 @@ L1Cache::handleInv(const Msg &msg)
 
     // Buffered fill that has not been installed yet (the directory
     // granted us the block and immediately served a conflicting writer)?
-    auto it = mshrs_.find(msg.block_addr);
-    if (it != mshrs_.end() && it->second.fill_pending) {
-        Mshr &mshr = it->second;
+    Mshr *pending = findMshr(msg.block_addr);
+    if (pending && pending->fill_pending) {
+        Mshr &mshr = *pending;
         ++stat_fill_retries_;
         mshr.fill_pending = false;
         mshr.fill_blocked = false;
@@ -750,9 +798,9 @@ L1Cache::handleFwd(const Msg &msg)
 
     // Buffered fill not yet installed: hand the data straight back and
     // re-request.
-    auto it = mshrs_.find(msg.block_addr);
-    if (it != mshrs_.end() && it->second.fill_pending) {
-        Mshr &mshr = it->second;
+    Mshr *pending = findMshr(msg.block_addr);
+    if (pending && pending->fill_pending) {
+        Mshr &mshr = *pending;
         ++stat_fill_retries_;
         sendToDir(MsgType::FwdDataAck, msg.block_addr,
                   mshr.fill.data.data());
@@ -831,7 +879,7 @@ L1Cache::sendToDir(MsgType type, Addr block_addr,
     msg.block_addr = block_addr;
     msg.req_id = req_id;
     if (data)
-        msg.data.assign(data, data + array_.blockSize());
+        msg.data.assign(data, array_.blockSize());
     network_.send(std::move(msg));
 }
 

@@ -27,9 +27,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -142,7 +142,7 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     bool
     canAcceptMiss() const
     {
-        return mshrs_.size() + 2 < params_.num_mshrs;
+        return live_.size() + 2 < params_.num_mshrs;
     }
 
     /**
@@ -174,14 +174,14 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     }
 
     /** @return true when no miss or writeback is in flight. */
-    bool quiesced() const { return mshrs_.empty() && wb_buffer_.empty(); }
+    bool quiesced() const { return live_.empty() && wb_buffer_.empty(); }
 
     /** Miss status holding register (public: wait graphs walk these). */
     struct Mshr
     {
-        Addr block_addr;
-        bool want_m;                 //!< GetM (vs GetS) outstanding
-        std::deque<MemRequest> waiting;
+        Addr block_addr = invalid_addr;
+        bool want_m = false;         //!< GetM (vs GetS) outstanding
+        std::vector<MemRequest> waiting; //!< capacity kept across misses
         bool fill_pending = false;   //!< fill buffered, no way available
         bool fill_blocked = false; //!< fill parked: no evictable way
         Msg fill;
@@ -197,8 +197,15 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     void
     forEachMshr(Fn fn) const
     {
-        for (const auto &[addr, mshr] : mshrs_)
-            fn(mshr);
+        std::vector<const Mshr *> live;
+        for (const auto &[block, mshr] : live_)
+            live.push_back(mshr);
+        std::sort(live.begin(), live.end(),
+                  [](const Mshr *a, const Mshr *b) {
+                      return a->block_addr < b->block_addr;
+                  });
+        for (const Mshr *m : live)
+            fn(*m);
     }
 
   private:
@@ -215,7 +222,7 @@ class L1Cache : public sim::SimObject, public MsgReceiver
         Addr block_addr;
         State state;
         bool has_data;
-        std::vector<std::uint8_t> data;
+        MsgPayload data;
     };
 
     // request path
@@ -224,6 +231,11 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     void performLoad(L1Block &blk, MemRequest &req);
     void performWrite(L1Block &blk, MemRequest &req);
     void respond(MemRequest &req, std::uint64_t value);
+
+    // MSHR slots
+    Mshr *findMshr(Addr block_addr);
+    Mshr &allocMshr(Addr block_addr);
+    void freeMshr(Mshr &mshr);
 
     // fill path
     void handleData(const Msg &msg);
@@ -262,8 +274,20 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     reqtrace::ReqTraceSink *const rtrace_; //!< null when spans are off
 
     CacheArray<L1Block> array_;
-    std::map<Addr, Mshr> mshrs_;
-    std::deque<WbEntry> wb_buffer_;
+
+    /**
+     * MSHRs live in num_mshrs fixed slots.  live_ lists the outstanding
+     * ones as (block, slot) pairs, dense and unordered, so a lookup
+     * scans only the misses in flight; free_ holds the idle slots.
+     * Walks whose order matters sort by block address.
+     */
+    std::vector<Mshr> mshrs_;
+    std::vector<std::pair<Addr, Mshr *>> live_;
+    std::vector<Mshr *> free_;
+    std::vector<MemRequest> replay_; //!< tryCompleteFill's waiter buffer
+    std::vector<Addr> retry_addrs_;  //!< retryPendingFills' scratch
+
+    std::vector<WbEntry> wb_buffer_;
     bool retry_scheduled_ = false; //!< deferred overflow-fill retry
     std::vector<Addr> sr_blocks_; //!< blocks with live SR tags
     std::vector<Addr> sw_blocks_; //!< blocks with live SW tags

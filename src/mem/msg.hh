@@ -17,9 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
-#include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace fenceless::mem
@@ -99,6 +100,45 @@ const char *msgTypeName(MsgType t);
 /** @return true for request types the directory queues per block. */
 bool isDirRequest(MsgType t);
 
+/**
+ * A block payload carried inline in its message, so sending data
+ * allocates nothing.  Holds at most one 64-byte block: L1Cache and
+ * Directory refuse larger block sizes when they are built.
+ */
+class MsgPayload
+{
+  public:
+    static constexpr std::size_t capacity = 64;
+
+    bool empty() const { return len_ == 0; }
+    std::size_t size() const { return len_; }
+    const std::uint8_t *data() const { return bytes_; }
+
+    /** Copy @p n bytes from @p src. */
+    void
+    assign(const std::uint8_t *src, std::size_t n)
+    {
+        flAssert(n <= capacity, "payload of ", n, " bytes exceeds ",
+                 capacity);
+        std::memcpy(bytes_, src, n);
+        len_ = static_cast<std::uint8_t>(n);
+    }
+
+    /** Fill @p n bytes with @p value. */
+    void
+    assign(std::size_t n, std::uint8_t value)
+    {
+        flAssert(n <= capacity, "payload of ", n, " bytes exceeds ",
+                 capacity);
+        std::memset(bytes_, value, n);
+        len_ = static_cast<std::uint8_t>(n);
+    }
+
+  private:
+    std::uint8_t bytes_[capacity]; //!< only the first len_ are defined
+    std::uint8_t len_ = 0;
+};
+
 /** One coherence message. */
 struct Msg
 {
@@ -109,7 +149,7 @@ struct Msg
     std::uint64_t req_id = 0; //!< request-lifetime id (0 = untracked)
     Tick sent_tick = 0;       //!< stamped by Network::send
     std::uint8_t hops = 0;    //!< links traversed (stamped by send)
-    std::vector<std::uint8_t> data; //!< block payload, empty for ctrl msgs
+    MsgPayload data;          //!< block payload, empty for ctrl msgs
 
     bool hasData() const { return !data.empty(); }
 

@@ -116,56 +116,7 @@ ringClockwise(std::uint32_t n, NodeId s, NodeId d)
 std::uint32_t
 meshHops(std::uint32_t n, NodeId s, NodeId d)
 {
-    const MeshDims dims = meshDims(n);
-    const std::int64_t dx = static_cast<std::int64_t>(d % dims.w)
-                            - static_cast<std::int64_t>(s % dims.w);
-    const std::int64_t dy = static_cast<std::int64_t>(d / dims.w)
-                            - static_cast<std::int64_t>(s / dims.w);
-    return static_cast<std::uint32_t>((dx < 0 ? -dx : dx)
-                                      + (dy < 0 ? -dy : dy));
-}
-
-std::uint32_t
-topologyHops(Topology t, std::uint32_t n, NodeId s, NodeId d)
-{
-    switch (t) {
-      case Topology::Crossbar: return 1;
-      case Topology::Ring: return ringHops(n, s, d);
-      case Topology::Mesh: return meshHops(n, s, d);
-    }
-    return 1;
-}
-
-void
-forEachRouteLink(Topology t, std::uint32_t n, NodeId s, NodeId d,
-                 const std::function<void(std::uint32_t)> &fn)
-{
-    if (t == Topology::Crossbar || s == d)
-        return;
-    if (t == Topology::Ring) {
-        const bool cw = ringClockwise(n, s, d);
-        for (NodeId at = s; at != d;) {
-            fn(at * 4 + (cw ? 0u : 1u));
-            at = cw ? (at + 1) % n : (at + n - 1) % n;
-        }
-        return;
-    }
-    // Mesh: XY routing -- walk out the x offset first, then y.  The
-    // intermediate grid slots need not host an endpoint (the last mesh
-    // row may be partially filled); they are routers either way.
-    const MeshDims dims = meshDims(n);
-    std::uint32_t x = s % dims.w, y = s / dims.w;
-    const std::uint32_t dx = d % dims.w, dy = d / dims.w;
-    while (x != dx) {
-        const bool east = x < dx;
-        fn((y * dims.w + x) * 4 + (east ? 0u : 1u));
-        x += east ? 1 : -1;
-    }
-    while (y != dy) {
-        const bool north = y < dy;
-        fn((y * dims.w + x) * 4 + (north ? 2u : 3u));
-        y += north ? 1 : -1;
-    }
+    return gridDistance(meshDims(n).w, s, d);
 }
 
 std::string
@@ -189,26 +140,6 @@ Msg::toString() const
        << (hasData() ? " +data" : "");
     return os.str();
 }
-
-namespace
-{
-
-/** Max-heap comparator yielding a (arrival, src, chan_seq) min-heap. */
-struct PendingLater
-{
-    bool
-    operator()(const Network::PendingMsg &a,
-               const Network::PendingMsg &b) const
-    {
-        if (a.arrival != b.arrival)
-            return a.arrival > b.arrival;
-        if (a.msg.src != b.msg.src)
-            return a.msg.src > b.msg.src;
-        return a.chan_seq > b.chan_seq;
-    }
-};
-
-} // namespace
 
 Network::Network(sim::SimContext &ctx, const std::string &name,
                  const Params &params)
@@ -243,6 +174,7 @@ Network::Network(sim::SimContext &ctx, const std::string &name,
                  params_.num_nodes, ")");
         flAssert(params_.hop_latency > 0,
                  "per-hop latency must be positive");
+        mesh_w_ = meshDims(params_.num_nodes).w;
     }
 
     std::vector<std::string> msg_names;
@@ -329,24 +261,8 @@ Network::send(Msg msg)
                  "endpoint outside the configured ",
                  topologyName(params_.topology), " (num_nodes=",
                  params_.num_nodes, ")");
-        hops = topologyHops(params_.topology, params_.num_nodes,
-                            msg.src, msg.dst);
+        hops = routeHops(msg.src, msg.dst);
         route_latency = static_cast<Tick>(hops) * params_.hop_latency;
-        // Charge this message's serialization to every directed link
-        // on its (fixed, deterministic) route -- sender-owned counters
-        // only, folded in node order at finalizeStats().
-        if (src.link_msgs.empty()) {
-            const std::size_t nlinks =
-                static_cast<std::size_t>(routerSlots(
-                    params_.topology, params_.num_nodes)) * 4;
-            src.link_msgs.assign(nlinks, 0);
-            src.link_busy.assign(nlinks, 0);
-        }
-        forEachRouteLink(params_.topology, params_.num_nodes, msg.src,
-                         msg.dst, [&](std::uint32_t link) {
-                             ++src.link_msgs[link];
-                             src.link_busy[link] += serialization;
-                         });
     }
     msg.hops = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(hops, 255));
@@ -361,6 +277,9 @@ Network::send(Msg msg)
         arrival = ch.last_arrival + serialization;
     ch.last_arrival = arrival;
     ++ch.sent;
+    // Link occupancy: charged to the channel here, spread over its
+    // route's links only when the totals are read (foldLinks).
+    ch.busy += serialization;
 
     ++src.tx_msgs;
     src.tx_bytes += msg.sizeBytes();
@@ -385,9 +304,18 @@ void
 Network::enqueueArrival(PendingMsg &&pm)
 {
     Node &n = nodes_[pm.msg.dst];
-    n.heap.push_back(std::move(pm));
-    std::push_heap(n.heap.begin(), n.heap.end(), PendingLater{});
-    const Tick next = n.heap.front().arrival;
+    std::uint32_t slot;
+    if (n.free_slots.empty()) {
+        slot = static_cast<std::uint32_t>(n.slab.size());
+        n.slab.push_back(pm.msg);
+    } else {
+        slot = n.free_slots.back();
+        n.free_slots.pop_back();
+        n.slab[slot] = pm.msg;
+    }
+    n.heap.push_back(Arrival{pm.arrival, pm.msg.src, slot, pm.chan_seq});
+    std::push_heap(n.heap.begin(), n.heap.end(), ArrivalLater{});
+    const Tick next = n.heap.front().tick;
     sim::Event *ev = n.ingress_event.get();
     if (!ev->scheduled())
         n.ctx->eventq.schedule(ev, next);
@@ -422,12 +350,14 @@ Network::ingressFire(NodeId id)
 {
     Node &n = nodes_[id];
     const Tick now = n.ctx->curTick();
-    while (!n.heap.empty() && n.heap.front().arrival == now) {
-        std::pop_heap(n.heap.begin(), n.heap.end(), PendingLater{});
-        PendingMsg pm = std::move(n.heap.back());
+    while (!n.heap.empty() && n.heap.front().tick == now) {
+        std::pop_heap(n.heap.begin(), n.heap.end(), ArrivalLater{});
+        const std::uint32_t slot = n.heap.back().slot;
         n.heap.pop_back();
+        // A copy: receiveMsg may send() into this very slab.
+        const Msg msg = n.slab[slot];
+        n.free_slots.push_back(slot);
 
-        const Msg &msg = pm.msg;
         const Tick latency = now - msg.sent_tick;
         rxSample(n, static_cast<double>(latency));
         if (n.delivered_from.size() <= msg.src)
@@ -444,7 +374,7 @@ Network::ingressFire(NodeId id)
         n.receiver->receiveMsg(msg);
     }
     if (!n.heap.empty()) {
-        const Tick next = n.heap.front().arrival;
+        const Tick next = n.heap.front().tick;
         sim::Event *ev = n.ingress_event.get();
         if (!ev->scheduled())
             n.ctx->eventq.schedule(ev, next);
@@ -453,19 +383,44 @@ Network::ingressFire(NodeId id)
     }
 }
 
-std::vector<std::uint64_t>
-Network::foldedLinkMsgs() const
+std::uint32_t
+Network::routeHops(NodeId s, NodeId d) const
 {
-    if (params_.topology == Topology::Crossbar)
-        return {};
+    return params_.topology == Topology::Ring
+               ? ringHops(params_.num_nodes, s, d)
+               : gridDistance(mesh_w_, s, d);
+}
+
+void
+Network::foldLinks(std::vector<std::uint64_t> &msgs,
+                   std::vector<std::uint64_t> &busy) const
+{
     const std::size_t nlinks =
         static_cast<std::size_t>(routerSlots(params_.topology,
                                              params_.num_nodes)) * 4;
-    std::vector<std::uint64_t> lmsgs(nlinks, 0);
-    for (const Node &n : nodes_) {
-        for (std::size_t l = 0; l < n.link_msgs.size(); ++l)
-            lmsgs[l] += n.link_msgs[l];
+    msgs.assign(nlinks, 0);
+    busy.assign(nlinks, 0);
+    for (NodeId s = 0; s < nodes_.size(); ++s) {
+        const std::vector<TxChan> &chans = nodes_[s].chans;
+        for (NodeId d = 0; d < chans.size(); ++d) {
+            const TxChan &ch = chans[d];
+            if (ch.sent == 0)
+                continue;
+            forEachRouteLink(params_.topology, params_.num_nodes, s, d,
+                             [&](std::uint32_t link) {
+                                 msgs[link] += ch.sent;
+                                 busy[link] += ch.busy;
+                             });
+        }
     }
+}
+
+std::vector<std::uint64_t>
+Network::foldedLinkMsgs() const
+{
+    std::vector<std::uint64_t> lmsgs, lbusy;
+    if (params_.topology != Topology::Crossbar)
+        foldLinks(lmsgs, lbusy);
     return lmsgs;
 }
 
@@ -492,20 +447,12 @@ Network::finalizeStats()
     stat_dropped_ = dropped;
     stat_hops_ = hops;
     if (params_.topology != Topology::Crossbar) {
-        // Fold the per-sender link occupancy into per-link totals
-        // (node order -- deterministic) and report the hot spot.
-        const std::size_t nlinks =
-            static_cast<std::size_t>(routerSlots(
-                params_.topology, params_.num_nodes)) * 4;
-        std::vector<std::uint64_t> lmsgs(nlinks, 0), lbusy(nlinks, 0);
-        for (const Node &n : nodes_) {
-            for (std::size_t l = 0; l < n.link_msgs.size(); ++l) {
-                lmsgs[l] += n.link_msgs[l];
-                lbusy[l] += n.link_busy[l];
-            }
-        }
+        // Spread the per-channel occupancy over the links and report
+        // the hot spot.
+        std::vector<std::uint64_t> lmsgs, lbusy;
+        foldLinks(lmsgs, lbusy);
         std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
-        for (std::size_t l = 0; l < nlinks; ++l) {
+        for (std::size_t l = 0; l < lmsgs.size(); ++l) {
             if (lmsgs[l] == 0)
                 continue;
             ++used;

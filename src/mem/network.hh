@@ -21,10 +21,12 @@
  * ceil(bytes / link_bytes_per_cycle) models link bandwidth.  FIFO
  * order per channel is a protocol requirement.
  *
- * Link occupancy is modeled as per-source accounting: every message
- * charges its serialization cycles to each directed link on its route,
- * accumulated in sender-owned counters and folded deterministically at
- * finalizeStats() (hop totals, hot-link occupancy).  Shared-link
+ * Link occupancy is modeled as per-channel accounting: every message
+ * charges its serialization cycles to its sender-owned (src, dst)
+ * channel, and finalizeStats() spreads each channel's totals over the
+ * channel's fixed route once (hop totals, hot-link occupancy).  Routes
+ * are pure functions of (src, dst), so the per-link sums equal a
+ * per-message walk without costing one on every send.  Shared-link
  * *timing* contention is deliberately not modeled: arrival times must
  * be a pure function of sender-owned channel state so that a sharded
  * run stays byte-identical to the single-threaded reference without
@@ -108,12 +110,17 @@ std::uint32_t ringHops(std::uint32_t n, NodeId s, NodeId d);
 /** @return true if the ring route s -> d goes clockwise (id + 1). */
 bool ringClockwise(std::uint32_t n, NodeId s, NodeId d);
 
+/** Manhattan distance between @p s and @p d on a @p w-wide grid. */
+inline std::uint32_t
+gridDistance(std::uint32_t w, NodeId s, NodeId d)
+{
+    const std::uint32_t sx = s % w, sy = s / w;
+    const std::uint32_t dx = d % w, dy = d / w;
+    return (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
+}
+
 /** Manhattan distance on the @p n-node mesh (XY routing length). */
 std::uint32_t meshHops(std::uint32_t n, NodeId s, NodeId d);
-
-/** Links a message s -> d crosses under @p t (crossbar: always 1). */
-std::uint32_t topologyHops(Topology t, std::uint32_t n, NodeId s,
-                           NodeId d);
 
 /**
  * Directed links are identified as `node * 4 + direction`, direction
@@ -121,8 +128,37 @@ std::uint32_t topologyHops(Topology t, std::uint32_t n, NodeId s,
  * Visit each link id on the (deterministic) route s -> d in order.
  * The crossbar has no modeled links; the visitor is never called.
  */
-void forEachRouteLink(Topology t, std::uint32_t n, NodeId s, NodeId d,
-                      const std::function<void(std::uint32_t)> &fn);
+template <typename Fn>
+void
+forEachRouteLink(Topology t, std::uint32_t n, NodeId s, NodeId d, Fn &&fn)
+{
+    if (t == Topology::Crossbar || s == d)
+        return;
+    if (t == Topology::Ring) {
+        const bool cw = ringClockwise(n, s, d);
+        for (NodeId at = s; at != d;) {
+            fn(at * 4 + (cw ? 0u : 1u));
+            at = cw ? (at + 1) % n : (at + n - 1) % n;
+        }
+        return;
+    }
+    // Mesh: XY routing -- walk out the x offset first, then y.  The
+    // intermediate grid slots need not host an endpoint (the last mesh
+    // row may be partially filled); they are routers either way.
+    const std::uint32_t w = meshDims(n).w;
+    std::uint32_t x = s % w, y = s / w;
+    const std::uint32_t dx = d % w, dy = d / w;
+    while (x != dx) {
+        const bool east = x < dx;
+        fn((y * w + x) * 4 + (east ? 0u : 1u));
+        x += east ? 1 : -1;
+    }
+    while (y != dy) {
+        const bool north = y < dy;
+        fn((y * w + x) * 4 + (north ? 2u : 3u));
+        y += north ? 1 : -1;
+    }
+}
 
 /**
  * Human-readable name for a directed link id: "rtr<slot>.<dir>" where
@@ -271,11 +307,11 @@ class Network : public sim::SimObject
     Topology topology() const { return params_.topology; }
 
     /**
-     * Fold the per-node per-link message counters into one vector
-     * (indexed by link id; empty on the crossbar).  Same node-order
-     * fold as finalizeStats(), so the result is shard-independent;
-     * callable at any point (end-of-run reports use it to name each
-     * sampled request's hottest link).
+     * Per-link message totals (indexed by link id; empty on the
+     * crossbar): every channel's count spread over its route, as in
+     * finalizeStats(), so the result is shard-independent; callable at
+     * any point (end-of-run reports use it to name each sampled
+     * request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
 
@@ -290,12 +326,40 @@ class Network : public sim::SimObject
     }
 
   private:
+    /**
+     * A pending arrival's place in its destination's ingress heap: the
+     * (arrival, src, chan_seq) ordering key plus the slab slot holding
+     * the message, so heap operations move 24 bytes, not a payload.
+     */
+    struct Arrival
+    {
+        Tick tick = 0;
+        NodeId src = 0;
+        std::uint32_t slot = 0; //!< index into Node::slab
+        std::uint64_t chan_seq = 0;
+    };
+
+    /** Max-heap comparator yielding an (arrival, src, chan_seq) min-heap. */
+    struct ArrivalLater
+    {
+        bool
+        operator()(const Arrival &a, const Arrival &b) const
+        {
+            if (a.tick != b.tick)
+                return a.tick > b.tick;
+            if (a.src != b.src)
+                return a.src > b.src;
+            return a.chan_seq > b.chan_seq;
+        }
+    };
+
     /** One FIFO channel's send-side state. */
     struct TxChan
     {
         Tick last_arrival = 0;
         std::uint64_t seq = 0;  //!< sends so far (becomes chan_seq)
         std::uint64_t sent = 0; //!< == seq; kept separate for clarity
+        std::uint64_t busy = 0; //!< serialization cycles sent
     };
 
     /**
@@ -320,18 +384,10 @@ class Network : public sim::SimObject
         std::uint64_t tx_dropped = 0;
         std::uint64_t tx_hops = 0; //!< links crossed by sent messages
 
-        /**
-         * Per-link occupancy charged by this node's sends (indexed by
-         * link id, lazily sized; empty on the crossbar).  Single-writer
-         * by construction -- only this node's shard thread sends from
-         * this node -- and folded across nodes in node order at
-         * finalizeStats(), so the totals are shard-count independent.
-         */
-        std::vector<std::uint64_t> link_msgs;
-        std::vector<std::uint64_t> link_busy; //!< serialization cycles
-
         // rx side (this node as msg.dst)
-        std::vector<PendingMsg> heap; //!< min-heap via Pending order
+        std::vector<Arrival> heap; //!< min-heap via ArrivalLater
+        std::vector<Msg> slab;     //!< messages of the heap's arrivals
+        std::vector<std::uint32_t> free_slots; //!< unused slab slots
         std::unique_ptr<sim::EventFunctionWrapper> ingress_event;
         std::vector<std::uint64_t> delivered_from; //!< per src
         std::uint64_t rx_count = 0; //!< Welford state for msg_latency
@@ -355,7 +411,18 @@ class Network : public sim::SimObject
     void ingressFire(NodeId id);
     void rxSample(Node &n, double v);
 
+    /** Links a message s -> d crosses (ring/mesh only). */
+    std::uint32_t routeHops(NodeId s, NodeId d) const;
+
+    /**
+     * Spread every channel's message and serialization-cycle totals
+     * over its route: per-link sums indexed by link id (ring/mesh).
+     */
+    void foldLinks(std::vector<std::uint64_t> &msgs,
+                   std::vector<std::uint64_t> &busy) const;
+
     Params params_;
+    std::uint32_t mesh_w_ = 0; //!< mesh grid width (mesh only)
     std::vector<Node> nodes_;
     CrossShardPush cross_push_;
     bool finalized_ = false;

@@ -5,13 +5,17 @@
  * inspect the resulting MESI states, directory bookkeeping and message
  * behaviour -- including the transient races (writeback vs probe,
  * buffered fill vs invalidation) and the speculation-specific states
- * (WbClean, MStale).
+ * (WbClean, MStale).  One whole-system case uses sixteen cores to miss
+ * on a single L2 set all at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
+#include "harness/system.hh"
+#include "isa/assembler.hh"
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
 #include "mem/network.hh"
@@ -802,4 +806,104 @@ TEST(BankedProtocol, BankingComposesWithRingAndMesh)
         EXPECT_EQ(crossbar.dirStat(stat), mesh.dirStat(stat))
             << "stat " << stat;
     }
+}
+
+// ---------------------------------------------------------------------
+// Outstanding-state walks and a full L2 set
+// ---------------------------------------------------------------------
+
+TEST(Protocol2, MshrAndTxnWalksAreBlockOrdered)
+{
+    // MSHR slots and the directory's transaction table are filled in
+    // miss order; dossiers and fill retries must still see them in
+    // ascending block order.  Issue misses in descending order.
+    ProtocolBench b;
+    int done = 0;
+    for (Addr blk = 6; blk >= 1; --blk) {
+        MemRequest req;
+        req.op = MemOp::Load;
+        req.addr = 0x5000 + blk * 64;
+        req.callback = [&done](std::uint64_t) { ++done; };
+        b.l1s[0]->access(std::move(req));
+    }
+    std::vector<Addr> mshrs;
+    b.l1s[0]->forEachMshr([&](const L1Cache::Mshr &m) {
+        mshrs.push_back(m.block_addr);
+    });
+    ASSERT_EQ(mshrs.size(), 6u);
+    EXPECT_TRUE(std::is_sorted(mshrs.begin(), mshrs.end()));
+
+    // Requests reach the directory by tick 8 and wait on DRAM past 12.
+    b.ctx.eventq.run(12);
+    std::vector<Addr> txns;
+    b.dirs[0]->forEachTxn([&](const Directory::TxnView &t) {
+        txns.push_back(t.block);
+        EXPECT_STREQ(t.phase, "dram");
+    });
+    EXPECT_EQ(txns, mshrs);
+
+    b.ctx.eventq.run();
+    EXPECT_EQ(done, 6);
+    EXPECT_TRUE(b.l1s[0]->quiesced());
+    EXPECT_TRUE(b.dirs[0]->quiesced());
+}
+
+TEST(BankedProtocol, FullL2SetParksMissesUntilAWayFrees)
+{
+    // Sixteen cores miss at once on distinct blocks of one set of a
+    // 2-way L2 slice: every way is soon held by an active transaction,
+    // and later misses must wait for one to finish instead of
+    // aborting.  Block k (stride 1 KiB: bank 0, set 0) gets k + 1.
+    harness::SystemConfig cfg;
+    cfg.num_cores = 16;
+    cfg.dir_banks = 2;
+    cfg.l1.size = 4 * 1024;
+    cfg.l1.assoc = 4;
+    cfg.l2.size = 2 * 1024; // per bank: 8 sets of 2 ways
+    cfg.l2.assoc = 2;
+    cfg.l2.dram_latency = 30;
+    cfg.max_cycles = 5'000'000;
+
+    constexpr std::uint64_t rounds = 4;
+    constexpr std::uint64_t stride = 1024;
+    isa::Assembler as;
+    const Addr arr = as.alloc("arr", cfg.num_cores * rounds * stride,
+                              16 * stride);
+    as.li(isa::a0, arr);
+    as.slli(isa::t0, isa::tp, 10);
+    as.add(isa::a0, isa::a0, isa::t0);
+    as.addi(isa::t1, isa::tp, 1);
+    as.li(isa::t2, cfg.num_cores * stride);
+    as.li(isa::s0, rounds);
+    as.label("loop");
+    as.st(isa::t1, isa::a0);
+    as.add(isa::a0, isa::a0, isa::t2);
+    as.addi(isa::t1, isa::t1, cfg.num_cores);
+    as.addi(isa::s0, isa::s0, -1);
+    as.bne(isa::s0, isa::x0, "loop");
+    as.halt();
+    const isa::Program prog = as.finish();
+
+    // Mid-burst, the wait-for graph ties parked misses to the
+    // transactions holding their set's ways.
+    harness::SystemConfig early = cfg;
+    early.max_cycles = 60;
+    harness::System cut(early, prog);
+    EXPECT_FALSE(cut.run());
+    sim::WaitGraph g;
+    cut.buildWaitGraph(g);
+    std::size_t way_waits = 0;
+    for (const sim::WaitEdge &e : g.edges())
+        way_waits += e.label == "awaiting a free way of its L2 set";
+    EXPECT_GT(way_waits, 0u);
+
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+    for (std::uint64_t k = 0; k < cfg.num_cores * rounds; ++k) {
+        EXPECT_EQ(sys.debugRead(arr + k * stride, 8), k + 1)
+            << "block " << k;
+    }
+    EXPECT_GT(sys.stats().findGroup("l2dir.bank0")->scalarCount("recalls"),
+              0u);
+    sys.auditCoherence();
 }

@@ -2,14 +2,18 @@
  * @file
  * Topology-layer unit tests: ring/mesh geometry and hop counts, the
  * deterministic direction tie-break, the exact link sequences XY and
- * ring routing produce, and end-to-end arrival timing through a real
- * Network instance.
+ * ring routing produce, end-to-end arrival timing through a real
+ * Network instance, and the link statistics folded from per-channel
+ * totals against per-message route walks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "base/random.hh"
 #include "mem/network.hh"
 #include "sim/sim_object.hh"
 
@@ -27,6 +31,29 @@ routeLinks(Topology t, std::uint32_t n, NodeId s, NodeId d)
                      [&](std::uint32_t link) { links.push_back(link); });
     return links;
 }
+
+/** Records each delivered message and its arrival tick. */
+class RecordingEndpoint : public MsgReceiver
+{
+  public:
+    explicit RecordingEndpoint(sim::SimContext &ctx) : ctx_(ctx) {}
+
+    void
+    receiveMsg(const Msg &msg) override
+    {
+        arrivals.push_back({ctx_.curTick(), msg.hops});
+    }
+
+    struct Arrival
+    {
+        Tick tick;
+        std::uint8_t hops;
+    };
+    std::vector<Arrival> arrivals;
+
+  private:
+    sim::SimContext &ctx_;
+};
 
 } // namespace
 
@@ -106,9 +133,26 @@ TEST(Topology, MeshHopsIsManhattanDistance)
 
 TEST(Topology, CrossbarAlwaysOneHop)
 {
-    EXPECT_EQ(topologyHops(Topology::Crossbar, 9, 0, 8), 1u);
-    EXPECT_EQ(topologyHops(Topology::Crossbar, 2, 1, 0), 1u);
     EXPECT_TRUE(routeLinks(Topology::Crossbar, 9, 0, 8).empty());
+
+    // Through a real Network: one hop per message, whatever the ids.
+    sim::SimContext ctx;
+    Network net(ctx, "network", Network::Params{});
+    RecordingEndpoint ep(ctx);
+    net.registerEndpoint(8, &ep);
+    net.registerEndpoint(0, &ep);
+    for (NodeId src : {0u, 8u}) {
+        Msg msg;
+        msg.src = src;
+        msg.dst = 8 - src;
+        net.send(std::move(msg));
+    }
+    ctx.eventq.run();
+    ASSERT_EQ(ep.arrivals.size(), 2u);
+    EXPECT_EQ(ep.arrivals[0].hops, 1);
+    EXPECT_EQ(ep.arrivals[1].hops, 1);
+    net.finalizeStats();
+    EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
 }
 
 TEST(Topology, RingRouteLinkSequence)
@@ -144,34 +188,6 @@ TEST(Topology, MeshRouteIsXThenY)
         }
     }
 }
-
-namespace
-{
-
-/** Records each delivered message and its arrival tick. */
-class RecordingEndpoint : public MsgReceiver
-{
-  public:
-    explicit RecordingEndpoint(sim::SimContext &ctx) : ctx_(ctx) {}
-
-    void
-    receiveMsg(const Msg &msg) override
-    {
-        arrivals.push_back({ctx_.curTick(), msg.hops});
-    }
-
-    struct Arrival
-    {
-        Tick tick;
-        std::uint8_t hops;
-    };
-    std::vector<Arrival> arrivals;
-
-  private:
-    sim::SimContext &ctx_;
-};
-
-} // namespace
 
 TEST(Topology, RingArrivalTiming)
 {
@@ -285,4 +301,87 @@ TEST(Topology, MeshHopAndLinkStatsFold)
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("hot_link_msgs"), 1u);
+}
+
+TEST(Topology, ChannelFoldMatchesPerMessageWalks)
+{
+    // Seeded random traffic, data and control, including probe acks the
+    // fault injector drops: the end-of-run fold of per-channel totals
+    // must match charging every delivered message to each link on its
+    // route.  Covers a ring and meshes with a partial (24 nodes on
+    // 5x5) and a full (72 nodes on 9x8) last row.
+    struct Case
+    {
+        Topology topology;
+        std::uint32_t nodes;
+    };
+    const Case cases[] = {{Topology::Ring, 24},
+                          {Topology::Mesh, 24},
+                          {Topology::Mesh, 72}};
+    constexpr Addr dropped_block = 0x1000;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(topologyName(c.topology)) + " " +
+                     std::to_string(c.nodes));
+        sim::SimContext ctx;
+        Network::Params params;
+        params.topology = c.topology;
+        params.num_nodes = c.nodes;
+        params.hop_latency = 2;
+        params.link_bytes_per_cycle = 16;
+        params.drop_fwd_acks_for = {dropped_block};
+        Network net(ctx, "network", params);
+        std::vector<std::unique_ptr<RecordingEndpoint>> eps;
+        for (NodeId n = 0; n < c.nodes; ++n) {
+            eps.push_back(std::make_unique<RecordingEndpoint>(ctx));
+            net.registerEndpoint(n, eps.back().get());
+        }
+
+        const std::size_t nlinks =
+            static_cast<std::size_t>(routerSlots(c.topology, c.nodes)) * 4;
+        std::vector<std::uint64_t> want_msgs(nlinks, 0);
+        std::vector<std::uint64_t> want_busy(nlinks, 0);
+        std::uint64_t want_hops = 0;
+        Random rng(c.nodes * 31 + static_cast<std::uint64_t>(c.topology));
+        for (int i = 0; i < 3000; ++i) {
+            Msg msg;
+            msg.src = static_cast<NodeId>(rng.range(0, c.nodes - 1));
+            msg.dst = static_cast<NodeId>(rng.range(0, c.nodes - 1));
+            const bool data = rng.range(0, 2) == 0;
+            const bool drop = rng.range(0, 15) == 0;
+            msg.type = drop ? MsgType::FwdNoDataAck
+                            : data ? MsgType::DataM : MsgType::GetS;
+            msg.block_addr = drop ? dropped_block : 0x40;
+            if (data && !drop)
+                msg.data.assign(64, 0x5a);
+            if (!drop) {
+                // 8-byte header plus payload at 16 bytes per cycle.
+                const std::uint64_t serialization = data ? 5 : 1;
+                forEachRouteLink(c.topology, c.nodes, msg.src, msg.dst,
+                                 [&](std::uint32_t link) {
+                                     ++want_msgs[link];
+                                     want_busy[link] += serialization;
+                                     ++want_hops;
+                                 });
+            }
+            net.send(std::move(msg));
+            if (i % 100 == 99)
+                ctx.eventq.run();
+        }
+        ctx.eventq.run();
+
+        EXPECT_EQ(net.foldedLinkMsgs(), want_msgs);
+        net.finalizeStats();
+        std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
+        for (std::size_t l = 0; l < nlinks; ++l) {
+            used += want_msgs[l] != 0;
+            hot_msgs = std::max(hot_msgs, want_msgs[l]);
+            hot_busy = std::max(hot_busy, want_busy[l]);
+        }
+        const auto &stats = net.statGroup();
+        EXPECT_GT(net.droppedMsgs(), 0u);
+        EXPECT_EQ(stats.scalarCount("hops"), want_hops);
+        EXPECT_EQ(stats.scalarCount("links_used"), used);
+        EXPECT_EQ(stats.scalarCount("hot_link_msgs"), hot_msgs);
+        EXPECT_EQ(stats.scalarCount("hot_link_busy"), hot_busy);
+    }
 }
