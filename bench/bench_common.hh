@@ -348,8 +348,6 @@ writeObservability(const harness::System &sys,
     }
     if (opts.profiling() && !writeProfileArtifacts(sys.profile(), opts))
         return false;
-    if (opts.shardReport())
-        sys.writeShardReport(std::cout);
     if (opts.tailReport())
         sys.writeTailReport(std::cout);
     return true;

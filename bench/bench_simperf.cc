@@ -22,7 +22,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -283,92 +282,6 @@ BM_FullSystemBlackbox(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(sim_insts));
 }
 BENCHMARK(BM_FullSystemBlackbox);
-
-/**
- * Sharded parallel simulation: ONE 16-core simulation partitioned
- * across N host threads (SystemConfig::shards), versus the N=1
- * single-threaded reference.  Results are byte-identical for every
- * shard count (see harness/system.hh), so this curve is pure host-side
- * scaling.  The host_cpus counter records how many hardware threads
- * the measuring machine actually had -- the regression guard only
- * enforces the speedup floor when the host can physically provide it.
- */
-void
-BM_FullSystemParallel(benchmark::State &state)
-{
-    const auto shards = static_cast<std::uint32_t>(state.range(0));
-    std::uint64_t sim_insts = 0;
-    std::uint64_t sim_cycles = 0;
-    for (auto _ : state) {
-        harness::SystemConfig cfg;
-        cfg.num_cores = 16;
-        cfg.model = cpu::ConsistencyModel::TSO;
-        cfg.withShards(shards);
-        cfg.blackbox_records = 0; // measure the bare simulation
-        cfg.watchdog_interval = 0;
-        workload::SpinlockCrit wl;
-        isa::Program prog = wl.build(cfg.num_cores);
-        harness::System sys(cfg, prog);
-        const bool done = sys.run();
-        benchmark::DoNotOptimize(done);
-        sim_insts += sys.totalInstructions();
-        sim_cycles += sys.runtimeCycles();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(sim_insts));
-    state.counters["sim_cycles"] =
-        benchmark::Counter(static_cast<double>(sim_cycles),
-                           benchmark::Counter::kIsRate);
-    state.counters["shards"] = static_cast<double>(shards);
-    state.counters["host_cpus"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-}
-// Wall-clock rates: the shard threads do the simulating, so the main
-// thread's CPU time (mostly barrier waits) would be meaningless.
-BENCHMARK(BM_FullSystemParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Sharded parallel simulation with host-waste telemetry on: the
- * BM_FullSystemParallel workload plus per-shard busy/barrier/drain
- * accounting, the message grid and boundary-cause classification.
- * The regression guard holds this within 5% of BM_FullSystemParallel
- * at the same shard count -- the budget that makes --shard-report
- * cheap enough to leave on in sharded runs.
- */
-void
-BM_FullSystemParallelTelemetry(benchmark::State &state)
-{
-    const auto shards = static_cast<std::uint32_t>(state.range(0));
-    std::uint64_t sim_insts = 0;
-    double quanta = 0;
-    for (auto _ : state) {
-        harness::SystemConfig cfg;
-        cfg.num_cores = 16;
-        cfg.model = cpu::ConsistencyModel::TSO;
-        cfg.withShards(shards);
-        cfg.withHostTelemetry();
-        cfg.blackbox_records = 0; // measure the telemetry cost alone
-        cfg.watchdog_interval = 0;
-        workload::SpinlockCrit wl;
-        isa::Program prog = wl.build(cfg.num_cores);
-        harness::System sys(cfg, prog);
-        const bool done = sys.run();
-        benchmark::DoNotOptimize(done);
-        sim_insts += sys.totalInstructions();
-        quanta = static_cast<double>(sys.telemetry().coord().steps);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(sim_insts));
-    state.counters["quanta"] = quanta;
-    state.counters["shards"] = static_cast<double>(shards);
-    state.counters["host_cpus"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_FullSystemParallelTelemetry)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 /**
  * The largest configuration the simulator supports: 64 cores on a 2D

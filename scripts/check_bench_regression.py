@@ -25,24 +25,6 @@ full-system run, and the waste profiler within 10%.  These are
 same-machine same-run comparisons, so they are immune to runner noise
 and use tight thresholds.
 
-The sharded parallel-simulation curve (BM_FullSystemParallel/N) gets a
-same-run speedup floor: the best multi-shard variant must reach at
-least PARALLEL_SPEEDUP_FLOOR x the single-shard reference.  The check
-is gated on the host_cpus counter each variant records -- a speedup
-claim is only meaningful when the host physically has the cores, so an
-under-provisioned runner skips the floor with an explicit note rather
-than failing (or trivially passing) on hardware that cannot show it.
-
-Parallel benchmarks are baseline-guarded with the same gate on BOTH
-sides: a baseline entry whose recorded host_cpus is smaller than its
-shard count was measured on a machine that could not actually run the
-shards concurrently (its numbers are serialization artifacts, not a
-performance floor), and a fresh run on such a machine cannot be held
-to a properly-provisioned baseline either.  Stale baselines of this
-kind are skipped per benchmark with a printed notice instead of
-producing a comparison that is either trivially passed or spuriously
-failed.
-
 Benchmarks present in only one file are reported but never fatal, so
 adding or renaming benchmarks does not break CI in the same PR.
 
@@ -64,8 +46,6 @@ import sys
 GUARDED_PREFIXES = ("BM_EventQueue", "BM_FullSystem/",
                     "BM_FullSystemProfiled", "BM_FullSystemBlackbox",
                     "BM_FullSystemReqTrace",
-                    "BM_FullSystemParallel/",
-                    "BM_FullSystemParallelTelemetry/",
                     "BM_FullSystemMesh64")
 
 # (benchmark, reference, max fractional slowdown vs reference) --
@@ -84,37 +64,7 @@ RELATIVE_GUARDS = (
     # quadratic blowups in assembly/attribution, not an overhead
     # promise -- the 5% promise is the /64 row above.
     ("BM_FullSystemReqTrace/1", "BM_FullSystem/1", 0.60),
-    # Host-waste telemetry: same 16-core sharded run with the per-shard
-    # accounting on; ISSUE budget is 5% at matched shard count.
-    ("BM_FullSystemParallelTelemetry/4/real_time",
-     "BM_FullSystemParallel/4/real_time", 0.05),
 )
-
-# Sharded parallel simulation: best BM_FullSystemParallel/N vs the /1
-# reference, enforced only when the host has enough hardware threads
-# to drive the widest variant.
-PARALLEL_PREFIX = "BM_FullSystemParallel/"
-PARALLEL_REF = "BM_FullSystemParallel/1"
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_MIN_HOST_CPUS = 8
-
-# Benchmarks whose baseline comparison is only meaningful when the
-# recording host had at least as many hardware threads as shards.
-PARALLEL_GUARD_PREFIXES = ("BM_FullSystemParallel/",
-                           "BM_FullSystemParallelTelemetry/")
-
-
-def parallel_provisioning(counters, name):
-    """(shards, host_cpus) a run recorded for @p name, or None.
-
-    Entries predating the shards/host_cpus counters get (None): with
-    no provenance there is nothing to gate on, so they are treated as
-    stale rather than trusted.
-    """
-    c = counters.get(name, {})
-    if "shards" not in c or "host_cpus" not in c:
-        return None
-    return c["shards"], c["host_cpus"]
 
 
 def load(path):
@@ -151,69 +101,7 @@ def load(path):
     return {name: statistics.median(v) for name, v in samples.items()}
 
 
-def load_counters(path):
-    """Read {benchmark name: {counter: median value}} (user counters)."""
-    with open(path) as f:
-        doc = json.load(f)
-    samples = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name")
-        if name is None:
-            continue
-        for cname, value in bench.get("counters", {}).items():
-            samples.setdefault((name, cname), []).append(value)
-    out = {}
-    for (name, cname), values in samples.items():
-        out.setdefault(name, {})[cname] = statistics.median(values)
-    return out
-
-
-def check_parallel_speedup(fresh, counters):
-    """Same-run sharded-simulation speedup floor.  Returns failures."""
-    # The benchmark measures wall time, so names carry google-
-    # benchmark's "/real_time" suffix; normalize it away.
-    para = {}
-    for n, v in fresh.items():
-        if n.startswith(PARALLEL_PREFIX):
-            base_name = n[:-len("/real_time")] \
-                if n.endswith("/real_time") else n
-            para[base_name] = (n, v)
-    variants = sorted(n for n in para if n != PARALLEL_REF)
-    if PARALLEL_REF not in para or not variants:
-        print(f"note: parallel-sim speedup floor skipped "
-              f"({PARALLEL_PREFIX}* missing from the fresh run)")
-        return []
-    host_cpus = max(
-        counters.get(para[n][0], {}).get("host_cpus", 0.0)
-        for n in [PARALLEL_REF] + variants)
-    if host_cpus < PARALLEL_MIN_HOST_CPUS:
-        print(f"note: parallel-sim speedup floor skipped: the host "
-              f"reports {host_cpus:.0f} hardware thread(s), fewer "
-              f"than the {PARALLEL_MIN_HOST_CPUS} needed to "
-              f"demonstrate a {PARALLEL_SPEEDUP_FLOOR}x speedup "
-              f"(results are still byte-identical; only the scaling "
-              f"claim is unverifiable here)")
-        return []
-    base = para[PARALLEL_REF][1]
-    best_name, best = max(((n, para[n][1]) for n in variants),
-                          key=lambda kv: kv[1])
-    speedup = best / base if base else float("inf")
-    if speedup < PARALLEL_SPEEDUP_FLOOR:
-        print(f"{best_name}: SPEEDUP -- only {speedup:.2f}x the "
-              f"{PARALLEL_REF} reference ({best:.4g} vs {base:.4g} "
-              f"items/s) on a {host_cpus:.0f}-thread host; floor is "
-              f"{PARALLEL_SPEEDUP_FLOOR}x")
-        return [best_name]
-    print(f"{best_name}: {speedup:.2f}x the single-shard reference "
-          f"(floor {PARALLEL_SPEEDUP_FLOOR}x, "
-          f"{host_cpus:.0f}-thread host) ok")
-    return []
-
-
-def check_baselines(baselines, fresh, threshold,
-                    baseline_counters, fresh_counters):
+def check_baselines(baselines, fresh, threshold):
     """Guarded benchmarks vs their best baseline.  Returns failures."""
     failures = []
     guarded = sorted(
@@ -222,34 +110,6 @@ def check_baselines(baselines, fresh, threshold,
     for name in guarded:
         bases = {path: b[name] for path, b in baselines.items()
                  if name in b}
-        if name.startswith(PARALLEL_GUARD_PREFIXES):
-            # Stale-baseline gate: a parallel benchmark recorded on a
-            # host with fewer hardware threads than shards measured
-            # serialized shards, not parallel execution.
-            fresh_prov = parallel_provisioning(fresh_counters, name)
-            if fresh_prov is not None and fresh_prov[1] < fresh_prov[0]:
-                print(f"note: {name}: baseline comparison skipped -- "
-                      f"this host reports {fresh_prov[1]:.0f} hardware "
-                      f"thread(s), fewer than the benchmark's "
-                      f"{fresh_prov[0]:.0f} shards")
-                continue
-            for path in sorted(bases):
-                prov = parallel_provisioning(
-                    baseline_counters.get(path, {}), name)
-                if prov is None or prov[1] < prov[0]:
-                    detail = ("no shards/host_cpus counters"
-                              if prov is None else
-                              f"{prov[1]:.0f} hardware thread(s) for "
-                              f"{prov[0]:.0f} shards")
-                    print(f"note: {name}: stale baseline {path} "
-                          f"skipped ({detail}; its numbers measured "
-                          f"serialized shards)")
-                    del bases[path]
-            if not bases:
-                print(f"note: {name}: every baseline is stale; "
-                      f"commit a refreshed BENCH_simperf.json from a "
-                      f"host with enough hardware threads to guard it")
-                continue
         if name not in fresh:
             # A guarded benchmark vanishing would otherwise pass the
             # guard silently; removing one on purpose means updating
@@ -342,14 +202,9 @@ def main(argv):
 
     baselines = {path: load(path) for path in paths[:-1]}
     fresh = load(paths[-1])
-    baseline_counters = {path: load_counters(path)
-                         for path in paths[:-1]}
-    fresh_counters = load_counters(paths[-1])
 
-    failures = check_baselines(baselines, fresh, threshold,
-                               baseline_counters, fresh_counters)
+    failures = check_baselines(baselines, fresh, threshold)
     failures += check_relative(fresh)
-    failures += check_parallel_speedup(fresh, fresh_counters)
 
     baseline_names = set()
     for b in baselines.values():

@@ -253,7 +253,6 @@ summarize(const RunInput &run)
     RunSummary out;
     out.label = run.label;
     out.topology = s.topology;
-    out.shards = s.shards;
     out.dir_banks = s.dir_banks;
     out.cores =
         static_cast<std::uint32_t>(s.countGroups("core_"));
@@ -279,13 +278,6 @@ summarize(const RunInput &run)
     out.hot_link_msgs = s.scalar("network", "network.hot_link_msgs");
     out.hot_link_busy = s.scalar("network", "network.hot_link_busy");
 
-    if (s.host.present) {
-        std::vector<double> events;
-        for (const auto &row : s.host.shards)
-            events.push_back(static_cast<double>(row.events));
-        out.shard_imbalance = imbalance(events);
-        out.boundary_causes = s.host.boundary_causes;
-    }
     if (run.has_profile)
         out.waste = run.profile.bucketTotals();
     return out;
@@ -301,8 +293,6 @@ buildScaling(const std::vector<RunInput> &runs, const std::string &axis)
         row.summary = summarize(run);
         if (axis == "cores") {
             row.axis_value = row.summary.cores;
-        } else if (axis == "shards") {
-            row.axis_value = row.summary.shards;
         } else if (axis == "dir_banks") {
             row.axis_value = row.summary.dir_banks;
         } else {

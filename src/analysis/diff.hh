@@ -124,7 +124,6 @@ struct RunSummary
     std::string label;
     std::string topology;
     std::uint32_t cores = 0;
-    std::uint32_t shards = 1;
     std::uint32_t dir_banks = 1;
 
     double cycles = 0.0; //!< max core halt_tick
@@ -140,14 +139,9 @@ struct RunSummary
 
     /** max per-core insts over mean: 1.0 is perfectly balanced. */
     double core_imbalance = 0.0;
-    /** Same over deterministic per-shard event counts; 0 = no host
-     *  telemetry in the document. */
-    double shard_imbalance = 0.0;
 
     /** Waste-bucket cycle totals (empty without a profile). */
     std::map<std::string, std::uint64_t> waste;
-    /** Deterministic coordinator boundary causes (empty w/o host). */
-    std::map<std::string, std::uint64_t> boundary_causes;
 };
 
 RunSummary summarize(const RunInput &run);
@@ -163,7 +157,7 @@ struct ScalingRow
 
 struct ScalingTable
 {
-    std::string axis; //!< cores | shards | dir_banks | topology
+    std::string axis; //!< cores | dir_banks | topology
     std::vector<ScalingRow> rows; //!< input order (the sweep order)
 };
 

@@ -93,7 +93,7 @@ class Json
 
     /**
      * Member lookup; a shared null value when absent or not an
-     * object, so chains like j["host"]["deterministic"]["quanta"]
+     * object, so chains like j["provenance"]["sim_mode"]["topology"]
      * never dereference past a missing level.
      */
     const Json &operator[](const std::string &key) const;

@@ -212,34 +212,6 @@ loadStatValue(const Json &j)
     return v;
 }
 
-void
-loadHost(const Json &host, HostDeterministic &out,
-         std::uint32_t shards_hint)
-{
-    const Json &det = host["deterministic"];
-    if (!det.isObject())
-        return;
-    out.present = true;
-    out.quanta = det["quanta"].asU64();
-    for (const auto &[cause, count] : det["boundary_causes"].object())
-        out.boundary_causes[cause] = count.asU64();
-    for (const Json &row : det["shards"].array()) {
-        out.shards.push_back({row["events"].asU64(),
-                              row["quanta"].asU64(),
-                              row["idle_quanta"].asU64()});
-    }
-    std::size_t n = out.shards.size();
-    if (n == 0)
-        n = shards_hint;
-    out.messages.assign(n, std::vector<std::uint64_t>(n, 0));
-    for (const Json &row : det["messages"].array()) {
-        const std::uint64_t src = row["src"].asU64();
-        const std::uint64_t dst = row["dst"].asU64();
-        if (src < n && dst < n)
-            out.messages[src][dst] = row["count"].asU64();
-    }
-}
-
 } // namespace
 
 bool
@@ -259,11 +231,6 @@ loadStatsRun(const std::string &text, const std::string &label,
     out.label = label;
     const Json &mode = doc["provenance"]["sim_mode"];
     if (mode.isObject()) {
-        out.parallel_sim = mode["parallel_sim"].asU64() != 0;
-        out.shards =
-            static_cast<std::uint32_t>(mode["shards"].asU64());
-        if (out.shards == 0)
-            out.shards = 1;
         out.dir_banks =
             static_cast<std::uint32_t>(mode["dir_banks"].asU64());
         if (out.dir_banks == 0)
@@ -285,7 +252,6 @@ loadStatsRun(const std::string &text, const std::string &label,
                              entry["unit"].asString(),
                              entry["desc"].asString()};
     }
-    loadHost(doc["host"], out.host, out.shards);
     return true;
 }
 

@@ -7,7 +7,7 @@
  *
  *  - `--stats-json` documents (schema_version, provenance with
  *    sim_mode, groups of typed stats, the self-describing schema
- *    block, optional host telemetry, periodic snapshots);
+ *    block, periodic snapshots);
  *  - `--profile-out` documents (waste-bucket taxonomy plus per-PC,
  *    per-line and per-rollback views);
  *  - `--sweep-json` rows from bench_scaling (one JSON object per
@@ -17,14 +17,14 @@
  * a schema_version mismatch is refused outright (comparing documents
  * whose field meanings may have drifted silently is exactly the bug
  * class this tool exists to catch), but stat groups present in one
- * run and absent in another -- `l2dir.bank3` vs a monolithic `l2dir`,
- * telemetry on vs off -- load fine and surface later as added/removed
- * groups in the diff, never as a crash.
+ * run and absent in another -- `l2dir.bank3` vs a monolithic `l2dir`
+ * -- load fine and surface later as added/removed groups in the diff,
+ * never as a crash.  Keys the loader does not know are ignored, so
+ * older documents with extra sections still load.
  *
- * Only deterministic fields are retained.  `host.wallclock_ns` and
- * the provenance git hash exist in the documents but never reach the
- * report, which is what keeps reports byte-identical for identical
- * simulated inputs.
+ * Only deterministic fields are retained.  The provenance git hash
+ * exists in the documents but never reaches the report, which is what
+ * keeps reports byte-identical for identical simulated inputs.
  */
 
 #pragma once
@@ -75,24 +75,6 @@ struct SchemaEntry
     std::string desc;
 };
 
-/** The deterministic slice of host.deterministic telemetry. */
-struct HostDeterministic
-{
-    struct ShardRow
-    {
-        std::uint64_t events = 0;
-        std::uint64_t quanta = 0;
-        std::uint64_t idle_quanta = 0;
-    };
-
-    bool present = false;
-    std::uint64_t quanta = 0;
-    std::map<std::string, std::uint64_t> boundary_causes;
-    std::vector<ShardRow> shards;
-    /** Cross-shard message counts, [src][dst]; square, zero-filled. */
-    std::vector<std::vector<std::uint64_t>> messages;
-};
-
 /** One parsed --stats-json document. */
 struct StatsRun
 {
@@ -100,15 +82,12 @@ struct StatsRun
     int schema_version = 0;
 
     // sim_mode provenance (deterministic; the git hash is dropped)
-    bool parallel_sim = false;
-    std::uint32_t shards = 1;
     std::uint32_t dir_banks = 1;
     std::string topology;
 
     /** group name -> stat full name -> value */
     std::map<std::string, std::map<std::string, StatValue>> groups;
     std::map<std::string, SchemaEntry> schema;
-    HostDeterministic host;
 
     /** Group names in deterministic (sorted) order. */
     std::vector<std::string> groupNames() const;

@@ -66,17 +66,11 @@ fmtNum(double v)
 // markdown and the HTML writer, so the two formats cannot drift.
 // ---------------------------------------------------------------------
 
-struct Cell
-{
-    std::string text;
-    double shade = -1.0; //!< 0..1 heatmap intensity; <0 = plain
-};
-
 struct Table
 {
     std::vector<std::string> headers;
     std::vector<char> align; //!< 'l' or 'r' per column
-    std::vector<std::vector<Cell>> rows;
+    std::vector<std::vector<std::string>> rows;
 };
 
 struct Block
@@ -124,16 +118,6 @@ para(std::string text)
     return b;
 }
 
-std::vector<Cell>
-cells(std::vector<std::string> texts)
-{
-    std::vector<Cell> row;
-    row.reserve(texts.size());
-    for (auto &t : texts)
-        row.push_back(Cell{std::move(t), -1.0});
-    return row;
-}
-
 // --- section builders -------------------------------------------------
 
 void
@@ -142,16 +126,15 @@ buildRunsSection(const ReportModel &model, Doc &doc)
     doc.blocks.push_back(heading(2, "Runs"));
     Block b;
     b.kind = Block::Kind::TableK;
-    b.table.headers = {"run",    "topology",  "cores",
-                       "shards", "dir banks", "cycles",
-                       "insts",  "throughput", "rollbacks"};
-    b.table.align = {'l', 'l', 'r', 'r', 'r', 'r', 'r', 'r', 'r'};
+    b.table.headers = {"run",       "topology", "cores",
+                       "dir banks", "cycles",   "insts",
+                       "throughput", "rollbacks"};
+    b.table.align = {'l', 'l', 'r', 'r', 'r', 'r', 'r', 'r'};
     for (const RunSummary &s : model.summaries) {
-        b.table.rows.push_back(cells(
+        b.table.rows.push_back(
             {s.label, s.topology.empty() ? "-" : s.topology,
-             fmtCount(s.cores), fmtCount(s.shards),
-             fmtCount(s.dir_banks), fmtNum(s.cycles), fmtNum(s.insts),
-             fmtF3(s.throughput), fmtNum(s.rollbacks)}));
+             fmtCount(s.cores), fmtCount(s.dir_banks), fmtNum(s.cycles),
+             fmtNum(s.insts), fmtF3(s.throughput), fmtNum(s.rollbacks)});
     }
     doc.blocks.push_back(std::move(b));
 }
@@ -175,19 +158,18 @@ buildWasteSection(const ReportModel &model, Doc &doc)
     std::uint64_t base_wasted = 0, cand_wasted = 0;
     for (const BucketDelta &d : model.profile_diff.buckets) {
         b.table.rows.push_back(
-            cells({d.bucket, fmtCount(d.base), fmtCount(d.cand),
-                   fmtDelta(d.delta()),
-                   fmtPct(double(d.base), double(d.cand))}));
+            {d.bucket, fmtCount(d.base), fmtCount(d.cand),
+             fmtDelta(d.delta()), fmtPct(double(d.base), double(d.cand))});
         if (d.bucket != "execute") {
             base_wasted += d.base;
             cand_wasted += d.cand;
         }
     }
-    b.table.rows.push_back(cells(
+    b.table.rows.push_back(
         {"total wasted", fmtCount(base_wasted), fmtCount(cand_wasted),
          fmtDelta(static_cast<std::int64_t>(cand_wasted) -
                   static_cast<std::int64_t>(base_wasted)),
-         fmtPct(double(base_wasted), double(cand_wasted))}));
+         fmtPct(double(base_wasted), double(cand_wasted))});
     doc.blocks.push_back(std::move(b));
 
     const auto sym_table = [&](const char *title,
@@ -207,9 +189,8 @@ buildWasteSection(const ReportModel &model, Doc &doc)
                                : d.only_base ? "gone in candidate"
                                              : "-";
             t.table.rows.push_back(
-                cells({d.sym, fmtCount(d.base_wasted),
-                       fmtCount(d.cand_wasted), fmtDelta(d.delta()),
-                       note}));
+                {d.sym, fmtCount(d.base_wasted), fmtCount(d.cand_wasted),
+                 fmtDelta(d.delta()), note});
         }
         doc.blocks.push_back(std::move(t));
     };
@@ -233,9 +214,8 @@ buildStatsSection(const ReportModel &model, Doc &doc)
         t.table.align = {'l', 'l', 'l', 'r', 'r', 'r'};
         for (const StatDelta &d : rows) {
             t.table.rows.push_back(
-                cells({d.stat, d.field,
-                       d.unit.empty() ? "-" : d.unit, fmtNum(d.base),
-                       fmtNum(d.cand), fmtPct(d.base, d.cand)}));
+                {d.stat, d.field, d.unit.empty() ? "-" : d.unit,
+                 fmtNum(d.base), fmtNum(d.cand), fmtPct(d.base, d.cand)});
         }
         doc.blocks.push_back(std::move(t));
     };
@@ -280,52 +260,17 @@ buildScalingSection(const ReportModel &model, Doc &doc)
 
     Block b;
     b.kind = Block::Kind::TableK;
-    b.table.headers = {sc.axis,       "run",
-                       "throughput",  "speedup",
-                       "efficiency",  "core imbalance",
-                       "shard imbalance"};
-    b.table.align = {'r', 'l', 'r', 'r', 'r', 'r', 'r'};
+    b.table.headers = {sc.axis,      "run",
+                       "throughput", "speedup",
+                       "efficiency", "core imbalance"};
+    b.table.align = {'r', 'l', 'r', 'r', 'r', 'r'};
     for (const ScalingRow &row : sc.rows) {
-        b.table.rows.push_back(cells(
+        b.table.rows.push_back(
             {row.axis_label, row.summary.label,
              fmtF3(row.summary.throughput), fmtF3(row.speedup),
-             fmtF3(row.efficiency), fmtF3(row.summary.core_imbalance),
-             row.summary.shard_imbalance > 0.0
-                 ? fmtF3(row.summary.shard_imbalance)
-                 : "-"}));
+             fmtF3(row.efficiency), fmtF3(row.summary.core_imbalance)});
     }
     doc.blocks.push_back(std::move(b));
-
-    // Coordinator boundary causes: one column per cause seen anywhere.
-    std::set<std::string> causes;
-    for (const ScalingRow &row : sc.rows) {
-        for (const auto &[cause, n] : row.summary.boundary_causes)
-            causes.insert(cause);
-    }
-    if (!causes.empty()) {
-        doc.blocks.push_back(
-            heading(3, "Coordinator boundary causes"));
-        Block t;
-        t.kind = Block::Kind::TableK;
-        t.table.headers = {sc.axis};
-        t.table.align = {'r'};
-        for (const std::string &c : causes) {
-            t.table.headers.push_back(c);
-            t.table.align.push_back('r');
-        }
-        for (const ScalingRow &row : sc.rows) {
-            std::vector<std::string> texts = {row.axis_label};
-            for (const std::string &c : causes) {
-                auto it = row.summary.boundary_causes.find(c);
-                texts.push_back(
-                    it == row.summary.boundary_causes.end()
-                        ? "-"
-                        : fmtCount(it->second));
-            }
-            t.table.rows.push_back(cells(std::move(texts)));
-        }
-        doc.blocks.push_back(std::move(t));
-    }
 
     doc.blocks.push_back(heading(3, "NoC traffic"));
     Block t;
@@ -336,11 +281,10 @@ buildScalingSection(const ReportModel &model, Doc &doc)
     t.table.align = {'r', 'r', 'r', 'r', 'r', 'r'};
     for (const ScalingRow &row : sc.rows) {
         t.table.rows.push_back(
-            cells({row.axis_label, fmtNum(row.summary.msgs),
-                   fmtNum(row.summary.hops),
-                   fmtNum(row.summary.links_used),
-                   fmtNum(row.summary.hot_link_msgs),
-                   fmtNum(row.summary.hot_link_busy)}));
+            {row.axis_label, fmtNum(row.summary.msgs),
+             fmtNum(row.summary.hops), fmtNum(row.summary.links_used),
+             fmtNum(row.summary.hot_link_msgs),
+             fmtNum(row.summary.hot_link_busy)});
     }
     doc.blocks.push_back(std::move(t));
 }
@@ -381,50 +325,9 @@ buildSweepSection(const ReportModel &model, Doc &doc)
                 break;
             }
         }
-        b.table.rows.push_back(cells(std::move(texts)));
+        b.table.rows.push_back(std::move(texts));
     }
     doc.blocks.push_back(std::move(b));
-}
-
-void
-buildHeatmapSections(const ReportModel &model, Doc &doc)
-{
-    for (std::size_t i = 0; i < model.runs.size(); ++i) {
-        const HostDeterministic &host = model.runs[i].stats.host;
-        if (!host.present || host.messages.empty())
-            continue;
-        doc.blocks.push_back(
-            heading(2, "Cross-shard message heatmap - " +
-                           model.runs[i].label));
-        std::uint64_t max = 0;
-        for (const auto &row : host.messages) {
-            for (std::uint64_t n : row)
-                max = std::max(max, n);
-        }
-        Block b;
-        b.kind = Block::Kind::TableK;
-        b.table.headers = {"src \\ dst"};
-        b.table.align = {'l'};
-        for (std::size_t d = 0; d < host.messages.size(); ++d) {
-            b.table.headers.push_back("shard " + std::to_string(d));
-            b.table.align.push_back('r');
-        }
-        for (std::size_t s = 0; s < host.messages.size(); ++s) {
-            std::vector<Cell> row;
-            row.push_back(Cell{"shard " + std::to_string(s), -1.0});
-            for (std::size_t d = 0; d < host.messages[s].size(); ++d) {
-                const std::uint64_t n = host.messages[s][d];
-                Cell c;
-                c.text = s == d ? "-" : fmtCount(n);
-                c.shade = (max > 0 && s != d)
-                              ? double(n) / double(max)
-                              : 0.0;
-                row.push_back(std::move(c));
-            }
-            b.table.rows.push_back(std::move(row));
-        }
-        doc.blocks.push_back(std::move(b));
-    }
 }
 
 void
@@ -472,7 +375,6 @@ buildDoc(const ReportModel &model)
         buildScalingSection(model, doc);
     if (!model.sweep_rows.empty())
         buildSweepSection(model, doc);
-    buildHeatmapSections(model, doc);
     if (model.has_profile_diff)
         buildFlameSection(model, doc);
     return doc;
@@ -496,8 +398,8 @@ renderMarkdownTable(std::ostream &os, const Table &t)
     os << "\n";
     for (const auto &row : t.rows) {
         os << "|";
-        for (const Cell &cell : row)
-            os << " " << cell.text << " |";
+        for (const std::string &cell : row)
+            os << " " << cell << " |";
         os << "\n";
     }
 }
@@ -591,17 +493,8 @@ renderHtmlTable(std::ostream &os, const Table &t)
         os << "<tr>";
         for (std::size_t c = 0; c < row.size(); ++c) {
             const char a = c < t.align.size() ? t.align[c] : 'l';
-            os << "<td" << (a == 'r' ? " class=\"r\"" : "");
-            if (row[c].shade > 0.0) {
-                char style[96];
-                std::snprintf(style, sizeof(style),
-                              " style=\"background:rgba(204,102,102,"
-                              "%.2f)\"",
-                              row[c].shade * 0.85);
-                os << style;
-            }
-            os << ">";
-            htmlEscape(os, row[c].text);
+            os << "<td" << (a == 'r' ? " class=\"r\"" : "") << ">";
+            htmlEscape(os, row[c]);
             os << "</td>";
         }
         os << "</tr>\n";

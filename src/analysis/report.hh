@@ -68,7 +68,7 @@ void writeMarkdown(std::ostream &os, const ReportModel &model);
 /**
  * The full report as one self-contained HTML page: no external
  * scripts or stylesheets, with the flamegraph diff rendered as
- * paired CSS bars and the per-link heatmap as shaded table cells.
+ * paired CSS bars.
  */
 void writeHtml(std::ostream &os, const ReportModel &model);
 

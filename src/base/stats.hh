@@ -95,9 +95,9 @@ class Scalar : public Stat
  * in the tail, to one bucket (~6%) of the true sample.  All
  * state is integer counts, so merging two sketches is an elementwise
  * add -- commutative and associative -- which makes the estimates
- * merge-stable: a sharded run folding per-producer sketches in any
- * grouping lands on the same counts as one single-threaded
- * accumulation, bucket for bucket.
+ * merge-stable: folding per-producer sketches in any grouping lands on
+ * the same counts as one accumulation over every sample, bucket for
+ * bucket.
  */
 class PercentileSketch
 {
@@ -145,12 +145,11 @@ class Distribution : public Stat
 
     /**
      * Fold an independently accumulated Welford state into this
-     * distribution (Chan's parallel-combine formula).  Sharded
-     * simulation keeps one accumulator per producer and folds them in
-     * a fixed order at the end of the run, so the result is identical
-     * no matter which host thread produced which samples.  A producer
-     * that also kept a PercentileSketch passes it as @p sketch so the
-     * percentile estimates stay shard-count-invariant too.
+     * distribution (Chan's parallel-combine formula).  The network
+     * keeps one accumulator per node and folds them in node order at
+     * the end of the run, which fixes the floating-point result.  A
+     * producer that also kept a PercentileSketch passes it as
+     * @p sketch so the percentile estimates fold too.
      */
     void merge(std::uint64_t count, double sum, double mean, double m2,
                double min, double max,

@@ -36,7 +36,7 @@ namespace
 
 constexpr Flag all_flags[] = {
     Flag::Core, Flag::SB, Flag::L1, Flag::Dir, Flag::Net, Flag::Spec,
-    Flag::Req, Flag::Stall, Flag::Host, Flag::All,
+    Flag::Req, Flag::Stall, Flag::All,
 };
 
 } // namespace
@@ -53,7 +53,6 @@ flagName(Flag f)
       case Flag::Spec: return "spec";
       case Flag::Req: return "req";
       case Flag::Stall: return "stall";
-      case Flag::Host: return "host";
       case Flag::All: return "all";
     }
     return "?";

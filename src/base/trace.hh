@@ -34,7 +34,6 @@ enum class Flag : std::uint32_t
     Spec  = 1u << 5,
     Req   = 1u << 6, //!< request-lifetime flow events (miss attribution)
     Stall = 1u << 7, //!< core stall-interval duration events
-    Host  = 1u << 8, //!< host-side shard telemetry (quantum phases)
     All   = ~0u,
 };
 

@@ -1,10 +1,8 @@
 #include "harness/options.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <thread>
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
@@ -23,8 +21,7 @@ const char *known_options[] = {
     "jobs", "csv", "trace", "trace-out", "stats-json", "stats-interval",
     "sweep-json",
     "profile-out", "waste-report", "blackbox-out", "blackbox",
-    "watchdog-interval", "watchdog-storm", "parallel-sim", "shards",
-    "shard-report", "host-telemetry", "tail-sample", "tail-report",
+    "watchdog-interval", "watchdog-storm", "tail-sample", "tail-report",
     "outliers-out", "outliers", "help",
 };
 
@@ -176,8 +173,8 @@ Options::applyTo(SystemConfig base) const
     if (has("hop-latency"))
         base.net.hop_latency = getInt("hop-latency", 0);
     if (has("dir-banks")) {
-        // Non-fatal like --shards: any bank count is functionally
-        // identical, so round a bad value down instead of dying.
+        // Non-fatal: any bank count is functionally correct, so round a
+        // bad value down instead of dying.
         std::uint64_t banks = getInt("dir-banks", 1);
         if (banks < 1) {
             std::cerr << "warning: --dir-banks must be >= 1; using 1\n";
@@ -236,64 +233,6 @@ Options::applyTo(SystemConfig base) const
         base.tail_outliers =
             static_cast<std::uint32_t>(getInt("outliers", 10));
     }
-    // --shard-report implies telemetry; --host-telemetry[=0|1] sets it
-    // directly (so a report-less run can still feed the stats-json
-    // "host" section and the trace's host tracks).
-    if (has("shard-report") || (has("host-telemetry") &&
-                                getInt("host-telemetry", 1) != 0)) {
-        base.host_telemetry = true;
-    }
-
-    // --parallel-sim / --shards: non-fatal validation, like the trace
-    // flag parser -- a bad value must not kill a scripted sweep, since
-    // every value produces byte-identical results anyway.  Warn and
-    // fall back instead.
-    if (has("parallel-sim") || has("shards")) {
-        auto parse = [this](const char *name,
-                            std::uint64_t fallback) -> std::uint64_t {
-            const std::string v = get(name);
-            try {
-                return std::stoull(v);
-            } catch (...) {
-                std::cerr << "warning: --" << name
-                          << " expects a number, got '" << v
-                          << "'; ignoring\n";
-                return fallback;
-            }
-        };
-        const std::uint64_t parallel =
-            has("parallel-sim") ? parse("parallel-sim", 1) : 1;
-        if (parallel == 0) {
-            if (has("shards") && parse("shards", 1) > 1) {
-                std::cerr << "warning: --shards ignored because "
-                             "--parallel-sim=0\n";
-            }
-            base.shards = 1;
-        } else {
-            std::uint64_t shards =
-                has("shards") ? parse("shards", 0) : 0;
-            if (has("shards") && shards == 0) {
-                std::cerr << "warning: --shards must be >= 1; using "
-                             "the default\n";
-            }
-            if (shards == 0) {
-                // Default: one shard per host thread, bounded by the
-                // finest partition (one shard per core + one for the
-                // directory side).
-                const unsigned hw = std::thread::hardware_concurrency();
-                shards = std::min<std::uint64_t>(
-                    hw ? hw : 1,
-                    static_cast<std::uint64_t>(base.num_cores) + 1);
-            }
-            if (shards > base.num_cores + 1) {
-                std::cerr << "warning: --shards=" << shards
-                          << " exceeds the finest partition; clamping "
-                             "to " << base.num_cores + 1 << "\n";
-                shards = base.num_cores + 1;
-            }
-            base.shards = static_cast<std::uint32_t>(shards);
-        }
-    }
     return base;
 }
 
@@ -316,8 +255,7 @@ Options::printUsage(const std::string &prog)
         << "  --hop-latency=N       per-hop latency for ring/mesh\n"
            "                        (cycles, default 3)\n"
         << "  --dir-banks=N         directory banks (power of two,\n"
-           "                        1..64; banks interleave by block\n"
-           "                        and distribute across shards)\n"
+           "                        1..64; banks interleave by block)\n"
         << "  --scale=N             workload scaling factor\n"
         << "  --seed=N              workload seed\n"
         << "  --jobs=N              host threads for independent runs\n"
@@ -346,20 +284,9 @@ Options::printUsage(const std::string &prog)
            "                        (default 100000; 0 = off)\n"
         << "  --watchdog-storm=N    rollbacks/window classified as a\n"
            "                        rollback storm (default 256)\n"
-        << "  --parallel-sim=0|1    shard ONE simulation across host\n"
-           "                        threads (0 = single-threaded\n"
-           "                        reference; results are identical)\n"
-        << "  --shards=N            shard count for --parallel-sim\n"
-           "                        (default: hardware concurrency,\n"
-           "                        clamped to cores+1)\n"
-        << "  --shard-report        print the host-waste shard report\n"
-           "                        (enables host telemetry)\n"
-        << "  --host-telemetry=0|1  per-shard busy/barrier/drain\n"
-           "                        accounting, stats-json host section\n"
-           "                        and host trace tracks\n"
         << "  --tail-sample=N       trace 1 in N misses end to end\n"
            "                        (1 = every miss; byte-identical\n"
-           "                        for any --shards / --jobs)\n"
+           "                        for any --jobs)\n"
         << "  --tail-report         print the critical-path stage\n"
            "                        attribution table (implies\n"
            "                        --tail-sample=64 if unset)\n"

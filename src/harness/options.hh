@@ -52,22 +52,10 @@
  *                          (default 100000; 0 disables the watchdog)
  *     --watchdog-storm=N   rollbacks per window that classify a hang
  *                          as a rollback storm (default 256)
- *     --parallel-sim=0|1   shard one simulation across host threads
- *                          (0 = single-threaded reference; stats,
- *                          profile and blackbox output are identical
- *                          either way -- see harness/system.hh)
- *     --shards=N           shard count when --parallel-sim is on
- *                          (default: hardware concurrency, clamped to
- *                          cores + 1; validation warns, never aborts)
- *     --shard-report       print the host-waste shard report after the
- *                          run (implies --host-telemetry)
- *     --host-telemetry=0|1 per-shard busy/barrier/drain accounting,
- *                          the stats-json "host" section and host
- *                          tracks in --trace-out
  *     --tail-sample=N      per-request span tracing: trace 1 in N
  *                          misses end to end (1 = every miss; the
  *                          sampled set is byte-identical for any
- *                          --shards / --jobs value)
+ *                          --jobs value)
  *     --tail-report        print the critical-path stage-attribution
  *                          table after the run (implies
  *                          --tail-sample=64 when unset)
@@ -137,9 +125,6 @@ class Options
 
     /** @return true if --waste-report was passed. */
     bool wasteReport() const { return has("waste-report"); }
-
-    /** @return true if --shard-report was passed. */
-    bool shardReport() const { return has("shard-report"); }
 
     /** @return true if --tail-report was passed. */
     bool tailReport() const { return has("tail-report"); }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <barrier>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "base/logging.hh"
 #include "base/provenance.hh"
@@ -42,68 +40,11 @@ dirWaitId(std::uint32_t banks, std::uint32_t b)
 
 } // namespace
 
-sim::SimContext &
-System::makeShardContexts()
-{
-    shards_ = config_.shards;
-    if (shards_ < 1)
-        shards_ = 1;
-    if (shards_ > config_.num_cores + 1)
-        shards_ = config_.num_cores + 1;
-    for (std::uint32_t s = 0; s < shards_; ++s)
-        shard_ctx_.push_back(std::make_unique<sim::SimContext>(stats_));
-    return *shard_ctx_.front();
-}
-
-std::uint32_t
-System::shardOfCore(std::uint32_t core) const
-{
-    if (shards_ == 1)
-        return 0;
-    // Banked: cores spread contiguously over ALL shards -- the banks
-    // interleave over the same shards, so no shard is a dedicated hub.
-    if (config_.dir_banks >= 2)
-        return core * shards_ / config_.num_cores;
-    // Monolithic: contiguous balanced partition over shards 1..N-1
-    // (shard 0 is the directory side).
-    return 1 + core * (shards_ - 1) / config_.num_cores;
-}
-
-std::uint32_t
-System::shardOfBank(std::uint32_t bank) const
-{
-    // Round-robin bank homes; the monolithic directory stays on the
-    // dedicated shard 0.
-    if (shards_ == 1 || config_.dir_banks == 1)
-        return 0;
-    return bank % shards_;
-}
-
 std::uint32_t
 System::bankOf(Addr addr) const
 {
     return static_cast<std::uint32_t>(addr / config_.l2.block_size)
            & (config_.dir_banks - 1);
-}
-
-std::uint32_t
-System::totalHalted() const
-{
-    std::uint32_t total = 0;
-    for (const ShardCounter &c : shard_halted_)
-        total += c.halted;
-    return total;
-}
-
-Tick
-System::lookahead() const
-{
-    // The minimum cross-shard delay: every shard interaction crosses
-    // the network, and a message sent at t arrives no earlier than
-    // t + (route latency) + 1 (serialization is at least one cycle,
-    // since every message carries at least an 8-byte header).  For
-    // ring/mesh the minimum route is a single hop.
-    return config_.net.minDelay();
 }
 
 std::vector<prof::CodeSym>
@@ -124,18 +65,8 @@ System::dataSyms() const
     return syms;
 }
 
-std::vector<const trace::TraceSink *>
-System::allSinks() const
-{
-    std::vector<const trace::TraceSink *> sinks;
-    sinks.reserve(shard_ctx_.size());
-    for (const auto &sctx : shard_ctx_)
-        sinks.push_back(&sctx->tracer);
-    return sinks;
-}
-
 System::System(const SystemConfig &config, const isa::Program &prog)
-    : config_(config), prog_(prog), ctx_(makeShardContexts())
+    : config_(config), prog_(prog)
 {
     static const bool trace_initialised = [] {
         trace::initFromEnv();
@@ -155,18 +86,11 @@ System::System(const SystemConfig &config, const isa::Program &prog)
              "L2 size must divide evenly across ", config_.dir_banks,
              " directory banks");
 
-    shard_halted_.resize(shards_);
-    mail_.resize(static_cast<std::size_t>(shards_) * shards_);
+    ctx_.tracer.setMask(config_.trace_mask);
 
-    // Per-shard sinks configured identically; host-parallel sweeps and
-    // sharded systems alike record without synchronisation.
-    for (auto &sctx : shard_ctx_)
-        sctx->tracer.setMask(config_.trace_mask);
-
-    // Pre-register the *global* component list -- in construction
-    // order -- into every shard sink, so component ids are identical
-    // across sinks and the per-shard record streams merge canonically
-    // at dump time (see sim/blackbox.hh).
+    // Pre-register the component list -- in construction order -- so
+    // the flight-recorder ring below is sized once; the components
+    // re-register idempotently and get the same ids.
     {
         std::vector<std::string> comp_names;
         comp_names.emplace_back("network");
@@ -187,31 +111,8 @@ System::System(const SystemConfig &config, const isa::Program &prog)
             for (std::uint32_t i = 0; i < config_.num_cores; ++i)
                 comp_names.push_back("spec_" + std::to_string(i));
         }
-        // Host tracks come last so guest component ids are unchanged
-        // by enabling telemetry, and only exist when it is on: the
-        // component list shapes every trace/blackbox dump, and a
-        // telemetry-off dump must stay byte-identical across shard
-        // counts.
-        if (config_.host_telemetry) {
-            telemetry_.configure(shards_);
-            for (std::uint32_t s = 0; s < shards_; ++s)
-                comp_names.push_back("host.shard" + std::to_string(s));
-            comp_names.emplace_back("host.coord");
-        }
-        for (auto &sctx : shard_ctx_) {
-            for (const std::string &name : comp_names)
-                sctx->tracer.registerComponent(name);
-        }
-        if (config_.host_telemetry) {
-            for (std::uint32_t s = 0; s < shards_; ++s) {
-                host_comp_.push_back(ctx_.tracer.registerComponent(
-                    "host.shard" + std::to_string(s)));
-            }
-            coord_comp_ = ctx_.tracer.registerComponent("host.coord");
-            ctx_.tracer.setAuxNames(
-                trace::EventKind::HostCoord,
-                {"lookahead", "snapshot", "watchdog", "budget", "idle"});
-        }
+        for (const std::string &name : comp_names)
+            ctx_.tracer.registerComponent(name);
     }
 
     // Flight recorder: configured after the component list is known,
@@ -223,22 +124,17 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     // The components constructed below re-register idempotently and
     // never grow the ring.
     if (config_.blackbox_records > 0) {
-        for (auto &sctx : shard_ctx_) {
-            sctx->tracer.configureRing(config_.blackbox_records,
-                                       trace::default_blackbox_flags);
-        }
+        ctx_.tracer.configureRing(config_.blackbox_records,
+                                  trace::default_blackbox_flags);
     }
 
-    // The profilers must be configured before any component
+    // The profiler must be configured before any component
     // construction below: each component caches ifEnabled() exactly
-    // once, against its own shard's profiler.
+    // once.
     if (config_.profile) {
-        for (auto &sctx : shard_ctx_) {
-            sctx->profiler.configure(prog_.code.size(),
-                                     config_.num_cores,
-                                     config_.l1.block_size, codeSyms(),
-                                     dataSyms());
-        }
+        ctx_.profiler.configure(prog_.code.size(), config_.num_cores,
+                                config_.l1.block_size, codeSyms(),
+                                dataSyms());
     }
 
     // Span sinks follow the same rule (components cache ifEnabled()
@@ -247,8 +143,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     // stats/trace documents are byte-identical to a build without the
     // feature.
     if (config_.tail_sample > 0) {
-        for (auto &sctx : shard_ctx_)
-            sctx->spans.configure(config_.tail_sample);
+        ctx_.spans.configure(config_.tail_sample);
         std::vector<std::string> stage_names;
         for (std::size_t s = 0; s < reqtrace::num_stages; ++s) {
             stage_names.emplace_back(reqtrace::stageName(
@@ -256,7 +151,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         }
         ctx_.tracer.setAuxNames(trace::EventKind::ReqStage,
                                 std::move(stage_names));
-        statistics::StatGroup &g = stats_.createGroup("tailtrace");
+        statistics::StatGroup &g = ctx_.stats.createGroup("tailtrace");
         tail_stat_spans_ = &g.addScalar("sampled_spans",
             "complete primary request spans sampled");
         tail_stat_waiters_ = &g.addScalar("waiter_spans",
@@ -282,27 +177,12 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     config_.net.num_nodes = config_.num_cores + config_.dir_banks;
     network_ = std::make_unique<mem::Network>(ctx_, "network",
                                               config_.net);
-    for (std::uint32_t i = 0; i < config_.num_cores; ++i)
-        network_->bindNode(i, *shard_ctx_[shardOfCore(i)], shardOfCore(i));
-    for (std::uint32_t b = 0; b < config_.dir_banks; ++b) {
-        network_->bindNode(config_.num_cores + b,
-                           *shard_ctx_[shardOfBank(b)], shardOfBank(b));
-    }
-    network_->setCrossShardPush(
-        [this](std::uint32_t src, std::uint32_t dst,
-               mem::Network::PendingMsg &&pm) {
-            // Single-writer per (src, dst) cell: this runs on the
-            // sending shard's thread, same as the mailbox push.
-            if (telemetry_.enabled())
-                telemetry_.countMessage(src, dst);
-            mail_[src * shards_ + dst].push_back(std::move(pm));
-        });
 
     const mem::DirectoryMap dirmap(config_.num_cores, config_.dir_banks,
                                    floorLog2(config_.l2.block_size));
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
         l1s_.push_back(std::make_unique<mem::L1Cache>(
-            *shard_ctx_[shardOfCore(i)], "l1_" + std::to_string(i),
+            ctx_, "l1_" + std::to_string(i),
             config_.l1, i, dirmap, *network_));
     }
     for (std::uint32_t b = 0; b < config_.dir_banks; ++b) {
@@ -311,7 +191,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         bank_params.banks = config_.dir_banks;
         bank_params.bank = b;
         dirs_.push_back(std::make_unique<mem::Directory>(
-            *shard_ctx_[shardOfBank(b)], dirBankName(config_.dir_banks, b),
+            ctx_, dirBankName(config_.dir_banks, b),
             bank_params, config_.num_cores + b, config_.num_cores,
             *network_, backing_));
     }
@@ -322,18 +202,16 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     core_params.sb_max_inflight = config_.sb_max_inflight;
     core_params.sb_prefetch_depth = config_.sb_prefetch_depth;
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-        const std::uint32_t s = shardOfCore(i);
         cores_.push_back(std::make_unique<cpu::Core>(
-            *shard_ctx_[s], "core_" + std::to_string(i), core_params, i,
-            prog_, *l1s_[i], config_.num_cores));
-        cores_.back()->setHaltCallback(
-            [this, s] { ++shard_halted_[s].halted; });
+            ctx_, "core_" + std::to_string(i), core_params, i, prog_,
+            *l1s_[i], config_.num_cores));
+        cores_.back()->setHaltCallback([this] { ++halted_; });
     }
 
     if (config_.spec.mode != spec::SpecMode::Off) {
         for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
             specs_.push_back(std::make_unique<spec::SpecController>(
-                *shard_ctx_[shardOfCore(i)], "spec_" + std::to_string(i),
+                ctx_, "spec_" + std::to_string(i),
                 config_.spec, *cores_[i], *l1s_[i]));
         }
     }
@@ -348,16 +226,10 @@ System::System(const SystemConfig &config, const isa::Program &prog)
                 p.instret += core->instret();
             for (const auto &s : specs_)
                 p.rollbacks += s->rollbacks();
-            p.all_halted = totalHalted() == config_.num_cores;
+            p.all_halted = allHalted();
             return p;
         });
     }
-
-    // Components registered aux-name tables (stall reasons, rollback
-    // causes, message types) into their own shard's sink; the meta sink
-    // renders every merged dump, so it adopts the rest.
-    for (std::uint32_t s = 1; s < shards_; ++s)
-        ctx_.tracer.adoptAuxNames(shard_ctx_[s]->tracer);
 }
 
 bool
@@ -376,272 +248,46 @@ System::run()
         watchdog_->prime(drv_.now);
         drv_.next_wd = drv_.now + watchdog_->interval();
     }
-    drv_.boundary = nextBoundaryAfter(
-        drv_.now, false, totalHalted() == config_.num_cores);
+    drv_.boundary = nextBoundary(allHalted());
 
-    if (telemetry_.enabled()) {
-        // Event counting works on pop deltas per quantum; re-anchor in
-        // case this System runs more than once.
-        for (std::uint32_t s = 0; s < shards_; ++s)
-            telemetry_.slot(s).last_pops = shardPops(s);
-    }
-
-    runShards();
-    drv_.active = false;
-
-    // Fold the network's per-node counters into its stat group; every
-    // mode does this here, so the rendered stats are mode-independent.
-    network_->finalizeStats();
-    if (config_.tail_sample > 0)
-        finalizeTailTrace();
-    return !hung_ && totalHalted() == config_.num_cores;
-}
-
-void
-System::runShards()
-{
     // If a simulator invariant trips mid-run, dump this system's
-    // evidence before aborting.  The hook is thread-local (sweep
-    // workers guard their own systems), so each shard thread installs
-    // its own copy.
-    const auto panic_dump = [this] {
+    // evidence before aborting.  The hook is thread-local, so sweep
+    // workers each guard their own system.
+    auto prev = setPanicHook([this] {
         std::ostringstream os;
         os << "=== incident dump (panic) ===\n";
         writeArchState(os);
-        trace::writeBlackboxTailMerged(os, ctx_.tracer, allSinks());
+        trace::writeBlackboxTail(os, ctx_.tracer);
         reportBlock(os.str());
-    };
-
-    if (shards_ == 1) {
-        // The reference mode: the same quantum driver, inline on this
-        // thread, with no barriers and (absent snapshots/watchdog) a
-        // single quantum spanning the whole run.
-        auto prev = setPanicHook(panic_dump);
-        const bool tm = telemetry_.enabled();
-        const bool rec = tm && ctx_.tracer.wants(trace::Flag::Host);
-        while (!drv_.done) {
-            // Wall-clock phases are sampled (see telemetry.hh); the
-            // sampling decision is a function of the coordinator step
-            // count, which coordinatorStep() evaluates identically.
-            const bool sample =
-                tm && (rec || ShardTelemetry::sampleQuantum(
-                                  telemetry_.coord().steps));
-            if (sample) {
-                const Tick qstart = drv_.now;
-                const Tick qend = drv_.boundary;
-                const std::uint64_t t0 = ShardTelemetry::nowNs();
-                ctx_.eventq.run(drv_.boundary - 1);
-                const std::uint64_t busy = ShardTelemetry::nowNs() - t0;
-                telemetry_.slot(0).q_busy_ns = busy;
-                if (rec && busy) {
-                    // An open-ended quantum (boundary = max_tick) ends
-                    // where the events ran out.
-                    const Tick qe =
-                        qend == max_tick ? ctx_.curTick() + 1 : qend;
-                    ctx_.tracer.record(host_comp_[0],
-                                       trace::EventKind::HostPhase,
-                                       qstart, qe, busy, 0);
-                }
-            } else {
-                ctx_.eventq.run(drv_.boundary - 1);
-            }
-            coordinatorStep();
-        }
-        setPanicHook(std::move(prev));
-        return;
+    });
+    while (!drv_.done) {
+        ctx_.eventq.run(drv_.boundary - 1);
+        boundaryStep();
     }
+    setPanicHook(std::move(prev));
+    drv_.active = false;
 
-    // One host thread per shard, lock-stepped by a barrier whose
-    // completion step *is* the coordinator: it runs while every shard
-    // thread is parked, so it may read and write any shard's state.
-    // Each quantum is two phases -- run-to-boundary, then mailbox
-    // drain -- and the barrier provides all ordering, so the shared
-    // driver state needs no atomics.
-    struct Completion
-    {
-        System *sys;
-        void operator()() noexcept { sys->onBarrier(); }
-    };
-    std::barrier<Completion> sync(static_cast<std::ptrdiff_t>(shards_),
-                                  Completion{this});
-
-    std::vector<std::thread> threads;
-    threads.reserve(shards_);
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-        threads.emplace_back([this, s, &sync, &panic_dump] {
-            setPanicHook(panic_dump);
-            sim::SimContext &sctx = *shard_ctx_[s];
-            sim::EventQueue &eq = sctx.eventq;
-            const bool tm = telemetry_.enabled();
-            const bool rec = tm && sctx.tracer.wants(trace::Flag::Host);
-            while (true) {
-                // Wall-clock sampling decision (see telemetry.hh): a
-                // pure function of the coordinator step count, which
-                // is only written inside barrier completions while
-                // every shard thread is parked -- so all shards read
-                // the same value here and agree with the coordinator.
-                const bool sample =
-                    tm && (rec || ShardTelemetry::sampleQuantum(
-                                      telemetry_.coord().steps));
-                if (!sample) {
-                    eq.run(drv_.boundary - 1);
-                    sync.arrive_and_wait(); // completion: coordinatorStep
-                    if (drv_.done)
-                        break;
-                    drainMail(s);
-                    sync.arrive_and_wait(); // drains done before next run
-                    continue;
-                }
-                // Instrumented quantum.  The boundary/now snapshot is
-                // taken while every thread is between barriers, where
-                // the coordinator never writes; the scratch q_busy_ns
-                // is folded by the coordinator inside the completion
-                // step, and the totals below are only ever touched by
-                // this thread outside it.
-                ShardTelemetry::ShardSlot &sl = telemetry_.slot(s);
-                const Tick qstart = drv_.now;
-                const Tick qend = drv_.boundary;
-                const std::uint64_t t0 = ShardTelemetry::nowNs();
-                eq.run(drv_.boundary - 1);
-                const std::uint64_t t1 = ShardTelemetry::nowNs();
-                sl.q_busy_ns = t1 - t0;
-                const Tick qe =
-                    qend == max_tick ? sctx.curTick() + 1 : qend;
-                if (rec && t1 != t0) {
-                    sctx.tracer.record(host_comp_[s],
-                                       trace::EventKind::HostPhase,
-                                       qstart, qe, t1 - t0, 0);
-                }
-                sync.arrive_and_wait(); // completion: coordinatorStep()
-                const std::uint64_t t2 = ShardTelemetry::nowNs();
-                sl.barrier_ns += t2 - t1;
-                if (rec && t2 != t1) {
-                    sctx.tracer.record(host_comp_[s],
-                                       trace::EventKind::HostPhase,
-                                       qstart, qe, t2 - t1, 1);
-                }
-                if (drv_.done)
-                    break;
-                drainMail(s);
-                const std::uint64_t t3 = ShardTelemetry::nowNs();
-                sl.drain_ns += t3 - t2;
-                if (rec && t3 != t2) {
-                    sctx.tracer.record(host_comp_[s],
-                                       trace::EventKind::HostPhase,
-                                       qstart, qe, t3 - t2, 2);
-                }
-                sync.arrive_and_wait(); // drains done before next run
-                sl.barrier_ns += ShardTelemetry::nowNs() - t3;
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
+    // Fold the network's per-node counters into its stat group.
+    network_->finalizeStats();
+    if (config_.tail_sample > 0)
+        finalizeTailTrace();
+    return !hung_ && allHalted();
 }
 
 void
-System::onBarrier() noexcept
-{
-    // Completions alternate run-phase / drain-phase; the coordinator
-    // acts only at the end of a run phase (every thread parked at the
-    // same quantum boundary).
-    drv_.phase_toggle = !drv_.phase_toggle;
-    if (drv_.phase_toggle)
-        coordinatorStep();
-}
-
-std::uint64_t
-System::shardPops(std::uint32_t s) const
-{
-    const sim::EventQueue &eq = shard_ctx_[s]->eventq;
-    return eq.nearPops() + eq.farPops();
-}
-
-void
-System::foldQuantumTelemetry(bool sampled)
-{
-    // Runs in the barrier completion (threads parked) or inline: free
-    // to read every shard's queue counters and scratch fields.  The
-    // deterministic counters fold every quantum; the wall-clock view
-    // (busy sums, imbalance, laggard) only on sampled quanta, where
-    // the shard threads actually took timestamps.
-    std::uint64_t max_busy = 0;
-    std::uint32_t laggard = 0;
-    if (sampled) {
-        for (std::uint32_t s = 0; s < shards_; ++s) {
-            const std::uint64_t busy = telemetry_.slot(s).q_busy_ns;
-            if (busy > max_busy) {
-                max_busy = busy;
-                laggard = s;
-            }
-        }
-    }
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-        ShardTelemetry::ShardSlot &sl = telemetry_.slot(s);
-        const std::uint64_t pops = shardPops(s);
-        const std::uint64_t events = pops - sl.last_pops;
-        sl.last_pops = pops;
-        sl.events += events;
-        ++sl.quanta;
-        if (events == 0)
-            ++sl.idle_quanta;
-        if (sampled) {
-            ++sl.sampled_quanta;
-            sl.busy_ns += sl.q_busy_ns;
-            sl.imbalance_ns += max_busy - sl.q_busy_ns;
-            sl.q_busy_ns = 0;
-        }
-    }
-    if (sampled && shards_ >= 2 && max_busy > 0)
-        ++telemetry_.slot(laggard).laggard_quanta;
-}
-
-void
-System::coordinatorStep()
-{
-    if (!telemetry_.enabled()) {
-        coordinatorStepImpl(nullptr);
-        return;
-    }
-    const bool rec = ctx_.tracer.wants(trace::Flag::Host);
-    ShardTelemetry::Coordinator &co = telemetry_.coord();
-    // Same sampling predicate the shard threads evaluated at the top
-    // of this quantum: co.steps has not been incremented yet.
-    const bool sampled = rec || ShardTelemetry::sampleQuantum(co.steps);
-    const std::uint64_t t0 = sampled ? ShardTelemetry::nowNs() : 0;
-    foldQuantumTelemetry(sampled);
-    BoundaryCause cause = BoundaryCause::NumCauses;
-    coordinatorStepImpl(&cause);
-    ++co.steps;
-    if (cause != BoundaryCause::NumCauses)
-        ++co.causes[static_cast<std::size_t>(cause)];
-    if (sampled) {
-        ++co.sampled_steps;
-        const std::uint64_t ns = ShardTelemetry::nowNs() - t0;
-        co.ns += ns;
-        if (rec) {
-            ctx_.tracer.record(coord_comp_, trace::EventKind::HostCoord,
-                               drv_.now, 0, ns,
-                               static_cast<std::uint32_t>(cause));
-        }
-    }
-}
-
-void
-System::coordinatorStepImpl(BoundaryCause *cause)
+System::boundaryStep()
 {
     const Tick b = drv_.boundary;
     drv_.now = b;
 
     if (b == drv_.next_snapshot) {
         takeSnapshot(b);
-        drv_.next_snapshot = totalHalted() < config_.num_cores
-                                 ? b + config_.stats_interval
-                                 : max_tick;
+        drv_.next_snapshot =
+            !allHalted() ? b + config_.stats_interval : max_tick;
     }
 
     if (b == drv_.next_wd) {
-        if (totalHalted() == config_.num_cores) {
+        if (allHalted()) {
             drv_.next_wd = max_tick; // clean completion: stand down
         } else if (watchdog_->checkAt(b)) {
             onWatchdogFire(watchdog_->report());
@@ -652,18 +298,17 @@ System::coordinatorStepImpl(BoundaryCause *cause)
         }
     }
 
-    const bool all_halted = totalHalted() == config_.num_cores;
+    const bool all_halted = allHalted();
     if (b > config_.max_cycles && !all_halted) {
         drv_.done = true; // cycle budget exhausted
         return;
     }
 
-    const bool idle = allQueuesIdle();
-    if (idle) {
-        // Nothing can happen until the coordinator itself acts.  A
-        // wedged (not-halted) system stays alive for the watchdog or
-        // the snapshot series; otherwise take the one trailing
-        // snapshot the interval still owes and finish.
+    if (ctx_.eventq.empty()) {
+        // Nothing can happen until the run loop itself acts.  A wedged
+        // (not-halted) system stays alive for the watchdog or the
+        // snapshot series; otherwise take the one trailing snapshot the
+        // interval still owes and finish.
         const bool keep_alive =
             !all_halted &&
             (watchdog_ != nullptr || drv_.next_snapshot != max_tick);
@@ -675,72 +320,23 @@ System::coordinatorStepImpl(BoundaryCause *cause)
         }
     }
 
-    drv_.boundary = nextBoundaryAfter(b, idle, all_halted, cause);
+    drv_.boundary = nextBoundary(all_halted);
 }
 
 Tick
-System::nextBoundaryAfter(Tick b, bool idle, bool all_halted,
-                          BoundaryCause *cause) const
+System::nextBoundary(bool all_halted) const
 {
-    // The quantum term only applies when shards actually have work to
-    // exchange; an idle system jumps straight to the next coordinator
-    // action.  Every other term is a coordinator deadline.
-    const Tick quantum =
-        (shards_ >= 2 && !idle) ? b + lookahead() : max_tick;
-    Tick nb = quantum;
-    nb = std::min(nb, drv_.next_snapshot);
-    nb = std::min(nb, drv_.next_wd);
+    Tick nb = std::min(drv_.next_snapshot, drv_.next_wd);
     if (!all_halted && config_.max_cycles < max_tick)
         nb = std::min(nb, config_.max_cycles + 1);
-    if (cause) {
-        // Fixed attribution priority on ties -- a deterministic
-        // function of deterministic inputs, so the cause counters are
-        // byte-stable run to run.
-        if (nb == drv_.next_snapshot)
-            *cause = BoundaryCause::Snapshot;
-        else if (nb == drv_.next_wd)
-            *cause = BoundaryCause::Watchdog;
-        else if (!all_halted && config_.max_cycles < max_tick &&
-                 nb == config_.max_cycles + 1)
-            *cause = BoundaryCause::Budget;
-        else if (nb == quantum && quantum != max_tick)
-            *cause = BoundaryCause::Lookahead;
-        else
-            *cause = BoundaryCause::Idle;
-    }
     return nb;
-}
-
-void
-System::drainMail(std::uint32_t shard)
-{
-    for (std::uint32_t src = 0; src < shards_; ++src) {
-        auto &box = mail_[src * shards_ + shard];
-        for (auto &pm : box)
-            network_->enqueueArrival(std::move(pm));
-        box.clear();
-    }
-}
-
-bool
-System::allQueuesIdle() const
-{
-    for (const auto &sctx : shard_ctx_) {
-        if (!sctx->eventq.empty())
-            return false;
-    }
-    for (const auto &box : mail_) {
-        if (!box.empty())
-            return false;
-    }
-    return true;
 }
 
 void
 System::takeSnapshot(Tick tick)
 {
     std::ostringstream os;
-    statistics::printGroupsJson(os, stats_);
+    statistics::printGroupsJson(os, ctx_.stats);
     snapshots_.push_back(StatSnapshot{tick, os.str()});
 }
 
@@ -749,9 +345,7 @@ System::provenanceJson() const
 {
     std::string p = provenance::jsonObject();
     std::ostringstream extra;
-    extra << ", \"sim_mode\": {\"parallel_sim\": "
-          << (shards_ >= 2 ? 1 : 0) << ", \"shards\": " << shards_
-          << ", \"dir_banks\": " << config_.dir_banks
+    extra << ", \"sim_mode\": {\"dir_banks\": " << config_.dir_banks
           << ", \"topology\": \""
           << mem::topologyName(config_.net.topology) << "\"}";
     const auto pos = p.rfind('}');
@@ -767,13 +361,9 @@ System::writeStatsJson(std::ostream &os) const
        << statistics::stats_schema_version
        << ",\n  \"provenance\": " << provenanceJson()
        << ",\n  \"groups\": ";
-    statistics::printGroupsJson(os, stats_);
+    statistics::printGroupsJson(os, ctx_.stats);
     os << ",\n  \"schema\": ";
-    statistics::printSchemaJson(os, stats_);
-    if (telemetry_.enabled()) {
-        os << ",\n  \"host\": ";
-        telemetry_.writeHostJson(os, lookahead(), "  ");
-    }
+    statistics::printSchemaJson(os, ctx_.stats);
     os << ",\n  \"snapshots\": [";
     bool first = true;
     for (const auto &snap : snapshots_) {
@@ -785,151 +375,19 @@ System::writeStatsJson(std::ostream &os) const
 }
 
 void
-System::writeShardReport(std::ostream &os) const
-{
-    if (!telemetry_.enabled()) {
-        os << "shard report: host telemetry was off "
-              "(--shard-report / --host-telemetry enables it)\n";
-        return;
-    }
-    const ShardTelemetry &tm = telemetry_;
-    os << "=== shard report (host-waste telemetry) ===\n";
-    os << "mode: shards=" << shards_ << " lookahead=" << lookahead()
-       << " cores=" << config_.num_cores << " dir_banks="
-       << config_.dir_banks << " topology="
-       << mem::topologyName(config_.net.topology) << "\n";
-    os << "wallclock sampling: "
-       << fmt((tm.slot(0).quanta
-                   ? static_cast<double>(tm.slot(0).sampled_quanta)
-                         / static_cast<double>(tm.slot(0).quanta)
-                   : 0.0) * 100.0)
-       << "% of quanta timed; ms columns are scaled estimates\n\n";
-
-    Table shard_table({"shard", "events", "quanta", "idle_q",
-                       "busy_ms", "barrier_ms", "drain_ms", "util%",
-                       "laggard_q"});
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-        const ShardTelemetry::ShardSlot &sl = tm.slot(s);
-        const std::uint64_t total =
-            sl.busy_ns + sl.barrier_ns + sl.drain_ns;
-        const double util =
-            total ? 100.0 * static_cast<double>(sl.busy_ns)
-                        / static_cast<double>(total)
-                  : 0.0;
-        // Scale the sampled sums up to whole-run estimates; ratios
-        // (util%, imbalance) are unbiased without scaling.
-        const double scale =
-            sl.sampled_quanta ? static_cast<double>(sl.quanta)
-                                    / static_cast<double>(
-                                        sl.sampled_quanta)
-                              : 0.0;
-        shard_table.addRow(
-            {"shard" + std::to_string(s), std::to_string(sl.events),
-             std::to_string(sl.quanta), std::to_string(sl.idle_quanta),
-             fmt(static_cast<double>(sl.busy_ns) * scale / 1e6),
-             fmt(static_cast<double>(sl.barrier_ns) * scale / 1e6),
-             fmt(static_cast<double>(sl.drain_ns) * scale / 1e6),
-             fmt(util), std::to_string(sl.laggard_quanta)});
-    }
-    shard_table.print(os);
-
-    os << "\nutilization: " << fmt(100.0 * tm.utilization())
-       << "% (busy / (busy + barrier + drain), all shards)\n";
-    os << "imbalance factor (max/mean busy): "
-       << fmt(tm.imbalanceFactor()) << "\n";
-    {
-        // Hub diagnosis: with a monolithic directory every miss funnels
-        // into shard 0; distributed banks should pull this toward the
-        // uniform share (1/shards).
-        std::uint64_t cross_total = 0, inbound0 = 0;
-        for (std::uint32_t src = 0; src < shards_; ++src) {
-            for (std::uint32_t dst = 0; dst < shards_; ++dst) {
-                const std::uint64_t n = tm.messages(src, dst);
-                cross_total += n;
-                if (dst == 0)
-                    inbound0 += n;
-            }
-        }
-        os << "coordinator-inbound share: "
-           << fmt(cross_total ? 100.0 * static_cast<double>(inbound0)
-                                    / static_cast<double>(cross_total)
-                              : 0.0)
-           << "% of cross-shard messages target shard 0\n";
-    }
-    const ShardTelemetry::Coordinator &co = tm.coord();
-    const double co_scale =
-        co.sampled_steps ? static_cast<double>(co.steps)
-                               / static_cast<double>(co.sampled_steps)
-                         : 0.0;
-    os << "coordinator: steps=" << co.steps << " total_ms="
-       << fmt(static_cast<double>(co.ns) * co_scale / 1e6)
-       << " (est)\n";
-    os << "boundary causes:";
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(BoundaryCause::NumCauses); ++c) {
-        os << " " << boundaryCauseName(static_cast<BoundaryCause>(c))
-           << "=" << co.causes[c];
-    }
-    os << "\n";
-
-    // Top cross-shard traffic pairs, heaviest first; ties broken by
-    // (src, dst) so the table is deterministic.
-    struct Pair
-    {
-        std::uint32_t src, dst;
-        std::uint64_t count;
-    };
-    std::vector<Pair> pairs;
-    for (std::uint32_t src = 0; src < shards_; ++src) {
-        for (std::uint32_t dst = 0; dst < shards_; ++dst) {
-            if (const std::uint64_t n = tm.messages(src, dst))
-                pairs.push_back({src, dst, n});
-        }
-    }
-    std::sort(pairs.begin(), pairs.end(), [](const Pair &a,
-                                             const Pair &b) {
-        if (a.count != b.count)
-            return a.count > b.count;
-        if (a.src != b.src)
-            return a.src < b.src;
-        return a.dst < b.dst;
-    });
-    if (!pairs.empty()) {
-        os << "\ntop cross-shard traffic (src -> dst):\n";
-        Table traffic({"src", "dst", "msgs"});
-        const std::size_t top = std::min<std::size_t>(pairs.size(), 8);
-        for (std::size_t i = 0; i < top; ++i) {
-            traffic.addRow({"shard" + std::to_string(pairs[i].src),
-                            "shard" + std::to_string(pairs[i].dst),
-                            std::to_string(pairs[i].count)});
-        }
-        traffic.print(os);
-    }
-    os << "=== end shard report ===\n";
-}
-
-void
 System::finalizeTailTrace()
 {
     if (tail_finalized_)
         return;
     tail_finalized_ = true;
 
-    // Canonical merge: concatenate the per-shard event vectors in
-    // shard order; assembleSpans re-sorts by (req, tick) into an order
-    // that is a pure function of the simulated timing.
-    std::vector<reqtrace::SpanEvent> events;
-    for (const auto &sctx : shard_ctx_) {
-        const auto &ev = sctx->spans.events();
-        events.insert(events.end(), ev.begin(), ev.end());
-    }
-    tail_spans_ = reqtrace::assembleSpans(std::move(events),
+    // assembleSpans sorts by (req, tick) into an order that is a pure
+    // function of the simulated timing.
+    tail_spans_ = reqtrace::assembleSpans(ctx_.spans.events(),
                                           config_.tail_sample);
     tail_attr_ = reqtrace::attributeStages(tail_spans_);
 
-    // Fill the "tailtrace" stat group on this (the main) thread, in
-    // canonical span order: the registry is shared across shards, so
-    // the rendered JSON is shard-count independent.
+    // Fill the "tailtrace" stat group in canonical span order.
     std::uint64_t primaries = 0, waiters = 0, retries = 0;
     for (const reqtrace::Span &s : tail_spans_.spans) {
         ++(s.waiter ? waiters : primaries);
@@ -1131,7 +589,7 @@ System::totalRollbacks() const
 bool
 System::quiesced() const
 {
-    if (!allQueuesIdle())
+    if (!ctx_.eventq.empty())
         return false;
     for (const auto &l1 : l1s_) {
         if (!l1->quiesced())
@@ -1147,19 +605,14 @@ System::quiesced() const
 void
 System::exportTrace(std::ostream &os) const
 {
-    // Canonical merge, shard-count independent: bucket records per
-    // component (each component records into exactly one shard sink),
-    // concatenate in global component-id order, stable-sort by tick --
-    // the same rule the flight recorder uses (sim/blackbox.hh).
+    // Canonical order: bucket records per component, concatenate in
+    // component-id order, stable-sort by tick -- the same rule the
+    // flight recorder uses (sim/blackbox.hh).
     const std::size_t ncomps = ctx_.tracer.components().size();
     std::vector<std::vector<trace::TraceRecord>> by_comp(ncomps);
-    std::uint64_t dropped = 0;
-    for (const auto &sctx : shard_ctx_) {
-        sctx->tracer.forEach([&](const trace::TraceRecord &r) {
-            by_comp[r.comp].push_back(r);
-        });
-        dropped += sctx->tracer.dropped();
-    }
+    ctx_.tracer.forEach([&](const trace::TraceRecord &r) {
+        by_comp[r.comp].push_back(r);
+    });
     std::vector<trace::TraceRecord> records;
     for (auto &bucket : by_comp) {
         records.insert(records.end(), bucket.begin(), bucket.end());
@@ -1167,9 +620,7 @@ System::exportTrace(std::ostream &os) const
     }
     // Synthesize ReqStage records from the assembled spans -- at
     // export time only, so a tracing-off dump carries no trace of the
-    // feature and live recording pays nothing for it.  The spans are
-    // already canonical, so the merged document stays shard-count
-    // independent.
+    // feature and live recording pays nothing for it.
     if (config_.tail_sample > 0) {
         for (const reqtrace::Span &sp : tail_spans_.spans) {
             for (const reqtrace::SpanStage &st : sp.stages) {
@@ -1190,39 +641,27 @@ System::exportTrace(std::ostream &os) const
                         const trace::TraceRecord &b) {
                          return a.tick < b.tick;
                      });
-    ctx_.tracer.exportChromeJsonFor(os, records, dropped,
+    ctx_.tracer.exportChromeJsonFor(os, records, ctx_.tracer.dropped(),
                                     provenanceJson());
 }
 
 void
 System::writeBlackbox(std::ostream &os) const
 {
-    trace::writeBlackboxJsonMerged(os, ctx_.tracer, allSinks(),
-                                   provenanceJson());
+    trace::writeBlackboxJson(os, ctx_.tracer, provenanceJson());
 }
 
 void
 System::writeBlackboxTail(std::ostream &os,
                           std::size_t per_component) const
 {
-    trace::writeBlackboxTailMerged(os, ctx_.tracer, allSinks(),
-                                   per_component);
+    trace::writeBlackboxTail(os, ctx_.tracer, per_component);
 }
 
 prof::Profile
 System::profile(const std::string &scope) const
 {
-    if (shards_ == 1 || !config_.profile)
-        return ctx_.profiler.snapshot(scope);
-    // Fold the per-shard profilers (integer counters throughout, so
-    // the fold is exact) into a scratch profiler, then render: the
-    // merged state equals what the single-shard reference accumulates.
-    prof::WasteProfiler merged;
-    merged.configure(prog_.code.size(), config_.num_cores,
-                     config_.l1.block_size, codeSyms(), dataSyms());
-    for (const auto &sctx : shard_ctx_)
-        merged.absorb(sctx->profiler);
-    return merged.snapshot(scope);
+    return ctx_.profiler.snapshot(scope);
 }
 
 std::string

@@ -5,27 +5,10 @@
  * speculation controller per core.  This is the public entry point the
  * examples, tests and benchmarks build on.
  *
- * The system can shard one simulation across host threads
- * (`SystemConfig::shards`): cores -- with their L1s, store buffers and
- * speculation controllers -- are partitioned into shards, each with its
- * own SimContext (event queue, trace sink, profiler) driven by one host
- * thread.  With a monolithic directory (`dir_banks == 1`) the
- * directory, DRAM and network bookkeeping stay on shard 0, making it a
- * hub every miss crosses; with `dir_banks >= 2` the directory banks --
- * each with its own DRAM channel -- are distributed round-robin over
- * all shards (bank home = bank % shards) and the cores spread over all
- * shards too, so coherence traffic becomes point-to-point between the
- * requesting core's shard and the block's home bank.
- * Shards advance in conservatively-synchronized quanta whose length is
- * the minimum cross-shard latency (network latency + 1 cycle of
- * serialization -- the lookahead), with cross-shard messages exchanged
- * through mailboxes at quantum barriers, so no shard ever receives a
- * message "in its past".  All delivery, statistics, profiling and
- * flight-recorder merging is canonical (see mem/network.hh,
- * sim/blackbox.hh): a sharded run's --stats-json, --profile-out and
- * --blackbox-out are byte-identical to the single-threaded reference
- * (`shards = 1`), modulo the self-describing "sim_mode" stanza inside
- * the provenance block.
+ * One System is one sim::SimContext driven by one host thread.  Host
+ * parallelism lives a level up, in SweepRunner (--jobs): independent
+ * simulations share nothing, so a sweep scales with the host while each
+ * simulation stays a plain sequential event loop.
  */
 
 #pragma once
@@ -37,7 +20,6 @@
 #include "base/flat_memory.hh"
 #include "core/spec_controller.hh"
 #include "cpu/core.hh"
-#include "harness/telemetry.hh"
 #include "isa/program.hh"
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
@@ -72,17 +54,6 @@ struct SystemConfig
     std::uint32_t dir_banks = 1;
 
     /**
-     * Host threads to shard the simulation across (1 = the classic
-     * single-threaded reference).  With dir_banks == 1, cores are
-     * partitioned contiguously over shards 1..N-1 and shard 0 runs the
-     * directory/DRAM side; with dir_banks >= 2, cores spread over all
-     * shards and each bank homes on shard (bank % shards).  Clamped to
-     * [1, num_cores + 1].  Results are bitwise independent of this
-     * setting (see the file comment).
-     */
-    std::uint32_t shards = 1;
-
-    /**
      * Structured-trace flag mask (trace::Flag values).  0 (default)
      * disables recording entirely; instrumentation then costs one
      * inline mask test per site.
@@ -114,21 +85,12 @@ struct SystemConfig
     std::size_t blackbox_records = 256;
 
     /**
-     * Host-waste telemetry for the parallel driver (see
-     * harness/telemetry.hh): per-shard busy/barrier/drain accounting,
-     * cross-shard traffic counts, and host-thread tracks in the trace
-     * export.  Off (default) costs one boolean test per quantum phase;
-     * on, the driver takes a few steady_clock reads per quantum.
-     */
-    bool host_telemetry = false;
-
-    /**
      * Per-request span tracing (tail-latency observability, see
      * sim/reqtrace.hh): sample 1 in N misses (0 = off, 1 = every
-     * miss).  Sampling is a pure hash of the shard-invariant request
-     * id, so the sampled set -- and every derived artifact -- is
-     * byte-identical across --shards and host-parallel sweeps.  Off
-     * costs one cached-pointer null test per stage site.
+     * miss).  Sampling is a pure hash of the request id, so the
+     * sampled set -- and every derived artifact -- is byte-identical
+     * run to run and across host-parallel sweeps.  Off costs one
+     * cached-pointer null test per stage site.
      */
     std::uint64_t tail_sample = 0;
 
@@ -171,22 +133,6 @@ struct SystemConfig
     withProfiling()
     {
         profile = true;
-        return *this;
-    }
-
-    /** Convenience: shard the simulation across @p n host threads. */
-    SystemConfig &
-    withShards(std::uint32_t n)
-    {
-        shards = n;
-        return *this;
-    }
-
-    /** Convenience: enable host-waste telemetry in the driver. */
-    SystemConfig &
-    withHostTelemetry()
-    {
-        host_telemetry = true;
         return *this;
     }
 
@@ -237,15 +183,8 @@ class System
     /** Cycle the last core halted at (the parallel runtime). */
     Tick runtimeCycles() const;
 
-    /** Current simulated tick (last quantum boundary when sharded). */
-    Tick
-    curTick() const
-    {
-        return shards_ >= 2 ? drv_.now : ctx_.curTick();
-    }
-
-    /** Host threads the simulation is sharded across (post-clamp). */
-    std::uint32_t shards() const { return shards_; }
+    /** Current simulated tick. */
+    Tick curTick() const { return ctx_.curTick(); }
 
     /**
      * Functional read of the coherent memory image: the owning L1's
@@ -284,17 +223,13 @@ class System
         return specs_.empty() ? nullptr : specs_.at(i).get();
     }
 
-    statistics::StatRegistry &stats() { return stats_; }
-    const statistics::StatRegistry &stats() const { return stats_; }
+    statistics::StatRegistry &stats() { return ctx_.stats; }
+    const statistics::StatRegistry &stats() const { return ctx_.stats; }
     sim::SimContext &context() { return ctx_; }
 
     // --- observability ---------------------------------------------------
 
-    /**
-     * The export/meta sink (shard 0's).  When sharded, recording is
-     * spread over per-shard sinks; use exportTrace()/writeBlackbox()
-     * for merged views.
-     */
+    /** The structured-trace sink (and flight recorder). */
     trace::TraceSink &tracer() { return ctx_.tracer; }
     const trace::TraceSink &tracer() const { return ctx_.tracer; }
 
@@ -306,8 +241,8 @@ class System
     /**
      * Write the recorded structured trace as Chrome trace-event JSON
      * (open in ui.perfetto.dev or chrome://tracing), stamped with build
-     * provenance.  Records are merged canonically (per component, then
-     * by tick), so the document is identical for any shard count.
+     * provenance.  Records are ordered canonically (per component,
+     * then stably by tick), the same rule the flight recorder uses.
      */
     void exportTrace(std::ostream &os) const;
 
@@ -361,20 +296,15 @@ class System
      * Write the full stat registry -- and the periodic snapshot time
      * series, if `stats_interval` was set -- as one JSON document:
      * `{"groups": {...}, "snapshots": [{"tick": N, "groups": ...}]}`.
-     * With host telemetry enabled, a "host" section (deterministic
-     * counters strictly separated from wall-clock fields) is included.
      */
     void writeStatsJson(std::ostream &os) const;
-
-    /** The host-waste telemetry accumulators (enabled() false if off). */
-    const ShardTelemetry &telemetry() const { return telemetry_; }
 
     // --- tail-latency observability --------------------------------------
 
     /**
      * The assembled request spans of the last run (empty unless
-     * `config.tail_sample` was set).  Canonical order -- identical for
-     * any shard count.
+     * `config.tail_sample` was set), in canonical (req id, tick)
+     * order.
      */
     const reqtrace::SpanSet &tailSpans() const { return tail_spans_; }
 
@@ -404,19 +334,9 @@ class System
     void writeOutliers(std::ostream &os) const;
 
     /**
-     * Write the end-of-run host-waste report: per-shard utilization,
-     * the imbalance factor (max/mean busy), barrier-stall attribution
-     * by boundary cause, and the top cross-shard (src, dst) traffic
-     * pairs.  No-op (with a notice) when telemetry was off.
-     */
-    void writeShardReport(std::ostream &os) const;
-
-    /**
      * Symbolized waste profile of the run (empty unless
      * `config.profile` was set).  A non-empty @p scope prefixes every
-     * key so profiles of different configurations merge cleanly.  When
-     * sharded, the per-shard profilers are folded (integer-exact) in
-     * shard order first.
+     * key so profiles of different configurations merge cleanly.
      */
     prof::Profile profile(const std::string &scope = "") const;
 
@@ -440,51 +360,36 @@ class System
 
     /**
      * The build-provenance JSON embedded in stats/trace/blackbox
-     * output, extended with a "sim_mode" stanza recording how this run
-     * was invoked (parallel_sim, shards).
+     * output, extended with a "sim_mode" stanza recording the machine
+     * shape (dir_banks, topology).
      */
     std::string provenanceJson() const;
 
   private:
-    /** Shared coordinator/driver state for the quantum-stepped run. */
+    /**
+     * Run-loop state.  The event queue runs up to the next boundary --
+     * a stat snapshot, a watchdog probe or the cycle budget -- where
+     * boundaryStep() acts; with none of them armed one call runs the
+     * whole simulation.
+     */
     struct DriverState
     {
         bool active = false;   //!< a run() is in progress
-        Tick now = 0;          //!< the boundary being coordinated
-        Tick boundary = 0;     //!< run-to target of the current quantum
+        Tick now = 0;          //!< the boundary last acted on
+        Tick boundary = 0;     //!< run-to target of the current leg
         Tick next_snapshot = max_tick;
         Tick next_wd = max_tick;
         bool done = false;
-        bool phase_toggle = false; //!< which barrier completion this is
     };
 
-    /** One shard's halt counter, padded to avoid false sharing. */
-    struct alignas(64) ShardCounter
-    {
-        std::uint32_t halted = 0;
-    };
-
-    sim::SimContext &makeShardContexts();
-    std::uint32_t shardOfCore(std::uint32_t core) const;
-    std::uint32_t shardOfBank(std::uint32_t bank) const;
     /** The bank whose slice @p addr falls in. */
     std::uint32_t bankOf(Addr addr) const;
-    std::uint32_t totalHalted() const;
-    Tick lookahead() const;
+    bool allHalted() const { return halted_ == config_.num_cores; }
     std::vector<prof::CodeSym> codeSyms() const;
     std::vector<prof::DataSym> dataSyms() const;
-    std::vector<const trace::TraceSink *> allSinks() const;
 
-    void runShards();
-    void onBarrier() noexcept;
-    void coordinatorStep();
-    void coordinatorStepImpl(BoundaryCause *cause);
-    Tick nextBoundaryAfter(Tick b, bool idle, bool all_halted,
-                           BoundaryCause *cause = nullptr) const;
-    void drainMail(std::uint32_t shard);
-    bool allQueuesIdle() const;
-    std::uint64_t shardPops(std::uint32_t s) const;
-    void foldQuantumTelemetry(bool sampled);
+    void boundaryStep();
+    Tick nextBoundary(bool all_halted) const;
 
     void takeSnapshot(Tick tick);
     void onWatchdogFire(const sim::Watchdog::Report &report);
@@ -494,15 +399,9 @@ class System
     SystemConfig config_;
     isa::Program prog_;
 
-    // One stat registry spans the whole simulated system; every shard
-    // context shares it (each stat is still written by exactly one
-    // shard).  Must precede shard_ctx_, which must precede every
-    // component (reverse destruction order: components first, then
-    // contexts, then the registry).
-    statistics::StatRegistry stats_;
-    std::uint32_t shards_ = 1;
-    std::vector<std::unique_ptr<sim::SimContext>> shard_ctx_;
-    sim::SimContext &ctx_; //!< shard 0 (directory side, meta sink)
+    // Precedes every component: reverse destruction order tears the
+    // components down before the queue, sinks and registry they use.
+    sim::SimContext ctx_;
 
     FlatMemory backing_;
     std::vector<StatSnapshot> snapshots_;
@@ -514,15 +413,8 @@ class System
     std::vector<std::unique_ptr<spec::SpecController>> specs_;
     std::unique_ptr<sim::Watchdog> watchdog_;
 
-    std::vector<ShardCounter> shard_halted_;
-    /** Cross-shard mailboxes, indexed [src_shard * shards_ + dst]. */
-    std::vector<std::vector<mem::Network::PendingMsg>> mail_;
+    std::uint32_t halted_ = 0; //!< cores that have halted
     DriverState drv_;
-
-    ShardTelemetry telemetry_;
-    /** Trace ids of the per-shard host tracks ("host.shard<i>"). */
-    std::vector<std::uint16_t> host_comp_;
-    std::uint16_t coord_comp_ = 0; //!< "host.coord" track id
 
     bool hung_ = false;
     sim::Watchdog::Report watchdog_report_;

@@ -255,9 +255,9 @@ L1Cache::handleMiss(MemRequest req, bool want_m)
     mshr.want_m = want_m;
     mshr.miss_start = curTick();
     // Request ids are minted per L1 (node in the high bits, local
-    // counter below) rather than from the shard-shared trace sink, so
-    // an id depends only on this cache's own miss sequence -- identical
-    // however the system is sharded across host threads.
+    // counter below) rather than from the shared trace sink, so an id
+    // depends only on this cache's own miss sequence -- and tail
+    // sampling, a hash of the id, only on the simulated timing.
     mshr.req_id =
         (static_cast<std::uint64_t>(node_id_ + 1) << 40) | ++last_req_id_;
     if (rtrace_ && rtrace_->sampled(mshr.req_id)) {
@@ -354,8 +354,8 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
     std::uint64_t old_value = 0;
     if (req.isAmo()) {
         old_value = blk.readInt(offset, req.size);
-        flAssert(req.amo_fn || static_cast<bool>(req.amo_func),
-                 name(), ": AMO request without an AMO function");
+        flAssert(req.amo_fn, name(),
+                 ": AMO request without an AMO function");
         blk.writeInt(offset, req.size, req.applyAmo(old_value));
     } else {
         blk.writeInt(offset, req.size, req.store_data);
@@ -372,31 +372,23 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
 }
 
 void
-L1Cache::respond(MemRequest &req, std::uint64_t value)
+L1Cache::respond(const MemRequest &req, std::uint64_t value)
 {
-    // Fast path: the bound completion slot makes the delivery one-shot
-    // a POD closure -- it fits the pool node's inline storage and is
+    // The bound completion slot makes the delivery one-shot a POD
+    // closure -- it fits the pool node's inline storage and is
     // trivially destructible, so an L1 hit allocates nothing at all.
-    if (req.done_fn) {
-        struct Deliver
-        {
-            MemRequest::DoneFn fn;
-            void *obj;
-            std::uint64_t ctx;
-            std::uint64_t value;
-            void operator()() const { fn(obj, ctx, value); }
-        };
-        sim::scheduleOneShot(eventq(), curTick() + params_.hit_latency,
-                             Deliver{req.done_fn, req.done_obj,
-                                     req.done_ctx, value});
-        return;
-    }
-    flAssert(static_cast<bool>(req.callback),
-             name(), ": request without completion callback");
+    flAssert(req.done_fn, name(), ": request without completion callback");
+    struct Deliver
+    {
+        MemRequest::DoneFn fn;
+        void *obj;
+        std::uint64_t ctx;
+        std::uint64_t value;
+        void operator()() const { fn(obj, ctx, value); }
+    };
     sim::scheduleOneShot(eventq(), curTick() + params_.hit_latency,
-                         [cb = std::move(req.callback), value] {
-                             cb(value);
-                         });
+                         Deliver{req.done_fn, req.done_obj, req.done_ctx,
+                                 value});
 }
 
 // ---------------------------------------------------------------------

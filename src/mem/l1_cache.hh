@@ -230,7 +230,7 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     void handleMiss(MemRequest req, bool want_m);
     void performLoad(L1Block &blk, MemRequest &req);
     void performWrite(L1Block &blk, MemRequest &req);
-    void respond(MemRequest &req, std::uint64_t value);
+    void respond(const MemRequest &req, std::uint64_t value);
 
     // MSHR slots
     Mshr *findMshr(Addr block_addr);

@@ -187,7 +187,7 @@ Network::~Network()
 {
     for (Node &n : nodes_) {
         if (n.ingress_event && n.ingress_event->scheduled())
-            n.ctx->eventq.deschedule(n.ingress_event.get());
+            eventq().deschedule(n.ingress_event.get());
     }
 }
 
@@ -196,20 +196,7 @@ Network::ensureNode(NodeId id)
 {
     if (nodes_.size() <= id)
         nodes_.resize(id + 1);
-    Node &n = nodes_[id];
-    if (!n.ctx)
-        n.ctx = &ctx_;
-    return n;
-}
-
-void
-Network::bindNode(NodeId id, sim::SimContext &ctx, std::uint32_t shard)
-{
-    Node &n = ensureNode(id);
-    flAssert(!n.receiver, "bindNode must precede registerEndpoint for ",
-             id);
-    n.ctx = &ctx;
-    n.shard = shard;
+    return nodes_[id];
 }
 
 void
@@ -218,8 +205,7 @@ Network::registerEndpoint(NodeId id, MsgReceiver *receiver)
     Node &n = ensureNode(id);
     flAssert(!n.receiver, "endpoint ", id, " already registered");
     n.receiver = receiver;
-    n.trace_id =
-        n.ctx->tracer.registerComponent("net.rx" + std::to_string(id));
+    n.trace_id = tracer().registerComponent("net.rx" + std::to_string(id));
     n.ingress_event = std::make_unique<sim::EventFunctionWrapper>(
         [this, id] { ingressFire(id); }, "net-ingress",
         ingress_prio_base + static_cast<int>(id));
@@ -244,10 +230,7 @@ Network::send(Msg msg)
         return;
     }
 
-    // Stamp with the *sender's* shard clock: the only clock advanced
-    // past this point, and -- because shards stay within one quantum of
-    // each other -- a globally meaningful tick.
-    msg.sent_tick = src.ctx->curTick();
+    msg.sent_tick = curTick();
 
     const Cycles serialization =
         (msg.sizeBytes() + params_.link_bytes_per_cycle - 1)
@@ -288,39 +271,30 @@ Network::send(Msg msg)
     else
         ++src.tx_ctrl_msgs;
 
-    const NodeId dst_id = msg.dst;
-    PendingMsg pm{std::move(msg), arrival, ++ch.seq};
-    Node &dst = nodes_[dst_id];
-    if (dst.shard == src.shard) {
-        enqueueArrival(std::move(pm));
+    Node &dst = nodes_[msg.dst];
+    std::uint32_t slot;
+    if (dst.free_slots.empty()) {
+        slot = static_cast<std::uint32_t>(dst.slab.size());
+        dst.slab.push_back(msg);
     } else {
-        flAssert(cross_push_,
-                 "cross-shard message without a mailbox route");
-        cross_push_(src.shard, dst.shard, std::move(pm));
+        slot = dst.free_slots.back();
+        dst.free_slots.pop_back();
+        dst.slab[slot] = msg;
     }
+    dst.heap.push_back(Arrival{arrival, msg.src, slot, ++ch.seq});
+    std::push_heap(dst.heap.begin(), dst.heap.end(), ArrivalLater{});
+    armIngress(dst);
 }
 
 void
-Network::enqueueArrival(PendingMsg &&pm)
+Network::armIngress(Node &n)
 {
-    Node &n = nodes_[pm.msg.dst];
-    std::uint32_t slot;
-    if (n.free_slots.empty()) {
-        slot = static_cast<std::uint32_t>(n.slab.size());
-        n.slab.push_back(pm.msg);
-    } else {
-        slot = n.free_slots.back();
-        n.free_slots.pop_back();
-        n.slab[slot] = pm.msg;
-    }
-    n.heap.push_back(Arrival{pm.arrival, pm.msg.src, slot, pm.chan_seq});
-    std::push_heap(n.heap.begin(), n.heap.end(), ArrivalLater{});
     const Tick next = n.heap.front().tick;
     sim::Event *ev = n.ingress_event.get();
     if (!ev->scheduled())
-        n.ctx->eventq.schedule(ev, next);
+        eventq().schedule(ev, next);
     else if (ev->when() > next)
-        n.ctx->eventq.reschedule(ev, next);
+        eventq().reschedule(ev, next);
 }
 
 void
@@ -349,7 +323,7 @@ void
 Network::ingressFire(NodeId id)
 {
     Node &n = nodes_[id];
-    const Tick now = n.ctx->curTick();
+    const Tick now = curTick();
     while (!n.heap.empty() && n.heap.front().tick == now) {
         std::pop_heap(n.heap.begin(), n.heap.end(), ArrivalLater{});
         const std::uint32_t slot = n.heap.back().slot;
@@ -363,24 +337,18 @@ Network::ingressFire(NodeId id)
         if (n.delivered_from.size() <= msg.src)
             n.delivered_from.resize(msg.src + 1, 0);
         ++n.delivered_from[msg.src];
-        if (n.ctx->tracer.wants(trace::Flag::Net)) {
-            n.ctx->tracer.record(n.trace_id, trace::EventKind::NetHop,
-                                 now, msg.req_id, latency,
-                                 static_cast<std::uint32_t>(msg.type));
+        if (tracer().wants(trace::Flag::Net)) {
+            tracer().record(n.trace_id, trace::EventKind::NetHop, now,
+                            msg.req_id, latency,
+                            static_cast<std::uint32_t>(msg.type));
         }
         // receiveMsg may send() back into this very heap; arrivals are
         // strictly in the future, so they never join this tick's batch,
         // and the (re)schedule below accounts for them.
         n.receiver->receiveMsg(msg);
     }
-    if (!n.heap.empty()) {
-        const Tick next = n.heap.front().tick;
-        sim::Event *ev = n.ingress_event.get();
-        if (!ev->scheduled())
-            n.ctx->eventq.schedule(ev, next);
-        else if (ev->when() > next)
-            n.ctx->eventq.reschedule(ev, next);
-    }
+    if (!n.heap.empty())
+        armIngress(n);
 }
 
 std::uint32_t

@@ -27,35 +27,26 @@
  * channel's fixed route once (hop totals, hot-link occupancy).  Routes
  * are pure functions of (src, dst), so the per-link sums equal a
  * per-message walk without costing one on every send.  Shared-link
- * *timing* contention is deliberately not modeled: arrival times must
- * be a pure function of sender-owned channel state so that a sharded
- * run stays byte-identical to the single-threaded reference without
- * cross-thread synchronization on every send (see below).
+ * *timing* contention is not modeled: arrival times are a pure function
+ * of sender-owned channel state.
  *
- * The network is also the simulator's only cross-shard edge when the
- * System is sharded across host threads (--shards=N), so delivery is
- * built around a *canonical per-destination ingress*: every node owns a
- * min-heap of pending arrivals ordered by (arrival tick, source node,
- * per-channel sequence) -- a total order whose keys are computed
- * entirely at send time -- drained by one event on the destination
- * node's shard queue.  Same-shard sends enqueue directly; cross-shard
- * sends travel through the System's mailboxes and are enqueued at the
- * next quantum boundary, which the lookahead (quantum <= latency + 1)
- * guarantees still precedes the arrival tick.  Delivery order at every
- * node is therefore a pure function of the message timing, identical
- * whether the simulation runs on one host thread or eight.
+ * Delivery goes through a *canonical per-destination ingress*: every
+ * node owns a min-heap of pending arrivals ordered by (arrival tick,
+ * source node, per-channel sequence) -- a total order whose keys are
+ * computed entirely at send time -- drained by one ingress event per
+ * node.  Delivery order at every node is therefore a pure function of
+ * the message timing, never of the order in which same-tick sends
+ * happened to execute.
  *
  * Stats follow the same discipline: each node accumulates its own tx
- * counters and rx latency moments (touched only by its shard's
- * thread), and finalizeStats() folds them into the legacy "network"
- * stat group in node order at end of run -- deterministic and
- * lock-free in every mode.
+ * counters and rx latency moments, and finalizeStats() folds them into
+ * the "network" stat group in node order at end of run.  That fold
+ * order fixes the floating-point bytes of `network.msg_latency`.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,19 +175,6 @@ class Network : public sim::SimObject
         std::uint32_t link_bytes_per_cycle = 16;
 
         /**
-         * The minimum cross-node delay this topology can produce: one
-         * route of minimal length plus the >= 1 serialization cycle
-         * every message pays.  The sharded driver's lookahead (see
-         * harness/system.hh) must not exceed this.
-         */
-        Tick
-        minDelay() const
-        {
-            return static_cast<Tick>(topology == Topology::Crossbar
-                                         ? latency
-                                         : hop_latency) + 1;
-        }
-        /**
          * Fault injection: silently drop FwdDataAck/FwdNoDataAck
          * messages for these block addresses.  The owner believes it
          * answered the probe; the directory transaction waits forever
@@ -205,19 +183,6 @@ class Network : public sim::SimObject
          * honest configuration.
          */
         std::vector<Addr> drop_fwd_acks_for;
-    };
-
-    /**
-     * A message en route to its destination's ingress heap, keyed for
-     * the canonical delivery order.  chan_seq is the (src, dst)
-     * channel's send sequence; per-channel arrivals strictly increase,
-     * so (arrival, src, chan_seq) is a strict total order per node.
-     */
-    struct PendingMsg
-    {
-        Msg msg;
-        Tick arrival = 0;
-        std::uint64_t chan_seq = 0;
     };
 
     Network(sim::SimContext &ctx, const std::string &name,
@@ -230,42 +195,14 @@ class Network : public sim::SimObject
      */
     ~Network() override;
 
-    /**
-     * Declare which shard context delivers to endpoint @p id.  Must be
-     * called before the endpoint registers.  Never calling it leaves
-     * every node on the network's own context (shard 0) -- the
-     * single-threaded default used by protocol unit tests.
-     */
-    void bindNode(NodeId id, sim::SimContext &ctx, std::uint32_t shard);
-
-    /**
-     * Route for cross-shard sends: invoked as (src_shard, dst_shard,
-     * pending) when a message's source and destination live on
-     * different shards.  The System points this at its mailbox grid;
-     * the receiver re-injects via enqueueArrival() at the next quantum
-     * boundary.
-     */
-    using CrossShardPush =
-        std::function<void(std::uint32_t, std::uint32_t, PendingMsg &&)>;
-    void setCrossShardPush(CrossShardPush push)
-    {
-        cross_push_ = std::move(push);
-    }
-
     /** Attach the receiver for endpoint @p id. */
     void registerEndpoint(NodeId id, MsgReceiver *receiver);
 
-    /** Send a message; delivery is scheduled on the dst shard's queue. */
-    void send(Msg msg);
-
     /**
-     * Push a pending message into its destination's ingress heap and
-     * (re)arm the ingress event.  Called by send() for same-shard
-     * traffic and by the System's mailbox drain for cross-shard
-     * traffic; must run on the destination shard's thread with the
-     * arrival tick still in that queue's future.
+     * Send a message: it joins its destination's ingress heap, keyed
+     * for the canonical (arrival, src, chan_seq) delivery order.
      */
-    void enqueueArrival(PendingMsg &&pm);
+    void send(Msg msg);
 
     /**
      * Fold the per-node counters into the "network" stat group (node
@@ -309,9 +246,8 @@ class Network : public sim::SimObject
     /**
      * Per-link message totals (indexed by link id; empty on the
      * crossbar): every channel's count spread over its route, as in
-     * finalizeStats(), so the result is shard-independent; callable at
-     * any point (end-of-run reports use it to name each sampled
-     * request's hottest link).
+     * finalizeStats(); callable at any point (end-of-run reports use it
+     * to name each sampled request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
 
@@ -330,6 +266,9 @@ class Network : public sim::SimObject
      * A pending arrival's place in its destination's ingress heap: the
      * (arrival, src, chan_seq) ordering key plus the slab slot holding
      * the message, so heap operations move 24 bytes, not a payload.
+     * chan_seq is the (src, dst) channel's send sequence; per-channel
+     * arrivals strictly increase, so the key is a strict total order
+     * per node.
      */
     struct Arrival
     {
@@ -365,15 +304,11 @@ class Network : public sim::SimObject
     /**
      * Per-node state: the tx counters this node produces as a source
      * and the ingress heap + rx accumulators it owns as a destination.
-     * Everything here is touched only by the node's shard thread (the
-     * coordinator reads between quanta).
      */
     struct Node
     {
-        sim::SimContext *ctx = nullptr; //!< delivery context (shard)
-        std::uint32_t shard = 0;
         MsgReceiver *receiver = nullptr;
-        std::uint16_t trace_id = 0; //!< "net.rxN" track in ctx's sink
+        std::uint16_t trace_id = 0; //!< "net.rxN" track in the sink
 
         // tx side (this node as msg.src)
         std::vector<TxChan> chans; //!< indexed by dst
@@ -402,12 +337,13 @@ class Network : public sim::SimObject
     /**
      * Ingress events outrank every component event (prio_highest is 0)
      * and each other by node id, so all of a tick's deliveries land --
-     * in node order -- before any component logic runs at that tick, a
-     * rule that costs nothing and is trivially shard-independent.
+     * in node order -- before any component logic runs at that tick.
      */
     static constexpr int ingress_prio_base = -100000;
 
     Node &ensureNode(NodeId id);
+    /** (Re)arm @p n's ingress event for its earliest pending arrival. */
+    void armIngress(Node &n);
     void ingressFire(NodeId id);
     void rxSample(Node &n, double v);
 
@@ -424,7 +360,6 @@ class Network : public sim::SimObject
     Params params_;
     std::uint32_t mesh_w_ = 0; //!< mesh grid width (mesh only)
     std::vector<Node> nodes_;
-    CrossShardPush cross_push_;
     bool finalized_ = false;
 
     statistics::Scalar &stat_msgs_;

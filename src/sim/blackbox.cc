@@ -7,44 +7,20 @@
 namespace fenceless::trace
 {
 
-namespace
-{
-
-/**
- * Gather one component's surviving ring entries across sinks, oldest
- * first.  Exactly one sink records for any given component (components
- * are owned by one shard), so appending in sink order is the
- * per-component stream regardless of which sink holds it.
- */
-void
-gatherComponent(std::uint16_t comp,
-                const std::vector<const TraceSink *> &sinks,
-                std::vector<TraceRecord> &out)
-{
-    for (const TraceSink *s : sinks) {
-        if (comp >= s->components().size())
-            continue;
-        s->forEachRingEntry(
-            comp, [&](const RingEntry &e) { out.push_back(e.rec); });
-    }
-}
-
-} // namespace
-
 std::vector<TraceRecord>
-blackboxRecordsMerged(const TraceSink &meta,
-                      const std::vector<const TraceSink *> &sinks)
+blackboxRecords(const TraceSink &sink)
 {
-    // Canonical order: gather per component (global component-id
-    // order), then stable-sort by tick.  Per-component streams are
-    // already tick-monotone, so this is a time merge where same-tick
-    // records from different components land in component-id order --
-    // a rule that does not depend on how many host threads recorded
-    // the events, which keeps sharded dumps byte-identical to the
-    // single-threaded reference.
+    // Canonical order: gather per component (component-id order), then
+    // stable-sort by tick.  Per-component streams are already
+    // tick-monotone, so this is a time merge where same-tick records
+    // from different components land in component-id order.
     std::vector<TraceRecord> out;
-    for (std::size_t c = 0; c < meta.components().size(); ++c)
-        gatherComponent(static_cast<std::uint16_t>(c), sinks, out);
+    for (std::size_t c = 0; c < sink.components().size(); ++c) {
+        sink.forEachRingEntry(static_cast<std::uint16_t>(c),
+                              [&](const RingEntry &e) {
+                                  out.push_back(e.rec);
+                              });
+    }
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceRecord &a, const TraceRecord &b) {
                          return a.tick < b.tick;
@@ -52,33 +28,16 @@ blackboxRecordsMerged(const TraceSink &meta,
     return out;
 }
 
-std::vector<TraceRecord>
-blackboxRecords(const TraceSink &sink)
-{
-    return blackboxRecordsMerged(sink, {&sink});
-}
-
-void
-writeBlackboxJsonMerged(std::ostream &os, const TraceSink &meta,
-                        const std::vector<const TraceSink *> &sinks,
-                        const std::string &provenance_json)
-{
-    const auto records = blackboxRecordsMerged(meta, sinks);
-    // Events pushed but since overwritten: report them as dropped so
-    // the dump is honest about being a tail, not the full history.
-    std::uint64_t pushes = 0;
-    for (const TraceSink *s : sinks)
-        pushes += s->ringPushes();
-    const std::uint64_t overwritten =
-        pushes - static_cast<std::uint64_t>(records.size());
-    meta.exportChromeJsonFor(os, records, overwritten, provenance_json);
-}
-
 void
 writeBlackboxJson(std::ostream &os, const TraceSink &sink,
                   const std::string &provenance_json)
 {
-    writeBlackboxJsonMerged(os, sink, {&sink}, provenance_json);
+    const auto records = blackboxRecords(sink);
+    // Events pushed but since overwritten: report them as dropped so
+    // the dump is honest about being a tail, not the full history.
+    const std::uint64_t overwritten =
+        sink.ringPushes() - static_cast<std::uint64_t>(records.size());
+    sink.exportChromeJsonFor(os, records, overwritten, provenance_json);
 }
 
 namespace
@@ -122,8 +81,6 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
         os << " req=" << r.a0 << " latency=" << r.a1 << " msg="
            << sink.auxName(kind, r.aux);
         break;
-      case EventKind::HostPhase:
-      case EventKind::HostCoord:
       case EventKind::ReqStage:
       case EventKind::NumKinds:
         break;
@@ -134,38 +91,30 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
 } // namespace
 
 void
-writeBlackboxTailMerged(std::ostream &os, const TraceSink &meta,
-                        const std::vector<const TraceSink *> &sinks,
-                        std::size_t per_component)
+writeBlackboxTail(std::ostream &os, const TraceSink &sink,
+                  std::size_t per_component)
 {
-    std::uint64_t pushes = 0;
-    for (const TraceSink *s : sinks)
-        pushes += s->ringPushes();
     os << "flight recorder tail (last " << per_component
-       << " events per component, " << pushes << " recorded total):\n";
-    for (std::size_t c = 0; c < meta.components().size(); ++c) {
+       << " events per component, " << sink.ringPushes()
+       << " recorded total):\n";
+    for (std::size_t c = 0; c < sink.components().size(); ++c) {
         std::vector<TraceRecord> tail;
-        gatherComponent(static_cast<std::uint16_t>(c), sinks, tail);
+        sink.forEachRingEntry(
+            static_cast<std::uint16_t>(c),
+            [&](const RingEntry &e) { tail.push_back(e.rec); });
         if (tail.size() > per_component)
             tail.erase(tail.begin(),
                        tail.end() -
                            static_cast<std::ptrdiff_t>(per_component));
-        os << "  " << meta.components()[c];
+        os << "  " << sink.components()[c];
         if (tail.empty()) {
             os << ": (no events)\n";
             continue;
         }
         os << ":\n";
         for (const TraceRecord &r : tail)
-            writeOne(os, meta, r);
+            writeOne(os, sink, r);
     }
-}
-
-void
-writeBlackboxTail(std::ostream &os, const TraceSink &sink,
-                  std::size_t per_component)
-{
-    writeBlackboxTailMerged(os, sink, {&sink}, per_component);
 }
 
 } // namespace fenceless::trace

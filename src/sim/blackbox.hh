@@ -11,12 +11,8 @@
  * per component (in global component-id order) and stable-sorted by
  * tick.  Per-component ring order is already tick-monotone, so the
  * result is a proper time merge in which same-tick records from
- * different components appear in component-id order.  That rule is
- * independent of how many host threads produced the records, which is
- * what makes a sharded run's `--blackbox-out` byte-identical to the
- * single-threaded reference: the multi-sink variants below gather each
- * component's ring from whichever shard sink owns it (component ids
- * are global across shard sinks) and apply the same rule.
+ * different components appear in component-id order -- a pure function
+ * of the simulated timing, whatever order the events were pushed in.
  *
  * The two output forms:
  *
@@ -45,38 +41,22 @@ namespace fenceless::trace
 {
 
 /**
- * Default ring mask: everything except per-instruction commit counters
- * and host-side telemetry.  CoreCommit fires once per retired
- * instruction -- recording it would put a ring store on the single
- * hottest path in the simulator; the stall/spec/request/network kinds
- * that matter for incident forensics fire orders of magnitude less
- * often, which is how the always-on recorder stays within its <=3%
- * full-system budget.  Host records carry wall-clock payloads that
- * vary run to run, so keeping them out preserves the blackbox dump's
- * byte-identity across shard counts even with telemetry enabled.
+ * Default ring mask: everything except per-instruction commit counters.
+ * CoreCommit fires once per retired instruction -- recording it would
+ * put a ring store on the single hottest path in the simulator; the
+ * stall/spec/request/network kinds that matter for incident forensics
+ * fire orders of magnitude less often, which is how the always-on
+ * recorder stays within its <=3% full-system budget.
  */
 inline constexpr std::uint32_t default_blackbox_flags =
     static_cast<std::uint32_t>(Flag::All) &
-    ~static_cast<std::uint32_t>(Flag::Core) &
-    ~static_cast<std::uint32_t>(Flag::Host);
+    ~static_cast<std::uint32_t>(Flag::Core);
 
 /**
  * The flight-recorder contents as one canonically ordered stream (see
  * the file comment for the merge rule).
  */
 std::vector<TraceRecord> blackboxRecords(const TraceSink &sink);
-
-/**
- * Multi-sink form for sharded systems: each component's ring entries
- * are gathered from every sink in @p sinks (exactly one shard sink
- * records for any given component, so the union is the per-component
- * stream), then merged canonically.  @p meta names the components;
- * every sink must share its component-id space (the System guarantees
- * this by pre-registering the global component list into each sink).
- */
-std::vector<TraceRecord>
-blackboxRecordsMerged(const TraceSink &meta,
-                      const std::vector<const TraceSink *> &sinks);
 
 /**
  * Write the merged ring tail as a Chrome trace-event JSON document --
@@ -87,11 +67,6 @@ blackboxRecordsMerged(const TraceSink &meta,
 void writeBlackboxJson(std::ostream &os, const TraceSink &sink,
                        const std::string &provenance_json);
 
-/** Multi-sink form of writeBlackboxJson (sharded systems). */
-void writeBlackboxJsonMerged(std::ostream &os, const TraceSink &meta,
-                             const std::vector<const TraceSink *> &sinks,
-                             const std::string &provenance_json);
-
 /**
  * Write a human-readable tail: for each component, the last
  * @p per_component ring events with decoded arguments.  Used inside
@@ -99,10 +74,5 @@ void writeBlackboxJsonMerged(std::ostream &os, const TraceSink &meta,
  */
 void writeBlackboxTail(std::ostream &os, const TraceSink &sink,
                        std::size_t per_component = 8);
-
-/** Multi-sink form of writeBlackboxTail (sharded systems). */
-void writeBlackboxTailMerged(std::ostream &os, const TraceSink &meta,
-                             const std::vector<const TraceSink *> &sinks,
-                             std::size_t per_component = 8);
 
 } // namespace fenceless::trace

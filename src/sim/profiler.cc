@@ -108,33 +108,6 @@ WasteProfiler::rollbackEpoch(std::uint32_t core, const char *cause,
     insts += discarded_insts;
 }
 
-void
-WasteProfiler::absorb(const WasteProfiler &other)
-{
-    flAssert(enabled_ && other.enabled_,
-             "absorb requires both profilers configured");
-    flAssert(pc_cycles_.size() == other.pc_cycles_.size() &&
-                 num_cores_ == other.num_cores_,
-             "absorb requires identical profiler dimensions");
-    for (std::size_t i = 0; i < pc_cycles_.size(); ++i)
-        pc_cycles_[i] += other.pc_cycles_[i];
-    for (std::size_t i = 0; i < pc_execs_.size(); ++i)
-        pc_execs_[i] += other.pc_execs_[i];
-    for (const auto &[addr, src] : other.lines_) {
-        LineData &dst = lineDataSlow(addr);
-        dst.touches += src.touches;
-        dst.invalidations += src.invalidations;
-        dst.ping_pongs += src.ping_pongs;
-        for (std::size_t c = 0; c < src.core_slots.size(); ++c)
-            dst.core_slots[c] |= src.core_slots[c];
-    }
-    for (const auto &[key, rec] : other.rollbacks_) {
-        auto &[count, insts] = rollbacks_[key];
-        count += rec.first;
-        insts += rec.second;
-    }
-}
-
 std::string
 WasteProfiler::symbolizePc(std::uint64_t pc) const
 {

@@ -258,15 +258,6 @@ class WasteProfiler
      */
     Profile snapshot(const std::string &scope = "") const;
 
-    /**
-     * Sum @p other's raw counters into this profiler.  Both must be
-     * configured with identical dimensions.  Used by a sharded System
-     * to fold per-shard profilers into one before snapshotting: every
-     * counter is an integer, so the fold is exact and the merged state
-     * equals what a single-shard run would have accumulated.
-     */
-    void absorb(const WasteProfiler &other);
-
   private:
     struct Staged
     {

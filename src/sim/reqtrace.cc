@@ -50,9 +50,9 @@ assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
     out.period = period;
 
     // Canonical order: group by request, then by time.  stable_sort
-    // preserves the per-shard append order inside a (req, tick) group,
-    // and such a group is always recorded by a single component (see
-    // the header comment), so the result is shard-count independent.
+    // preserves the append order inside a (req, tick) group, and such a
+    // group is always recorded by a single component (see the header
+    // comment).
     std::stable_sort(events.begin(), events.end(),
                      [](const SpanEvent &a, const SpanEvent &b) {
                          if (a.req_id != b.req_id)

@@ -31,24 +31,23 @@
  * "waiter" span [queue tick, fill tick], which is exactly the MSHR
  * wait that request experienced.
  *
- * Sampling must be byte-identical across --shards and --jobs, so it is
- * a pure function of the request id: ids are minted per L1 as
- * (node+1)<<40 | local-miss-sequence (shard-invariant by construction,
- * see L1Cache::handleMiss), and a request is sampled iff a splitmix64
+ * Sampling must be byte-identical run to run and across --jobs, so it
+ * is a pure function of the request id: ids are minted per L1 as
+ * (node+1)<<40 | local-miss-sequence (see L1Cache::handleMiss), and a
+ * request is sampled iff a splitmix64
  * hash of its id falls in the configured 1-in-N slice.  Every
  * component -- L1, directory bank, network -- can re-derive the
  * decision statelessly from msg.req_id.
  *
  * Ownership and threading mirror trace::TraceSink / prof::WasteProfiler:
  * one sink per SimContext, driven by that context's single host
- * thread, so sharded simulations need no locking.  Disabled cost is
- * one cached-pointer null test per stage site.  Span assembly happens
- * once, after the run, on the main thread: per-shard event vectors are
- * concatenated in shard order and stable-sorted by (req_id, tick),
- * which is order-independent across shard counts because any two
- * same-request events at the same tick are recorded by the same
- * component (cross-component transitions ride the network, whose
- * minimum delay is one cycle).
+ * thread, so recording needs no locking.  Disabled cost is one
+ * cached-pointer null test per stage site.  Span assembly happens
+ * once, after the run: events are stable-sorted by (req_id, tick), and
+ * any two same-request events at the same tick are recorded by the
+ * same component (cross-component transitions ride the network, whose
+ * minimum delay is one cycle), so the order is a pure function of the
+ * simulated timing.
  */
 
 #pragma once
@@ -232,8 +231,7 @@ struct SpanSet
 };
 
 /**
- * Assemble raw events (per-shard vectors concatenated in shard order)
- * into complete spans.  Deterministic for any shard count: see the
+ * Assemble raw events into complete spans, in canonical order: see the
  * file comment for the ordering argument.
  */
 SpanSet assembleSpans(std::vector<SpanEvent> events,

@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "base/stats.hh"
@@ -19,42 +18,18 @@ namespace fenceless::sim
 {
 
 /**
- * Shared state every component needs: the event queue, the stat
- * registry, the structured trace sink, and the waste-attribution
- * profiler.  Owned by the System (harness); passed by reference to all
- * SimObjects.  One context == one *shard* of one simulated system ==
- * one host thread, so the queue, sink and profiler need no locking
- * even when a SweepRunner drives many systems in parallel or a sharded
- * System drives many contexts of the same simulation.
- *
- * The stat registry is the exception: stat *groups* span the whole
- * simulated system regardless of how it is sharded, so a sharded
- * System creates one registry and hands it to every shard context via
- * the second constructor (each individual stat is still updated by
- * exactly one shard; the coordinator only reads between quanta).  The
- * default constructor keeps the old one-context-owns-everything shape
- * for tests and single-shard systems.
+ * Shared state every component needs: the stat registry, the event
+ * queue, the structured trace sink, the waste-attribution profiler and
+ * the request-span sink.  Owned by the System (harness); passed by
+ * reference to all SimObjects.  One context is one simulated system
+ * driven by one host thread, so none of it needs locking, even when a
+ * SweepRunner drives many systems in parallel.
  */
 struct SimContext
 {
-  private:
-    // Backing storage for the default-constructed case; must precede
-    // the `stats` reference so it is constructed first.
-    std::unique_ptr<statistics::StatRegistry> owned_stats_;
-
-  public:
-    SimContext()
-        : owned_stats_(std::make_unique<statistics::StatRegistry>()),
-          stats(*owned_stats_)
-    {}
-
-    /** A shard context sharing the system-wide stat registry. */
-    explicit SimContext(statistics::StatRegistry &shared_stats)
-        : stats(shared_stats)
-    {}
-
+    // Declared first so it is destroyed last.
+    statistics::StatRegistry stats;
     EventQueue eventq;
-    statistics::StatRegistry &stats;
     trace::TraceSink tracer;
     prof::WasteProfiler profiler;
     reqtrace::ReqTraceSink spans;

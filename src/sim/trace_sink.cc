@@ -1,7 +1,6 @@
 #include "sim/trace_sink.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <ostream>
@@ -26,8 +25,6 @@ eventKindName(EventKind k)
       case EventKind::ReqDirDone: return "dir_done";
       case EventKind::ReqFill: return "l1_fill";
       case EventKind::NetHop: return "net_hop";
-      case EventKind::HostPhase: return "host_phase";
-      case EventKind::HostCoord: return "host_coord";
       case EventKind::ReqStage: return "req_stage";
       case EventKind::NumKinds: break;
     }
@@ -37,11 +34,9 @@ eventKindName(EventKind k)
 std::uint16_t
 TraceSink::registerComponent(const std::string &name)
 {
-    // Idempotent by name: a sharded System pre-registers the global
-    // component list into every shard's sink (in one fixed order), so
-    // the later registration by the component itself must return the
-    // same -- now globally meaningful -- id instead of a duplicate
-    // track.
+    // Idempotent by name: the System pre-registers its component list
+    // (in one fixed order), so the later registration by the component
+    // itself must return the same id instead of a duplicate track.
     for (std::size_t i = 0; i < components_.size(); ++i) {
         if (components_[i] == name)
             return static_cast<std::uint16_t>(i);
@@ -51,19 +46,6 @@ TraceSink::registerComponent(const std::string &name)
     if (ring_capacity_ > 0)
         ring_.resize(components_.size() * ring_capacity_);
     return static_cast<std::uint16_t>(components_.size() - 1);
-}
-
-void
-TraceSink::adoptAuxNames(const TraceSink &other)
-{
-    for (std::size_t k = 0; k < other.aux_names_.size(); ++k) {
-        if (other.aux_names_[k].empty())
-            continue;
-        if (aux_names_.size() <= k)
-            aux_names_.resize(k + 1);
-        if (aux_names_[k].empty())
-            aux_names_[k] = other.aux_names_[k];
-    }
 }
 
 void
@@ -194,13 +176,6 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
     // recording order.
     std::map<std::uint64_t, std::vector<const TraceRecord *>> flows;
 
-    // Host quantum phases are grouped per (shard track, quantum start):
-    // a quantum's busy/barrier/drain wall-clock spans are scaled into
-    // its tick window so the host timeline lines up with the guest
-    // tracks (ticks are the shared x-axis).
-    std::map<std::pair<std::uint16_t, Tick>,
-             std::vector<const TraceRecord *>> host_quanta;
-
     // Sampled request-span stages (synthesized from the reqtrace
     // sinks) are grouped per request so each span renders as a chain
     // of stage slices connected by its own flow track.
@@ -261,61 +236,15 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
                 flows[r.a0].push_back(&r);
             break;
 
-          case EventKind::HostPhase:
-            if (r.a1 != 0)
-                host_quanta[{r.comp, r.tick}].push_back(&r);
-            break;
-
           case EventKind::ReqStage:
             if (r.a0 != 0)
                 spans[r.a0].push_back(&r);
-            break;
-
-          case EventKind::HostCoord:
-            writeCommon(w.next(), name, "i", r.tick, r.comp);
-            os << ", \"s\": \"t\", \"args\": {\"ns\": " << r.a1
-               << ", \"cause\": \"" << sink.auxName(kind, r.aux)
-               << "\"}}";
             break;
 
           case EventKind::NumKinds:
             break;
         }
     });
-
-    // Lay each quantum's host phases end to end inside [start, end),
-    // sized proportionally to their wall-clock share.  Fractional ticks
-    // are formatted with fixed precision so the bytes are identical
-    // across shard counts and platforms.
-    for (const auto &[key, phases] : host_quanta) {
-        const Tick qstart = key.second;
-        const Tick qend = phases.front()->a0;
-        const double window =
-            qend > qstart ? static_cast<double>(qend - qstart) : 1.0;
-        std::uint64_t total_ns = 0;
-        for (const TraceRecord *r : phases)
-            total_ns += r->a1;
-        if (total_ns == 0)
-            continue;
-        double cursor = static_cast<double>(qstart);
-        for (const TraceRecord *r : phases) {
-            const double dur = window * static_cast<double>(r->a1)
-                               / static_cast<double>(total_ns);
-            static const char *const phase_names[] = {
-                "host_busy", "host_barrier", "host_drain"};
-            const char *pname =
-                r->aux < 3 ? phase_names[r->aux] : "host_phase";
-            char ts_buf[32], dur_buf[32];
-            std::snprintf(ts_buf, sizeof(ts_buf), "%.3f", cursor);
-            std::snprintf(dur_buf, sizeof(dur_buf), "%.3f", dur);
-            w.next() << "{\"name\": \"" << pname
-                     << "\", \"ph\": \"X\", \"ts\": " << ts_buf
-                     << ", \"pid\": 0, \"tid\": " << key.first
-                     << ", \"dur\": " << dur_buf
-                     << ", \"args\": {\"ns\": " << r->a1 << "}}";
-            cursor += dur;
-        }
-    }
 
     // One short slice per request phase, chained by flow events: the
     // "s"/"t"/"f" triple makes Perfetto draw arrows L1 -> directory ->

@@ -14,12 +14,11 @@
  * directory back to the fill.
  *
  * Concurrency / cost model:
- *  - One sink per sim::SimContext -- i.e. per shard of a simulated
- *    system -- and a shard runs on exactly one host thread, so the hot
- *    path is a plain bounds-checked append: no locks, no atomics, safe
- *    under `SweepRunner --jobs=N` and under sharded (`--shards=N`)
- *    execution because sinks share nothing.  Sharded Systems merge the
- *    per-shard streams deterministically at dump time (sim/blackbox.hh,
+ *  - One sink per sim::SimContext -- i.e. per simulated system -- and a
+ *    system runs on exactly one host thread, so the hot path is a plain
+ *    bounds-checked append: no locks, no atomics, safe under
+ *    `SweepRunner --jobs=N` because sinks share nothing.  Dumps order
+ *    records canonically (sim/blackbox.hh,
  *    harness::System::exportTrace).
  *  - Disabled tracing costs one inline mask test (the FL_TEVENT macro
  *    mirrors FL_TRACE's guard); nothing is evaluated or stored.
@@ -65,13 +64,6 @@ enum class EventKind : std::uint16_t
     // Network (Flag::Net)
     NetHop,       //!< instant on the network track: a0 = req id,
                   //!< a1 = latency, aux = msg type
-    // Host shard telemetry (Flag::Host): wall-clock phases of the
-    // parallel driver, drawn on per-shard host tracks alongside the
-    // guest timeline (ticks are the shared x-axis).
-    HostPhase,    //!< duration: tick = quantum start, a0 = quantum end,
-                  //!< a1 = phase ns, aux = HostPhaseKind
-    HostCoord,    //!< instant: coordinator step at a quantum boundary;
-                  //!< a1 = step ns, aux = boundary cause id
     // Sampled request spans (Flag::Req).  Synthesized at export time
     // from the reqtrace span sinks, never recorded live: one slice per
     // tiled stage, chained with flow arrows under the guest tracks.
@@ -101,8 +93,6 @@ eventKindFlag(EventKind k)
       case EventKind::ReqDirDone:
       case EventKind::ReqFill: return Flag::Req;
       case EventKind::NetHop: return Flag::Net;
-      case EventKind::HostPhase:
-      case EventKind::HostCoord: return Flag::Host;
       case EventKind::ReqStage: return Flag::Req;
       case EventKind::NumKinds: break;
     }
@@ -183,20 +173,12 @@ class TraceSink
 
     /**
      * Register a component; the id names its timeline track.
-     * Idempotent: re-registering an existing name returns its id, so a
-     * sharded System can pre-register one global component list into
-     * every shard sink and ids stay identical across sinks.
+     * Idempotent: re-registering an existing name returns its id, so
+     * the System can pre-register its whole component list (sizing
+     * the flight-recorder ring once) before the components register
+     * themselves.
      */
     std::uint16_t registerComponent(const std::string &name);
-
-    /**
-     * Copy @p other's aux-name tables for any kind this sink has none
-     * for.  The export/meta sink of a sharded run adopts the tables
-     * components registered into their own shard's sink; tables for
-     * the same kind are identical across components, so first-wins is
-     * exact.
-     */
-    void adoptAuxNames(const TraceSink &other);
 
     const std::vector<std::string> &components() const
     {

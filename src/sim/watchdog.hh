@@ -9,10 +9,10 @@
  * a prompt, diagnosable abort.
  *
  * Mechanism: the watchdog is a *passive* monitor driven by the
- * harness's quantum coordinator (see harness::System), which calls
- * checkAt() every `interval` cycles -- at a quantum boundary, while
- * every shard's event loop is parked, so the probe may read state from
- * all shards without racing.  The probe sums retired instructions and
+ * harness's run loop (see harness::System), which stops the event
+ * queue every `interval` cycles and calls checkAt() at that boundary.
+ * It is not an event, so it adds nothing to the event count.  The
+ * probe sums retired instructions and
  * rollbacks across all cores.  If a full window passes in which no
  * core retired anything, that's a hang (NoRetirement); if nothing
  * retired but rollbacks exceeded a storm threshold, that's a livelock
@@ -22,11 +22,10 @@
  * instructions every window, so they never trip this).
  *
  * Keeping a wedged-but-empty system alive until the next check is the
- * coordinator's job (it keeps stepping quantum boundaries while the
- * watchdog is armed even when every shard queue has drained), so the
- * watchdog itself needs no event-queue coupling -- which is what lets
- * one watchdog supervise a simulation sharded across host threads.
- * Cost: one probe per interval -- zero per-event overhead.
+ * run loop's job (it keeps stepping boundaries while the watchdog is
+ * armed even when the event queue has drained), so the watchdog itself
+ * needs no event-queue coupling.  Cost: one probe per interval -- zero
+ * per-event overhead.
  */
 
 #pragma once

@@ -226,36 +226,6 @@ TEST(Watchdog, DeadlockDossierIdenticalAcrossSweepJobs)
     }
 }
 
-TEST(Watchdog, FiresUnderParallelSimWithIdenticalDossier)
-{
-    // The watchdog is a coordinator-side probe, so sharding the
-    // simulation must not change when it fires or what it reports: the
-    // seeded deadlock aborts at the same cycle with a byte-identical
-    // stall dossier for every shard count.
-    auto run_one = [](std::uint32_t shards) {
-        workload::SeededDeadlock wl;
-        harness::SystemConfig cfg = testConfig(2);
-        cfg.watchdog_interval = 5'000;
-        cfg.withShards(shards);
-        auto sys = buildDeadlockedSystem(wl, cfg);
-        EXPECT_FALSE(sys->run()) << shards << " shards";
-        EXPECT_TRUE(sys->hung()) << shards << " shards";
-        EXPECT_EQ(sys->watchdogReport().cause,
-                  sim::Watchdog::Cause::NoRetirement)
-            << shards << " shards";
-        return std::pair(sys->watchdogReport().fire_tick,
-                         sys->dossier());
-    };
-
-    const auto [ref_tick, ref_dossier] = run_one(1);
-    EXPECT_NE(ref_dossier.find("DEADLOCK CYCLE"), std::string::npos);
-    for (std::uint32_t shards : {2u, 3u}) {
-        const auto [tick, dossier] = run_one(shards);
-        EXPECT_EQ(tick, ref_tick) << shards << " shards";
-        EXPECT_EQ(dossier, ref_dossier) << shards << " shards";
-    }
-}
-
 TEST(Watchdog, HealthyRunOfSeededWorkloadPasses)
 {
     // Without the fault injection the same program terminates and

@@ -4,7 +4,7 @@
  *
  * The calendar event queue, the L1 hit fast path, and the idle-core
  * sleep protocol are all pure performance work: they must not change a
- * single stat.  These tests pin that down three ways:
+ * single stat.  These tests pin that down several ways:
  *
  *  - the same configuration run twice produces byte-identical stats
  *    JSON (covers bucket-vs-heap ordering and idle-sleep accounting);
@@ -13,16 +13,12 @@
  *  - a randomized schedule/deschedule/reschedule stress confirms the
  *    two-level queue fires events in exactly the documented
  *    (when, priority, stamp) total order, near and far alike;
- *  - a sharded run (SystemConfig::shards >= 2) produces stats,
- *    profile, and flight-recorder documents byte-identical to the
- *    single-threaded reference, for any shard count, inside or outside
- *    a host-parallel sweep;
- *  - cross-shard mailbox drains deliver in the canonical
- *    (arrival, src, chan_seq) order no matter how the mailboxes were
- *    permuted;
- *  - host-waste telemetry (SystemConfig::host_telemetry) keeps its
- *    deterministic counters byte-identical run to run at a fixed shard
- *    count, and changes no guest-visible stat when enabled.
+ *  - messages whose arrivals tie at one node are delivered in the
+ *    canonical (arrival, src, chan_seq) order, whatever order the
+ *    sources sent them in;
+ *  - at every directory bank count and topology, the stats, profile
+ *    and flight-recorder documents are byte-identical run to run and
+ *    across sweep worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -56,45 +52,24 @@ runAndRenderStats(const harness::SystemConfig &cfg)
     return os.str();
 }
 
-/**
- * Erase the self-describing `"sim_mode"` stanza from a provenance-
- * stamped document: the one intentional difference between a sharded
- * run's output and the single-threaded reference's.
- */
-std::string
-stripSimMode(std::string s)
-{
-    const std::string key = ", \"sim_mode\": {";
-    for (auto pos = s.find(key); pos != std::string::npos;
-         pos = s.find(key)) {
-        const auto end = s.find('}', pos);
-        EXPECT_NE(end, std::string::npos);
-        if (end == std::string::npos)
-            break;
-        s.erase(pos, end - pos + 1);
-    }
-    return s;
-}
-
 /** Every externally-visible document of one run. */
 struct RunArtifacts
 {
     bool completed = false;
-    std::string stats;        //!< writeStatsJson (sim_mode stripped)
+    std::string stats;        //!< writeStatsJson
     std::string profile_json; //!< profile().writeJson
     std::string folded;       //!< profile().writeFolded
-    std::string blackbox;     //!< writeBlackbox (sim_mode stripped)
+    std::string blackbox;     //!< writeBlackbox
 };
 
-/** Build and run one sharded system; collect all output documents. */
+/** Build and run one 8-core system; collect all output documents. */
 RunArtifacts
-runSharded(std::uint32_t shards, std::uint32_t dir_banks = 1,
-           mem::Topology topology = mem::Topology::Crossbar)
+runArtifacts(std::uint32_t dir_banks, mem::Topology topology)
 {
     harness::SystemConfig cfg;
     cfg.num_cores = 8;
     cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withSpeculation().withProfiling().withShards(shards);
+    cfg.withSpeculation().withProfiling();
     cfg.withDirBanks(dir_banks).withTopology(topology);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
@@ -102,26 +77,15 @@ runSharded(std::uint32_t shards, std::uint32_t dir_banks = 1,
 
     RunArtifacts a;
     a.completed = sys.run();
-    {
-        std::ostringstream os;
-        sys.writeStatsJson(os);
-        a.stats = stripSimMode(os.str());
-    }
-    {
-        std::ostringstream os;
-        sys.profile().writeJson(os);
-        a.profile_json = os.str();
-    }
-    {
-        std::ostringstream os;
-        sys.profile().writeFolded(os);
-        a.folded = os.str();
-    }
-    {
-        std::ostringstream os;
-        sys.writeBlackbox(os);
-        a.blackbox = stripSimMode(os.str());
-    }
+    std::ostringstream stats, profile, folded, blackbox;
+    sys.writeStatsJson(stats);
+    sys.profile().writeJson(profile);
+    sys.profile().writeFolded(folded);
+    sys.writeBlackbox(blackbox);
+    a.stats = stats.str();
+    a.profile_json = profile.str();
+    a.folded = folded.str();
+    a.blackbox = blackbox.str();
     return a;
 }
 
@@ -351,59 +315,17 @@ TEST(Determinism, IdleSleepStallAccountingExercised)
 }
 
 // ---------------------------------------------------------------------
-// sharded simulation: byte-identical to the single-threaded reference
+// canonical ingress order under tied arrivals
 // ---------------------------------------------------------------------
 
-TEST(Determinism, ShardedRunByteIdenticalToReference)
+TEST(Determinism, TiedArrivalsDeliverInCanonicalOrder)
 {
-    const RunArtifacts ref = runSharded(1);
-    EXPECT_TRUE(ref.completed);
-    EXPECT_FALSE(ref.stats.empty());
-    EXPECT_FALSE(ref.profile_json.empty());
-    EXPECT_FALSE(ref.blackbox.empty());
-
-    for (std::uint32_t shards : {2u, 4u}) {
-        const RunArtifacts got = runSharded(shards);
-        EXPECT_EQ(got.completed, ref.completed) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(got.profile_json, ref.profile_json)
-            << shards << " shards";
-        EXPECT_EQ(got.folded, ref.folded) << shards << " shards";
-        EXPECT_EQ(got.blackbox, ref.blackbox) << shards << " shards";
-    }
-}
-
-TEST(Determinism, ShardedRunByteIdenticalInsideParallelSweep)
-{
-    // Shard-level threads must compose with sweep-level threads: the
-    // same shards x jobs grid always lands on the reference output.
-    auto make_tasks = [] {
-        std::vector<std::function<std::string()>> tasks;
-        for (std::uint32_t shards : {1u, 2u, 4u}) {
-            tasks.push_back([shards]() -> std::string {
-                return runSharded(shards).stats;
-            });
-        }
-        return tasks;
-    };
-
-    harness::SweepRunner serial(1);
-    harness::SweepRunner parallel(4);
-    const auto seq = serial.map(make_tasks());
-    const auto par = parallel.map(make_tasks());
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(seq[i], par[i]) << "task " << i;
-        EXPECT_EQ(seq[i], seq[0]) << "shard count leaked into stats";
-    }
-}
-
-TEST(Determinism, CrossShardDrainOrderCanonical)
-{
-    // Mailbox drains hand arrivals to the network in whatever order the
-    // source shards filled them; the per-node ingress heap must restore
-    // the canonical (arrival, src, chan_seq) delivery order.  Permute
-    // the handoff order randomly and check delivery stays put.
+    // Four sources send to node 0 on the same tick.  Their channels are
+    // independent, so same-size messages tie on arrival; the per-node
+    // ingress heap must deliver by (arrival, src, chan_seq) no matter
+    // how the sends were interleaved.  Each source's own sequence is
+    // fixed (it shapes its channel's timing); only the interleaving
+    // across sources is shuffled from round to round.
     Random rng(98765);
 
     struct Delivery
@@ -414,6 +336,33 @@ TEST(Determinism, CrossShardDrainOrderCanonical)
 
         bool operator==(const Delivery &) const = default;
     };
+    struct Collector : mem::MsgReceiver
+    {
+        sim::SimContext *ctx = nullptr;
+        std::vector<Delivery> seen;
+        void
+        receiveMsg(const mem::Msg &m) override
+        {
+            seen.push_back({m.src, m.req_id, ctx->curTick()});
+        }
+    };
+
+    // The per-source message sequences, fixed across rounds.
+    constexpr mem::NodeId num_sources = 4;
+    std::vector<std::vector<mem::Msg>> per_src(num_sources + 1);
+    Random msg_rng(4242);
+    for (int i = 0; i < 40; ++i) {
+        mem::Msg m;
+        m.type = (i % 3 == 0) ? mem::MsgType::DataM : mem::MsgType::GetS;
+        m.src = 1 + static_cast<mem::NodeId>(
+                        msg_rng.range(0, num_sources - 1));
+        m.dst = 0;
+        m.block_addr = 64 * static_cast<Addr>(i);
+        m.req_id = static_cast<std::uint64_t>(i) + 1;
+        if (m.type == mem::MsgType::DataM)
+            m.data.assign(64, 0xab);
+        per_src[m.src].push_back(m);
+    }
 
     std::vector<Delivery> reference;
     for (int round = 0; round < 20; ++round) {
@@ -421,72 +370,39 @@ TEST(Determinism, CrossShardDrainOrderCanonical)
         mem::Network::Params p;
         p.latency = 4;
         mem::Network net(ctx, "net", p);
-
-        // Node 0 (the receiver) on shard 0; sender nodes 1..4 on a
-        // different shard, so every send crosses the mailbox.
-        struct Collector : mem::MsgReceiver
-        {
-            sim::SimContext *ctx;
-            std::vector<Delivery> seen;
-            void
-            receiveMsg(const mem::Msg &m) override
-            {
-                seen.push_back({m.src, m.req_id, ctx->curTick()});
-            }
-        };
         Collector sink;
         sink.ctx = &ctx;
-        net.bindNode(0, ctx, 0);
-        for (mem::NodeId s = 1; s <= 4; ++s)
-            net.bindNode(s, ctx, 1);
         net.registerEndpoint(0, &sink);
 
-        std::vector<mem::Network::PendingMsg> mailbox;
-        net.setCrossShardPush(
-            [&](std::uint32_t, std::uint32_t,
-                mem::Network::PendingMsg &&pm) {
-                mailbox.push_back(std::move(pm));
-            });
-
-        // The message pattern is fixed across rounds (only the drain
-        // permutation below varies, via the outer rng).
-        Random msg_rng(4242);
-        std::uint64_t next_id = 0;
-        for (int i = 0; i < 40; ++i) {
-            mem::Msg m;
-            m.type = (i % 3 == 0) ? mem::MsgType::DataM
-                                  : mem::MsgType::GetS;
-            m.src = 1 + static_cast<mem::NodeId>(msg_rng.range(0, 3));
-            m.dst = 0;
-            m.block_addr = 64 * static_cast<Addr>(i);
-            m.req_id = ++next_id;
-            if (m.type == mem::MsgType::DataM)
-                m.data.assign(64, 0xab);
-            net.send(std::move(m));
+        // A random interleaving of the per-source sequences.
+        std::vector<std::size_t> next(num_sources + 1, 0);
+        std::vector<mem::NodeId> pending;
+        for (mem::NodeId s = 1; s <= num_sources; ++s) {
+            for (std::size_t k = 0; k < per_src[s].size(); ++k)
+                pending.push_back(s);
         }
-        ASSERT_EQ(mailbox.size(), 40u);
-
-        // The drain order is arbitrary: shuffle before handing over.
-        for (std::size_t i = mailbox.size(); i > 1; --i) {
-            std::swap(mailbox[i - 1],
-                      mailbox[rng.range(0, i - 1)]);
-        }
-        for (auto &pm : mailbox)
-            net.enqueueArrival(std::move(pm));
+        for (std::size_t i = pending.size(); i > 1; --i)
+            std::swap(pending[i - 1], pending[rng.range(0, i - 1)]);
+        for (mem::NodeId s : pending)
+            net.send(per_src[s][next[s]++]);
         ctx.eventq.run();
 
         ASSERT_EQ(sink.seen.size(), 40u);
         if (round == 0) {
             reference = sink.seen;
-            // Deliveries are tick-monotone and, within a tick, ordered
-            // by source node id.
+            // Tick-monotone; within a tick, ascending source node id;
+            // and the shuffle did produce ties across sources.
+            bool tied = false;
             for (std::size_t i = 1; i < reference.size(); ++i) {
-                ASSERT_LE(reference[i - 1].tick, reference[i].tick);
-                if (reference[i - 1].tick == reference[i].tick) {
-                    ASSERT_LE(reference[i - 1].src,
-                              reference[i].src);
+                const Delivery &a = reference[i - 1];
+                const Delivery &b = reference[i];
+                ASSERT_LE(a.tick, b.tick);
+                if (a.tick == b.tick) {
+                    ASSERT_LT(a.src, b.src);
+                    tied = true;
                 }
             }
+            EXPECT_TRUE(tied);
         } else {
             EXPECT_EQ(sink.seen, reference) << "round " << round;
         }
@@ -494,207 +410,69 @@ TEST(Determinism, CrossShardDrainOrderCanonical)
 }
 
 // ---------------------------------------------------------------------
-// host-waste telemetry: deterministic fields reproduce; guest output
-// is untouched
+// banked directories and NoCs: byte-identity run to run and across
+// sweep worker counts
 // ---------------------------------------------------------------------
 
-namespace
+TEST(Determinism, BankedTopologiesByteIdenticalRunToRunAndAcrossSweepJobs)
 {
-
-/** Everything a telemetered sharded run exposes. */
-struct TelemetryRun
-{
-    bool completed = false;
-    std::string stats; //!< writeStatsJson (sim_mode stripped)
-    std::string det;   //!< ShardTelemetry::deterministicJson
-    std::uint64_t events = 0; //!< summed over shards
-    std::uint64_t steps = 0;  //!< coordinator invocations
-};
-
-TelemetryRun
-runTelemetered(std::uint32_t shards)
-{
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(shards).withHostTelemetry();
-    workload::SpinlockCrit wl;
-    isa::Program prog = wl.build(cfg.num_cores);
-    harness::System sys(cfg, prog);
-    TelemetryRun r;
-    r.completed = sys.run();
-    std::ostringstream os;
-    sys.writeStatsJson(os);
-    r.stats = stripSimMode(os.str());
-    // The indent matches what writeStatsJson's host stanza uses, so
-    // the verbatim-embedding assertion below can compare bytes.
-    r.det = sys.telemetry().deterministicJson("    ");
-    for (std::uint32_t s = 0; s < sys.telemetry().shards(); ++s)
-        r.events += sys.telemetry().slot(s).events;
-    r.steps = sys.telemetry().coord().steps;
-    return r;
-}
-
-/**
- * Erase the stats-json "host" stanza: its wallclock_ns half varies
- * with host scheduling by design, so comparisons against an
- * untelemetered document must drop the stanza wholesale.
- */
-std::string
-stripHostSection(std::string s)
-{
-    const std::string key = ",\n  \"host\": ";
-    const auto pos = s.find(key);
-    if (pos == std::string::npos)
-        return s;
-    const auto end = s.find(",\n  \"snapshots\"", pos);
-    EXPECT_NE(end, std::string::npos);
-    if (end == std::string::npos)
-        return s;
-    s.erase(pos, end - pos);
-    return s;
-}
-
-} // namespace
-
-TEST(Determinism, TelemetryDeterministicFieldsStableRunToRun)
-{
-    const TelemetryRun a = runTelemetered(4);
-    const TelemetryRun b = runTelemetered(4);
-    ASSERT_TRUE(a.completed);
-    ASSERT_TRUE(b.completed);
-    EXPECT_GT(a.events, 0u);
-    EXPECT_GT(a.steps, 0u);
-    // The deterministic half (events, quanta, messages, boundary
-    // causes) is a pure function of the simulation: byte for byte.
-    EXPECT_EQ(a.det, b.det);
-    // And it is embedded verbatim in the stats document, next to (but
-    // never mixed with) the wall-clock half.
-    EXPECT_NE(a.stats.find("\"deterministic\""), std::string::npos);
-    EXPECT_NE(a.stats.find("\"wallclock_ns\""), std::string::npos);
-    EXPECT_NE(a.stats.find(a.det), std::string::npos);
-}
-
-TEST(Determinism, TelemetryLeavesGuestStatsUntouched)
-{
-    // Telemetry on vs off at the same shard count: stripping the
-    // "host" stanza must recover the untelemetered document exactly --
-    // the probes change no guest-visible stat, and the telemetry-off
-    // document itself has no host stanza at all.
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(4);
-    const std::string off = runAndRenderStats(cfg);
-    EXPECT_EQ(off.find(",\n  \"host\": "), std::string::npos);
-
-    harness::SystemConfig on_cfg = cfg;
-    on_cfg.withHostTelemetry();
-    const std::string on = runAndRenderStats(on_cfg);
-    EXPECT_NE(on.find(",\n  \"host\": "), std::string::npos);
-    EXPECT_EQ(stripHostSection(on), off);
-}
-
-TEST(Determinism, TelemetryOffStatsIdenticalAcrossShardCounts)
-{
-    // Belt and braces over ShardedRunByteIdenticalToReference: the
-    // plain stats document (no profiling) with the percentile fields
-    // in every distribution must not depend on the shard count --
-    // PercentileSketch::merge has to be order-independent for that.
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(1);
-    const std::string ref = stripSimMode(runAndRenderStats(cfg));
-    EXPECT_NE(ref.find("\"p95\""), std::string::npos);
-    for (std::uint32_t shards : {2u, 4u}) {
-        harness::SystemConfig c = cfg;
-        c.withShards(shards);
-        EXPECT_EQ(stripSimMode(runAndRenderStats(c)), ref)
-            << shards << " shards";
-    }
-}
-
-// ---------------------------------------------------------------------
-// banked directory x sharding: byte-identity at every bank count
-// ---------------------------------------------------------------------
-
-TEST(Determinism, BankedShardedByteIdenticalAcrossShardCounts)
-{
-    // Banking changes WHAT is simulated (per-bank L2 slices, DRAM
-    // channels), so different bank counts legitimately differ; the
-    // guarantee is that at every FIXED bank count, the shard count --
-    // pure host parallelism, including the banked all-shards layout
-    // with banks homed round-robin -- changes nothing.
-    for (std::uint32_t banks : {1u, 4u, 8u}) {
-        const RunArtifacts ref = runSharded(1, banks);
-        ASSERT_TRUE(ref.completed) << banks << " banks";
-        for (std::uint32_t shards : {2u, 4u}) {
-            const RunArtifacts run = runSharded(shards, banks);
-            ASSERT_TRUE(run.completed)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.stats, ref.stats)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.profile_json, ref.profile_json)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.folded, ref.folded)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.blackbox, ref.blackbox)
-                << banks << " banks, " << shards << " shards";
+    // Banking and topology change WHAT is simulated, so configurations
+    // legitimately differ from each other; each one's documents must
+    // not depend on the run or on how many sweep workers ran it.
+    auto make_tasks = [] {
+        std::vector<std::function<RunArtifacts()>> tasks;
+        for (std::uint32_t banks : {1u, 4u, 8u}) {
+            for (auto topo : {mem::Topology::Crossbar,
+                              mem::Topology::Ring,
+                              mem::Topology::Mesh}) {
+                tasks.push_back([banks, topo] {
+                    return runArtifacts(banks, topo);
+                });
+            }
         }
-    }
-}
+        return tasks;
+    };
 
-TEST(Determinism, BankedMeshShardedByteIdenticalToReference)
-{
-    // The full tentpole stack at once: banked directory behind a mesh
-    // NoC, sharded.  Hop-dependent arrival times are sender-computed,
-    // so the canonical ingress order -- and every document -- must
-    // still be shard-count independent.
-    const RunArtifacts ref = runSharded(1, 4, mem::Topology::Mesh);
-    ASSERT_TRUE(ref.completed);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const RunArtifacts run = runSharded(shards, 4,
-                                            mem::Topology::Mesh);
-        ASSERT_TRUE(run.completed) << shards << " shards";
-        EXPECT_EQ(run.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(run.blackbox, ref.blackbox) << shards << " shards";
+    harness::SweepRunner serial(1);
+    harness::SweepRunner parallel(4);
+    const auto seq = serial.map(make_tasks());
+    const auto par = parallel.map(make_tasks());
+    ASSERT_EQ(seq.size(), 9u);
+    ASSERT_EQ(par.size(), seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        EXPECT_TRUE(seq[i].completed) << "config " << i;
+        EXPECT_FALSE(seq[i].profile_json.empty()) << "config " << i;
+        EXPECT_FALSE(seq[i].blackbox.empty()) << "config " << i;
+        EXPECT_EQ(seq[i].stats, par[i].stats) << "config " << i;
+        EXPECT_EQ(seq[i].profile_json, par[i].profile_json)
+            << "config " << i;
+        EXPECT_EQ(seq[i].folded, par[i].folded) << "config " << i;
+        EXPECT_EQ(seq[i].blackbox, par[i].blackbox) << "config " << i;
     }
-}
-
-TEST(Determinism, BankedRingShardedStatsIdentical)
-{
-    const RunArtifacts ref = runSharded(1, 8, mem::Topology::Ring);
-    ASSERT_TRUE(ref.completed);
-    const RunArtifacts run = runSharded(4, 8, mem::Topology::Ring);
-    ASSERT_TRUE(run.completed);
-    EXPECT_EQ(run.stats, ref.stats);
-    EXPECT_EQ(run.profile_json, ref.profile_json);
 }
 
 TEST(Determinism, BankedMesh64CoreEndToEnd)
 {
     // The headline configuration: 64 simulated cores on a 9x8 mesh
-    // with 8 directory banks, sharded.  Light per-core work keeps the
-    // test quick; completion + byte-identity is the point.
-    auto run = [](std::uint32_t shards) {
+    // with 8 directory banks.  Light per-core work keeps the test
+    // quick; completion + run-to-run byte-identity is the point.
+    auto run = [] {
         harness::SystemConfig cfg;
         cfg.num_cores = 64;
         cfg.model = cpu::ConsistencyModel::TSO;
         cfg.withDirBanks(8).withTopology(mem::Topology::Mesh);
-        cfg.withShards(shards);
         workload::LocalLockStream::Params p;
         p.iters = 8;
         workload::LocalLockStream wl(p);
         isa::Program prog = wl.build(cfg.num_cores);
         harness::System sys(cfg, prog);
-        EXPECT_TRUE(sys.run()) << shards << " shards";
+        EXPECT_TRUE(sys.run());
         std::ostringstream os;
         sys.writeStatsJson(os);
-        return stripSimMode(os.str());
+        return os.str();
     };
-    const std::string ref = run(1);
+    const std::string ref = run();
     EXPECT_NE(ref.find("l2dir.bank7"), std::string::npos);
     EXPECT_NE(ref.find("network.hops"), std::string::npos);
-    EXPECT_EQ(run(4), ref);
+    EXPECT_EQ(run(), ref);
 }

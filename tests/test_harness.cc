@@ -82,38 +82,14 @@ TEST(Options, CsvScaleSeed)
 
 TEST(Options, UnknownOptionIsFatal)
 {
-    EXPECT_EXIT(parse({"--bogus"}), testing::ExitedWithCode(1),
-                "unknown option");
-}
-
-TEST(Options, ParallelSimAndShards)
-{
-    // Explicit shard count.
-    SystemConfig cfg =
-        parse({"--cores=8", "--shards=4"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 4u);
-
-    // --parallel-sim=0 wins over --shards: the reference mode.
-    cfg = parse({"--cores=8", "--parallel-sim=0", "--shards=4"})
-              .applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 1u);
-
-    // --parallel-sim alone picks a host-sized default within the
-    // finest partition (cores + 1).
-    cfg = parse({"--cores=4", "--parallel-sim=1"})
-              .applyTo(SystemConfig{});
-    EXPECT_GE(cfg.shards, 1u);
-    EXPECT_LE(cfg.shards, 5u);
-
-    // Validation is non-fatal: garbage warns and falls back.
-    cfg = parse({"--cores=4", "--shards=lots"})
-              .applyTo(SystemConfig{});
-    EXPECT_GE(cfg.shards, 1u);
-    EXPECT_LE(cfg.shards, 5u);
-
-    // Over-sharding clamps to the finest partition.
-    cfg = parse({"--cores=2", "--shards=64"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 3u);
+    // Typos and retired flags alike: a run must never silently ignore
+    // an option it was given.
+    for (const char *arg : {"--bogus", "--parallel-sim=1", "--shards=4",
+                            "--shard-report", "--host-telemetry=1"}) {
+        EXPECT_EXIT(parse({arg}), testing::ExitedWithCode(1),
+                    "unknown option")
+            << arg;
+    }
 }
 
 TEST(Options, TopologyAndBankingFlags)
@@ -145,22 +121,23 @@ TEST(Options, UnknownTopologyIsFatal)
 
 TEST(Options, SimModeEchoedIntoProvenance)
 {
-    // How the run was invoked must be recoverable from any output
-    // document: stats, trace, and blackbox all embed the provenance
-    // object, which carries the sim_mode stanza.
+    // The machine shape must be recoverable from any output document:
+    // stats, trace, and blackbox all embed the provenance object, which
+    // carries the sim_mode stanza.
     isa::Assembler as;
     as.nop();
     as.halt();
     isa::Program prog = as.finish();
 
     harness::SystemConfig cfg = testConfig(2);
-    cfg.shards = 2;
+    cfg.withDirBanks(2).withTopology(mem::Topology::Ring);
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
     EXPECT_NE(sys.provenanceJson().find(
-                  "\"sim_mode\": {\"parallel_sim\": 1, \"shards\": 2, "
-                  "\"dir_banks\": 1, \"topology\": \"crossbar\"}"),
-              std::string::npos);
+                  "\"sim_mode\": {\"dir_banks\": 2, "
+                  "\"topology\": \"ring\"}"),
+              std::string::npos)
+        << sys.provenanceJson();
 
     for (auto write : {&harness::System::writeStatsJson,
                        &harness::System::exportTrace,
@@ -173,8 +150,8 @@ TEST(Options, SimModeEchoedIntoProvenance)
     harness::System ref(testConfig(2), prog);
     ASSERT_TRUE(ref.run());
     EXPECT_NE(ref.provenanceJson().find(
-                  "\"sim_mode\": {\"parallel_sim\": 0, \"shards\": 1, "
-                  "\"dir_banks\": 1, \"topology\": \"crossbar\"}"),
+                  "\"sim_mode\": {\"dir_banks\": 1, "
+                  "\"topology\": \"crossbar\"}"),
               std::string::npos);
 }
 
@@ -272,72 +249,4 @@ TEST(SystemQueries, TimeoutReported)
     cfg.max_cycles = 5000;
     harness::System sys(cfg, prog);
     EXPECT_FALSE(sys.run());
-}
-
-TEST(Options, ShardReportAndHostTelemetry)
-{
-    // Off by default: the telemetry probes must stay out of runs that
-    // never asked for them.
-    SystemConfig cfg = parse({}).applyTo(SystemConfig{});
-    EXPECT_FALSE(cfg.host_telemetry);
-
-    // --shard-report implies the telemetry that feeds it.
-    cfg = parse({"--cores=8", "--shards=4", "--shard-report"})
-              .applyTo(SystemConfig{});
-    EXPECT_TRUE(cfg.host_telemetry);
-    EXPECT_TRUE(parse({"--shard-report"}).shardReport());
-
-    // --host-telemetry without a report: stats-json / trace only.
-    cfg = parse({"--host-telemetry"}).applyTo(SystemConfig{});
-    EXPECT_TRUE(cfg.host_telemetry);
-    EXPECT_FALSE(parse({"--host-telemetry"}).shardReport());
-
-    // Explicitly disabled.
-    cfg = parse({"--host-telemetry=0"}).applyTo(SystemConfig{});
-    EXPECT_FALSE(cfg.host_telemetry);
-}
-
-TEST(SystemQueries, ShardReportRendersInlineDriver)
-{
-    // shards=1 runs the quantum driver inline (no threads, no
-    // barriers); the report must still render real quantum counts so
-    // single-shard baselines are comparable against sharded runs.
-    isa::Assembler as;
-    as.nop();
-    as.halt();
-    isa::Program prog = as.finish();
-
-    harness::SystemConfig cfg = testConfig(2);
-    cfg.withHostTelemetry();
-    harness::System sys(cfg, prog);
-    ASSERT_TRUE(sys.run());
-    ASSERT_TRUE(sys.telemetry().enabled());
-    EXPECT_EQ(sys.telemetry().shards(), 1u);
-    EXPECT_GT(sys.telemetry().slot(0).events, 0u);
-
-    std::ostringstream os;
-    sys.writeShardReport(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("shard report"), std::string::npos);
-    EXPECT_NE(out.find("utilization"), std::string::npos);
-    EXPECT_NE(out.find("boundary causes"), std::string::npos);
-    // One row for the only shard, with a non-zero event count.
-    EXPECT_NE(out.find("shard0"), std::string::npos) << out;
-    EXPECT_NE(
-        out.find(std::to_string(sys.telemetry().slot(0).events)),
-        std::string::npos)
-        << out;
-}
-
-TEST(SystemQueries, ShardReportWithoutTelemetryPrintsNotice)
-{
-    isa::Assembler as;
-    as.halt();
-    isa::Program prog = as.finish();
-
-    harness::System sys(testConfig(1), prog);
-    ASSERT_TRUE(sys.run());
-    std::ostringstream os;
-    sys.writeShardReport(os);
-    EXPECT_NE(os.str().find("telemetry"), std::string::npos);
 }

@@ -27,6 +27,36 @@ using namespace fenceless::mem;
 namespace
 {
 
+/** Bound completion: record the loaded value in the T at @p obj. */
+template <typename T>
+void
+storeValue(void *obj, std::uint64_t, std::uint64_t value)
+{
+    *static_cast<T *>(obj) = value;
+}
+
+/** Bound completion: flag the bool at @p obj. */
+void
+setDone(void *obj, std::uint64_t, std::uint64_t)
+{
+    *static_cast<bool *>(obj) = true;
+}
+
+/** Bound completion: count completions in the int at @p obj. */
+void
+countDone(void *obj, std::uint64_t, std::uint64_t)
+{
+    ++*static_cast<int *>(obj);
+}
+
+/** Raw AMO: fetch-and-add of amo_a. */
+std::uint64_t
+amoAddFn(std::uint8_t, std::uint64_t old_value, std::uint64_t a,
+         std::uint64_t)
+{
+    return old_value + a;
+}
+
 /**
  * A tiny two-L1 + directory test bench.  @p banks splits the directory
  * into address-interleaved banks (nodes 2 .. 2 + banks - 1), the same
@@ -90,7 +120,8 @@ class ProtocolBench
         req.op = MemOp::Load;
         req.addr = addr;
         req.size = static_cast<std::uint8_t>(size);
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        req.done_fn = storeValue<std::optional<std::uint64_t>>;
+        req.done_obj = &result;
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value()) << "load did not complete";
@@ -108,7 +139,8 @@ class ProtocolBench
         req.addr = addr;
         req.size = static_cast<std::uint8_t>(size);
         req.store_data = value;
-        req.callback = [&done](std::uint64_t) { done = true; };
+        req.done_fn = setDone;
+        req.done_obj = &done;
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(done) << "store did not complete";
@@ -123,10 +155,10 @@ class ProtocolBench
         req.op = MemOp::Amo;
         req.addr = addr;
         req.size = 8;
-        req.amo_func = [delta](std::uint64_t old_v) {
-            return old_v + delta;
-        };
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        req.amo_fn = amoAddFn;
+        req.amo_a = delta;
+        req.done_fn = storeValue<std::optional<std::uint64_t>>;
+        req.done_obj = &result;
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value()) << "AMO did not complete";
@@ -321,12 +353,14 @@ TEST(Protocol2, ConcurrentLoadsSameBlockCoalesceInMshr)
     a.op = MemOp::Load;
     a.addr = 0x5000;
     a.size = 8;
-    a.callback = [&r1](std::uint64_t v) { r1 = v; };
+    a.done_fn = storeValue<std::uint64_t>;
+    a.done_obj = &r1;
     MemRequest c;
     c.op = MemOp::Load;
     c.addr = 0x5008;
     c.size = 8;
-    c.callback = [&r2](std::uint64_t v) { r2 = v; };
+    c.done_fn = storeValue<std::uint64_t>;
+    c.done_obj = &r2;
     b.l1s[0]->access(std::move(a));
     b.l1s[0]->access(std::move(c)); // queued on the same MSHR
     b.ctx.eventq.run();
@@ -345,13 +379,15 @@ TEST(Protocol2, RacingWritersBothComplete)
     a.addr = 0x6000;
     a.size = 8;
     a.store_data = 10;
-    a.callback = [&done0](std::uint64_t) { done0 = true; };
+    a.done_fn = setDone;
+    a.done_obj = &done0;
     MemRequest c;
     c.op = MemOp::Store;
     c.addr = 0x6000;
     c.size = 8;
     c.store_data = 20;
-    c.callback = [&done1](std::uint64_t) { done1 = true; };
+    c.done_fn = setDone;
+    c.done_obj = &done1;
     b.l1s[0]->access(std::move(a));
     b.l1s[1]->access(std::move(c)); // same tick, racing GetMs
     b.ctx.eventq.run();
@@ -372,13 +408,15 @@ TEST(Protocol2, ReadersAndWriterRace)
     ld.op = MemOp::Load;
     ld.addr = 0x7000;
     ld.size = 8;
-    ld.callback = [&r](std::uint64_t v) { r = v; };
+    ld.done_fn = storeValue<std::uint64_t>;
+    ld.done_obj = &r;
     MemRequest st;
     st.op = MemOp::Store;
     st.addr = 0x7000;
     st.size = 8;
     st.store_data = 8;
-    st.callback = [&done](std::uint64_t) { done = true; };
+    st.done_fn = setDone;
+    st.done_obj = &done;
     b.l1s[0]->access(std::move(ld));
     b.l1s[1]->access(std::move(st));
     b.ctx.eventq.run();
@@ -398,7 +436,8 @@ TEST(Protocol2, PrefetchExGrantsOwnershipWithoutWriting)
     pf.op = MemOp::PrefetchEx;
     pf.addr = 0x8000;
     pf.size = 8;
-    pf.callback = [&done](std::uint64_t) { done = true; };
+    pf.done_fn = setDone;
+    pf.done_obj = &done;
     b.l1s[0]->access(std::move(pf));
     b.ctx.eventq.run();
     EXPECT_TRUE(done);
@@ -416,7 +455,7 @@ TEST(Protocol2, BlockBoundaryAccessRejected)
     req.op = MemOp::Load;
     req.addr = 0x103c; // 4 bytes before a 64B boundary
     req.size = 8;
-    req.callback = [](std::uint64_t) {};
+    req.done_fn = [](void *, std::uint64_t, std::uint64_t) {};
     EXPECT_DEATH(b.l1s[0]->access(std::move(req)), "crosses");
 }
 
@@ -530,7 +569,8 @@ class SpecBench : public ProtocolBench
         req.size = 8;
         req.spec = true;
         req.spec_epoch = mock.epoch;
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        req.done_fn = storeValue<std::optional<std::uint64_t>>;
+        req.done_obj = &result;
         l1s[0]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value());
@@ -549,7 +589,8 @@ class SpecBench : public ProtocolBench
         req.store_data = value;
         req.spec = true;
         req.spec_epoch = mock.epoch;
-        req.callback = [&done](std::uint64_t) { done = true; };
+        req.done_fn = setDone;
+        req.done_obj = &done;
         l1s[0]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(done);
@@ -673,7 +714,8 @@ TEST(SpecProtocol, StaleEpochStoreIsDropped)
     req.store_data = 60;
     req.spec = true;
     req.spec_epoch = 1; // stale!
-    req.callback = [&done](std::uint64_t) { done = true; };
+    req.done_fn = setDone;
+    req.done_obj = &done;
     b.l1s[0]->access(std::move(req));
     b.ctx.eventq.run();
     EXPECT_TRUE(done); // completes as a no-op
@@ -823,7 +865,8 @@ TEST(Protocol2, MshrAndTxnWalksAreBlockOrdered)
         MemRequest req;
         req.op = MemOp::Load;
         req.addr = 0x5000 + blk * 64;
-        req.callback = [&done](std::uint64_t) { ++done; };
+        req.done_fn = countDone;
+        req.done_obj = &done;
         b.l1s[0]->access(std::move(req));
     }
     std::vector<Addr> mshrs;

@@ -163,11 +163,14 @@ TEST(ReportLoader, LoadsFixtures)
     auto runs = fixtureRuns();
     const StatsRun &base = runs[0].stats;
     // The fixtures are schema v1 (no "p999"); the loader accepts every
-    // version in [1, current] because newer layouts are additive.
+    // version in [1, current] because newer layouts are additive.  They
+    // also carry keys the loader no longer reads (a "host" section,
+    // "parallel_sim" and "shards" in sim_mode), which are ignored.
     EXPECT_EQ(base.schema_version, 1);
     EXPECT_GE(statistics::stats_schema_version, base.schema_version);
     EXPECT_EQ(base.topology, "crossbar");
-    EXPECT_EQ(base.shards, 2u);
+    EXPECT_EQ(base.dir_banks, 1u);
+    EXPECT_EQ(runs[1].stats.dir_banks, 2u);
     EXPECT_DOUBLE_EQ(base.scalar("core_0", "core_0.instructions"),
                      1000.0);
     EXPECT_DOUBLE_EQ(base.maxOver("core_", "halt_tick"), 2000.0);
@@ -179,11 +182,6 @@ TEST(ReportLoader, LoadsFixtures)
     // Units come from the self-describing schema block.
     ASSERT_TRUE(base.schema.count("network.msg_latency"));
     EXPECT_EQ(base.schema.at("network.msg_latency").unit, "cycles");
-    // Host telemetry: deterministic slice only.
-    ASSERT_TRUE(base.host.present);
-    EXPECT_EQ(base.host.quanta, 40u);
-    EXPECT_EQ(base.host.messages[0][1], 120u);
-    EXPECT_EQ(base.host.boundary_causes.at("lookahead"), 38u);
 }
 
 TEST(ReportLoader, ToleratesMissingGroups)
@@ -374,10 +372,9 @@ TEST(ReportRender, HtmlIsSelfContained)
     EXPECT_EQ(html.find("<script"), std::string::npos);
     EXPECT_EQ(html.find("http://"), std::string::npos);
     EXPECT_EQ(html.find("https://"), std::string::npos);
-    // Flamegraph bars and the shaded heatmap made it in.
+    // The flamegraph bars made it in.
     EXPECT_NE(html.find("class=\"flame\""), std::string::npos);
     EXPECT_NE(html.find("hot_loop;fence_stall"), std::string::npos);
-    EXPECT_NE(html.find("background:rgba"), std::string::npos);
 }
 
 TEST(ReportRender, FoldedDiffIsDifffoldedFormat)

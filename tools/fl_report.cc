@@ -10,11 +10,11 @@
  *  - differential waste attribution (per-bucket and per-PC cycle
  *    deltas, exact integer counts) between the baseline and the
  *    candidate (the last run given);
- *  - scaling analysis along a swept axis (cores, shards, dir_banks,
- *    topology) with throughput, parallel efficiency, imbalance
- *    factors, coordinator-cause and NoC hot-link trends;
+ *  - scaling analysis along a swept axis (cores, dir_banks, topology)
+ *    with throughput, parallel efficiency, core imbalance and NoC
+ *    hot-link trends;
  *  - a deterministic markdown and/or self-contained HTML report
- *    (embedded flamegraph diff, per-link heatmap), a difffolded
+ *    (embedded flamegraph diff), a difffolded
  *    flamegraph file, and a terse triage block for CI.
  *
  * Output is byte-identical for identical inputs; documents with a
@@ -23,7 +23,7 @@
  * Usage:
  *   fl_report --baseline=LABEL=stats.json[,profile.json]
  *             [--run=LABEL=stats.json[,profile.json]]...
- *             [--sweep-json=FILE] [--axis=cores|shards|dir_banks|topology]
+ *             [--sweep-json=FILE] [--axis=cores|dir_banks|topology]
  *             [--md=FILE] [--html=FILE] [--folded-diff=FILE]
  *             [--triage] [--top=N]
  *
@@ -72,7 +72,7 @@ printUsage(std::ostream &os)
     os << "usage: fl_report --baseline=LABEL=stats.json[,profile.json]\n"
        << "                 [--run=LABEL=stats.json[,profile.json]]...\n"
        << "                 [--sweep-json=FILE]\n"
-       << "                 [--axis=cores|shards|dir_banks|topology]\n"
+       << "                 [--axis=cores|dir_banks|topology]\n"
        << "                 [--md=FILE] [--html=FILE]\n"
        << "                 [--folded-diff=FILE] [--triage]\n"
        << "                 [--top=N]\n";
@@ -132,10 +132,10 @@ parseArgs(int argc, char **argv)
         } else if (name == "--sweep-json") {
             cli.sweep_path = value;
         } else if (name == "--axis") {
-            if (value != "cores" && value != "shards" &&
-                value != "dir_banks" && value != "topology")
-                usageError("--axis must be one of cores, shards, "
-                           "dir_banks, topology");
+            if (value != "cores" && value != "dir_banks" &&
+                value != "topology")
+                usageError("--axis must be one of cores, dir_banks, "
+                           "topology");
             cli.axis = value;
         } else if (name == "--md") {
             cli.md_path = value;
