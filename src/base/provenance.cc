@@ -14,29 +14,6 @@
 namespace fenceless::provenance
 {
 
-namespace
-{
-
-/**
- * Feature flags that change what the binary measures or records.  Each
- * entry is compiled in or out with its flag, so the list is always the
- * truth about *this* binary rather than about the source tree.
- */
-const char *
-featureList()
-{
-    return ""
-#ifdef FENCELESS_NO_PROFILER
-           "no-profiler,"
-#endif
-#ifdef FENCELESS_NO_TRACE
-           "no-trace,"
-#endif
-        ;
-}
-
-} // namespace
-
 const char *
 gitHash()
 {
@@ -49,37 +26,11 @@ buildType()
     return FENCELESS_BUILD_TYPE;
 }
 
-const char *
-features()
-{
-    // Strip the trailing comma the x-macro style list leaves behind.
-    static const std::string joined = [] {
-        std::string s = featureList();
-        if (!s.empty() && s.back() == ',')
-            s.pop_back();
-        return s;
-    }();
-    return joined.c_str();
-}
-
 void
 writeJsonObject(std::ostream &os)
 {
     os << "{\"git\": \"" << gitHash() << "\", \"build_type\": \""
-       << buildType() << "\", \"features\": [";
-    const std::string feats = features();
-    std::size_t begin = 0;
-    bool first = true;
-    while (begin < feats.size()) {
-        std::size_t end = feats.find(',', begin);
-        if (end == std::string::npos)
-            end = feats.size();
-        os << (first ? "" : ", ") << "\""
-           << feats.substr(begin, end - begin) << "\"";
-        first = false;
-        begin = end + 1;
-    }
-    os << "]}";
+       << buildType() << "\"}";
 }
 
 std::string
@@ -95,8 +46,6 @@ oneLine()
 {
     std::ostringstream os;
     os << "git=" << gitHash() << " build=" << buildType();
-    if (*features())
-        os << " features=" << features();
     return os.str();
 }
 

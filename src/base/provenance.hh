@@ -4,11 +4,9 @@
  *
  * Stats JSON, waste profiles and blackbox dumps from different builds
  * are otherwise indistinguishable on disk; a week later nobody knows
- * which commit, build type or feature set produced a given file.  The
- * build system passes the git hash and build type as compile-time
- * definitions (see src/base/CMakeLists.txt); feature flags that change
- * simulator behaviour or cost (e.g. FENCELESS_NO_PROFILER) are folded
- * in here so adding one is a one-line change.
+ * which commit or build type produced a given file.  The build system
+ * passes the git hash and build type as compile-time definitions (see
+ * src/base/CMakeLists.txt).
  */
 
 #pragma once
@@ -25,12 +23,9 @@ const char *gitHash();
 /** CMake build type the binary was compiled as ("unknown" if unset). */
 const char *buildType();
 
-/** Comma-separated compile-time feature flags ("" when none are set). */
-const char *features();
-
 /**
  * The provenance block as one JSON object, e.g.
- * `{"git": "1a2b3c", "build_type": "Release", "features": []}`.
+ * `{"git": "1a2b3c", "build_type": "Release"}`.
  * Embedded under a "provenance" key by every artefact writer.
  */
 std::string jsonObject();

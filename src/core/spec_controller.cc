@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include <sstream>
-
 #include "base/logging.hh"
-#include "base/trace.hh"
 
 namespace fenceless::spec
 {
@@ -171,8 +168,6 @@ SpecController::beginEpoch()
     overflow_pending_ = false;
     commit_scheduled_ = false;
     ++stat_epochs_;
-    FL_TRACE(trace::Flag::Spec, *this, "epoch ", epoch_, " begins @pc ",
-             ckpt_.pc, " watermark ", watermark_);
 }
 
 void
@@ -288,9 +283,6 @@ SpecController::doCommit()
     // dirty; speculative requests still queued in MSHRs and stores still
     // buffered become ordinary; then the epoch id advances, which
     // invalidates every SR/SW tag at once.
-    FL_TRACE(trace::Flag::Spec, *this, "epoch ", epoch_, " commits (",
-             epochInsts(), " insts, ", l1_.numSpecWrittenBlocks(),
-             " SW blocks)");
     FL_TEVENT(*this, trace::EventKind::SpecEpoch, epoch_start_tick_,
               epochInsts(), 1 /* outcome: commit */);
     l1_.commitQueuedSpecRequests(epoch_);
@@ -370,9 +362,6 @@ void
 SpecController::rollback(RollbackCause cause, Addr trigger_addr)
 {
     flAssert(in_spec_, name(), ": rollback outside an epoch");
-    FL_TRACE(trace::Flag::Spec, *this, "epoch ", epoch_,
-             " rolls back (", rollbackCauseName(cause), ", ",
-             epochInsts(), " insts discarded)");
 
     if (prof_) {
         // Attribute before restoring: core_.pc() is still the

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "mem/mem_request.hh"
 
 namespace fenceless::cpu
@@ -249,9 +248,6 @@ Core::snapshot() const
 void
 Core::restoreAndResume(const ArchSnapshot &snap)
 {
-    FL_TRACE(trace::Flag::Core, *this, "squash: pc ", pc_, " -> ",
-             snap.pc, " (", instret_ - snap.instret,
-             " insts discarded)");
     ++squash_gen_;
     amo_in_flight_ = false;
     pending_kind_ = PendingKind::None;

@@ -6,7 +6,7 @@
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
-#include "base/trace.hh"
+#include "sim/trace_sink.hh"
 
 namespace fenceless::harness
 {

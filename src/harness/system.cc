@@ -8,7 +8,6 @@
 #include "base/logging.hh"
 #include "base/provenance.hh"
 #include "base/stats_json.hh"
-#include "base/trace.hh"
 #include "harness/table.hh"
 #include "isa/interp.hh"
 #include "sim/blackbox.hh"
@@ -68,12 +67,6 @@ System::dataSyms() const
 System::System(const SystemConfig &config, const isa::Program &prog)
     : config_(config), prog_(prog)
 {
-    static const bool trace_initialised = [] {
-        trace::initFromEnv();
-        return true;
-    }();
-    (void)trace_initialised;
-
     flAssert(config_.num_cores >= 1, "need at least one core");
     flAssert(config_.num_cores <= mem::max_cores,
              "at most ", mem::max_cores, " cores supported");
@@ -641,8 +634,8 @@ System::exportTrace(std::ostream &os) const
                         const trace::TraceRecord &b) {
                          return a.tick < b.tick;
                      });
-    ctx_.tracer.exportChromeJsonFor(os, records, ctx_.tracer.dropped(),
-                                    provenanceJson());
+    ctx_.tracer.exportChromeJson(os, records, ctx_.tracer.dropped(),
+                                 provenanceJson());
 }
 
 void

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 
 namespace fenceless::mem
 {
@@ -144,8 +143,6 @@ void
 Directory::dispatch(const Msg &msg)
 {
     const bool busy = findTxn(msg.block_addr);
-    FL_TRACE(trace::Flag::Dir, *this, "dispatch ", msg.toString(),
-             (busy ? " (queued)" : ""));
     if (busy) {
         pending_[msg.block_addr].push_back(QueuedReq{curTick(), msg});
         ++total_pending_;
@@ -593,9 +590,6 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
 void
 Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
 {
-    FL_TRACE(trace::Flag::Dir, *this, "recall 0x", std::hex,
-             victim_addr, " to make room for 0x",
-             blocked_req.block_addr);
     ++stat_recalls_;
     Txn &txn = addTxn(victim_addr);
     txn.is_recall = true;

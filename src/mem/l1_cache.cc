@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 
 namespace fenceless::mem
 {
@@ -249,8 +248,6 @@ void
 L1Cache::handleMiss(MemRequest req, bool want_m)
 {
     const Addr block_addr = array_.blockAlign(req.addr);
-    FL_TRACE(trace::Flag::L1, *this, "miss 0x", std::hex, block_addr,
-             (want_m ? " (GetM)" : " (GetS)"));
     Mshr &mshr = allocMshr(block_addr);
     mshr.want_m = want_m;
     mshr.miss_start = curTick();
@@ -604,8 +601,6 @@ L1Cache::evict(L1Block &victim)
 {
     flAssert(!srValid(victim) && !swValid(victim),
              name(), ": evicting a block with live speculation tags");
-    FL_TRACE(trace::Flag::L1, *this, "evict 0x", std::hex,
-             victim.block_addr, " from ", l1StateName(victim.state));
     ++stat_evictions_;
 
     WbEntry wb;
@@ -657,7 +652,6 @@ L1Cache::findWb(Addr block_addr)
 void
 L1Cache::receiveMsg(const Msg &msg)
 {
-    FL_TRACE(trace::Flag::L1, *this, "recv ", msg.toString());
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataE:

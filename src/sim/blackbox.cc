@@ -16,10 +16,10 @@ blackboxRecords(const TraceSink &sink)
     // from different components land in component-id order.
     std::vector<TraceRecord> out;
     for (std::size_t c = 0; c < sink.components().size(); ++c) {
-        sink.forEachRingEntry(static_cast<std::uint16_t>(c),
-                              [&](const RingEntry &e) {
-                                  out.push_back(e.rec);
-                              });
+        sink.forEachRingRecord(static_cast<std::uint16_t>(c),
+                               [&](const TraceRecord &r) {
+                                   out.push_back(r);
+                               });
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceRecord &a, const TraceRecord &b) {
@@ -37,7 +37,7 @@ writeBlackboxJson(std::ostream &os, const TraceSink &sink,
     // the dump is honest about being a tail, not the full history.
     const std::uint64_t overwritten =
         sink.ringPushes() - static_cast<std::uint64_t>(records.size());
-    sink.exportChromeJsonFor(os, records, overwritten, provenance_json);
+    sink.exportChromeJson(os, records, overwritten, provenance_json);
 }
 
 namespace
@@ -99,9 +99,9 @@ writeBlackboxTail(std::ostream &os, const TraceSink &sink,
        << " recorded total):\n";
     for (std::size_t c = 0; c < sink.components().size(); ++c) {
         std::vector<TraceRecord> tail;
-        sink.forEachRingEntry(
+        sink.forEachRingRecord(
             static_cast<std::uint16_t>(c),
-            [&](const RingEntry &e) { tail.push_back(e.rec); });
+            [&](const TraceRecord &r) { tail.push_back(r); });
         if (tail.size() > per_component)
             tail.erase(tail.begin(),
                        tail.end() -

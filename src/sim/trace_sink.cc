@@ -1,15 +1,85 @@
 #include "sim/trace_sink.hh"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <ostream>
+#include <sstream>
 #include <utility>
-
-#include "base/logging.hh"
 
 namespace fenceless::trace
 {
+
+namespace
+{
+
+constexpr Flag all_flags[] = {
+    Flag::Core, Flag::SB, Flag::Net, Flag::Spec, Flag::Req, Flag::Stall,
+    Flag::All,
+};
+
+} // namespace
+
+const char *
+flagName(Flag f)
+{
+    switch (f) {
+      case Flag::Core: return "core";
+      case Flag::SB: return "sb";
+      case Flag::Net: return "net";
+      case Flag::Spec: return "spec";
+      case Flag::Req: return "req";
+      case Flag::Stall: return "stall";
+      case Flag::All: return "all";
+    }
+    return "?";
+}
+
+std::string
+validFlagNames()
+{
+    std::string names;
+    for (Flag f : all_flags) {
+        if (!names.empty())
+            names += ",";
+        names += flagName(f);
+    }
+    return names;
+}
+
+bool
+parseFlags(const std::string &spec, std::uint32_t &mask,
+           std::string &error)
+{
+    std::uint32_t parsed = 0;
+    std::string token;
+    std::string unknown;
+    std::istringstream is(spec);
+    while (std::getline(is, token, ',')) {
+        if (token.empty())
+            continue;
+        bool found = false;
+        for (Flag f : all_flags) {
+            if (token == flagName(f)) {
+                parsed |= static_cast<std::uint32_t>(f);
+                found = true;
+                break;
+            }
+        }
+        if (!found) {
+            // Collect every bad token so one retry fixes them all.
+            if (!unknown.empty())
+                unknown += "', '";
+            unknown += token;
+        }
+    }
+    if (!unknown.empty()) {
+        error = "unknown trace flag(s) '" + unknown + "' (valid: " +
+                validFlagNames() + ")";
+        return false;
+    }
+    mask = parsed;
+    return true;
+}
 
 const char *
 eventKindName(EventKind k)
@@ -63,9 +133,8 @@ TraceSink::configureRing(std::size_t records_per_comp,
         cap <<= 1;
     ring_capacity_ = cap;
     ring_flags_ = flags;
-    ring_.assign(components_.size() * ring_capacity_, RingEntry{});
+    ring_.assign(components_.size() * ring_capacity_, TraceRecord{});
     std::fill(ring_heads_.begin(), ring_heads_.end(), 0);
-    ring_seq_ = 0;
 }
 
 void
@@ -136,18 +205,48 @@ writeCommon(std::ostream &os, const char *name, const char *ph,
        << "\", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid;
 }
 
-using RecordVisitor = std::function<void(const TraceRecord &)>;
+using FlowChains = std::map<std::uint64_t, std::vector<const TraceRecord *>>;
 
 /**
- * The exporter body, parameterised over the record source so the full
- * chunked trace and the merged flight-recorder rings share one format
- * (a blackbox dump is a valid --trace-out file).
+ * Write each request's records in tick order, one slice per record
+ * (drawn by @p slice), chained by a flow named and categorised @p cat:
+ * the "s"/"t"/"f" triple makes Perfetto draw arrows between the
+ * request's slices.
  */
+template <typename SliceFn>
 void
-writeChromeJson(std::ostream &os, const TraceSink &sink,
-                const std::function<void(const RecordVisitor &)> &each,
-                std::uint64_t dropped,
-                const std::string &provenance_json)
+writeFlowChains(EventWriter &w, const char *cat, FlowChains &chains,
+                SliceFn slice)
+{
+    for (auto &[req_id, events] : chains) {
+        std::stable_sort(events.begin(), events.end(),
+                         [](const TraceRecord *a, const TraceRecord *b) {
+                             return a->tick < b->tick;
+                         });
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const TraceRecord &r = *events[i];
+            slice(w.next(), r);
+            if (events.size() < 2)
+                continue;
+            const char *ph = i == 0 ? "s"
+                             : i + 1 == events.size() ? "f" : "t";
+            std::ostream &os = w.next();
+            writeCommon(os, cat, ph, r.tick, r.comp);
+            os << ", \"cat\": \"" << cat << "\", \"id\": " << req_id;
+            if (*ph == 'f')
+                os << ", \"bp\": \"e\"";
+            os << "}";
+        }
+    }
+}
+
+} // namespace
+
+void
+TraceSink::exportChromeJson(std::ostream &os,
+                            const std::vector<TraceRecord> &records,
+                            std::uint64_t dropped,
+                            const std::string &provenance_json) const
 {
     if (!provenance_json.empty())
         os << "{\"provenance\": " << provenance_json
@@ -159,10 +258,10 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
     // Track names.  One Chrome "thread" per simulated component.
     w.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0"
              << ", \"args\": {\"name\": \"fenceless\"}}";
-    for (std::size_t i = 0; i < sink.components().size(); ++i) {
+    for (std::size_t i = 0; i < components_.size(); ++i) {
         w.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", "
                  << "\"pid\": 0, \"tid\": " << i
-                 << ", \"args\": {\"name\": \"" << sink.components()[i]
+                 << ", \"args\": {\"name\": \"" << components_[i]
                  << "\"}}";
     }
     if (dropped) {
@@ -171,17 +270,14 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
                  << "}}";
     }
 
-    // Request-lifetime events are grouped per request id so the export
-    // can chain them with flow arrows; everything else streams out in
-    // recording order.
-    std::map<std::uint64_t, std::vector<const TraceRecord *>> flows;
+    // Request-lifetime events and sampled request-span stages
+    // (synthesized from the reqtrace sinks) are grouped per request id
+    // so the export can chain them with flow arrows; everything else
+    // streams out in record order.
+    FlowChains flows;
+    FlowChains spans;
 
-    // Sampled request-span stages (synthesized from the reqtrace
-    // sinks) are grouped per request so each span renders as a chain
-    // of stage slices connected by its own flow track.
-    std::map<std::uint64_t, std::vector<const TraceRecord *>> spans;
-
-    each([&](const TraceRecord &r) {
+    for (const TraceRecord &r : records) {
         const auto kind = static_cast<EventKind>(r.kind);
         const char *name = eventKindName(kind);
         switch (kind) {
@@ -200,7 +296,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
             const Tick dur = r.tick > r.a0 ? r.tick - r.a0 : 1;
             writeCommon(w.next(), name, "X", r.a0, r.comp);
             os << ", \"dur\": " << dur << ", \"args\": {\"reason\": \""
-               << sink.auxName(kind, r.aux) << "\"}}";
+               << auxName(kind, r.aux) << "\"}}";
             break;
           }
 
@@ -217,7 +313,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
           case EventKind::SpecRollback:
             writeCommon(w.next(), name, "i", r.tick, r.comp);
             os << ", \"s\": \"t\", \"args\": {\"cause\": \""
-               << sink.auxName(kind, r.aux) << "\", \"discarded_insts\": "
+               << auxName(kind, r.aux) << "\", \"discarded_insts\": "
                << r.a1 << "}}";
             break;
 
@@ -225,7 +321,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
             writeCommon(w.next(), name, "i", r.tick, r.comp);
             os << ", \"s\": \"t\", \"args\": {\"req\": " << r.a0
                << ", \"latency\": " << r.a1 << ", \"msg\": \""
-               << sink.auxName(kind, r.aux) << "\"}}";
+               << auxName(kind, r.aux) << "\"}}";
             break;
 
           case EventKind::ReqIssue:
@@ -244,99 +340,36 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
           case EventKind::NumKinds:
             break;
         }
-    });
-
-    // One short slice per request phase, chained by flow events: the
-    // "s"/"t"/"f" triple makes Perfetto draw arrows L1 -> directory ->
-    // L1 for each traced miss.
-    for (auto &[req_id, events] : flows) {
-        std::stable_sort(events.begin(), events.end(),
-                         [](const TraceRecord *a, const TraceRecord *b) {
-                             return a->tick < b->tick;
-                         });
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            const TraceRecord &r = *events[i];
-            const auto kind = static_cast<EventKind>(r.kind);
-            writeCommon(w.next(), eventKindName(kind), "X", r.tick,
-                        r.comp);
-            os << ", \"dur\": 1, \"args\": {\"req\": " << req_id;
-            if (kind == EventKind::ReqIssue ||
-                kind == EventKind::ReqFill) {
-                os << ", \"block\": " << r.a1;
-            }
-            os << "}}";
-
-            if (events.size() < 2)
-                continue;
-            const char *ph = i == 0 ? "s"
-                             : i + 1 == events.size() ? "f" : "t";
-            writeCommon(w.next(), "req", ph, r.tick, r.comp);
-            os << ", \"cat\": \"req\", \"id\": " << req_id;
-            if (*ph == 'f')
-                os << ", \"bp\": \"e\"";
-            os << "}";
-        }
     }
+
+    // One short slice per request phase: arrows L1 -> directory -> L1
+    // for each traced miss.
+    const auto phase_slice = [](std::ostream &o, const TraceRecord &r) {
+        const auto kind = static_cast<EventKind>(r.kind);
+        writeCommon(o, eventKindName(kind), "X", r.tick, r.comp);
+        o << ", \"dur\": 1, \"args\": {\"req\": " << r.a0;
+        if (kind == EventKind::ReqIssue || kind == EventKind::ReqFill)
+            o << ", \"block\": " << r.a1;
+        o << "}}";
+    };
+    writeFlowChains(w, "req", flows, phase_slice);
 
     // Sampled request spans: one named slice per tiled stage on the
-    // component that recorded it, chained by a per-request flow (cat
-    // "span") so Perfetto draws the request's path through the memory
-    // system as an arrow chain under the existing guest tracks.
-    for (auto &[req_id, stages] : spans) {
-        std::stable_sort(stages.begin(), stages.end(),
-                         [](const TraceRecord *a, const TraceRecord *b) {
-                             return a->tick < b->tick;
-                         });
-        for (std::size_t i = 0; i < stages.size(); ++i) {
-            const TraceRecord &r = *stages[i];
-            const std::string &sname =
-                sink.auxName(EventKind::ReqStage, r.aux);
-            writeCommon(w.next(),
-                        sname.empty() ? "req_stage" : sname.c_str(),
-                        "X", r.tick, r.comp);
-            os << ", \"dur\": " << (r.a1 ? r.a1 : 1)
-               << ", \"args\": {\"req\": " << req_id
-               << ", \"cycles\": " << r.a1 << "}}";
-
-            if (stages.size() < 2)
-                continue;
-            const char *ph = i == 0 ? "s"
-                             : i + 1 == stages.size() ? "f" : "t";
-            writeCommon(w.next(), "span", ph, r.tick, r.comp);
-            os << ", \"cat\": \"span\", \"id\": " << req_id;
-            if (*ph == 'f')
-                os << ", \"bp\": \"e\"";
-            os << "}";
-        }
-    }
+    // component that recorded it, so Perfetto draws the request's path
+    // through the memory system as an arrow chain under the existing
+    // guest tracks.
+    const auto stage_slice = [this](std::ostream &o,
+                                    const TraceRecord &r) {
+        const std::string &sname = auxName(EventKind::ReqStage, r.aux);
+        writeCommon(o, sname.empty() ? "req_stage" : sname.c_str(), "X",
+                    r.tick, r.comp);
+        o << ", \"dur\": " << (r.a1 ? r.a1 : 1)
+          << ", \"args\": {\"req\": " << r.a0
+          << ", \"cycles\": " << r.a1 << "}}";
+    };
+    writeFlowChains(w, "span", spans, stage_slice);
 
     os << "\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n";
-}
-
-} // namespace
-
-void
-TraceSink::exportChromeJson(std::ostream &os,
-                            const std::string &provenance_json) const
-{
-    writeChromeJson(
-        os, *this, [this](const RecordVisitor &fn) { forEach(fn); },
-        dropped_, provenance_json);
-}
-
-void
-TraceSink::exportChromeJsonFor(std::ostream &os,
-                               const std::vector<TraceRecord> &records,
-                               std::uint64_t dropped,
-                               const std::string &provenance_json) const
-{
-    writeChromeJson(
-        os, *this,
-        [&records](const RecordVisitor &fn) {
-            for (const TraceRecord &r : records)
-                fn(r);
-        },
-        dropped, provenance_json);
 }
 
 } // namespace fenceless::trace

@@ -2,16 +2,15 @@
  * @file
  * Structured binary event tracing with a Chrome trace-event exporter.
  *
- * FL_TRACE prints formatted text -- fine for eyeballing a short run,
- * useless for timelines.  The TraceSink instead records *typed* binary
- * events (tick, component id, event kind, two payload words) into
- * chunked in-memory buffers, and converts them on demand to Chrome
- * trace-event / Perfetto JSON (`--trace-out=run.json`, open in
- * `ui.perfetto.dev`): per-core duration events for speculation epochs
- * and stall intervals, instant events for rollbacks (with cause),
- * counter events for instruction commit, and cross-component flow
- * events following one memory request from L1 miss through the
- * directory back to the fill.
+ * The TraceSink records *typed* binary events (tick, component id,
+ * event kind, two payload words) into chunked in-memory buffers, and
+ * converts them on demand to Chrome trace-event / Perfetto JSON
+ * (`--trace-out=run.json`, open in `ui.perfetto.dev`): per-core
+ * duration events for speculation epochs and stall intervals, instant
+ * events for rollbacks (with cause), counter events for instruction
+ * commit, and cross-component flow events following one memory request
+ * from L1 miss through the directory back to the fill.  The same sink
+ * keeps the flight-recorder rings (sim/blackbox.hh).
  *
  * Concurrency / cost model:
  *  - One sink per sim::SimContext -- i.e. per simulated system -- and a
@@ -20,8 +19,8 @@
  *    `SweepRunner --jobs=N` because sinks share nothing.  Dumps order
  *    records canonically (sim/blackbox.hh,
  *    harness::System::exportTrace).
- *  - Disabled tracing costs one inline mask test (the FL_TEVENT macro
- *    mirrors FL_TRACE's guard); nothing is evaluated or stored.
+ *  - Disabled tracing costs one inline mask test (the FL_TEVENT
+ *    macro); nothing is evaluated or stored.
  *  - Recording is capped (default 4M events, ~128 MiB) so a runaway
  *    run degrades to counting drops instead of eating the host.
  */
@@ -34,11 +33,36 @@
 #include <string>
 #include <vector>
 
-#include "base/trace.hh"
 #include "base/types.hh"
 
 namespace fenceless::trace
 {
+
+/** Event families a trace mask selects (`--trace=core,spec`). */
+enum class Flag : std::uint32_t
+{
+    Core  = 1u << 0,
+    SB    = 1u << 1,
+    Net   = 1u << 2,
+    Spec  = 1u << 3,
+    Req   = 1u << 4, //!< request-lifetime flow events (miss attribution)
+    Stall = 1u << 5, //!< core stall-interval duration events
+    All   = ~0u,
+};
+
+/** @return the canonical lower-case name of a single flag. */
+const char *flagName(Flag f);
+
+/** Comma-separated list of every valid flag name (for error messages). */
+std::string validFlagNames();
+
+/**
+ * Parse "core,spec" / "all" into @p mask.
+ * @return true on success; on failure @p error describes the unknown
+ *         name and lists the valid flags, and @p mask is untouched.
+ */
+bool parseFlags(const std::string &spec, std::uint32_t &mask,
+                std::string &error);
 
 /**
  * Every kind of structured event the simulator records.  The exporter
@@ -112,17 +136,6 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 32, "keep trace records compact");
 
-/**
- * One flight-recorder ring slot: the record plus a global push sequence
- * number, so the per-component rings merge into one totally ordered
- * stream at dump time without any per-event timestamp comparison.
- */
-struct RingEntry
-{
-    TraceRecord rec;
-    std::uint64_t seq = 0; //!< 0 = slot never written
-};
-
 class TraceSink
 {
   public:
@@ -140,7 +153,6 @@ class TraceSink
 
     /** Enable recording for the given Flag mask (0 = off, the default). */
     void setMask(std::uint32_t mask) { mask_ = mask; }
-    std::uint32_t mask() const { return mask_; }
 
     /** @return true if any structured tracing is enabled. */
     bool enabled() const { return mask_ != 0; }
@@ -156,10 +168,16 @@ class TraceSink
     void configureRing(std::size_t records_per_comp, std::uint32_t flags);
 
     std::size_t ringCapacity() const { return ring_capacity_; }
-    std::uint32_t ringFlags() const { return ring_flags_; }
 
     /** Total events ever pushed into the ring (across components). */
-    std::uint64_t ringPushes() const { return ring_seq_; }
+    std::uint64_t
+    ringPushes() const
+    {
+        std::uint64_t pushes = 0;
+        for (std::uint64_t head : ring_heads_)
+            pushes += head;
+        return pushes;
+    }
 
     /** @return true if events gated by @p f should be recorded. */
     bool
@@ -169,7 +187,7 @@ class TraceSink
                 static_cast<std::uint32_t>(f)) != 0;
     }
 
-    // --- component / request identity ------------------------------------
+    // --- component identity ----------------------------------------------
 
     /**
      * Register a component; the id names its timeline track.
@@ -184,9 +202,6 @@ class TraceSink
     {
         return components_;
     }
-
-    /** Fresh id for one memory request's lifetime (1-based; 0 = none). */
-    std::uint64_t nextRequestId() { return ++last_req_id_; }
 
     /**
      * Map integer aux payloads of @p kind to printable names (e.g.
@@ -214,24 +229,17 @@ class TraceSink
         const auto bit =
             static_cast<std::uint32_t>(eventKindFlag(kind));
         if (ring_flags_ & bit) {
-            // Ring write: one indexed store and two counter bumps.
-            // This is the always-on flight-recorder hot path; keep it
+            // Ring write: one indexed store and one head bump.  This
+            // is the always-on flight-recorder hot path; keep it
             // branch-light (capacity is a power of two).
             std::uint64_t &head = ring_heads_[comp];
             ring_[comp * ring_capacity_ +
                   (head & (ring_capacity_ - 1))] =
-                RingEntry{TraceRecord{tick, a0, a1, comp,
-                                      static_cast<std::uint16_t>(kind),
-                                      aux},
-                          ++ring_seq_};
+                TraceRecord{tick, a0, a1, comp,
+                            static_cast<std::uint16_t>(kind), aux};
             ++head;
         }
-        // The full chunked trace takes the kinds the mask asks for.
-        // An entirely unconfigured sink (no mask, no ring) keeps the
-        // legacy behaviour of storing every direct record() call:
-        // wants() is false for everything then, so FL_TEVENT never
-        // gets here and only explicit callers (tests, tools) do.
-        if (!(mask_ & bit) && (mask_ | ring_flags_) != 0)
+        if (!(mask_ & bit))
             return;
         if (size_ >= max_records_) {
             ++dropped_;
@@ -261,13 +269,13 @@ class TraceSink
     }
 
     /**
-     * Visit component @p comp's ring entries, oldest to newest.  Only
+     * Visit component @p comp's ring records, oldest to newest.  Only
      * written slots are visited, so a short run yields fewer than
-     * ringCapacity() entries.
+     * ringCapacity() records.
      */
     template <typename Fn>
     void
-    forEachRingEntry(std::uint16_t comp, Fn fn) const
+    forEachRingRecord(std::uint16_t comp, Fn fn) const
     {
         if (ring_capacity_ == 0 || comp >= ring_heads_.size())
             return;
@@ -283,25 +291,19 @@ class TraceSink
     void clear();
 
     /**
-     * Write everything as a Chrome trace-event JSON object
-     * (`{"traceEvents": [...]}`), loadable by chrome://tracing and
-     * ui.perfetto.dev.  Ticks are exported as microseconds 1:1.  A
+     * Write @p records -- the canonically ordered full trace or the
+     * merged flight-recorder rings -- as a Chrome trace-event JSON
+     * object (`{"traceEvents": [...]}`), loadable by chrome://tracing
+     * and ui.perfetto.dev, using this sink's component and aux-name
+     * registrations for identity.  Ticks are exported as microseconds
+     * 1:1.  A non-zero @p dropped is reported as a metadata event; a
      * non-empty @p provenance_json (see base/provenance.hh) is embedded
      * as a top-level "provenance" key.
      */
     void exportChromeJson(std::ostream &os,
-                          const std::string &provenance_json = "") const;
-
-    /**
-     * Export an arbitrary record sequence -- e.g. the merged flight-
-     * recorder rings -- in the same Chrome trace-event format, using
-     * this sink's component and aux-name registrations for identity.
-     */
-    void
-    exportChromeJsonFor(std::ostream &os,
-                        const std::vector<TraceRecord> &records,
-                        std::uint64_t dropped,
-                        const std::string &provenance_json) const;
+                          const std::vector<TraceRecord> &records,
+                          std::uint64_t dropped,
+                          const std::string &provenance_json) const;
 
   private:
     void addChunk();
@@ -310,17 +312,15 @@ class TraceSink
     std::size_t max_records_;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t last_req_id_ = 0;
     std::vector<std::vector<TraceRecord>> chunks_;
     std::vector<std::string> components_;
     std::vector<std::vector<std::string>> aux_names_;
 
     // Flight-recorder ring: component-major fixed storage, one write
-    // head per component, one global push sequence shared by all.
+    // head per component.
     std::uint32_t ring_flags_ = 0;
     std::size_t ring_capacity_ = 0; //!< slots per component (power of 2)
-    std::uint64_t ring_seq_ = 0;
-    std::vector<RingEntry> ring_;
+    std::vector<TraceRecord> ring_;
     std::vector<std::uint64_t> ring_heads_;
 };
 

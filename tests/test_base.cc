@@ -211,72 +211,3 @@ TEST(Stats, RegistryPrint)
     EXPECT_NE(os.str().find("x.v"), std::string::npos);
     EXPECT_NE(os.str().find("7"), std::string::npos);
 }
-
-#include <sstream>
-
-#include "base/trace.hh"
-
-namespace
-{
-
-struct FakeObj
-{
-    std::string name() const { return "obj"; }
-    fenceless::Tick curTick() const { return 42; }
-};
-
-} // namespace
-
-TEST(Trace, DisabledByDefaultAndFree)
-{
-    trace::setEnabled(0);
-    std::ostringstream os;
-    trace::setStream(&os);
-    FakeObj obj;
-    FL_TRACE(trace::Flag::L1, obj, "should not appear");
-    EXPECT_TRUE(os.str().empty());
-    trace::setStream(nullptr);
-}
-
-TEST(Trace, EmitsWhenEnabled)
-{
-    trace::setEnabled(static_cast<std::uint32_t>(trace::Flag::L1));
-    std::ostringstream os;
-    trace::setStream(&os);
-    FakeObj obj;
-    FL_TRACE(trace::Flag::L1, obj, "fill 0x", std::hex, 64);
-    FL_TRACE(trace::Flag::Dir, obj, "filtered");
-    trace::setStream(nullptr);
-    trace::setEnabled(0);
-    EXPECT_NE(os.str().find("42: obj: fill 0x40"), std::string::npos);
-    EXPECT_EQ(os.str().find("filtered"), std::string::npos);
-}
-
-TEST(Trace, ParseFlags)
-{
-    using trace::Flag;
-    std::uint32_t mask = 0;
-    std::string error;
-    EXPECT_TRUE(trace::parseFlags("l1", mask, error));
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::L1));
-    EXPECT_TRUE(trace::parseFlags("core,spec", mask, error));
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::Core) |
-                        static_cast<std::uint32_t>(Flag::Spec));
-    EXPECT_TRUE(trace::parseFlags("all", mask, error));
-    EXPECT_EQ(mask, ~0u);
-    EXPECT_TRUE(trace::parseFlags("", mask, error));
-    EXPECT_EQ(mask, 0u);
-}
-
-TEST(Trace, ParseFlagsReportsUnknownNames)
-{
-    std::uint32_t mask = 0xdead;
-    std::string error;
-    EXPECT_FALSE(trace::parseFlags("l1,bogus", mask, error));
-    EXPECT_EQ(mask, 0xdeadu) << "mask must be untouched on failure";
-    EXPECT_NE(error.find("bogus"), std::string::npos);
-    // The error lists every valid flag so a sweep log is actionable.
-    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos);
-    EXPECT_NE(trace::validFlagNames().find("req"), std::string::npos);
-    EXPECT_NE(trace::validFlagNames().find("stall"), std::string::npos);
-}

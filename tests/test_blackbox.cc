@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -305,9 +306,12 @@ TEST(Blackbox, RingWrapsAndDumpIsValidTrace)
 {
     // A tiny ring on a long run: the ring must wrap many times and
     // still dump a valid Chrome trace-event document with provenance.
+    // The full trace records the ring's kinds too, so it holds every
+    // push the ring has since overwritten.
     workload::LocalLockStream wl;
     harness::SystemConfig cfg = testConfig(2);
     cfg.blackbox_records = 4;
+    cfg.withTracing(trace::default_blackbox_flags);
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
@@ -316,6 +320,8 @@ TEST(Blackbox, RingWrapsAndDumpIsValidTrace)
     EXPECT_GT(sink.ringPushes(),
               static_cast<std::uint64_t>(sink.ringCapacity()))
         << "run too short to wrap the ring";
+    ASSERT_EQ(sink.size(), sink.ringPushes());
+    ASSERT_EQ(sink.dropped(), 0u);
 
     std::ostringstream os;
     sys.writeBlackbox(os);
@@ -324,9 +330,59 @@ TEST(Blackbox, RingWrapsAndDumpIsValidTrace)
     EXPECT_NE(json.find("\"provenance\""), std::string::npos);
     EXPECT_NE(json.find("\"git\""), std::string::npos);
 
-    // Ring entries replay oldest -> newest with monotone sequence.
+    // Canonical merge order: ticks never decrease, and same-tick
+    // records come in component-id order.
     const auto records = trace::blackboxRecords(sink);
-    EXPECT_FALSE(records.empty());
+    ASSERT_FALSE(records.empty());
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        const trace::TraceRecord &a = records[i - 1];
+        const trace::TraceRecord &b = records[i];
+        ASSERT_LE(a.tick, b.tick) << "at record " << i;
+        if (a.tick == b.tick) {
+            ASSERT_LE(a.comp, b.comp) << "at record " << i;
+        }
+    }
+
+    // Each component contributes exactly its last ringCapacity()
+    // pushes, oldest first.
+    const std::size_t ncomps = sink.components().size();
+    std::vector<std::vector<trace::TraceRecord>> pushed(ncomps);
+    std::vector<std::vector<trace::TraceRecord>> kept(ncomps);
+    sink.forEach([&](const trace::TraceRecord &r) {
+        pushed[r.comp].push_back(r);
+    });
+    for (const trace::TraceRecord &r : records)
+        kept[r.comp].push_back(r);
+    const auto same = [](const trace::TraceRecord &a,
+                         const trace::TraceRecord &b) {
+        return a.tick == b.tick && a.a0 == b.a0 && a.a1 == b.a1 &&
+               a.kind == b.kind && a.aux == b.aux;
+    };
+    for (std::size_t c = 0; c < ncomps; ++c) {
+        const std::size_t n =
+            std::min(pushed[c].size(), sink.ringCapacity());
+        ASSERT_EQ(kept[c].size(), n) << sink.components()[c];
+        EXPECT_TRUE(std::equal(kept[c].begin(), kept[c].end(),
+                               pushed[c].end() - n, same))
+            << sink.components()[c];
+    }
+}
+
+TEST(Blackbox, RingDeeperThanRunKeepsEveryPush)
+{
+    // A ring that never wraps holds every push, so the pushes it
+    // counts and the records it dumps agree.  The busiest component
+    // of this run pushes under 2k events.
+    workload::LocalLockStream wl;
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.blackbox_records = 4096;
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+
+    const trace::TraceSink &sink = sys.tracer();
+    EXPECT_GT(sink.ringPushes(), 0u);
+    EXPECT_EQ(sink.ringPushes(), trace::blackboxRecords(sink).size());
 }
 
 TEST(Blackbox, DisabledRingRecordsNothing)

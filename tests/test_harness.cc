@@ -119,6 +119,19 @@ TEST(Options, UnknownTopologyIsFatal)
                 testing::ExitedWithCode(1), "unknown topology");
 }
 
+TEST(Options, UnknownTraceFlagIsFatal)
+{
+    // A name that selects no event kind must fail the run, never
+    // record nothing.
+    for (const std::string name : {"l1", "dir", "bogus"}) {
+        EXPECT_EXIT(parse({"--trace=" + name}).applyTo(SystemConfig{}),
+                    testing::ExitedWithCode(1),
+                    "unknown trace flag\\(s\\) '" + name +
+                        "' \\(valid: core,sb,net,spec,req,stall,all\\)")
+            << name;
+    }
+}
+
 TEST(Options, SimModeEchoedIntoProvenance)
 {
     // The machine shape must be recoverable from any output document:

@@ -1,9 +1,10 @@
 /**
  * @file
- * Observability tests: the structured TraceSink (recording, capping,
- * aux-name tables, Chrome trace-event export) and the System-level
- * plumbing (per-system sinks, request-lifetime events, periodic stat
- * snapshots, the --stats-json document).
+ * Observability tests: the --trace flag vocabulary, the structured
+ * TraceSink (recording, capping, aux-name tables, Chrome trace-event
+ * export) and the System-level plumbing (per-system sinks,
+ * request-lifetime events, periodic stat snapshots, the --stats-json
+ * document).
  */
 
 #include <gtest/gtest.h>
@@ -92,6 +93,60 @@ runTracedSystem(std::uint32_t trace_mask, Tick stats_interval = 0)
 
 } // namespace
 
+TEST(Trace, ParseFlags)
+{
+    using trace::Flag;
+    std::uint32_t mask = 0;
+    std::string error;
+    EXPECT_TRUE(trace::parseFlags("net", mask, error));
+    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::Net));
+    EXPECT_TRUE(trace::parseFlags("core,spec", mask, error));
+    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::Core) |
+                        static_cast<std::uint32_t>(Flag::Spec));
+    EXPECT_TRUE(trace::parseFlags("all", mask, error));
+    EXPECT_EQ(mask, ~0u);
+    EXPECT_TRUE(trace::parseFlags("", mask, error));
+    EXPECT_EQ(mask, 0u);
+}
+
+TEST(Trace, ParseFlagsReportsUnknownNames)
+{
+    std::uint32_t mask = 0xdead;
+    std::string error;
+    EXPECT_FALSE(trace::parseFlags("net,bogus", mask, error));
+    EXPECT_EQ(mask, 0xdeadu) << "mask must be untouched on failure";
+    EXPECT_NE(error.find("bogus"), std::string::npos);
+    // The error lists every valid flag so a sweep log is actionable.
+    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos);
+    EXPECT_EQ(trace::validFlagNames(), "core,sb,net,spec,req,stall,all");
+}
+
+TEST(TraceFlags, ParseAcceptsKnownFlagCombinations)
+{
+    std::uint32_t mask = 0;
+    std::string error;
+    ASSERT_TRUE(trace::parseFlags("core,sb", mask, error)) << error;
+    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::Core) |
+                        static_cast<std::uint32_t>(trace::Flag::SB));
+    ASSERT_TRUE(trace::parseFlags("all", mask, error)) << error;
+    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::All));
+}
+
+TEST(TraceFlags, ParseRejectsUnknownFlagsListingAllOfThem)
+{
+    std::uint32_t mask = 0xdead;
+    std::string error;
+    ASSERT_FALSE(
+        trace::parseFlags("core,bogus,spec,typo", mask, error));
+    // Both bad tokens in one message, plus the valid vocabulary.
+    EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+    EXPECT_NE(error.find("typo"), std::string::npos) << error;
+    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos)
+        << error;
+    // A failed parse leaves the caller's mask untouched.
+    EXPECT_EQ(mask, 0xdeadu);
+}
+
 TEST(TraceSink, DisabledByDefaultAndMaskGates)
 {
     trace::TraceSink sink;
@@ -107,6 +162,7 @@ TEST(TraceSink, DisabledByDefaultAndMaskGates)
 TEST(TraceSink, RecordsInOrderAcrossChunks)
 {
     trace::TraceSink sink;
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
     const std::uint16_t comp = sink.registerComponent("c0");
     // Cross at least one chunk boundary.
     const std::size_t n = trace::TraceSink::chunk_records + 100;
@@ -133,19 +189,12 @@ TEST(TraceSink, RecordsInOrderAcrossChunks)
 TEST(TraceSink, CapsAndCountsDrops)
 {
     trace::TraceSink sink(8);
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
     const std::uint16_t comp = sink.registerComponent("c0");
     for (Tick t = 0; t < 20; ++t)
         sink.record(comp, trace::EventKind::CoreCommit, t);
     EXPECT_EQ(sink.size(), 8u);
     EXPECT_EQ(sink.dropped(), 12u);
-}
-
-TEST(TraceSink, RequestIdsAreFreshAndNonZero)
-{
-    trace::TraceSink sink;
-    EXPECT_EQ(sink.nextRequestId(), 1u);
-    EXPECT_EQ(sink.nextRequestId(), 2u);
-    EXPECT_EQ(sink.nextRequestId(), 3u);
 }
 
 TEST(TraceSink, AuxNamesResolvePerKind)
@@ -165,6 +214,7 @@ TEST(TraceSink, AuxNamesResolvePerKind)
 TEST(TraceSink, ExportsWellFormedChromeJson)
 {
     trace::TraceSink sink;
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
     const std::uint16_t core = sink.registerComponent("core_0");
     const std::uint16_t l1 = sink.registerComponent("l1_0");
     sink.setAuxNames(trace::EventKind::SpecRollback, {"conflict"});
@@ -176,8 +226,11 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     sink.record(l1, trace::EventKind::ReqIssue, 30, 1, 0x1000);
     sink.record(l1, trace::EventKind::ReqFill, 90, 1, 0x1000);
 
+    std::vector<trace::TraceRecord> records;
+    sink.forEach(
+        [&](const trace::TraceRecord &r) { records.push_back(r); });
     std::ostringstream os;
-    sink.exportChromeJson(os);
+    sink.exportChromeJson(os, records, sink.dropped(), "");
     const std::string json = os.str();
 
     expectBalancedJson(json);

@@ -4,8 +4,7 @@
  * bucket staging across speculative epochs, false-sharing detection,
  * rollback attribution, deterministic (byte-identical) rendering
  * across repeated runs and sweep job counts, and the folded-stack
- * golden output on a litmus workload.  Also covers the --trace flag
- * parser's multi-error reporting.
+ * golden output on a litmus workload.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "base/trace.hh"
 #include "harness/sweep.hh"
 #include "isa/assembler.hh"
 #include "sim/profiler.hh"
@@ -417,32 +415,4 @@ TEST(Profile, FoldedOutputIsWellFormedAndStable)
     std::ostringstream os2;
     again.profile().writeFolded(os2);
     EXPECT_EQ(folded, os2.str());
-}
-
-// --- --trace flag parsing (satellite) --------------------------------------
-
-TEST(TraceFlags, ParseAcceptsKnownFlagCombinations)
-{
-    std::uint32_t mask = 0;
-    std::string error;
-    ASSERT_TRUE(trace::parseFlags("core,l1", mask, error)) << error;
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::Core) |
-                        static_cast<std::uint32_t>(trace::Flag::L1));
-    ASSERT_TRUE(trace::parseFlags("all", mask, error)) << error;
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::All));
-}
-
-TEST(TraceFlags, ParseRejectsUnknownFlagsListingAllOfThem)
-{
-    std::uint32_t mask = 0xdead;
-    std::string error;
-    ASSERT_FALSE(
-        trace::parseFlags("core,bogus,l1,typo", mask, error));
-    // Both bad tokens in one message, plus the valid vocabulary.
-    EXPECT_NE(error.find("bogus"), std::string::npos) << error;
-    EXPECT_NE(error.find("typo"), std::string::npos) << error;
-    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos)
-        << error;
-    // A failed parse leaves the caller's mask untouched.
-    EXPECT_EQ(mask, 0xdeadu);
 }
