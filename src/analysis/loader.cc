@@ -14,8 +14,6 @@ StatValue::primary() const
 {
     if (kind == "distribution")
         return field("total");
-    if (kind == "histogram")
-        return field("n");
     return field("value");
 }
 
@@ -205,10 +203,6 @@ loadStatValue(const Json &j)
         if (field.isNumber())
             v.fields[name] = field.asDouble();
     }
-    // Histogram buckets stay out of the diff; count them instead.
-    if (v.kind == "histogram" && j["buckets"].isArray())
-        v.fields["num_buckets"] =
-            static_cast<double>(j["buckets"].array().size());
     return v;
 }
 

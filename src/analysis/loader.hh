@@ -43,20 +43,19 @@ namespace fenceless::analysis
 /**
  * One stat rendered as named numeric fields.  Scalars and formulas
  * carry {"value"}; distributions carry {"n", "mean", "min", "max",
- * "stdev", "p50", "p95", "p99", "p999", "total"}; histograms carry
- * {"n", "underflow", "overflow"}.  Keeping the fields generic lets the
- * diff layer walk every numeric facet -- including the
- * PercentileSketch percentiles -- with one code path, and makes the
+ * "stdev", "p50", "p95", "p99", "p999", "total"}.  Keeping the fields
+ * generic lets the diff layer walk every numeric facet -- including
+ * the PercentileSketch percentiles -- with one code path, and makes the
  * loader tolerant of absent or extra percentile keys: schema-v1
  * artifacts (no "p999") load fine, with the missing field read as 0.
  */
 struct StatValue
 {
-    std::string kind; //!< scalar | formula | distribution | histogram
+    std::string kind; //!< scalar | formula | distribution
     std::map<std::string, double> fields;
 
-    /** The headline number: value for scalars, total for
-     *  distributions, n for histograms. */
+    /** The headline number: value for scalars and formulas, total
+     *  for distributions. */
     double primary() const;
 
     double

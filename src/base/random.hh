@@ -72,13 +72,6 @@ class Random
         return (next() >> 11) * 0x1.0p-53;
     }
 
-    /** @return true with probability @p p. */
-    bool
-    chance(double p)
-    {
-        return real() < p;
-    }
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t x, int k)

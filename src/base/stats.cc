@@ -1,30 +1,11 @@
 #include "base/stats.hh"
 
 #include <cmath>
-#include <iomanip>
-#include <ostream>
 
 #include "base/logging.hh"
 
 namespace fenceless::statistics
 {
-
-namespace
-{
-
-/** Print a double without trailing-zero noise for integral values. */
-void
-printNumber(std::ostream &os, double v)
-{
-    if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
-        os << static_cast<std::int64_t>(v);
-    } else {
-        os << std::fixed << std::setprecision(4) << v
-           << std::defaultfloat;
-    }
-}
-
-} // namespace
 
 namespace
 {
@@ -82,16 +63,6 @@ PercentileSketch::add(double v, std::uint64_t times)
     total_ += times;
 }
 
-void
-PercentileSketch::merge(const PercentileSketch &other)
-{
-    if (other.counts_.size() > counts_.size())
-        counts_.resize(other.counts_.size(), 0);
-    for (std::size_t i = 0; i < other.counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-}
-
 double
 PercentileSketch::quantile(double q) const
 {
@@ -122,20 +93,6 @@ PercentileSketch::reset()
 }
 
 void
-Stat::print(std::ostream &os, int name_width) const
-{
-    os << std::left << std::setw(name_width) << name_ << " ";
-    printNumber(os, value());
-    os << "  # " << desc_ << "\n";
-}
-
-void
-Stat::printCsv(std::ostream &os) const
-{
-    os << name_ << "," << value() << "\n";
-}
-
-void
 Distribution::sample(double v, std::uint64_t times)
 {
     if (times == 0)
@@ -160,42 +117,6 @@ Distribution::sample(double v, std::uint64_t times)
     sketch_.add(v, times);
 }
 
-void
-Distribution::merge(std::uint64_t count, double sum, double mean,
-                    double m2, double min, double max,
-                    const PercentileSketch *sketch)
-{
-    if (count == 0)
-        return;
-    if (sketch)
-        sketch_.merge(*sketch);
-    if (count_ == 0) {
-        count_ = count;
-        sum_ = sum;
-        mean_ = mean;
-        m2_ = m2;
-        min_ = min;
-        max_ = max;
-        return;
-    }
-    // Chan et al. pairwise combine: exact for the counts and stable
-    // for the second moment, so folding per-producer accumulators in a
-    // fixed order gives one deterministic result.
-    const std::uint64_t total = count_ + count;
-    const double delta = mean - mean_;
-    m2_ += m2 + delta * delta * static_cast<double>(count_)
-                     * static_cast<double>(count)
-                     / static_cast<double>(total);
-    mean_ += delta * static_cast<double>(count)
-             / static_cast<double>(total);
-    count_ = total;
-    sum_ += sum;
-    if (min < min_)
-        min_ = min;
-    if (max > max_)
-        max_ = max;
-}
-
 double
 Distribution::stdev() const
 {
@@ -203,32 +124,6 @@ Distribution::stdev() const
         return 0.0;
     const double var = m2_ / static_cast<double>(count_);
     return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::print(std::ostream &os, int name_width) const
-{
-    os << std::left << std::setw(name_width) << name() << " ";
-    os << "mean=";
-    printNumber(os, mean());
-    os << " min=";
-    printNumber(os, minValue());
-    os << " max=";
-    printNumber(os, maxValue());
-    os << " stdev=";
-    printNumber(os, stdev());
-    os << " n=" << count_;
-    os << "  # " << desc() << "\n";
-}
-
-void
-Distribution::printCsv(std::ostream &os) const
-{
-    os << name() << ".mean," << mean() << "\n";
-    os << name() << ".min," << minValue() << "\n";
-    os << name() << ".max," << maxValue() << "\n";
-    os << name() << ".stdev," << stdev() << "\n";
-    os << name() << ".n," << count_ << "\n";
 }
 
 void
@@ -241,73 +136,6 @@ Distribution::reset()
     min_ = 0.0;
     max_ = 0.0;
     sketch_.reset();
-}
-
-Histogram::Histogram(std::string name, std::string desc, double lo,
-                     double hi, unsigned num_buckets)
-    : Stat(std::move(name), std::move(desc)), lo_(lo), hi_(hi),
-      buckets_(num_buckets, 0)
-{
-    flAssert(hi > lo && num_buckets > 0,
-             "Histogram requires hi > lo and at least one bucket");
-    bucket_width_ = (hi - lo) / num_buckets;
-}
-
-void
-Histogram::sample(double v, std::uint64_t times)
-{
-    samples_ += times;
-    if (v < lo_) {
-        underflow_ += times;
-    } else if (v >= hi_) {
-        overflow_ += times;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / bucket_width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1; // floating-point edge
-        buckets_[idx] += times;
-    }
-}
-
-void
-Histogram::print(std::ostream &os, int name_width) const
-{
-    os << std::left << std::setw(name_width) << name() << " n=" << samples_
-       << "  # " << desc() << "\n";
-    if (underflow_)
-        os << "    (<" << lo_ << ") " << underflow_ << "\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (!buckets_[i])
-            continue;
-        os << "    [";
-        printNumber(os, lo_ + i * bucket_width_);
-        os << ",";
-        printNumber(os, lo_ + (i + 1) * bucket_width_);
-        os << ") " << buckets_[i] << "\n";
-    }
-    if (overflow_)
-        os << "    (>=" << hi_ << ") " << overflow_ << "\n";
-}
-
-void
-Histogram::printCsv(std::ostream &os) const
-{
-    os << name() << ".n," << samples_ << "\n";
-    os << name() << ".underflow," << underflow_ << "\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        os << name() << ".bucket" << i << "," << buckets_[i] << "\n";
-    }
-    os << name() << ".overflow," << overflow_ << "\n";
-}
-
-void
-Histogram::reset()
-{
-    samples_ = 0;
-    underflow_ = 0;
-    overflow_ = 0;
-    for (auto &b : buckets_)
-        b = 0;
 }
 
 std::string
@@ -329,17 +157,6 @@ Distribution &
 StatGroup::addDistribution(const std::string &name, const std::string &desc)
 {
     auto stat = std::make_unique<Distribution>(qualify(name), desc);
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
-}
-
-Histogram &
-StatGroup::addHistogram(const std::string &name, const std::string &desc,
-                        double lo, double hi, unsigned num_buckets)
-{
-    auto stat = std::make_unique<Histogram>(qualify(name), desc, lo, hi,
-                                            num_buckets);
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;
@@ -381,23 +198,6 @@ StatGroup::findDistribution(const std::string &short_name) const
 }
 
 void
-StatGroup::print(std::ostream &os) const
-{
-    std::size_t width = 0;
-    for (const auto &s : stats_)
-        width = std::max(width, s->name().size());
-    for (const auto &s : stats_)
-        s->print(os, static_cast<int>(width) + 2);
-}
-
-void
-StatGroup::printCsv(std::ostream &os) const
-{
-    for (const auto &s : stats_)
-        s->printCsv(os);
-}
-
-void
 StatGroup::reset()
 {
     for (auto &s : stats_)
@@ -430,21 +230,6 @@ StatRegistry::findGroup(const std::string &name) const
             return g.get();
     }
     return nullptr;
-}
-
-void
-StatRegistry::print(std::ostream &os) const
-{
-    for (const auto &g : groups_) {
-        g->print(os);
-    }
-}
-
-void
-StatRegistry::printCsv(std::ostream &os) const
-{
-    for (const auto &g : groups_)
-        g->printCsv(os);
 }
 
 void

@@ -3,14 +3,12 @@
  * Statistics package.
  *
  * Every simulated component owns a StatGroup, creates named statistics in
- * it at construction time, and bumps them during simulation.  At the end
- * of a run the registry can render all statistics as an aligned text
- * table or as CSV for the benchmark harness.
+ * it at construction time, and bumps them during simulation.
+ * base/stats_json.hh renders the registry as JSON.
  *
  * Supported kinds:
  *  - Scalar:        a counter or gauge (operator++, +=, =).
  *  - Distribution:  online mean/min/max/stddev of sampled values.
- *  - Histogram:     linear-bucketed counts of sampled values.
  *  - Formula:       a derived value computed on demand from other stats.
  */
 
@@ -18,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,12 +38,6 @@ class Stat
 
     /** Primary value (what a formula referencing this stat sees). */
     virtual double value() const = 0;
-
-    /** Render "name value [extra]" lines into @p os. */
-    virtual void print(std::ostream &os, int name_width) const;
-
-    /** Render one or more "name,value" CSV lines into @p os. */
-    virtual void printCsv(std::ostream &os) const;
 
     /** Reset to the state at construction. */
     virtual void reset() = 0;
@@ -92,20 +83,12 @@ class Scalar : public Stat
  * quantile: p99.9 reads from a (sparser-populated) bucket the same way
  * p50 does, so exposing p999 for tail-latency work needed no extra
  * sub-bucketing -- 8/octave already holds every estimate, however deep
- * in the tail, to one bucket (~6%) of the true sample.  All
- * state is integer counts, so merging two sketches is an elementwise
- * add -- commutative and associative -- which makes the estimates
- * merge-stable: folding per-producer sketches in any grouping lands on
- * the same counts as one accumulation over every sample, bucket for
- * bucket.
+ * in the tail, to one bucket (~6%) of the true sample.
  */
 class PercentileSketch
 {
   public:
     void add(double v, std::uint64_t times = 1);
-
-    /** Elementwise-add @p other's bucket counts into this sketch. */
-    void merge(const PercentileSketch &other);
 
     /**
      * Nearest-rank quantile estimate for @p q in (0, 1]: the
@@ -143,18 +126,6 @@ class Distribution : public Stat
 
     void sample(double v, std::uint64_t times = 1);
 
-    /**
-     * Fold an independently accumulated Welford state into this
-     * distribution (Chan's parallel-combine formula).  The network
-     * keeps one accumulator per node and folds them in node order at
-     * the end of the run, which fixes the floating-point result.  A
-     * producer that also kept a PercentileSketch passes it as
-     * @p sketch so the percentile estimates fold too.
-     */
-    void merge(std::uint64_t count, double sum, double mean, double m2,
-               double min, double max,
-               const PercentileSketch *sketch = nullptr);
-
     std::uint64_t samples() const { return count_; }
     double total() const { return sum_; }
     double mean() const { return count_ ? mean_ : 0.0; }
@@ -168,8 +139,6 @@ class Distribution : public Stat
     /** A distribution's headline value is its mean. */
     double value() const override { return mean(); }
 
-    void print(std::ostream &os, int name_width) const override;
-    void printCsv(std::ostream &os) const override;
     void reset() override;
 
   private:
@@ -180,37 +149,6 @@ class Distribution : public Stat
     double min_ = 0.0;
     double max_ = 0.0;
     PercentileSketch sketch_;
-};
-
-/** Linear-bucketed histogram over [lo, hi) plus under/overflow buckets. */
-class Histogram : public Stat
-{
-  public:
-    Histogram(std::string name, std::string desc, double lo, double hi,
-              unsigned num_buckets);
-
-    void sample(double v, std::uint64_t times = 1);
-
-    std::uint64_t bucketCount(unsigned i) const { return buckets_.at(i); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    unsigned numBuckets() const { return buckets_.size(); }
-
-    double value() const override { return static_cast<double>(samples_); }
-
-    void print(std::ostream &os, int name_width) const override;
-    void printCsv(std::ostream &os) const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    double bucket_width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
 };
 
 /** A value derived from other statistics, evaluated lazily. */
@@ -248,8 +186,6 @@ class StatGroup
     Scalar &addScalar(const std::string &name, const std::string &desc);
     Distribution &addDistribution(const std::string &name,
                                   const std::string &desc);
-    Histogram &addHistogram(const std::string &name, const std::string &desc,
-                            double lo, double hi, unsigned num_buckets);
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
 
@@ -265,8 +201,6 @@ class StatGroup
 
     const std::vector<std::unique_ptr<Stat>> &stats() const { return stats_; }
 
-    void print(std::ostream &os) const;
-    void printCsv(std::ostream &os) const;
     void reset();
 
   private:
@@ -291,12 +225,6 @@ class StatRegistry
     {
         return groups_;
     }
-
-    /** Dump every group as an aligned text table. */
-    void print(std::ostream &os) const;
-
-    /** Dump every group as CSV ("name,value" per line). */
-    void printCsv(std::ostream &os) const;
 
     void reset();
 

@@ -122,15 +122,6 @@ printJson(std::ostream &os, const Stat &stat)
         os << "}";
         return;
     }
-    if (const auto *h = dynamic_cast<const Histogram *>(&stat)) {
-        os << "{\"kind\": \"histogram\", \"n\": " << h->samples()
-           << ", \"underflow\": " << h->underflow()
-           << ", \"overflow\": " << h->overflow() << ", \"buckets\": [";
-        for (unsigned i = 0; i < h->numBuckets(); ++i)
-            os << (i ? ", " : "") << h->bucketCount(i);
-        os << "]}";
-        return;
-    }
     const char *kind =
         dynamic_cast<const Formula *>(&stat) ? "formula" : "scalar";
     os << "{\"kind\": \"" << kind << "\", \"value\": ";
@@ -175,7 +166,6 @@ printSchemaJson(std::ostream &os, const StatRegistry &registry)
         for (const auto &s : g->stats()) {
             const char *kind =
                 dynamic_cast<const Distribution *>(s.get()) ? "distribution"
-                : dynamic_cast<const Histogram *>(s.get())  ? "histogram"
                 : dynamic_cast<const Formula *>(s.get())    ? "formula"
                                                             : "scalar";
             os << (first ? "" : ",") << "\n    " << jsonQuote(s->name())

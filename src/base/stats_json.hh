@@ -4,8 +4,8 @@
  *
  * `--stats-json=<file>` dumps the full StatRegistry -- every group,
  * every stat kind with its complete state (distributions with
- * n/mean/min/max/stdev, histograms with bucket counts and edges) -- so
- * the bench harness and CI can diff runs without scraping text tables.
+ * n/mean/min/max/stdev and percentiles) -- so the bench harness and CI
+ * can diff runs without scraping text tables.
  *
  * Shape:
  *

@@ -156,7 +156,6 @@ class SpecController : public sim::SimObject,
     {
         return consecutive_rollbacks_;
     }
-    bool stopRequested() const { return stop_requested_; }
 
   private:
     void beginEpoch();

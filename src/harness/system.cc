@@ -260,8 +260,7 @@ System::run()
     setPanicHook(std::move(prev));
     drv_.active = false;
 
-    // Fold the network's per-node counters into its stat group.
-    network_->finalizeStats();
+    network_->foldLinkStats();
     if (config_.tail_sample > 0)
         finalizeTailTrace();
     return !hung_ && allHalted();
@@ -328,6 +327,7 @@ System::nextBoundary(bool all_halted) const
 void
 System::takeSnapshot(Tick tick)
 {
+    network_->foldLinkStats();
     std::ostringstream os;
     statistics::printGroupsJson(os, ctx_.stats);
     snapshots_.push_back(StatSnapshot{tick, os.str()});

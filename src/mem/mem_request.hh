@@ -77,9 +77,6 @@ struct MemRequest
     bool isAmo() const { return op == MemOp::Amo; }
     bool isPrefetch() const { return op == MemOp::PrefetchEx; }
 
-    /** @return true if the access needs write (M) permission. */
-    bool needsWrite() const { return op != MemOp::Load; }
-
     /** Apply the AMO function to @p old_value. */
     std::uint64_t
     applyAmo(std::uint64_t old_value) const

@@ -183,17 +183,11 @@ Network::Network(sim::SimContext &ctx, const std::string &name,
     tracer().setAuxNames(trace::EventKind::NetHop, std::move(msg_names));
 }
 
-Network::~Network()
-{
-    for (Node &n : nodes_) {
-        if (n.ingress_event && n.ingress_event->scheduled())
-            eventq().deschedule(n.ingress_event.get());
-    }
-}
-
 Network::Node &
 Network::ensureNode(NodeId id)
 {
+    flAssert(id < max_endpoints, "endpoint ", id, " is beyond the ",
+             max_endpoints, " the delivery order encodes");
     if (nodes_.size() <= id)
         nodes_.resize(id + 1);
     return nodes_[id];
@@ -206,9 +200,6 @@ Network::registerEndpoint(NodeId id, MsgReceiver *receiver)
     flAssert(!n.receiver, "endpoint ", id, " already registered");
     n.receiver = receiver;
     n.trace_id = tracer().registerComponent("net.rx" + std::to_string(id));
-    n.ingress_event = std::make_unique<sim::EventFunctionWrapper>(
-        [this, id] { ingressFire(id); }, "net-ingress",
-        ingress_prio_base + static_cast<int>(id));
 }
 
 void
@@ -226,7 +217,7 @@ Network::send(Msg msg)
         std::find(params_.drop_fwd_acks_for.begin(),
                   params_.drop_fwd_acks_for.end(),
                   msg.block_addr) != params_.drop_fwd_acks_for.end()) {
-        ++src.tx_dropped;
+        ++stat_dropped_;
         return;
     }
 
@@ -249,7 +240,6 @@ Network::send(Msg msg)
     }
     msg.hops = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(hops, 255));
-    src.tx_hops += hops;
 
     if (src.chans.size() <= msg.dst)
         src.chans.resize(msg.dst + 1);
@@ -264,91 +254,47 @@ Network::send(Msg msg)
     // route's links only when the totals are read (foldLinks).
     ch.busy += serialization;
 
-    ++src.tx_msgs;
-    src.tx_bytes += msg.sizeBytes();
+    ++stat_msgs_;
+    stat_bytes_ += msg.sizeBytes();
+    stat_hops_ += hops;
     if (msg.hasData())
-        ++src.tx_data_msgs;
+        ++stat_data_msgs_;
     else
-        ++src.tx_ctrl_msgs;
+        ++stat_ctrl_msgs_;
 
-    Node &dst = nodes_[msg.dst];
     std::uint32_t slot;
-    if (dst.free_slots.empty()) {
-        slot = static_cast<std::uint32_t>(dst.slab.size());
-        dst.slab.push_back(msg);
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(slab_.size());
+        slab_.push_back(msg);
     } else {
-        slot = dst.free_slots.back();
-        dst.free_slots.pop_back();
-        dst.slab[slot] = msg;
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+        slab_[slot] = msg;
     }
-    dst.heap.push_back(Arrival{arrival, msg.src, slot, ++ch.seq});
-    std::push_heap(dst.heap.begin(), dst.heap.end(), ArrivalLater{});
-    armIngress(dst);
+    eventq().scheduleOneShot(
+        arrival, [this, slot] { deliver(slot); },
+        delivery_prio_base +
+            static_cast<int>(msg.dst * max_endpoints + msg.src));
 }
 
 void
-Network::armIngress(Node &n)
+Network::deliver(std::uint32_t slot)
 {
-    const Tick next = n.heap.front().tick;
-    sim::Event *ev = n.ingress_event.get();
-    if (!ev->scheduled())
-        eventq().schedule(ev, next);
-    else if (ev->when() > next)
-        eventq().reschedule(ev, next);
-}
+    // A copy: receiveMsg may send() into this very slot.
+    const Msg msg = slab_[slot];
+    free_slots_.push_back(slot);
 
-void
-Network::rxSample(Node &n, double v)
-{
-    // Same recurrence as Distribution::sample so the node-order fold in
-    // finalizeStats() reproduces one long single-threaded accumulation.
-    if (n.rx_count == 0) {
-        n.rx_min = v;
-        n.rx_max = v;
-    } else {
-        if (v < n.rx_min)
-            n.rx_min = v;
-        if (v > n.rx_max)
-            n.rx_max = v;
-    }
-    ++n.rx_count;
-    n.rx_sum += v;
-    const double delta = v - n.rx_mean;
-    n.rx_mean += delta / static_cast<double>(n.rx_count);
-    n.rx_m2 += delta * (v - n.rx_mean);
-    n.rx_sketch.add(v);
-}
-
-void
-Network::ingressFire(NodeId id)
-{
-    Node &n = nodes_[id];
     const Tick now = curTick();
-    while (!n.heap.empty() && n.heap.front().tick == now) {
-        std::pop_heap(n.heap.begin(), n.heap.end(), ArrivalLater{});
-        const std::uint32_t slot = n.heap.back().slot;
-        n.heap.pop_back();
-        // A copy: receiveMsg may send() into this very slab.
-        const Msg msg = n.slab[slot];
-        n.free_slots.push_back(slot);
-
-        const Tick latency = now - msg.sent_tick;
-        rxSample(n, static_cast<double>(latency));
-        if (n.delivered_from.size() <= msg.src)
-            n.delivered_from.resize(msg.src + 1, 0);
-        ++n.delivered_from[msg.src];
-        if (tracer().wants(trace::Flag::Net)) {
-            tracer().record(n.trace_id, trace::EventKind::NetHop, now,
-                            msg.req_id, latency,
-                            static_cast<std::uint32_t>(msg.type));
-        }
-        // receiveMsg may send() back into this very heap; arrivals are
-        // strictly in the future, so they never join this tick's batch,
-        // and the (re)schedule below accounts for them.
-        n.receiver->receiveMsg(msg);
+    const Tick latency = now - msg.sent_tick;
+    stat_msg_latency_.sample(static_cast<double>(latency));
+    ++nodes_[msg.src].chans[msg.dst].delivered;
+    const Node &dst = nodes_[msg.dst];
+    if (tracer().wants(trace::Flag::Net)) {
+        tracer().record(dst.trace_id, trace::EventKind::NetHop, now,
+                        msg.req_id, latency,
+                        static_cast<std::uint32_t>(msg.type));
     }
-    if (!n.heap.empty())
-        armIngress(n);
+    dst.receiver->receiveMsg(msg);
 }
 
 std::uint32_t
@@ -393,51 +339,23 @@ Network::foldedLinkMsgs() const
 }
 
 void
-Network::finalizeStats()
+Network::foldLinkStats()
 {
-    if (finalized_)
+    if (params_.topology == Topology::Crossbar)
         return;
-    finalized_ = true;
-    std::uint64_t msgs = 0, bytes = 0, data = 0, ctrl = 0, dropped = 0;
-    std::uint64_t hops = 0;
-    for (const Node &n : nodes_) {
-        msgs += n.tx_msgs;
-        bytes += n.tx_bytes;
-        data += n.tx_data_msgs;
-        ctrl += n.tx_ctrl_msgs;
-        dropped += n.tx_dropped;
-        hops += n.tx_hops;
+    std::vector<std::uint64_t> lmsgs, lbusy;
+    foldLinks(lmsgs, lbusy);
+    std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
+    for (std::size_t l = 0; l < lmsgs.size(); ++l) {
+        if (lmsgs[l] == 0)
+            continue;
+        ++used;
+        hot_msgs = std::max(hot_msgs, lmsgs[l]);
+        hot_busy = std::max(hot_busy, lbusy[l]);
     }
-    stat_msgs_ = msgs;
-    stat_bytes_ = bytes;
-    stat_data_msgs_ = data;
-    stat_ctrl_msgs_ = ctrl;
-    stat_dropped_ = dropped;
-    stat_hops_ = hops;
-    if (params_.topology != Topology::Crossbar) {
-        // Spread the per-channel occupancy over the links and report
-        // the hot spot.
-        std::vector<std::uint64_t> lmsgs, lbusy;
-        foldLinks(lmsgs, lbusy);
-        std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
-        for (std::size_t l = 0; l < lmsgs.size(); ++l) {
-            if (lmsgs[l] == 0)
-                continue;
-            ++used;
-            hot_msgs = std::max(hot_msgs, lmsgs[l]);
-            hot_busy = std::max(hot_busy, lbusy[l]);
-        }
-        stat_links_used_ = used;
-        stat_hot_link_msgs_ = hot_msgs;
-        stat_hot_link_busy_ = hot_busy;
-    }
-    for (Node &n : nodes_) {
-        if (n.rx_count) {
-            stat_msg_latency_.merge(n.rx_count, n.rx_sum, n.rx_mean,
-                                    n.rx_m2, n.rx_min, n.rx_max,
-                                    &n.rx_sketch);
-        }
-    }
+    stat_links_used_ = used;
+    stat_hot_link_msgs_ = hot_msgs;
+    stat_hot_link_busy_ = hot_busy;
 }
 
 } // namespace fenceless::mem

@@ -22,32 +22,31 @@
  * order per channel is a protocol requirement.
  *
  * Link occupancy is modeled as per-channel accounting: every message
- * charges its serialization cycles to its sender-owned (src, dst)
- * channel, and finalizeStats() spreads each channel's totals over the
- * channel's fixed route once (hop totals, hot-link occupancy).  Routes
+ * charges its serialization cycles to its (src, dst) channel, and
+ * foldLinkStats() spreads each channel's totals over the channel's
+ * fixed route (links used, hot-link messages and occupancy).  Routes
  * are pure functions of (src, dst), so the per-link sums equal a
  * per-message walk without costing one on every send.  Shared-link
- * *timing* contention is not modeled: arrival times are a pure function
- * of sender-owned channel state.
+ * *timing* contention is not modeled: arrival times are a pure
+ * function of the sending channel's state.
  *
- * Delivery goes through a *canonical per-destination ingress*: every
- * node owns a min-heap of pending arrivals ordered by (arrival tick,
- * source node, per-channel sequence) -- a total order whose keys are
- * computed entirely at send time -- drained by one ingress event per
- * node.  Delivery order at every node is therefore a pure function of
- * the message timing, never of the order in which same-tick sends
- * happened to execute.
+ * Delivery goes through the event queue: send() parks the message in
+ * a network-wide slab and schedules a pooled one-shot at its arrival
+ * tick whose priority encodes (destination, source).  The queue orders
+ * events by (tick, priority, insertion), and a channel's arrivals
+ * strictly increase, so every tick delivers in (dst, src) order -- a
+ * pure function of the message timing, never of the order in which
+ * same-tick sends happened to execute -- and before any component
+ * event of that tick.
  *
- * Stats follow the same discipline: each node accumulates its own tx
- * counters and rx latency moments, and finalizeStats() folds them into
- * the "network" stat group in node order at end of run.  That fold
- * order fixes the floating-point bytes of `network.msg_latency`.
+ * The "network" stat group is live: send() bumps the traffic counters
+ * and each delivery samples `msg_latency`.  Only the link stats are
+ * folded, whenever foldLinkStats() is called.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -188,28 +187,22 @@ class Network : public sim::SimObject
     Network(sim::SimContext &ctx, const std::string &name,
             const Params &params);
 
-    /**
-     * Pending ingress events are owned by the network; an aborted run
-     * (watchdog, cycle budget) leaves them scheduled, so pull them off
-     * their queues before the Event destructor asserts.
-     */
-    ~Network() override;
-
     /** Attach the receiver for endpoint @p id. */
     void registerEndpoint(NodeId id, MsgReceiver *receiver);
 
     /**
-     * Send a message: it joins its destination's ingress heap, keyed
-     * for the canonical (arrival, src, chan_seq) delivery order.
+     * Send a message: a pooled one-shot delivers it at its arrival
+     * tick, in the (dst, src) order the file comment describes.
      */
     void send(Msg msg);
 
     /**
-     * Fold the per-node counters into the "network" stat group (node
-     * order, idempotent).  The System calls this once at end of run in
-     * every mode; until then the group's scalars read zero.
+     * Spread the per-channel totals over the links into `links_used`,
+     * `hot_link_msgs` and `hot_link_busy` (ring/mesh).  Assigns rather
+     * than accumulates, so the System calls it at every stats snapshot
+     * and at end of run.
      */
-    void finalizeStats();
+    void foldLinkStats();
 
     // --- stall-dossier inspection ---------------------------------------
 
@@ -225,17 +218,11 @@ class Network : public sim::SimObject
     forEachChannel(Fn fn) const
     {
         for (NodeId s = 0; s < nodes_.size(); ++s) {
-            const Node &src = nodes_[s];
-            for (NodeId d = 0; d < src.chans.size(); ++d) {
-                const TxChan &ch = src.chans[d];
-                if (ch.sent == 0)
-                    continue;
-                std::uint64_t delivered = 0;
-                if (d < nodes_.size() &&
-                    s < nodes_[d].delivered_from.size()) {
-                    delivered = nodes_[d].delivered_from[s];
-                }
-                fn(s, d, Channel{ch.last_arrival, ch.sent - delivered});
+            const std::vector<TxChan> &chans = nodes_[s].chans;
+            for (NodeId d = 0; d < chans.size(); ++d) {
+                const TxChan &ch = chans[d];
+                if (ch.sent != 0)
+                    fn(s, d, Channel{ch.last_arrival, ch.sent - ch.delivered});
             }
         }
     }
@@ -246,106 +233,43 @@ class Network : public sim::SimObject
     /**
      * Per-link message totals (indexed by link id; empty on the
      * crossbar): every channel's count spread over its route, as in
-     * finalizeStats(); callable at any point (end-of-run reports use it
+     * foldLinkStats(); callable at any point (end-of-run reports use it
      * to name each sampled request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
 
     /** Fault-injected drops so far (see Params::drop_fwd_acks_for). */
-    std::uint64_t
-    droppedMsgs() const
-    {
-        std::uint64_t total = 0;
-        for (const Node &n : nodes_)
-            total += n.tx_dropped;
-        return total;
-    }
+    std::uint64_t droppedMsgs() const { return stat_dropped_.count(); }
 
   private:
-    /**
-     * A pending arrival's place in its destination's ingress heap: the
-     * (arrival, src, chan_seq) ordering key plus the slab slot holding
-     * the message, so heap operations move 24 bytes, not a payload.
-     * chan_seq is the (src, dst) channel's send sequence; per-channel
-     * arrivals strictly increase, so the key is a strict total order
-     * per node.
-     */
-    struct Arrival
-    {
-        Tick tick = 0;
-        NodeId src = 0;
-        std::uint32_t slot = 0; //!< index into Node::slab
-        std::uint64_t chan_seq = 0;
-    };
-
-    /** Max-heap comparator yielding an (arrival, src, chan_seq) min-heap. */
-    struct ArrivalLater
-    {
-        bool
-        operator()(const Arrival &a, const Arrival &b) const
-        {
-            if (a.tick != b.tick)
-                return a.tick > b.tick;
-            if (a.src != b.src)
-                return a.src > b.src;
-            return a.chan_seq > b.chan_seq;
-        }
-    };
-
-    /** One FIFO channel's send-side state. */
+    /** One FIFO channel's state. */
     struct TxChan
     {
         Tick last_arrival = 0;
-        std::uint64_t seq = 0;  //!< sends so far (becomes chan_seq)
-        std::uint64_t sent = 0; //!< == seq; kept separate for clarity
+        std::uint64_t sent = 0;
+        std::uint64_t delivered = 0;
         std::uint64_t busy = 0; //!< serialization cycles sent
     };
 
-    /**
-     * Per-node state: the tx counters this node produces as a source
-     * and the ingress heap + rx accumulators it owns as a destination.
-     */
     struct Node
     {
         MsgReceiver *receiver = nullptr;
         std::uint16_t trace_id = 0; //!< "net.rxN" track in the sink
-
-        // tx side (this node as msg.src)
-        std::vector<TxChan> chans; //!< indexed by dst
-        std::uint64_t tx_msgs = 0;
-        std::uint64_t tx_bytes = 0;
-        std::uint64_t tx_data_msgs = 0;
-        std::uint64_t tx_ctrl_msgs = 0;
-        std::uint64_t tx_dropped = 0;
-        std::uint64_t tx_hops = 0; //!< links crossed by sent messages
-
-        // rx side (this node as msg.dst)
-        std::vector<Arrival> heap; //!< min-heap via ArrivalLater
-        std::vector<Msg> slab;     //!< messages of the heap's arrivals
-        std::vector<std::uint32_t> free_slots; //!< unused slab slots
-        std::unique_ptr<sim::EventFunctionWrapper> ingress_event;
-        std::vector<std::uint64_t> delivered_from; //!< per src
-        std::uint64_t rx_count = 0; //!< Welford state for msg_latency
-        double rx_sum = 0.0;
-        double rx_mean = 0.0;
-        double rx_m2 = 0.0;
-        double rx_min = 0.0;
-        double rx_max = 0.0;
-        statistics::PercentileSketch rx_sketch;
+        std::vector<TxChan> chans;  //!< this node's channels, by dst
     };
 
     /**
-     * Ingress events outrank every component event (prio_highest is 0)
-     * and each other by node id, so all of a tick's deliveries land --
-     * in node order -- before any component logic runs at that tick.
+     * Delivery priorities are delivery_prio_base + dst * max_endpoints
+     * + src: below every component priority (prio_highest is 0), so all
+     * of a tick's deliveries run, in (dst, src) order, before any
+     * component logic at that tick.  max_endpoints covers the largest
+     * System: 64 cores plus 64 directory banks.
      */
-    static constexpr int ingress_prio_base = -100000;
+    static constexpr int delivery_prio_base = -100000;
+    static constexpr NodeId max_endpoints = 128;
 
     Node &ensureNode(NodeId id);
-    /** (Re)arm @p n's ingress event for its earliest pending arrival. */
-    void armIngress(Node &n);
-    void ingressFire(NodeId id);
-    void rxSample(Node &n, double v);
+    void deliver(std::uint32_t slot);
 
     /** Links a message s -> d crosses (ring/mesh only). */
     std::uint32_t routeHops(NodeId s, NodeId d) const;
@@ -360,7 +284,8 @@ class Network : public sim::SimObject
     Params params_;
     std::uint32_t mesh_w_ = 0; //!< mesh grid width (mesh only)
     std::vector<Node> nodes_;
-    bool finalized_ = false;
+    std::vector<Msg> slab_;                 //!< messages in flight
+    std::vector<std::uint32_t> free_slots_; //!< unused slab slots
 
     statistics::Scalar &stat_msgs_;
     statistics::Scalar &stat_bytes_;

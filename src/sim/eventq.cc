@@ -210,8 +210,7 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick max_tick)
 {
-    stop_requested_ = false;
-    while (num_scheduled_ > 0 && !stop_requested_) {
+    while (num_scheduled_ > 0) {
         // Peek at the next live event without firing it if it is beyond
         // the horizon.  The peek leaves it at the front of its bucket
         // (or the far top), so the popLive() inside step() re-finds it

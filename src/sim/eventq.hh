@@ -231,13 +231,20 @@ class EventQueue
      * whose count is unbounded (cache responses, message deliveries);
      * components with a fixed set of recurring events should own
      * EventFunctionWrapper members instead.
+     *
+     * @p priority orders the one-shot among its tick's events like any
+     * Event priority.  A pooled node takes it on every schedule, so a
+     * recycled node never keeps a previous user's priority.  The
+     * network passes negative priorities that encode (dst, src), so
+     * its deliveries run in that order before every component event.
      */
     template <typename F>
     void
-    scheduleOneShot(Tick when, F &&fn)
+    scheduleOneShot(Tick when, F &&fn, int priority = Event::prio_default)
     {
         OneShot *ev = acquireOneShot();
         ev->fn.emplace(std::forward<F>(fn));
+        ev->priority_ = priority;
         schedule(ev, when);
     }
 
@@ -269,18 +276,6 @@ class EventQueue
      * @return the final current tick.
      */
     Tick run(Tick max_tick = fenceless::max_tick);
-
-    /**
-     * Make the current run() return before firing another event.  Used
-     * by the hang watchdog: its abort must unwind out of the event loop
-     * (so the harness can dump a dossier and exit cleanly) rather than
-     * terminate the process from inside an event handler.  The flag is
-     * consumed by the run() it stops; a later run() call starts fresh.
-     */
-    void requestStop() { stop_requested_ = true; }
-
-    /** @return true if requestStop() ended (or will end) a run. */
-    bool stopRequested() const { return stop_requested_; }
 
     /** Fire exactly one event if any is pending. @return true if fired. */
     bool step();
@@ -403,7 +398,6 @@ class EventQueue
     std::uint64_t stale_pops_ = 0;
     std::uint64_t near_pops_ = 0;
     std::uint64_t far_pops_ = 0;
-    bool stop_requested_ = false;
 
     std::vector<std::unique_ptr<OneShot>> oneshot_nodes_; //!< ownership
     OneShot *oneshot_free_ = nullptr; //!< intrusive free list head

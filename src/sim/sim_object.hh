@@ -77,13 +77,6 @@ class SimObject
         ctx_.eventq.schedule(ev, curTick() + delay);
     }
 
-    /** (Re)schedule an event @p delay cycles from now. */
-    void
-    rescheduleIn(Event *ev, Cycles delay)
-    {
-        ctx_.eventq.reschedule(ev, curTick() + delay);
-    }
-
   protected:
     SimContext &ctx_;
 

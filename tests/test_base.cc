@@ -12,6 +12,7 @@
 #include "base/flat_memory.hh"
 #include "base/random.hh"
 #include "base/stats.hh"
+#include "base/stats_json.hh"
 
 using namespace fenceless;
 
@@ -161,23 +162,6 @@ TEST(Stats, DistributionMoments)
     EXPECT_NEAR(d.stdev(), 0.8165, 1e-3);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    statistics::StatGroup group("g");
-    auto &h = group.addHistogram("h", "hist", 0, 10, 5);
-    h.sample(-1);
-    h.sample(0);
-    h.sample(3.9);
-    h.sample(4.0);
-    h.sample(100);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.samples(), 5u);
-}
-
 TEST(Stats, FormulaDerivesFromScalars)
 {
     statistics::StatGroup group("g");
@@ -207,7 +191,7 @@ TEST(Stats, RegistryPrint)
     auto &s = g.addScalar("v", "value");
     s += 7;
     std::ostringstream os;
-    reg.print(os);
-    EXPECT_NE(os.str().find("x.v"), std::string::npos);
-    EXPECT_NE(os.str().find("7"), std::string::npos);
+    statistics::printJson(os, reg);
+    EXPECT_NE(os.str().find("\"x.v\": {\"kind\": \"scalar\", \"value\": 7}"),
+              std::string::npos);
 }

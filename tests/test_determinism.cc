@@ -13,9 +13,9 @@
  *  - a randomized schedule/deschedule/reschedule stress confirms the
  *    two-level queue fires events in exactly the documented
  *    (when, priority, stamp) total order, near and far alike;
- *  - messages whose arrivals tie at one node are delivered in the
- *    canonical (arrival, src, chan_seq) order, whatever order the
- *    sources sent them in;
+ *  - messages whose arrivals tie are delivered in the canonical
+ *    (arrival, dst, src) order, before any component event of their
+ *    tick, whatever order the sources sent them in;
  *  - at every directory bank count and topology, the stats, profile
  *    and flight-recorder documents are byte-identical run to run and
  *    across sweep worker counts.
@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
 #include <string>
@@ -315,15 +316,15 @@ TEST(Determinism, IdleSleepStallAccountingExercised)
 }
 
 // ---------------------------------------------------------------------
-// canonical ingress order under tied arrivals
+// canonical delivery order under tied arrivals
 // ---------------------------------------------------------------------
 
 TEST(Determinism, TiedArrivalsDeliverInCanonicalOrder)
 {
     // Four sources send to node 0 on the same tick.  Their channels are
-    // independent, so same-size messages tie on arrival; the per-node
-    // ingress heap must deliver by (arrival, src, chan_seq) no matter
-    // how the sends were interleaved.  Each source's own sequence is
+    // independent, so same-size messages tie on arrival; the network
+    // must deliver them by (arrival, src) no matter how the sends were
+    // interleaved.  Each source's own sequence is
     // fixed (it shapes its channel's timing); only the interleaving
     // across sources is shuffled from round to round.
     Random rng(98765);
@@ -406,6 +407,153 @@ TEST(Determinism, TiedArrivalsDeliverInCanonicalOrder)
         } else {
             EXPECT_EQ(sink.seen, reference) << "round " << round;
         }
+    }
+}
+
+TEST(Determinism, TiedArrivalsAtManyNodesDeliverInIdOrderBeforeComponents)
+{
+    // Senders 4..7 each send two same-size messages to each of the
+    // destinations 0..3, so the first message of every channel ties
+    // with the other channels' on one tick and the second on the next.
+    // Within a tick the network must deliver in ascending destination
+    // id, in ascending source id at each destination, and all of it
+    // before any component event of that tick: a probe that fires on
+    // every tick at prio_highest.  Destination 0 answers its first
+    // message from sender 4; the answer must arrive on a later tick.
+    // Each channel's own sequence is fixed; only the interleaving of
+    // the sends across channels is shuffled from round to round.
+    constexpr mem::NodeId num_dsts = 4;
+    constexpr mem::NodeId first_src = num_dsts;
+    constexpr mem::NodeId num_srcs = 4;
+    constexpr int per_chan = 2;
+    constexpr std::uint64_t reply_id = 1000;
+    constexpr Tick horizon = 64;
+
+    struct Entry
+    {
+        bool probe; //!< the component event, not a delivery
+        mem::NodeId src;
+        mem::NodeId dst;
+        std::uint64_t req_id;
+        Tick sent;
+        Tick tick;
+
+        bool operator==(const Entry &) const = default;
+    };
+    struct Recorder : mem::MsgReceiver
+    {
+        sim::SimContext *ctx = nullptr;
+        mem::Network *net = nullptr;
+        std::vector<Entry> log;
+        void
+        receiveMsg(const mem::Msg &m) override
+        {
+            log.push_back(
+                {false, m.src, m.dst, m.req_id, m.sent_tick, ctx->curTick()});
+            if (m.src == first_src && m.dst == 0 && m.req_id == 1) {
+                mem::Msg reply;
+                reply.src = 0;
+                reply.dst = first_src;
+                reply.req_id = reply_id;
+                net->send(reply);
+            }
+        }
+    };
+
+    // The per-channel message sequences, fixed across rounds.
+    std::vector<std::vector<mem::Msg>> per_chan_msgs;
+    for (mem::NodeId s = first_src; s < first_src + num_srcs; ++s) {
+        for (mem::NodeId d = 0; d < num_dsts; ++d) {
+            std::vector<mem::Msg> seq;
+            for (int k = 0; k < per_chan; ++k) {
+                mem::Msg m;
+                m.src = s;
+                m.dst = d;
+                m.req_id = per_chan_msgs.size() * per_chan + k + 1;
+                seq.push_back(m);
+            }
+            per_chan_msgs.push_back(seq);
+        }
+    }
+
+    Random rng(13579);
+    std::vector<Entry> reference;
+    for (int round = 0; round < 20; ++round) {
+        sim::SimContext ctx;
+        mem::Network net(ctx, "net", mem::Network::Params{});
+        Recorder rec;
+        rec.ctx = &ctx;
+        rec.net = &net;
+        for (mem::NodeId n = 0; n < first_src + num_srcs; ++n)
+            net.registerEndpoint(n, &rec);
+
+        sim::EventFunctionWrapper probe(
+            [&] {
+                rec.log.push_back({true, 0, 0, 0, 0, ctx.curTick()});
+                if (ctx.curTick() < horizon)
+                    ctx.eventq.schedule(&probe, ctx.curTick() + 1);
+            },
+            "probe", sim::Event::prio_highest);
+        ctx.eventq.schedule(&probe, 0);
+
+        // A random interleaving of the per-channel sequences.
+        std::vector<std::size_t> next(per_chan_msgs.size(), 0);
+        std::vector<std::size_t> pending;
+        for (std::size_t c = 0; c < per_chan_msgs.size(); ++c) {
+            for (int k = 0; k < per_chan; ++k)
+                pending.push_back(c);
+        }
+        for (std::size_t i = pending.size(); i > 1; --i)
+            std::swap(pending[i - 1], pending[rng.range(0, i - 1)]);
+        for (std::size_t c : pending)
+            net.send(per_chan_msgs[c][next[c]++]);
+        ctx.eventq.run();
+
+        if (round > 0) {
+            EXPECT_EQ(rec.log, reference) << "round " << round;
+            continue;
+        }
+        reference = rec.log;
+
+        std::size_t deliveries = 0;
+        std::size_t widest_tick = 0; // most deliveries on one tick
+        std::size_t run = 0;
+        Tick reply_sent = 0;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            const Entry &e = reference[i];
+            if (e.probe) {
+                run = 0;
+            } else {
+                ++deliveries;
+                widest_tick = std::max(widest_tick, ++run);
+                if (e.src == first_src && e.dst == 0 && e.req_id == 1)
+                    reply_sent = e.tick;
+                if (e.req_id == reply_id) {
+                    EXPECT_EQ(e.sent, reply_sent);
+                    EXPECT_GT(e.tick, e.sent);
+                }
+            }
+            if (i == 0)
+                continue;
+            const Entry &prev = reference[i - 1];
+            ASSERT_LE(prev.tick, e.tick) << "entry " << i;
+            if (prev.tick != e.tick)
+                continue;
+            // Same tick: the probe is last, deliveries ascend by
+            // (dst, src).
+            ASSERT_FALSE(prev.probe) << "tick " << e.tick
+                                     << " ran a delivery after the probe";
+            if (!e.probe) {
+                ASSERT_TRUE(prev.dst < e.dst ||
+                            (prev.dst == e.dst && prev.src < e.src))
+                    << "tick " << e.tick << ": " << prev.src << "->"
+                    << prev.dst << " before " << e.src << "->" << e.dst;
+            }
+        }
+        EXPECT_EQ(deliveries, num_srcs * num_dsts * per_chan + 1);
+        EXPECT_EQ(widest_tick, num_srcs * num_dsts);
+        EXPECT_GT(reply_sent, 0u);
+        EXPECT_TRUE(reference.back().probe);
     }
 }
 

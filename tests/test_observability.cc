@@ -37,6 +37,17 @@ countOccurrences(const std::string &s, const std::string &needle)
     return n;
 }
 
+/** The unsigned number right after @p key in @p json; 0 if absent. */
+std::uint64_t
+numberAfter(const std::string &json, const std::string &key)
+{
+    const std::size_t pos = json.find(key);
+    EXPECT_NE(pos, std::string::npos) << key;
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(json.substr(pos + key.size()));
+}
+
 /** Minimal structural JSON check: balanced braces and brackets. */
 void
 expectBalancedJson(const std::string &json)
@@ -331,15 +342,50 @@ TEST(SystemObservability, RequestLatencyDistributionsPopulated)
 
 TEST(SystemObservability, PeriodicSnapshotsFormTimeSeries)
 {
+    const std::string msgs_key =
+        "\"network.msgs\": {\"kind\": \"scalar\", \"value\": ";
+    const std::string lat_n_key =
+        "\"network.msg_latency\": {\"kind\": \"distribution\", \"n\": ";
+    const std::string links_key =
+        "\"network.links_used\": {\"kind\": \"scalar\", \"value\": ";
+
     auto sys = runTracedSystem(0, 200);
     ASSERT_GE(sys->snapshots().size(), 2u);
     Tick prev = 0;
+    std::uint64_t prev_msgs = 0;
     for (const auto &snap : sys->snapshots()) {
         EXPECT_GT(snap.tick, prev);
         prev = snap.tick;
         EXPECT_NE(snap.groups_json.find("\"l1_0\""),
                   std::string::npos);
+        // The network's stats are live: each snapshot shows the
+        // traffic so far.
+        const std::uint64_t msgs = numberAfter(snap.groups_json, msgs_key);
+        EXPECT_GE(msgs, prev_msgs) << "tick " << snap.tick;
+        prev_msgs = msgs;
     }
+    const std::string &last = sys->snapshots().back().groups_json;
+    const statistics::StatGroup *net = sys->stats().findGroup("network");
+    ASSERT_NE(net, nullptr);
+    EXPECT_GT(numberAfter(last, msgs_key), 0u);
+    EXPECT_LE(numberAfter(last, msgs_key), net->scalarCount("msgs"));
+    EXPECT_GT(numberAfter(last, lat_n_key), 0u);
+    EXPECT_LE(numberAfter(last, lat_n_key),
+              net->findDistribution("msg_latency")->samples());
+
+    // A snapshot folds the ring's link stats too.
+    harness::SystemConfig cfg = testConfig(16);
+    cfg.withTopology(mem::Topology::Ring);
+    cfg.stats_interval = 500;
+    workload::LocalLockStream::Params params;
+    params.iters = 8;
+    workload::LocalLockStream wl(params);
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System ring(cfg, prog);
+    ASSERT_TRUE(ring.run());
+    ASSERT_FALSE(ring.snapshots().empty());
+    EXPECT_GT(numberAfter(ring.snapshots().back().groups_json, links_key),
+              0u);
 }
 
 TEST(SystemObservability, StatsJsonDocumentComposes)

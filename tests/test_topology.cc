@@ -150,7 +150,6 @@ TEST(Topology, CrossbarAlwaysOneHop)
     ASSERT_EQ(ep.arrivals.size(), 2u);
     EXPECT_EQ(ep.arrivals[0].hops, 1);
     EXPECT_EQ(ep.arrivals[1].hops, 1);
-    net.finalizeStats();
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
 }
 
@@ -268,7 +267,7 @@ TEST(Topology, MeshPartialLastRowRoutesThroughEmptySlots)
 
     ASSERT_EQ(ep.arrivals.size(), 1u);
     EXPECT_EQ(ep.arrivals[0].hops, 5);
-    net.finalizeStats();
+    net.foldLinkStats();
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 5u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 5u);
 }
@@ -296,7 +295,7 @@ TEST(Topology, MeshHopAndLinkStatsFold)
     ASSERT_EQ(ep.arrivals.size(), 1u);
     EXPECT_EQ(ep.arrivals[0].hops, 2);
 
-    net.finalizeStats();
+    net.foldLinkStats();
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("hot_link_msgs"), 1u);
@@ -369,7 +368,7 @@ TEST(Topology, ChannelFoldMatchesPerMessageWalks)
         ctx.eventq.run();
 
         EXPECT_EQ(net.foldedLinkMsgs(), want_msgs);
-        net.finalizeStats();
+        net.foldLinkStats();
         std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
         for (std::size_t l = 0; l < nlinks; ++l) {
             used += want_msgs[l] != 0;
