@@ -52,8 +52,8 @@ BM_EventQueue(benchmark::State &state)
         movers.emplace_back([&fired] { ++fired; }, "bench.mover");
     for (auto _ : state) {
         for (int i = 0; i < 1000; ++i) {
-            sim::scheduleOneShot(eq, eq.curTick() + 1 + (i % 7),
-                                 [&fired] { ++fired; });
+            eq.scheduleOneShot(eq.curTick() + 1 + (i % 7),
+                               [&fired] { ++fired; });
         }
         for (std::size_t i = 0; i < movers.size(); ++i) {
             eq.schedule(&movers[i], eq.curTick() + 2 + i);

@@ -111,10 +111,6 @@ SpecController::SpecController(sim::SimContext &ctx,
 
     core_.setSpec(this);
     l1_.setSpecHooks(this);
-    core_.storeBuffer().setDrainListener([this] {
-        if (in_spec_)
-            tryCommit();
-    });
 }
 
 std::uint64_t
@@ -208,22 +204,18 @@ SpecController::reserveSpecSlot(bool is_store)
 }
 
 void
-SpecController::whenSpecExit(std::function<void()> cb)
-{
-    if (!in_spec_) {
-        sim::scheduleOneShot(eventq(), curTick() + 1, std::move(cb));
-        return;
-    }
-    exit_waiters_.push_back(std::move(cb));
-}
-
-void
-SpecController::requestStop(std::function<void()> done)
+SpecController::requestStop()
 {
     flAssert(in_spec_, name(), ": requestStop outside an epoch");
     stop_requested_ = true;
-    stop_cb_ = std::move(done);
     tryCommit();
+}
+
+void
+SpecController::storeDrained()
+{
+    if (in_spec_)
+        tryCommit();
 }
 
 // ---------------------------------------------------------------------
@@ -251,8 +243,8 @@ SpecController::tryCommit()
     // Model an arbitration-based commit: the epoch stays speculative
     // (and vulnerable to conflicts) while "arbitration" runs.
     commit_scheduled_ = true;
-    sim::scheduleOneShot(
-        eventq(), curTick() + params_.commit_arb_latency,
+    eventq().scheduleOneShot(
+        curTick() + params_.commit_arb_latency,
         [this, commit_epoch = epoch_] {
             commit_scheduled_ = false;
             if (!in_spec_ || epoch_ != commit_epoch)
@@ -302,16 +294,10 @@ SpecController::doCommit()
     ++stat_commits_;
     l1_.specCleared();
 
-    bool stopping = stop_requested_;
-    if (stop_requested_) {
-        stop_requested_ = false;
-        if (stop_cb_) {
-            auto cb = std::move(stop_cb_);
-            stop_cb_ = nullptr;
-            cb();
-        }
-    }
-    fireSpecExit();
+    const bool stopping = stop_requested_;
+    stop_requested_ = false;
+    // Wake a core waiting out this epoch before a chained one opens.
+    core_.specExited();
 
     // Continuous mode: chain straight into the next epoch, decoupling
     // ordering enforcement from the core entirely.  Skip when the core
@@ -399,7 +385,6 @@ SpecController::rollback(RollbackCause cause, Addr trigger_addr)
         cooldown_ = params_.max_cooldown;
     }
     stop_requested_ = false;
-    stop_cb_ = nullptr;
     overflow_pending_ = false;
 
     ++stat_rollbacks_;
@@ -407,16 +392,7 @@ SpecController::rollback(RollbackCause cause, Addr trigger_addr)
 
     core_.restoreAndResume(ckpt_);
     l1_.specCleared();
-    fireSpecExit();
-}
-
-void
-SpecController::fireSpecExit()
-{
-    std::vector<std::function<void()>> waiters;
-    waiters.swap(exit_waiters_);
-    for (auto &cb : waiters)
-        cb();
+    core_.specExited();
 }
 
 } // namespace fenceless::spec

@@ -32,13 +32,15 @@
  * with Granularity::PerStore, speculative accesses draw from a bounded
  * store-queue/load-CAM budget and stall when it is exhausted -- the
  * storage-scaling contrast the block-granularity design removes.
+ *
+ * The controller keeps no waiters.  Every commit and rollback advances
+ * the epoch id and calls Core::specExited(); a core stalled on the
+ * epoch (a full budget, or Halt inside an epoch) wakes itself there.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "cpu/core.hh"
 #include "mem/l1_cache.hh"
@@ -123,9 +125,9 @@ class SpecController : public sim::SimObject,
     bool shouldSpeculate(OrderPoint point) override;
     bool inSpec() const override { return in_spec_; }
     std::uint32_t epoch() const override { return epoch_; }
-    void requestStop(std::function<void()> done) override;
+    void requestStop() override;
     bool reserveSpecSlot(bool is_store) override;
-    void whenSpecExit(std::function<void()> cb) override;
+    void storeDrained() override;
 
     // --- mem::SpecHooks ---------------------------------------------------
 
@@ -169,7 +171,6 @@ class SpecController : public sim::SimObject,
      * single address is responsible), recorded for waste attribution.
      */
     void rollback(RollbackCause cause, Addr trigger_addr);
-    void fireSpecExit();
     std::uint64_t epochInsts() const;
 
     Params params_;
@@ -187,15 +188,12 @@ class SpecController : public sim::SimObject,
     unsigned consecutive_rollbacks_ = 0; //!< backoff exponent
     unsigned commit_streak_ = 0;         //!< commits since last rollback
     bool stop_requested_ = false;
-    std::function<void()> stop_cb_;
     bool overflow_pending_ = false;
     bool commit_scheduled_ = false;
 
     // Per-epoch resource accounting (PerStore limits; Block stats).
     unsigned epoch_stores_ = 0;
     unsigned epoch_loads_ = 0;
-
-    std::vector<std::function<void()>> exit_waiters_;
 
     statistics::Scalar &stat_epochs_;
     statistics::Scalar &stat_epochs_sc_load_;

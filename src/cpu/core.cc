@@ -67,7 +67,7 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
                               ModelPolicy::sbDrainsInOrder(params.model),
                               params.sb_max_inflight,
                               params.sb_prefetch_depth},
-          l1),
+          l1, *this),
       tick_event_(*this, name + ".tick"),
       stat_instructions_(statGroup().addScalar("instructions",
                                                "instructions retired")),
@@ -124,7 +124,7 @@ Core::reset()
     pc_ = 0;
     instret_ = 0;
     halted_ = false;
-    pending_kind_ = PendingKind::None;
+    wait_.kind = WaitKind::None;
     scheduleTick(1);
 }
 
@@ -193,25 +193,86 @@ Core::accountStall(StallReason reason, Tick begin)
               static_cast<std::uint32_t>(reason));
 }
 
-std::function<void()>
-Core::resumer(StallReason reason)
+void
+Core::waitFor(StallReason reason, WaitKind kind, Addr addr,
+              unsigned size, std::uint32_t epoch)
 {
     // Idle-sleep entry: while waiting, the core schedules nothing --
-    // no tick events fire for the dead cycles -- and wake() accounts
+    // no tick events fire for the dead cycles -- and the wake accounts
     // the whole slept interval in one shot, so the stall statistics
     // are exactly what per-cycle accounting would have produced.
-    sleep_reason_ = reason;
-    sleep_begin_ = curTick();
-    return [this, gen = squash_gen_] { wake(gen); };
+    wait_.kind = kind;
+    wait_.reason = reason;
+    wait_.begin = curTick();
+    wait_.addr = addr;
+    wait_.size = size;
+    wait_.epoch = epoch;
+    if (waitHolds()) {
+        wait_.kind = WaitKind::None;
+        eventq().scheduleOneShot(curTick() + 1, [this, gen = squash_gen_] {
+            if (gen == squash_gen_) // else squashed while asleep
+                wake();
+        });
+    }
+}
+
+bool
+Core::waitHolds() const
+{
+    switch (wait_.kind) {
+      case WaitKind::SbEmpty:
+        return sb_.empty();
+      case WaitKind::SbSpace:
+        return !sb_.full();
+      case WaitKind::SbNoOverlap:
+        return !sb_.hasOverlap(wait_.addr, wait_.size);
+      case WaitKind::SpecExit:
+        // Every commit and every rollback advances the epoch.
+        return spec_->epoch() != wait_.epoch;
+      case WaitKind::None:
+      case WaitKind::Load:
+      case WaitKind::Amo:
+        break;
+    }
+    return false;
 }
 
 void
-Core::wake(std::uint64_t gen)
+Core::wake()
 {
-    if (gen != squash_gen_)
-        return; // stale: the core was squashed while asleep
-    accountStall(sleep_reason_, sleep_begin_);
+    wait_.kind = WaitKind::None;
+    accountStall(wait_.reason, wait_.begin);
     scheduleTick(1);
+}
+
+void
+Core::storeDrained()
+{
+    if (spec_)
+        spec_->storeDrained();
+    if (waitHolds())
+        wake();
+}
+
+void
+Core::specExited()
+{
+    // A store-buffer wait is left to storeDrained(), which checks it
+    // once the controller has finished (and maybe chained an epoch).
+    if (wait_.kind == WaitKind::SpecExit && waitHolds())
+        wake();
+}
+
+bool
+Core::reserveOrWait(bool is_store)
+{
+    // A full budget forces a commit, which in continuous mode may chain
+    // a new epoch inside the call: wait out the epoch read before it.
+    const std::uint32_t epoch = spec_->epoch();
+    if (spec_->reserveSpecSlot(is_store))
+        return true;
+    waitFor(StallReason::SpecLimit, WaitKind::SpecExit, 0, 0, epoch);
+    return false;
 }
 
 void
@@ -219,11 +280,11 @@ Core::loadResponse(std::uint64_t gen, std::uint64_t value)
 {
     if (gen != squash_gen_)
         return; // stale: the core was squashed while the load flew
-    pending_kind_ = PendingKind::None;
-    accountStall(StallReason::LoadAccess, pending_begin_);
+    wait_.kind = WaitKind::None;
+    accountStall(StallReason::LoadAccess, wait_.begin);
     stat_load_latency_.sample(
-        static_cast<double>(curTick() - pending_begin_));
-    setReg(pending_rd_, value);
+        static_cast<double>(curTick() - wait_.begin));
+    setReg(wait_.rd, value);
     advance(pc_ + 1);
 }
 
@@ -232,10 +293,9 @@ Core::amoResponse(std::uint64_t gen, std::uint64_t old_value)
 {
     if (gen != squash_gen_)
         return; // stale: the core was squashed while the AMO flew
-    amo_in_flight_ = false;
-    pending_kind_ = PendingKind::None;
-    accountStall(StallReason::AmoAccess, pending_begin_);
-    setReg(pending_rd_, old_value);
+    wait_.kind = WaitKind::None;
+    accountStall(StallReason::AmoAccess, wait_.begin);
+    setReg(wait_.rd, old_value);
     advance(pc_ + 1);
 }
 
@@ -249,13 +309,11 @@ void
 Core::restoreAndResume(const ArchSnapshot &snap)
 {
     ++squash_gen_;
-    amo_in_flight_ = false;
-    pending_kind_ = PendingKind::None;
+    wait_.kind = WaitKind::None;
     regs_ = snap.regs;
     pc_ = snap.pc;
     stat_instructions_ = snap.instret; // discard wrong-path retirement
     instret_ = snap.instret;
-    sb_.clearWaiters();
     if (tick_event_.scheduled())
         eventq().deschedule(&tick_event_);
     flAssert(!halted_, name(), ": rollback after halt");
@@ -376,15 +434,13 @@ Core::executeLoad(const Inst &inst)
             spec_->shouldSpeculate(SpecInterface::OrderPoint::ScLoad)) {
             spec_now = true;
         } else {
-            sb_.whenEmpty(resumer(StallReason::ScLoadOrder));
+            waitFor(StallReason::ScLoadOrder, WaitKind::SbEmpty);
             return;
         }
     }
 
-    if (spec_now && !spec_->reserveSpecSlot(false)) {
-        spec_->whenSpecExit(resumer(StallReason::SpecLimit));
+    if (spec_now && !reserveOrWait(false))
         return;
-    }
 
     // Store-buffer forwarding.
     std::uint64_t fwd_value = 0;
@@ -395,22 +451,20 @@ Core::executeLoad(const Inst &inst)
         advance(pc_ + 1);
         return;
       case StoreBuffer::Fwd::Conflict:
-        sb_.whenNoOverlap(addr, inst.size,
-                          resumer(StallReason::FwdConflict));
+        waitFor(StallReason::FwdConflict, WaitKind::SbNoOverlap, addr,
+                inst.size);
         return;
       case StoreBuffer::Fwd::None:
         break;
     }
 
     ++stat_loads_;
-    // Per-request state lives in the single pending-access slot (the
-    // in-order core has at most one access outstanding); the bound
-    // completion carries only the squash generation, so issuing a load
-    // builds no closure and allocates nothing.
-    pending_rd_ = inst.rd;
-    pending_begin_ = curTick();
-    pending_kind_ = PendingKind::Load;
-    pending_addr_ = addr;
+    // Per-request state lives in the wait slot (the in-order core has
+    // at most one access outstanding); the bound completion carries
+    // only the squash generation, so issuing a load builds no closure
+    // and allocates nothing.
+    waitFor(StallReason::LoadAccess, WaitKind::Load, addr, inst.size);
+    wait_.rd = inst.rd;
     mem::MemRequest req;
     req.op = mem::MemOp::Load;
     req.addr = addr;
@@ -434,15 +488,13 @@ Core::executeStore(const Inst &inst)
              std::hex, addr);
 
     if (sb_.full()) {
-        sb_.whenSpace(resumer(StallReason::SbFull));
+        waitFor(StallReason::SbFull, WaitKind::SbSpace);
         return;
     }
 
     const bool spec_now = spec_ && spec_->inSpec();
-    if (spec_now && !spec_->reserveSpecSlot(true)) {
-        spec_->whenSpecExit(resumer(StallReason::SpecLimit));
+    if (spec_now && !reserveOrWait(true))
         return;
-    }
     sb_.push(addr, inst.size, reg(inst.rs2), spec_now,
              spec_now ? spec_->epoch() : 0, pc_);
     ++stat_stores_;
@@ -460,7 +512,8 @@ Core::executeAmo(const Inst &inst)
     // the cache before the read-modify-write, regardless of model or
     // speculation.
     if (sb_.hasOverlap(addr, inst.size)) {
-        sb_.whenNoOverlap(addr, inst.size, resumer(StallReason::AmoData));
+        waitFor(StallReason::AmoData, WaitKind::SbNoOverlap, addr,
+                inst.size);
         return;
     }
 
@@ -473,23 +526,17 @@ Core::executeAmo(const Inst &inst)
             spec_->shouldSpeculate(SpecInterface::OrderPoint::Amo)) {
             spec_now = true;
         } else {
-            sb_.whenEmpty(resumer(StallReason::AmoOrder));
+            waitFor(StallReason::AmoOrder, WaitKind::SbEmpty);
             return;
         }
     }
 
-    if (spec_now && !(spec_->reserveSpecSlot(true) &&
-                      spec_->reserveSpecSlot(false))) {
-        spec_->whenSpecExit(resumer(StallReason::SpecLimit));
+    if (spec_now && !(reserveOrWait(true) && reserveOrWait(false)))
         return;
-    }
 
     ++stat_amos_;
-    amo_in_flight_ = true;
-    pending_rd_ = inst.rd;
-    pending_begin_ = curTick();
-    pending_kind_ = PendingKind::Amo;
-    pending_addr_ = addr;
+    waitFor(StallReason::AmoAccess, WaitKind::Amo, addr, inst.size);
+    wait_.rd = inst.rd;
     mem::MemRequest req;
     req.op = mem::MemOp::Amo;
     req.addr = addr;
@@ -524,7 +571,7 @@ Core::executeFence(const Inst &inst)
             // commit watermark of the current one, or declines (stall).
             if (!(spec_ && spec_->shouldSpeculate(
                       SpecInterface::OrderPoint::FullFence))) {
-                sb_.whenEmpty(resumer(StallReason::FenceDrain));
+                waitFor(StallReason::FenceDrain, WaitKind::SbEmpty);
                 return;
             }
         }
@@ -551,11 +598,14 @@ void
 Core::executeHalt()
 {
     if (!sb_.empty()) {
-        sb_.whenEmpty(resumer(StallReason::HaltDrain));
+        waitFor(StallReason::HaltDrain, WaitKind::SbEmpty);
         return;
     }
     if (spec_ && spec_->inSpec()) {
-        spec_->requestStop(resumer(StallReason::HaltDrain));
+        // Arm the wait first: the commit may happen inside the call.
+        waitFor(StallReason::HaltDrain, WaitKind::SpecExit, 0, 0,
+                spec_->epoch());
+        spec_->requestStop();
         return;
     }
     if (prof_)
@@ -564,8 +614,6 @@ Core::executeHalt()
     ++stat_instructions_;
     halted_ = true;
     stat_halt_tick_ = curTick();
-    if (halt_cb_)
-        halt_cb_();
 }
 
 } // namespace fenceless::cpu

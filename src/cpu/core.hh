@@ -13,13 +13,18 @@
  * proceed speculatively instead.  The controller can snapshot and
  * restore the core's architectural state; in-flight memory responses
  * from before a restore are ignored via a squash generation counter.
+ *
+ * What a stalled core waits for lives in one wait slot: the outstanding
+ * load or atomic, or a condition on store-buffer or epoch state.  The
+ * store buffer and the speculation controller call storeDrained() and
+ * specExited() when that state changes, and the core wakes itself if
+ * its wait now holds.
  */
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "cpu/consistency.hh"
 #include "cpu/store_buffer.hh"
@@ -83,11 +88,12 @@ class SpecInterface
 
     /**
      * The core reached Halt while speculating: commit as soon as the
-     * commit condition allows, do not open another epoch, then invoke
-     * @p done.  A rollback in between cancels the request (the core
-     * re-executes and will re-request).
+     * commit condition allows and do not open another epoch.  The
+     * commit ends the epoch the core waits out (Core::specExited).  A
+     * rollback in between cancels the request (the core re-executes
+     * and will re-request).
      */
-    virtual void requestStop(std::function<void()> done) = 0;
+    virtual void requestStop() = 0;
 
     /**
      * Reserve speculative-storage capacity for one access of the
@@ -98,8 +104,8 @@ class SpecInterface
      */
     virtual bool reserveSpecSlot(bool is_store) = 0;
 
-    /** Run @p cb once when the current epoch commits or rolls back. */
-    virtual void whenSpecExit(std::function<void()> cb) = 0;
+    /** A store-buffer entry completed: the commit condition may hold. */
+    virtual void storeDrained() = 0;
 };
 
 class Core : public sim::SimObject
@@ -127,10 +133,6 @@ class Core : public sim::SimObject
     void reset();
 
     bool halted() const { return halted_; }
-    void setHaltCallback(std::function<void()> cb)
-    {
-        halt_cb_ = std::move(cb);
-    }
 
     CoreId coreId() const { return core_id_; }
     ConsistencyModel model() const { return params_.model; }
@@ -160,57 +162,67 @@ class Core : public sim::SimObject
 
     ArchSnapshot snapshot() const;
 
-    // --- stall-dossier inspection ---------------------------------------
-    // Read-only views of why the core is not running, walked at dossier
-    // time by harness::System::buildWaitGraph.  They cost nothing on
-    // the execution path: the fields below are maintained anyway for
-    // stall accounting and squash handling.
-
-    /** What the single outstanding memory access is, if any. */
-    enum class PendingKind : std::uint8_t { None, Load, Amo };
-
-    /** @return true if the core is asleep (not halted, no tick queued). */
-    bool idle() const { return !halted_ && !tick_event_.scheduled(); }
-
-    /**
-     * Why the core is asleep.  Pending memory accesses report their
-     * access reason (LoadAccess/AmoAccess) even though the sleep was
-     * entered before done_fn registration.
-     */
-    StallReason
-    sleepReason() const
-    {
-        if (pending_kind_ == PendingKind::Load)
-            return StallReason::LoadAccess;
-        if (pending_kind_ == PendingKind::Amo)
-            return StallReason::AmoAccess;
-        return sleep_reason_;
-    }
-
-    Tick sleepBegin() const { return sleep_begin_; }
-
-    /** @return true if a load/AMO is outstanding in the memory system. */
-    bool hasPendingAccess() const
-    {
-        return pending_kind_ != PendingKind::None;
-    }
-
-    /** Target address of the outstanding access (valid when pending). */
-    Addr pendingAddr() const { return pending_addr_; }
-
     /**
      * @return true while an atomic is executing at the L1.  A
      * checkpoint taken in that window would re-execute the (non-
      * idempotent) atomic after a rollback, so the controller must not
      * open an epoch then.
      */
-    bool amoInFlight() const { return amo_in_flight_; }
+    bool amoInFlight() const { return wait_.kind == WaitKind::Amo; }
 
     /**
-     * Restore a checkpoint and resume execution next cycle.  All
-     * in-flight memory responses and stall waiters become stale.
+     * Restore a checkpoint and resume execution next cycle.  The wait
+     * slot is cleared and in-flight memory responses become stale.
      */
     void restoreAndResume(const ArchSnapshot &snap);
+
+    // --- wake calls -----------------------------------------------------
+
+    /**
+     * A store-buffer entry completed (called by the store buffer).
+     * Lets the speculation controller try its commit, then wakes a
+     * store-buffer wait whose condition now holds.
+     */
+    void storeDrained();
+
+    /**
+     * The current epoch committed or rolled back (called by the
+     * speculation controller).  Wakes an epoch-exit wait.
+     */
+    void specExited();
+
+    // --- stall-dossier inspection ---------------------------------------
+    // Read-only views of the wait slot, walked at dossier time by
+    // harness::System.  They cost nothing on the execution path.
+
+    /** What the core's wait slot holds. */
+    enum class WaitKind : std::uint8_t
+    {
+        None,
+        Load,        //!< a load outstanding in the memory system
+        Amo,         //!< an atomic executing at the L1
+        SbEmpty,     //!< the store buffer to drain completely
+        SbSpace,     //!< a free store-buffer slot
+        SbNoOverlap, //!< no buffered store overlapping the access
+        SpecExit,    //!< the recorded epoch to commit or roll back
+    };
+
+    /** @return true if the core is asleep (not halted, no tick queued). */
+    bool idle() const { return !halted_ && !tick_event_.scheduled(); }
+
+    WaitKind waitKind() const { return wait_.kind; }
+    StallReason sleepReason() const { return wait_.reason; }
+    Tick sleepBegin() const { return wait_.begin; }
+
+    /** @return true if a load/AMO is outstanding in the memory system. */
+    bool
+    hasPendingAccess() const
+    {
+        return wait_.kind == WaitKind::Load || wait_.kind == WaitKind::Amo;
+    }
+
+    /** Address of the outstanding access or overlap wait. */
+    Addr waitAddr() const { return wait_.addr; }
 
   private:
     /**
@@ -237,19 +249,40 @@ class Core : public sim::SimObject
     void scheduleTick(Cycles delay);
 
     /**
-     * Enter an idle sleep: record @p reason and the current tick in
-     * members and return the wake callback.  While asleep the core
-     * schedules no tick events at all; @ref wake bulk-accounts the
-     * slept cycles under the recorded reason.  Valid because the
-     * in-order core has at most one wait pending per squash
-     * generation, so the returned closure only needs (this, gen) and
-     * fits std::function's inline storage -- entering a stall
-     * allocates nothing.
+     * The single wait slot.  The in-order core never has two waits or
+     * two accesses outstanding, and a squash clears the slot.
      */
-    std::function<void()> resumer(StallReason reason);
+    struct Wait
+    {
+        WaitKind kind = WaitKind::None;
+        StallReason reason = StallReason::NumReasons;
+        Tick begin = 0;          //!< when the wait (or access) began
+        Addr addr = 0;           //!< Load/Amo/SbNoOverlap target
+        unsigned size = 0;       //!< SbNoOverlap access size
+        std::uint32_t epoch = 0; //!< SpecExit: the epoch waited out
+        isa::RegId rd = 0;       //!< Load/Amo destination register
+    };
 
-    /** Wake from an idle sleep (no-op if @p gen is stale). */
-    void wake(std::uint64_t gen);
+    /**
+     * Enter an idle sleep on @p kind, charged to @p reason from now.
+     * While asleep the core schedules no tick events at all; the wake
+     * bulk-accounts the slept cycles.  A wait whose condition already
+     * holds is not armed: a one-shot wakes the core next cycle.
+     */
+    void waitFor(StallReason reason, WaitKind kind, Addr addr = 0,
+                 unsigned size = 0, std::uint32_t epoch = 0);
+
+    /** @return true if the store-buffer or epoch wait's condition holds. */
+    bool waitHolds() const;
+
+    /** End the sleep: account it and resume next cycle. */
+    void wake();
+
+    /**
+     * Reserve per-store speculative storage for one access of the
+     * current epoch, or wait for the epoch to end.
+     */
+    bool reserveOrWait(bool is_store);
 
     /** Completion of the (single) outstanding load, via done_fn. */
     void loadResponse(std::uint64_t gen, std::uint64_t value);
@@ -291,21 +324,9 @@ class Core : public sim::SimObject
     std::uint64_t instret_ = 0;
     bool halted_ = false;
     std::uint64_t squash_gen_ = 0; //!< invalidates in-flight callbacks
-    bool amo_in_flight_ = false;
-
-    // Idle-sleep bookkeeping (why and since when the core is asleep)
-    // and the single outstanding memory access's writeback state.  Both
-    // are single slots: the in-order core never has two waits or two
-    // accesses in flight, and a squash invalidates them via squash_gen_.
-    StallReason sleep_reason_ = StallReason::NumReasons;
-    Tick sleep_begin_ = 0;
-    isa::RegId pending_rd_ = 0;
-    Tick pending_begin_ = 0;
-    PendingKind pending_kind_ = PendingKind::None;
-    Addr pending_addr_ = 0;
+    Wait wait_;
 
     TickEvent tick_event_;
-    std::function<void()> halt_cb_;
 
     statistics::Scalar &stat_instructions_;
     statistics::Scalar &stat_loads_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "cpu/core.hh"
 #include "mem/mem_request.hh"
 
 namespace fenceless::cpu
@@ -10,8 +11,9 @@ namespace fenceless::cpu
 
 StoreBuffer::StoreBuffer(sim::SimContext &ctx,
                          statistics::StatGroup &stats,
-                         const Params &params, mem::L1Cache &l1)
-    : ctx_(ctx), params_(params), l1_(l1),
+                         const Params &params, mem::L1Cache &l1,
+                         Core &core)
+    : ctx_(ctx), params_(params), l1_(l1), core_(core),
       trace_id_(ctx.tracer.registerComponent(stats.name() + ".sb")),
       stat_pushed_(stats.addScalar("sb_pushed", "stores retired into "
                                    "the store buffer")),
@@ -196,7 +198,7 @@ StoreBuffer::scheduleRetry()
     if (retry_pending_)
         return;
     retry_pending_ = true;
-    sim::scheduleOneShot(ctx_.eventq, ctx_.curTick() + 4, [this] {
+    ctx_.eventq.scheduleOneShot(ctx_.curTick() + 4, [this] {
         retry_pending_ = false;
         issueNext();
     });
@@ -247,74 +249,8 @@ StoreBuffer::complete(std::uint64_t seq)
     if (entries_.empty())
         barrier_group_ = 0;
 
-    if (drain_listener_)
-        drain_listener_();
-    fireWaiters();
+    core_.storeDrained();
     issueNext();
-}
-
-void
-StoreBuffer::whenEmpty(std::function<void()> cb)
-{
-    if (empty()) {
-        sim::scheduleOneShot(ctx_.eventq, ctx_.curTick() + 1,
-                             std::move(cb));
-        return;
-    }
-    waiters_.push_back(Waiter{Waiter::Kind::Empty, 0, 0, std::move(cb)});
-}
-
-void
-StoreBuffer::whenSpace(std::function<void()> cb)
-{
-    if (!full()) {
-        sim::scheduleOneShot(ctx_.eventq, ctx_.curTick() + 1,
-                             std::move(cb));
-        return;
-    }
-    waiters_.push_back(Waiter{Waiter::Kind::Space, 0, 0, std::move(cb)});
-}
-
-void
-StoreBuffer::whenNoOverlap(Addr addr, unsigned size,
-                           std::function<void()> cb)
-{
-    if (!hasOverlap(addr, size)) {
-        sim::scheduleOneShot(ctx_.eventq, ctx_.curTick() + 1,
-                             std::move(cb));
-        return;
-    }
-    waiters_.push_back(Waiter{Waiter::Kind::NoOverlap, addr, size,
-                              std::move(cb)});
-}
-
-void
-StoreBuffer::fireWaiters()
-{
-    // A firing waiter may register a new one; collect first.
-    std::vector<std::function<void()>> ready;
-    for (auto it = waiters_.begin(); it != waiters_.end();) {
-        bool fire = false;
-        switch (it->kind) {
-          case Waiter::Kind::Empty:
-            fire = empty();
-            break;
-          case Waiter::Kind::Space:
-            fire = !full();
-            break;
-          case Waiter::Kind::NoOverlap:
-            fire = !hasOverlap(it->addr, it->size);
-            break;
-        }
-        if (fire) {
-            ready.push_back(std::move(it->cb));
-            it = waiters_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto &cb : ready)
-        cb();
 }
 
 void

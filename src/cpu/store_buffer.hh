@@ -11,13 +11,15 @@
  * the speculation controller uses these to express its commit condition
  * ("all entries up to the watermark have drained") and to discard
  * speculative entries on rollback.
+ *
+ * The buffer keeps no waiters: after every completed drain it calls
+ * Core::storeDrained(), and the owning core checks its own wait.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "base/stats.hh"
@@ -27,6 +29,8 @@
 
 namespace fenceless::cpu
 {
+
+class Core;
 
 class StoreBuffer
 {
@@ -73,8 +77,9 @@ class StoreBuffer
         Conflict, //!< partial overlap; must wait for the entry to drain
     };
 
+    /** Built by @p core, which it notifies after every drain. */
     StoreBuffer(sim::SimContext &ctx, statistics::StatGroup &stats,
-                const Params &params, mem::L1Cache &l1);
+                const Params &params, mem::L1Cache &l1, Core &core);
 
     // --- status --------------------------------------------------------
 
@@ -97,12 +102,6 @@ class StoreBuffer
     /** Buffered entries, oldest first (read-only, for wait graphs). */
     const std::deque<Entry> &entries() const { return entries_; }
 
-    /** Sequence numbers of drains currently issued to the L1. */
-    const std::vector<std::uint64_t> &inflightSeqs() const
-    {
-        return inflight_;
-    }
-
     /** @return true if a drain retry is parked (MSHR backpressure). */
     bool retryPending() const { return retry_pending_; }
 
@@ -118,27 +117,6 @@ class StoreBuffer
 
     /** Attempt to forward a load from the buffer. */
     Fwd forward(Addr addr, unsigned size, std::uint64_t &out);
-
-    // --- notifications ---------------------------------------------------
-
-    /** Invoked after every entry completes (the spec controller). */
-    void setDrainListener(std::function<void()> fn)
-    {
-        drain_listener_ = std::move(fn);
-    }
-
-    /** Run @p cb (once) when the buffer is empty. */
-    void whenEmpty(std::function<void()> cb);
-
-    /** Run @p cb (once) when a slot is available. */
-    void whenSpace(std::function<void()> cb);
-
-    /** Run @p cb (once) when nothing overlaps [addr, addr+size). */
-    void whenNoOverlap(Addr addr, unsigned size,
-                       std::function<void()> cb);
-
-    /** Drop all one-shot waiters (used when the core squashes). */
-    void clearWaiters() { waiters_.clear(); }
 
     // --- speculation support ---------------------------------------------
 
@@ -156,26 +134,10 @@ class StoreBuffer
     void commitSpec();
 
   private:
-    struct Waiter
-    {
-        enum class Kind
-        {
-            Empty,
-            Space,
-            NoOverlap,
-        };
-
-        Kind kind;
-        Addr addr = 0;
-        unsigned size = 0;
-        std::function<void()> cb;
-    };
-
     void issueNext();
     void issuePrefetches();
     void scheduleRetry();
     void complete(std::uint64_t seq);
-    void fireWaiters();
     Entry *pickEligible();
 
     // FL_TEVENT interface (the buffer is not a SimObject; it records
@@ -194,6 +156,7 @@ class StoreBuffer
     sim::SimContext &ctx_;
     Params params_;
     mem::L1Cache &l1_;
+    Core &core_;
     std::uint16_t trace_id_;
 
     std::deque<Entry> entries_;
@@ -201,9 +164,6 @@ class StoreBuffer
     std::uint32_t barrier_group_ = 0;
     std::vector<std::uint64_t> inflight_; //!< seqs of issued drains
     bool retry_pending_ = false; //!< MSHR-pressure retry scheduled
-
-    std::function<void()> drain_listener_;
-    std::vector<Waiter> waiters_;
 
     statistics::Scalar &stat_pushed_;
     statistics::Scalar &stat_drained_;

@@ -198,7 +198,6 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         cores_.push_back(std::make_unique<cpu::Core>(
             ctx_, "core_" + std::to_string(i), core_params, i, prog_,
             *l1s_[i], config_.num_cores));
-        cores_.back()->setHaltCallback([this] { ++halted_; });
     }
 
     if (config_.spec.mode != spec::SpecMode::Off) {
@@ -213,16 +212,26 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         sim::Watchdog::Params wp;
         wp.interval = config_.watchdog_interval;
         wp.storm_threshold = config_.watchdog_storm;
-        watchdog_ = std::make_unique<sim::Watchdog>(wp, [this] {
-            sim::Watchdog::Progress p;
-            for (const auto &core : cores_)
-                p.instret += core->instret();
-            for (const auto &s : specs_)
-                p.rollbacks += s->rollbacks();
-            p.all_halted = allHalted();
-            return p;
-        });
+        watchdog_ = std::make_unique<sim::Watchdog>(wp);
     }
+}
+
+bool
+System::allHalted() const
+{
+    return std::all_of(cores_.begin(), cores_.end(),
+                       [](const auto &core) { return core->halted(); });
+}
+
+sim::Watchdog::Progress
+System::progress() const
+{
+    sim::Watchdog::Progress p;
+    for (const auto &core : cores_)
+        p.instret += core->instret();
+    for (const auto &s : specs_)
+        p.rollbacks += s->rollbacks();
+    return p;
 }
 
 bool
@@ -238,7 +247,7 @@ System::run()
                              ? drv_.now + config_.stats_interval
                              : max_tick;
     if (watchdog_) {
-        watchdog_->prime(drv_.now);
+        watchdog_->prime(drv_.now, progress());
         drv_.next_wd = drv_.now + watchdog_->interval();
     }
     drv_.boundary = nextBoundary(allHalted());
@@ -281,7 +290,7 @@ System::boundaryStep()
     if (b == drv_.next_wd) {
         if (allHalted()) {
             drv_.next_wd = max_tick; // clean completion: stand down
-        } else if (watchdog_->checkAt(b)) {
+        } else if (watchdog_->checkAt(b, progress())) {
             onWatchdogFire(watchdog_->report());
             drv_.done = true;
             return;
@@ -687,7 +696,7 @@ System::writeArchState(std::ostream &os) const
             os << " asleep=" << cpu::stallReasonName(core.sleepReason())
                << " since=" << core.sleepBegin();
             if (core.hasPendingAccess())
-                os << " pending=0x" << std::hex << core.pendingAddr()
+                os << " pending=0x" << std::hex << core.waitAddr()
                    << std::dec;
         } else {
             os << " running";
@@ -716,6 +725,7 @@ System::buildWaitGraph(sim::WaitGraph &g) const
 {
     using sim::WaitNode;
     using Kind = sim::WaitNode::Kind;
+    using WaitKind = cpu::Core::WaitKind;
 
     const std::uint32_t banks = config_.dir_banks;
 
@@ -724,23 +734,24 @@ System::buildWaitGraph(sim::WaitGraph &g) const
         const cpu::Core &core = *cores_[i];
         if (core.halted() || !core.idle())
             continue;
-        const cpu::StallReason why = core.sleepReason();
-        if (core.hasPendingAccess()) {
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::Mshr, i,
-                               l1s_[i]->blockAlign(core.pendingAddr())},
-                      cpu::stallReasonName(why));
-        } else if (why == cpu::StallReason::SpecLimit) {
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::SpecEpoch, i, 0},
-                      cpu::stallReasonName(why));
-        } else {
-            // All remaining sleep reasons wait on store-buffer state
-            // (drain, space, or overlap clearing).
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::StoreBuffer, i, 0},
-                      cpu::stallReasonName(why));
+        WaitNode to{Kind::StoreBuffer, i, 0};
+        switch (core.waitKind()) {
+          case WaitKind::None:
+            continue; // its wake is already scheduled
+          case WaitKind::Load:
+          case WaitKind::Amo:
+            to = {Kind::Mshr, i, l1s_[i]->blockAlign(core.waitAddr())};
+            break;
+          case WaitKind::SpecExit:
+            to = {Kind::SpecEpoch, i, 0};
+            break;
+          case WaitKind::SbEmpty:
+          case WaitKind::SbSpace:
+          case WaitKind::SbNoOverlap:
+            break;
         }
+        g.addEdge(WaitNode{Kind::Core, i, 0}, to,
+                  cpu::stallReasonName(core.sleepReason()));
     }
 
     // Store buffers: issued drains wait on the L1 miss machinery.

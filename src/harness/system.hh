@@ -384,7 +384,8 @@ class System
 
     /** The bank whose slice @p addr falls in. */
     std::uint32_t bankOf(Addr addr) const;
-    bool allHalted() const { return halted_ == config_.num_cores; }
+    bool allHalted() const;
+    sim::Watchdog::Progress progress() const;
     std::vector<prof::CodeSym> codeSyms() const;
     std::vector<prof::DataSym> dataSyms() const;
 
@@ -413,7 +414,6 @@ class System
     std::vector<std::unique_ptr<spec::SpecController>> specs_;
     std::unique_ptr<sim::Watchdog> watchdog_;
 
-    std::uint32_t halted_ = 0; //!< cores that have halted
     DriverState drv_;
 
     bool hung_ = false;

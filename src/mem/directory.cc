@@ -175,10 +175,10 @@ Directory::startTxn(const Msg &msg, Tick recv_tick)
                         msg.block_addr);
     }
     // Model the directory/tag access latency before processing.
-    sim::scheduleOneShot(eventq(), curTick() + params_.latency,
-                         [this, addr = msg.block_addr] {
-                             processRequest(addr);
-                         });
+    eventq().scheduleOneShot(curTick() + params_.latency,
+                             [this, addr = msg.block_addr] {
+                                 processRequest(addr);
+                             });
 }
 
 void
@@ -581,7 +581,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
     backing_.read(block_addr, way->data.data(), array_.blockSize());
     array_.touch(*way);
 
-    sim::scheduleOneShot(eventq(), ready, [this, block_addr] {
+    eventq().scheduleOneShot(ready, [this, block_addr] {
         processRequest(block_addr);
     });
     return false;

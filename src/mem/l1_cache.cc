@@ -159,7 +159,7 @@ L1Cache::specCleared()
     if (retry_scheduled_)
         return;
     retry_scheduled_ = true;
-    sim::scheduleOneShot(eventq(), curTick() + 1, [this] {
+    eventq().scheduleOneShot(curTick() + 1, [this] {
         retry_scheduled_ = false;
         retryPendingFills();
     });
@@ -383,9 +383,9 @@ L1Cache::respond(const MemRequest &req, std::uint64_t value)
         std::uint64_t value;
         void operator()() const { fn(obj, ctx, value); }
     };
-    sim::scheduleOneShot(eventq(), curTick() + params_.hit_latency,
-                         Deliver{req.done_fn, req.done_obj, req.done_ctx,
-                                 value});
+    eventq().scheduleOneShot(curTick() + params_.hit_latency,
+                             Deliver{req.done_fn, req.done_obj,
+                                     req.done_ctx, value});
 }
 
 // ---------------------------------------------------------------------

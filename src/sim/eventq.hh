@@ -404,15 +404,4 @@ class EventQueue
     std::size_t oneshot_free_count_ = 0;
 };
 
-/**
- * Free-function form of EventQueue::scheduleOneShot, kept for the many
- * component call sites.
- */
-template <typename F>
-void
-scheduleOneShot(EventQueue &eq, Tick when, F &&fn)
-{
-    eq.scheduleOneShot(when, std::forward<F>(fn));
-}
-
 } // namespace fenceless::sim

@@ -15,9 +15,8 @@ Watchdog::causeName(Cause c)
 }
 
 void
-Watchdog::prime(Tick now)
+Watchdog::prime(Tick now, const Progress &p)
 {
-    const Progress p = probe_();
     last_instret_ = p.instret;
     last_rollbacks_ = p.rollbacks;
     window_begin_ = now;
@@ -25,12 +24,8 @@ Watchdog::prime(Tick now)
 }
 
 bool
-Watchdog::checkAt(Tick now)
+Watchdog::checkAt(Tick now, const Progress &p)
 {
-    const Progress p = probe_();
-    if (p.all_halted)
-        return false; // clean completion: nothing left to supervise
-
     const std::uint64_t d_inst = p.instret - last_instret_;
     const std::uint64_t d_rb = p.rollbacks - last_rollbacks_;
 

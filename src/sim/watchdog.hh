@@ -10,16 +10,17 @@
  *
  * Mechanism: the watchdog is a *passive* monitor driven by the
  * harness's run loop (see harness::System), which stops the event
- * queue every `interval` cycles and calls checkAt() at that boundary.
- * It is not an event, so it adds nothing to the event count.  The
- * probe sums retired instructions and
- * rollbacks across all cores.  If a full window passes in which no
- * core retired anything, that's a hang (NoRetirement); if nothing
- * retired but rollbacks exceeded a storm threshold, that's a livelock
- * (RollbackStorm -- cores are spinning through speculation rollbacks
- * without net progress; note SpecController's exponential cooldown
- * makes benign rollback-heavy workloads like dekker retire *some*
- * instructions every window, so they never trip this).
+ * queue every `interval` cycles and calls checkAt() at that boundary
+ * with the retired instructions and rollbacks summed across all
+ * cores.  It is not an event, so it adds nothing to the event count.
+ * The run loop stands it down once every core has halted.  If a full
+ * window passes in which no core retired anything, that's a hang
+ * (NoRetirement); if nothing retired but rollbacks exceeded a storm
+ * threshold, that's a livelock (RollbackStorm -- cores are spinning
+ * through speculation rollbacks without net progress; note
+ * SpecController's exponential cooldown makes benign rollback-heavy
+ * workloads like dekker retire *some* instructions every window, so
+ * they never trip this).
  *
  * Keeping a wedged-but-empty system alive until the next check is the
  * run loop's job (it keeps stepping boundaries while the watchdog is
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "base/types.hh"
 
@@ -47,12 +47,11 @@ class Watchdog
         std::uint64_t storm_threshold = 256; //!< rollbacks/window => storm
     };
 
-    /** What the probe reports each window. */
+    /** Progress counters sampled at each check. */
     struct Progress
     {
         std::uint64_t instret = 0;   //!< total retired, all cores
         std::uint64_t rollbacks = 0; //!< total rollbacks, all cores
-        bool all_halted = false;     //!< every core has halted cleanly
     };
 
     enum class Cause : std::uint8_t
@@ -71,23 +70,19 @@ class Watchdog
         std::uint64_t rollbacks_in_window = 0;
     };
 
-    Watchdog(Params params, std::function<Progress()> probe)
-        : params_(params), probe_(std::move(probe))
-    {}
+    explicit Watchdog(Params params) : params_(params) {}
 
     /** Prime the progress baseline at tick @p now. */
-    void prime(Tick now);
+    void prime(Tick now, const Progress &p);
 
     /**
      * Run one progress check at tick @p now (a full window after the
      * last prime/check).  Returns true when the watchdog fires -- the
      * report() is then final and the caller should abort the run.
-     * Returns false on a healthy window (baseline re-primed) or when
-     * every core has halted cleanly (no re-arm needed).
+     * Returns false on a healthy window (baseline re-primed).
      */
-    bool checkAt(Tick now);
+    bool checkAt(Tick now, const Progress &p);
 
-    bool fired() const { return report_.cause != Cause::None; }
     const Report &report() const { return report_; }
     Tick interval() const { return params_.interval; }
 
@@ -95,7 +90,6 @@ class Watchdog
 
   private:
     Params params_;
-    std::function<Progress()> probe_;
 
     Tick window_begin_ = 0;
     std::uint64_t last_instret_ = 0;

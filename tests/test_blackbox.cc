@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "harness/sweep.hh"
+#include "isa/assembler.hh"
 #include "sim/blackbox.hh"
 #include "sim/waitgraph.hh"
 #include "sim/watchdog.hh"
@@ -156,6 +157,36 @@ TEST(WaitGraph, NodeNames)
               "dram");
 }
 
+TEST(WaitGraph, HaltInsideEpochWaitsOnTheEpoch)
+{
+    // The store drains, but arbitration holds the commit past the cycle
+    // budget: the halting core waits on its epoch, not its empty store
+    // buffer.
+    isa::Assembler as;
+    const Addr var = as.paddedWord("var", 0);
+    as.li(isa::a0, var);
+    as.li(isa::t0, 1);
+    as.st(isa::t0, isa::a0);
+    as.fence();
+    as.halt();
+    isa::Program prog = as.finish();
+
+    harness::SystemConfig cfg = testConfig(1);
+    cfg.spec.mode = spec::SpecMode::OnDemand;
+    cfg.spec.commit_arb_latency = 1000;
+    cfg.max_cycles = 500;
+    harness::System sys(cfg, prog);
+    EXPECT_FALSE(sys.run());
+    ASSERT_TRUE(sys.core(0).idle());
+
+    WaitGraph g;
+    sys.buildWaitGraph(g);
+    const std::string out = printGraph(g);
+    EXPECT_NE(out.find("core_0 -> core_0.spec  [halt_drain]"),
+              std::string::npos) << out;
+    EXPECT_EQ(out.find("core_0 -> core_0.sb"), std::string::npos) << out;
+}
+
 // ---------------------------------------------------------------------
 // Watchdog: the seeded deadlock fires it with a named cycle
 // ---------------------------------------------------------------------
@@ -185,6 +216,22 @@ TEST(Watchdog, SeededDeadlockFiresWithNamedCycle)
     EXPECT_NE(dossier.find("architectural state:"), std::string::npos);
     EXPECT_NE(dossier.find("flight recorder tail"), std::string::npos);
     EXPECT_NE(dossier.find("cause=no-retirement"), std::string::npos);
+
+    // Each blocked core's sleep began when it issued the load its MSHR
+    // still holds, not at an earlier, unrelated sleep.
+    for (std::uint32_t i = 0; i < sys->numCores(); ++i) {
+        const cpu::Core &core = sys->core(i);
+        ASSERT_TRUE(core.hasPendingAccess()) << "core " << i;
+        const Addr block = sys->l1(i).blockAlign(core.waitAddr());
+        bool found = false;
+        sys->l1(i).forEachMshr([&](const mem::L1Cache::Mshr &m) {
+            if (m.block_addr != block)
+                return;
+            found = true;
+            EXPECT_GE(core.sleepBegin(), m.miss_start) << "core " << i;
+        });
+        EXPECT_TRUE(found) << "core " << i;
+    }
 }
 
 TEST(Watchdog, DeadlockDossierIsDeterministic)

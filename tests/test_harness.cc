@@ -251,6 +251,29 @@ TEST(SystemQueries, AggregatesAndQuiescence)
     EXPECT_NE(sys.specController(0), nullptr);
 }
 
+TEST(SystemQueries, SecondRunCompletes)
+{
+    // run() resets every core, so a second run of the same system must
+    // see both cores halt again instead of waiting for the watchdog.
+    isa::Assembler as;
+    const Addr out = as.array("out", 2);
+    as.li(isa::a0, out);
+    as.slli(isa::t0, isa::tp, 3);
+    as.add(isa::a0, isa::a0, isa::t0);
+    as.addi(isa::t1, isa::tp, 7);
+    as.st(isa::t1, isa::a0);
+    as.halt();
+    isa::Program prog = as.finish();
+
+    harness::System sys(testConfig(2), prog);
+    for (int run = 0; run < 2; ++run) {
+        EXPECT_TRUE(sys.run()) << "run " << run;
+        EXPECT_FALSE(sys.hung()) << "run " << run;
+        EXPECT_EQ(sys.debugRead(out, 8), 7u);
+        EXPECT_EQ(sys.debugRead(out + 8, 8), 8u);
+    }
+}
+
 TEST(SystemQueries, TimeoutReported)
 {
     isa::Assembler as;

@@ -131,8 +131,8 @@ TEST(EventQueue, OneShotSelfDeletes)
 {
     EventQueue eq;
     int count = 0;
-    scheduleOneShot(eq, 5, [&] { ++count; });
-    scheduleOneShot(eq, 5, [&] { ++count; });
+    eq.scheduleOneShot(5, [&] { ++count; });
+    eq.scheduleOneShot(5, [&] { ++count; });
     eq.run();
     EXPECT_EQ(count, 2);
     EXPECT_TRUE(eq.empty());

@@ -268,6 +268,11 @@ INSTANTIATE_TEST_SUITE_P(
         SpecParam{spec::SpecMode::Continuous,
                   spec::Granularity::PerStore,
                   spec::OverflowPolicy::Stall, 2, 10},
+        // Without arbitration a full budget commits inside the access
+        // and chains the next epoch at once.
+        SpecParam{spec::SpecMode::Continuous,
+                  spec::Granularity::PerStore,
+                  spec::OverflowPolicy::Stall, 2, 0},
         SpecParam{spec::SpecMode::OnDemand, spec::Granularity::Block,
                   spec::OverflowPolicy::Stall, 16, 100}),
     specName);
