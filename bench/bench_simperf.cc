@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -43,21 +42,10 @@ BM_EventQueue(benchmark::State &state)
 {
     sim::EventQueue eq;
     std::uint64_t fired = 0;
-    // A handful of recurring events that get rescheduled every burst:
-    // each reschedule leaves a lazily-deleted entry behind, so the
-    // stale_pops counter below exercises the calendar queue's skip
-    // path, not just the happy path.
-    std::deque<sim::EventFunctionWrapper> movers;
-    for (int i = 0; i < 8; ++i)
-        movers.emplace_back([&fired] { ++fired; }, "bench.mover");
     for (auto _ : state) {
         for (int i = 0; i < 1000; ++i) {
             eq.scheduleOneShot(eq.curTick() + 1 + (i % 7),
                                [&fired] { ++fired; });
-        }
-        for (std::size_t i = 0; i < movers.size(); ++i) {
-            eq.schedule(&movers[i], eq.curTick() + 2 + i);
-            eq.reschedule(&movers[i], eq.curTick() + 9 + i);
         }
         eq.run();
         benchmark::DoNotOptimize(fired);
@@ -67,16 +55,6 @@ BM_EventQueue(benchmark::State &state)
     // burst: this counter catching fire is an allocation regression.
     state.counters["oneshot_nodes"] = static_cast<double>(
         eq.oneShotNodesAllocated());
-    // Lazily-deleted entries the pop path skipped (from the
-    // reschedules above), as a fraction of all pops: a rate stays
-    // comparable across runs of different lengths, where the raw
-    // counter only ever grew with iteration count.
-    const double total_pops = static_cast<double>(
-        eq.stalePops() + eq.nearPops() + eq.farPops());
-    state.counters["stale_pop_rate"] =
-        total_pops > 0
-            ? static_cast<double>(eq.stalePops()) / total_pops
-            : 0.0;
     state.counters["near_pops"] = static_cast<double>(eq.nearPops());
     state.counters["far_pops"] = static_cast<double>(eq.farPops());
 }
@@ -89,7 +67,6 @@ BM_FullSystem(benchmark::State &state)
     std::uint64_t sim_insts = 0;
     std::uint64_t sim_cycles = 0;
     double oneshot_nodes = 0;
-    double stale_pops = 0;
     for (auto _ : state) {
         harness::SystemConfig cfg;
         cfg.num_cores = 4;
@@ -108,18 +85,15 @@ BM_FullSystem(benchmark::State &state)
         sim_insts += sys.totalInstructions();
         sim_cycles += sys.runtimeCycles();
         // Queue health of the last run: the one-shot pool's high-water
-        // mark bounds steady-state event allocation, and stale_pops
-        // tracks how much lazily-deleted work the pop path skips.
-        const sim::EventQueue &eq = sys.context().eventq;
-        oneshot_nodes = static_cast<double>(eq.oneShotNodesAllocated());
-        stale_pops = static_cast<double>(eq.stalePops());
+        // mark bounds steady-state event allocation.
+        oneshot_nodes = static_cast<double>(
+            sys.context().eventq.oneShotNodesAllocated());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(sim_insts));
     state.counters["sim_cycles"] =
         benchmark::Counter(static_cast<double>(sim_cycles),
                            benchmark::Counter::kIsRate);
     state.counters["oneshot_nodes"] = oneshot_nodes;
-    state.counters["stale_pops"] = stale_pops;
 }
 BENCHMARK(BM_FullSystem)->Arg(0)->Arg(1);
 
@@ -360,7 +334,7 @@ struct CapturedRun
 {
     std::string name;
     double items_per_second = 0;
-    //!< every user counter (oneshot_nodes, stale_pops, ...), sorted
+    //!< every user counter (oneshot_nodes, sim_cycles, ...), sorted
     std::vector<std::pair<std::string, double>> counters;
 };
 

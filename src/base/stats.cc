@@ -86,13 +86,6 @@ PercentileSketch::quantile(double q) const
 }
 
 void
-PercentileSketch::reset()
-{
-    counts_.clear();
-    total_ = 0;
-}
-
-void
 Distribution::sample(double v, std::uint64_t times)
 {
     if (times == 0)
@@ -124,18 +117,6 @@ Distribution::stdev() const
         return 0.0;
     const double var = m2_ / static_cast<double>(count_);
     return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    sketch_.reset();
 }
 
 std::string
@@ -197,13 +178,6 @@ StatGroup::findDistribution(const std::string &short_name) const
     return dynamic_cast<const Distribution *>(find(short_name));
 }
 
-void
-StatGroup::reset()
-{
-    for (auto &s : stats_)
-        s->reset();
-}
-
 StatGroup &
 StatRegistry::createGroup(const std::string &name)
 {
@@ -230,13 +204,6 @@ StatRegistry::findGroup(const std::string &name) const
             return g.get();
     }
     return nullptr;
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &g : groups_)
-        g->reset();
 }
 
 } // namespace fenceless::statistics

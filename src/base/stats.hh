@@ -39,9 +39,6 @@ class Stat
     /** Primary value (what a formula referencing this stat sees). */
     virtual double value() const = 0;
 
-    /** Reset to the state at construction. */
-    virtual void reset() = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -67,7 +64,6 @@ class Scalar : public Stat
 
     std::uint64_t count() const { return value_; }
     double value() const override { return static_cast<double>(value_); }
-    void reset() override { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -98,8 +94,6 @@ class PercentileSketch
     double quantile(double q) const;
 
     std::uint64_t samples() const { return total_; }
-
-    void reset();
 
   private:
     static std::size_t bucketOf(double v);
@@ -139,8 +133,6 @@ class Distribution : public Stat
     /** A distribution's headline value is its mean. */
     double value() const override { return mean(); }
 
-    void reset() override;
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
@@ -161,7 +153,6 @@ class Formula : public Stat
     {}
 
     double value() const override { return fn_ ? fn_() : 0.0; }
-    void reset() override {}
 
   private:
     std::function<double()> fn_;
@@ -201,8 +192,6 @@ class StatGroup
 
     const std::vector<std::unique_ptr<Stat>> &stats() const { return stats_; }
 
-    void reset();
-
   private:
     std::string qualify(const std::string &name) const;
 
@@ -225,8 +214,6 @@ class StatRegistry
     {
         return groups_;
     }
-
-    void reset();
 
   private:
     std::vector<std::unique_ptr<StatGroup>> groups_;

@@ -68,7 +68,6 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
                               params.sb_max_inflight,
                               params.sb_prefetch_depth},
           l1, *this),
-      tick_event_(*this, name + ".tick"),
       stat_instructions_(statGroup().addScalar("instructions",
                                                "instructions retired")),
       stat_loads_(statGroup().addScalar("loads", "loads executed")),
@@ -110,12 +109,6 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
                          std::move(stall_names));
 }
 
-Core::~Core()
-{
-    if (tick_event_.scheduled())
-        eventq().deschedule(&tick_event_);
-}
-
 void
 Core::reset()
 {
@@ -125,7 +118,7 @@ Core::reset()
     instret_ = 0;
     halted_ = false;
     wait_.kind = WaitKind::None;
-    scheduleTick(1);
+    scheduleTick();
 }
 
 void
@@ -136,10 +129,17 @@ Core::setReg(isa::RegId r, std::uint64_t v)
 }
 
 void
-Core::scheduleTick(Cycles delay)
+Core::scheduleTick()
 {
-    if (!tick_event_.scheduled())
-        scheduleIn(&tick_event_, delay);
+    if (tick_pending_)
+        return;
+    tick_pending_ = true;
+    eventq().scheduleOneShot(curTick() + 1, [this, gen = squash_gen_] {
+        if (gen != squash_gen_)
+            return; // orphaned by a rollback
+        tick_pending_ = false;
+        tick();
+    });
 }
 
 namespace
@@ -172,15 +172,15 @@ profileBucket(StallReason reason)
 } // namespace
 
 void
-Core::advance(std::uint64_t next_pc, Cycles delay)
+Core::advance(std::uint64_t next_pc)
 {
     if (prof_) // pc_ still names the instruction that just executed
-        profileCycles(prof::CycleBucket::Execute, delay);
+        profileCycles(prof::CycleBucket::Execute, 1);
     pc_ = next_pc;
     ++instret_;
     ++stat_instructions_;
     FL_TEVENT(*this, trace::EventKind::CoreCommit, instret_);
-    scheduleTick(delay);
+    scheduleTick();
 }
 
 void
@@ -242,7 +242,7 @@ Core::wake()
 {
     wait_.kind = WaitKind::None;
     accountStall(wait_.reason, wait_.begin);
-    scheduleTick(1);
+    scheduleTick();
 }
 
 void
@@ -314,10 +314,9 @@ Core::restoreAndResume(const ArchSnapshot &snap)
     pc_ = snap.pc;
     stat_instructions_ = snap.instret; // discard wrong-path retirement
     instret_ = snap.instret;
-    if (tick_event_.scheduled())
-        eventq().deschedule(&tick_event_);
     flAssert(!halted_, name(), ": rollback after halt");
-    scheduleTick(1);
+    tick_pending_ = false; // the bumped generation orphans a queued tick
+    scheduleTick();
 }
 
 // ---------------------------------------------------------------------
@@ -407,10 +406,8 @@ Core::tick()
         break;
 
       case isa::ExecClass::Nop:
-        advance(pc_ + 1);
-        break;
       case isa::ExecClass::Pause:
-        advance(pc_ + 1, params_.pause_cycles);
+        advance(pc_ + 1);
         break;
     }
 }

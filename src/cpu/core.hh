@@ -14,6 +14,11 @@
  * restore the core's architectural state; in-flight memory responses
  * from before a restore are ignored via a squash generation counter.
  *
+ * The core runs one cycle per tick() and schedules the next as a
+ * one-shot event.  Like every other callback the core schedules, the
+ * pending tick captures the squash generation, so a rollback orphans it
+ * (it fires and returns) rather than cancelling it.
+ *
  * What a stalled core waits for lives in one wait slot: the outstanding
  * load or atomic, or a condition on store-buffer or epoch state.  The
  * store buffer and the speculation controller call storeDrained() and
@@ -117,15 +122,11 @@ class Core : public sim::SimObject
         unsigned sb_size = 16;
         unsigned sb_max_inflight = 4;    //!< relaxed-drain overlap
         unsigned sb_prefetch_depth = 4;  //!< ownership-prefetch window
-        Cycles pause_cycles = 1;
     };
 
     Core(sim::SimContext &ctx, const std::string &name,
          const Params &params, CoreId core_id, const isa::Program &prog,
          mem::L1Cache &l1, std::uint32_t num_cores);
-
-    /** Deschedules the tick event (the queue may outlive the core). */
-    ~Core() override;
 
     void setSpec(SpecInterface *spec) { spec_ = spec; }
 
@@ -172,7 +173,8 @@ class Core : public sim::SimObject
 
     /**
      * Restore a checkpoint and resume execution next cycle.  The wait
-     * slot is cleared and in-flight memory responses become stale.
+     * slot is cleared, and in-flight memory responses and a pending
+     * tick become stale.
      */
     void restoreAndResume(const ArchSnapshot &snap);
 
@@ -208,7 +210,7 @@ class Core : public sim::SimObject
     };
 
     /** @return true if the core is asleep (not halted, no tick queued). */
-    bool idle() const { return !halted_ && !tick_event_.scheduled(); }
+    bool idle() const { return !halted_ && !tick_pending_; }
 
     WaitKind waitKind() const { return wait_.kind; }
     StallReason sleepReason() const { return wait_.reason; }
@@ -225,28 +227,10 @@ class Core : public sim::SimObject
     Addr waitAddr() const { return wait_.addr; }
 
   private:
-    /**
-     * The recurring per-cycle event.  A dedicated Event subclass (not
-     * an EventFunctionWrapper) so firing a cycle is one virtual call
-     * straight into tick() with no std::function indirection.
-     */
-    class TickEvent final : public sim::Event
-    {
-      public:
-        TickEvent(Core &core, std::string name)
-            : core_(core), name_(std::move(name))
-        {}
-
-        void process() override { core_.tick(); }
-        const char *name() const override { return name_.c_str(); }
-
-      private:
-        Core &core_;
-        std::string name_;
-    };
-
     void tick();
-    void scheduleTick(Cycles delay);
+
+    /** Schedule tick() for the next cycle unless one is pending. */
+    void scheduleTick();
 
     /**
      * The single wait slot.  The in-order core never has two waits or
@@ -297,7 +281,7 @@ class Core : public sim::SimObject
     void executeHalt();
 
     void setReg(isa::RegId r, std::uint64_t v);
-    void advance(std::uint64_t next_pc, Cycles delay = 1);
+    void advance(std::uint64_t next_pc);
     void accountStall(StallReason reason, Tick begin);
 
     /** Charge @p cycles at the current pc to the profiler. */
@@ -324,9 +308,8 @@ class Core : public sim::SimObject
     std::uint64_t instret_ = 0;
     bool halted_ = false;
     std::uint64_t squash_gen_ = 0; //!< invalidates in-flight callbacks
+    bool tick_pending_ = false;    //!< a live tick() one-shot is queued
     Wait wait_;
-
-    TickEvent tick_event_;
 
     statistics::Scalar &stat_instructions_;
     statistics::Scalar &stat_loads_;

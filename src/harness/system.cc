@@ -553,12 +553,14 @@ System::runtimeCycles() const
 std::uint64_t
 System::debugRead(Addr addr, unsigned size) const
 {
-    for (const auto &l1 : l1s_) {
-        std::uint64_t v = 0;
-        if (l1->debugRead(addr, size, v))
-            return v;
-    }
-    return dirs_[bankOf(addr)]->debugRead(addr, size);
+    // Only the directory's owner can hold the block in M or E (see
+    // auditCoherence()); an MStale owner falls through to the bank.
+    const mem::Directory &home = *dirs_[bankOf(addr)];
+    const mem::L2Block *blk = home.findBlock(addr);
+    std::uint64_t v = 0;
+    if (blk && blk->hasOwner() && l1s_[blk->owner]->debugRead(addr, size, v))
+        return v;
+    return home.debugRead(addr, size);
 }
 
 std::uint64_t

@@ -188,7 +188,9 @@ class System
 
     /**
      * Functional read of the coherent memory image: the owning L1's
-     * copy if one exists, else the L2 copy, else DRAM.
+     * copy if one exists, else the L2 copy, else DRAM.  The owner is
+     * the one the home directory bank records, so the system must be
+     * quiesced (as it is after a successful run()).
      */
     std::uint64_t debugRead(Addr addr, unsigned size) const;
 

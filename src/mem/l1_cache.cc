@@ -136,12 +136,6 @@ L1Cache::rollbackSpecWrites()
         // MStale: owned, data invalid.
         blk->state = L1State::MStale;
         blk->dirty = false;
-#ifdef FL_DEBUG_WATCH
-        if (addr == (FL_DEBUG_WATCH & ~63UL)) {
-            fprintf(stderr, "[%lu] %s rollback SW block 0x%lx\n",
-                    curTick(), name().c_str(), addr);
-        }
-#endif
     }
     sw_blocks_.clear();
     sr_blocks_.clear();
@@ -290,14 +284,6 @@ L1Cache::performLoad(L1Block &blk, MemRequest &req)
         prof_->touchLine(core_id_, blk.block_addr,
                          static_cast<unsigned>(offset), req.size);
     }
-#ifdef FL_DEBUG_WATCH
-    if (req.addr == FL_DEBUG_WATCH) {
-        fprintf(stderr, "[%lu] %s load 0x%lx -> %lu spec=%d state=%s\n",
-                curTick(), name().c_str(), req.addr,
-                blk.readInt(offset, req.size), (int)req.spec,
-                l1StateName(blk.state));
-    }
-#endif
     respond(req, blk.readInt(offset, req.size));
 }
 
@@ -341,13 +327,6 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
     }
 
     const Addr offset = req.addr - blk.block_addr;
-#ifdef FL_DEBUG_WATCH
-    if (req.addr == FL_DEBUG_WATCH) {
-        fprintf(stderr, "[%lu] %s write 0x%lx val=%lu spec=%d ep=%u\n",
-                curTick(), name().c_str(), req.addr, req.store_data,
-                (int)req.spec, req.spec_epoch);
-    }
-#endif
     std::uint64_t old_value = 0;
     if (req.isAmo()) {
         old_value = blk.readInt(offset, req.size);

@@ -37,17 +37,14 @@ using NodeId = std::uint32_t;
  * its requests.  Banks are selected by the low block-index bits
  * (`bank = (addr >> block_shift) & (banks - 1)`), so consecutive
  * blocks stripe round-robin across banks and `banks` must be a power
- * of two.  Implicitly convertible from a bare NodeId for the
- * single-bank tests and benches that predate banking.
+ * of two.
  */
 struct DirectoryMap
 {
-    NodeId first_node = 0;    //!< node id of bank 0 (== num cores)
-    std::uint32_t banks = 1;  //!< power-of-two bank count
-    unsigned block_shift = 6; //!< log2(block size)
+    NodeId first_node;        //!< node id of bank 0 (== num cores)
+    std::uint32_t banks;      //!< power-of-two bank count
+    unsigned block_shift;     //!< log2(block size)
 
-    DirectoryMap() = default;
-    DirectoryMap(NodeId single_bank_node) : first_node(single_bank_node) {}
     DirectoryMap(NodeId first, std::uint32_t nbanks, unsigned shift)
         : first_node(first), banks(nbanks), block_shift(shift)
     {

@@ -2,10 +2,16 @@
  * @file
  * The discrete-event queue at the heart of the simulator.
  *
+ * There is one kind of event: a pooled one-shot callback.  A scheduled
+ * event always fires at its tick; it can be neither cancelled nor
+ * moved.  A component that must drop a pending callback orphans it
+ * instead: the callable captures a generation counter and returns at
+ * once when the component's counter has moved on (the core does this
+ * for its tick and its memory responses after a rollback).
+ *
  * Determinism: events scheduled for the same tick fire in (priority,
  * insertion-sequence) order, so a run is reproducible regardless of queue
- * internals.  Descheduling is lazy: a cancelled or rescheduled entry is
- * recognised as stale when popped and skipped (counted in stalePops()).
+ * internals.
  *
  * The queue is a two-level calendar queue.  Nearly every event a cycle-
  * accurate simulator schedules lands within a few ticks of "now" (core
@@ -16,109 +22,38 @@
  * an insert is a plain append.  Events beyond the window overflow into a
  * binary heap (the far queue) and migrate into the buckets as the
  * current tick approaches them, so the exact (when, priority, stamp)
- * total order of the old single-heap implementation is preserved
- * bit-for-bit.
+ * total order of a single heap is preserved bit-for-bit.
  *
- * One-shot events -- the unbounded fire-and-forget callbacks used for
- * cache responses and message deliveries -- are the hottest allocation
- * site in the simulator, so they are pooled: the queue keeps fired
- * nodes on an intrusive free list and reuses them, and the callable is
- * stored inline in the node (no std::function, no per-fire heap
- * traffic once the pool has warmed up).
+ * Event callbacks -- cache responses, message deliveries, core ticks --
+ * are the hottest allocation site in the simulator, so their nodes are
+ * pooled: the queue keeps fired nodes on an intrusive free list and
+ * reuses them, and the callable is stored inline in the node (no
+ * std::function, no per-fire heap traffic once the pool has warmed up).
  */
 
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <queue>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace fenceless::sim
 {
 
-class EventQueue;
-
-/**
- * An event that can be scheduled on an EventQueue.
- *
- * Events are owned by their creators (typically as member objects of a
- * simulated component) and may be scheduled, descheduled and rescheduled
- * freely; at most one pending occurrence exists at a time.
- */
-class Event
+/** Standard event priorities; lower fires first within a tick. */
+enum Priority : int
 {
-  public:
-    /** Standard priorities; lower fires first within a tick. */
-    enum Priority : int
-    {
-        prio_highest = 0,
-        prio_default = 50,
-        prio_stat = 90,
-        prio_lowest = 100,
-    };
-
-    explicit Event(int priority = prio_default) : priority_(priority) {}
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Called when the event fires. */
-    virtual void process() = 0;
-
-    /**
-     * Descriptive name for debugging.  Returns a borrowed pointer (valid
-     * for the lifetime of the event) rather than a std::string by value:
-     * scheduling-path assertions evaluate their arguments eagerly, so a
-     * string-building name() would construct and destroy a string on
-     * every schedule() even though the message is only used on failure.
-     */
-    virtual const char *name() const { return "event"; }
-
-    bool scheduled() const { return scheduled_; }
-    Tick when() const { return when_; }
-    int priority() const { return priority_; }
-
-  private:
-    friend class EventQueue;
-
-    Tick when_ = 0;
-    std::uint64_t stamp_ = 0; //!< queue entry identity, for lazy removal
-    int priority_;
-    bool scheduled_ = false;
-};
-
-/** An Event whose process() invokes a bound callable. */
-class EventFunctionWrapper : public Event
-{
-  public:
-    EventFunctionWrapper(std::function<void()> callback, std::string name,
-                         int priority = prio_default)
-        : Event(priority), callback_(std::move(callback)),
-          name_(std::move(name))
-    {
-        flAssert(static_cast<bool>(callback_),
-                 "EventFunctionWrapper requires a callable");
-    }
-
-    void process() override { callback_(); }
-    const char *name() const override { return name_.c_str(); }
-
-  private:
-    std::function<void()> callback_;
-    std::string name_;
+    prio_highest = 0,
+    prio_default = 50,
+    prio_lowest = 100,
 };
 
 namespace detail
@@ -164,9 +99,7 @@ class OneShotFn
         }
     }
 
-    bool armed() const { return invoke_ != nullptr; }
-
-    /** Run the stored callable (must be armed). */
+    /** Run the stored callable (one must be stored). */
     void operator()() { invoke_(storage_); }
 
     /** Destroy the stored callable, returning to the empty state. */
@@ -205,65 +138,45 @@ class EventQueue
     static constexpr std::size_t bucket_window = 64;
 
     EventQueue() = default;
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     Tick curTick() const { return cur_tick_; }
 
-    bool empty() const { return num_scheduled_ == 0; }
-    std::size_t numPending() const { return num_scheduled_; }
-
-    /** Schedule @p ev to fire at absolute tick @p when (>= curTick). */
-    void schedule(Event *ev, Tick when);
-
-    /** Remove a pending event (no-op scheduling state if not pending). */
-    void deschedule(Event *ev);
-
-    /** Move a pending (or idle) event to a new absolute tick. */
-    void reschedule(Event *ev, Tick when);
+    bool empty() const { return numPending() == 0; }
+    std::size_t numPending() const { return near_count_ + far_.size(); }
 
     /**
-     * Fire-and-forget: run @p fn at absolute tick @p when.  The event
-     * node comes from the queue's free-list pool and returns to it
-     * after firing; the steady state allocates nothing.  For callbacks
-     * whose count is unbounded (cache responses, message deliveries);
-     * components with a fixed set of recurring events should own
-     * EventFunctionWrapper members instead.
+     * Run @p fn at absolute tick @p when (>= curTick).  The event node
+     * comes from the queue's free-list pool and returns to it after
+     * firing; the steady state allocates nothing.
      *
-     * @p priority orders the one-shot among its tick's events like any
-     * Event priority.  A pooled node takes it on every schedule, so a
-     * recycled node never keeps a previous user's priority.  The
+     * @p priority orders the event among its tick's events.  The
      * network passes negative priorities that encode (dst, src), so
      * its deliveries run in that order before every component event.
      */
     template <typename F>
     void
-    scheduleOneShot(Tick when, F &&fn, int priority = Event::prio_default)
+    scheduleOneShot(Tick when, F &&fn, int priority = prio_default)
     {
-        OneShot *ev = acquireOneShot();
-        ev->fn.emplace(std::forward<F>(fn));
-        ev->priority_ = priority;
-        schedule(ev, when);
+        Node *node = acquireNode();
+        node->fn.emplace(std::forward<F>(fn));
+        push(when, priority, node);
     }
 
-    /** Total one-shot nodes ever allocated (pool high-water mark). */
-    std::size_t oneShotNodesAllocated() const
-    {
-        return oneshot_nodes_.size();
-    }
+    /** Total event nodes ever allocated (pool high-water mark). */
+    std::size_t oneShotNodesAllocated() const { return nodes_.size(); }
 
-    /** One-shot nodes currently parked on the free list. */
-    std::size_t oneShotNodesFree() const { return oneshot_free_count_; }
+    /** Event nodes currently parked on the free list. */
+    std::size_t oneShotNodesFree() const { return free_count_; }
 
     /**
-     * Lazily-deleted entries skipped while looking for the next live
-     * event (descheduled/rescheduled leftovers in the buckets or the
-     * far heap).  A queue-health metric: it growing out of proportion
-     * with event volume means some component churns schedules.
+     * Entries skipped as stale while looking for the next event.  A
+     * scheduled event always fires, so this is always 0; it stays for
+     * perfbench's `sim.stale_pops` count.
      */
-    std::uint64_t stalePops() const { return stale_pops_; }
+    std::uint64_t stalePops() const { return 0; }
 
     /** Events popped from the near-future calendar buckets. */
     std::uint64_t nearPops() const { return near_pops_; }
@@ -281,31 +194,11 @@ class EventQueue
     bool step();
 
   private:
-    /** A pooled self-recycling event wrapping an inline callable. */
-    class OneShot final : public Event
+    /** A pooled event: the inline callable and the free-list link. */
+    struct Node
     {
-      public:
-        explicit OneShot(EventQueue &owner) : owner_(owner) {}
-
-        void
-        process() override
-        {
-            // Run, destroy the closure, then recycle the node.  The
-            // callable may schedule further one-shots; this node is
-            // not on the free list while it runs, so reentrant
-            // scheduling can never hand it out twice.
-            fn();
-            fn.clear();
-            owner_.releaseOneShot(this);
-        }
-
-        const char *name() const override { return "one-shot"; }
-
         detail::OneShotFn fn;
-        OneShot *next_free = nullptr;
-
-      private:
-        EventQueue &owner_;
+        Node *next_free = nullptr;
     };
 
     /** A far-heap entry (also the migration record). */
@@ -314,7 +207,7 @@ class EventQueue
         Tick when;
         int priority;
         std::uint64_t stamp;
-        Event *event;
+        Node *node;
     };
 
     struct Later
@@ -331,15 +224,14 @@ class EventQueue
     };
 
     /**
-     * A near-window entry.  `when` is kept because a bucket can hold
-     * leftovers from a lapped tick (when == t - k*bucket_window) that
-     * are recognised and dropped as stale when examined.
+     * A near-window entry.  It needs no tick: a bucket only ever holds
+     * entries of one tick, because every entry of a tick fires before
+     * time moves past it.
      */
     struct NearEntry
     {
-        Tick when;
         std::uint64_t stamp;
-        Event *event;
+        Node *node;
         int priority;
     };
 
@@ -354,54 +246,45 @@ class EventQueue
         std::size_t head = 0;
     };
 
-    /** Where findNext() located the next live event. */
-    enum class NextWhere : std::uint8_t
-    {
-        None, //!< queue drained (ignoring stale leftovers)
-        Near, //!< head of buckets_[when & mask]
-        Far,  //!< top of far_
-    };
-
-    /**
-     * Prune stale entries, migrate far entries that entered the window,
-     * and locate the earliest live event without popping it.
-     */
-    NextWhere findNext(Tick &when_out);
-
-    /** Pop entries until a live one is found; nullptr when drained. */
-    Event *popLive();
+    /** Stamp @p node and insert it into the calendar or the far heap. */
+    void push(Tick when, int priority, Node *node);
 
     /** Insert into the calendar (when must be inside the window). */
     void pushNear(Tick when, int priority, std::uint64_t stamp,
-                  Event *ev);
+                  Node *node);
+
+    /**
+     * Migrate far entries that entered the window and return the tick
+     * of the earliest pending event (the queue must not be empty).  It
+     * heads its bucket if any near entry exists, else the far heap.
+     */
+    Tick findNext();
+
+    /** Pop the event findNext() located at @p when and run it. */
+    void fire(Tick when);
 
     /** Take a node from the free list, growing the pool if empty. */
-    OneShot *acquireOneShot();
-
-    /** Park a fired node on the free list for reuse. */
-    void releaseOneShot(OneShot *ev);
+    Node *acquireNode();
 
     std::array<Bucket, bucket_window> buckets_;
-    std::size_t near_count_ = 0; //!< entries physically in buckets
+    std::size_t near_count_ = 0; //!< entries in buckets
     /**
-     * No live near entry exists at any tick < next_hint_.  Lets the
-     * bucket scan resume where the previous one stopped instead of
-     * re-walking empty buckets from cur_tick_ on every pop.
+     * No near entry exists at any tick < next_hint_.  Lets the bucket
+     * scan resume where the previous one stopped instead of re-walking
+     * empty buckets from cur_tick_ on every pop.
      */
     Tick next_hint_ = 0;
 
     std::priority_queue<Entry, std::vector<Entry>, Later> far_;
     Tick cur_tick_ = 0;
     std::uint64_t next_stamp_ = 1;
-    std::size_t num_scheduled_ = 0;
 
-    std::uint64_t stale_pops_ = 0;
     std::uint64_t near_pops_ = 0;
     std::uint64_t far_pops_ = 0;
 
-    std::vector<std::unique_ptr<OneShot>> oneshot_nodes_; //!< ownership
-    OneShot *oneshot_free_ = nullptr; //!< intrusive free list head
-    std::size_t oneshot_free_count_ = 0;
+    std::vector<std::unique_ptr<Node>> nodes_; //!< ownership
+    Node *free_ = nullptr;                     //!< free list head
+    std::size_t free_count_ = 0;
 };
 
 } // namespace fenceless::sim

@@ -70,13 +70,6 @@ class SimObject
     /** Timeline track id of this component in the trace sink. */
     std::uint16_t traceId() const { return trace_id_; }
 
-    /** Schedule an event @p delay cycles from now. */
-    void
-    scheduleIn(Event *ev, Cycles delay)
-    {
-        ctx_.eventq.schedule(ev, curTick() + delay);
-    }
-
   protected:
     SimContext &ctx_;
 

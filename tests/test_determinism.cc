@@ -10,8 +10,8 @@
  *    JSON (covers bucket-vs-heap ordering and idle-sleep accounting);
  *  - a host-parallel sweep produces the same per-task results
  *    regardless of worker count;
- *  - a randomized schedule/deschedule/reschedule stress confirms the
- *    two-level queue fires events in exactly the documented
+ *  - a randomized stress, with events that schedule events, confirms
+ *    the two-level queue fires events in exactly the documented
  *    (when, priority, stamp) total order, near and far alike;
  *  - messages whose arrivals tie are delivered in the canonical
  *    (arrival, dst, src) order, before any component event of their
@@ -24,7 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,92 +186,70 @@ TEST(Determinism, SweepJobsOneVsMany)
 TEST(Determinism, CalendarQueueRandomizedOrdering)
 {
     // Randomly schedule events near (inside the 64-tick bucket window)
-    // and far (overflow heap), with mixed priorities, then deschedule
-    // and reschedule a slice of them.  The fire order must match the
-    // (when, priority, stamp) total order, where stamp order is the
-    // order of the last (re)schedule call.
-    constexpr int num_events = 500;
-    sim::EventQueue eq;
-    Random rng(12345);
-
-    struct Fired
+    // and far (overflow heap), with mixed priorities; every fifth of
+    // them schedules a child 1..199 ticks ahead when it fires.  The
+    // fire order must match the (when, priority, stamp) total order,
+    // where stamp order is the order of the schedule calls.  A child
+    // lands after the tick that scheduled it, so the order covers the
+    // events scheduled from inside events too.
+    constexpr int num_roots = 500;
+    struct Stress
     {
-        int id;
-        Tick when;
-    };
-    std::vector<Fired> fired;
+        sim::EventQueue eq;
+        Random rng{12345};
+        std::vector<Tick> when; //!< by id; ids follow schedule order
+        std::vector<int> pri;
+        std::vector<int> fired;
 
-    std::deque<sim::EventFunctionWrapper> events;
-    std::vector<Tick> when(num_events, 0);
-    std::vector<int> pri(num_events, 0);
-    std::vector<std::uint64_t> seq(num_events, 0); // last schedule op
-    std::vector<bool> live(num_events, false);
-    std::uint64_t op = 0;
+        int randomPri() { return static_cast<int>(rng.range(0, 4)) * 25; }
 
-    for (int id = 0; id < num_events; ++id) {
-        pri[id] = static_cast<int>(rng.range(0, 4)) * 25; // 0..100
-        events.emplace_back(
-            [id, &eq, &fired] { fired.push_back({id, eq.curTick()}); },
-            "determinism.rec", pri[id]);
-    }
-    for (int id = 0; id < num_events; ++id) {
+        void
+        schedule(Tick at)
+        {
+            const int id = static_cast<int>(when.size());
+            when.push_back(at);
+            pri.push_back(randomPri());
+            eq.scheduleOneShot(at, [this, id] { onFire(id); }, pri[id]);
+        }
+
+        void
+        onFire(int id)
+        {
+            EXPECT_EQ(eq.curTick(), when[id]) << "event " << id;
+            fired.push_back(id);
+            if (id < num_roots && id % 5 == 0)
+                schedule(eq.curTick() + 1 + rng.range(0, 198));
+        }
+    } st;
+
+    for (int id = 0; id < num_roots; ++id) {
         // Mostly a dense band (near entries plus far entries that
         // migrate into the window as time advances); every 50th event
         // lands on a sparse tail with >64-tick gaps, which the queue
         // must pop straight from the far heap (the time-jump path).
-        when[id] = (id % 50 == 49)
-            ? 10'000 + static_cast<Tick>(id) * 100
-            : 1 + rng.range(0, 199);
-        eq.schedule(&events[id], when[id]);
-        seq[id] = op++;
-        live[id] = true;
+        st.schedule((id % 50 == 49)
+                        ? 10'000 + static_cast<Tick>(id) * 100
+                        : 1 + st.rng.range(0, 199));
     }
-    // Perturb: deschedule ~10%, reschedule ~30% (leaving stale
-    // entries for the pop path to skip).
-    for (int id = 0; id < num_events; ++id) {
-        const std::uint64_t roll = rng.range(0, 9);
-        if (roll == 0) {
-            eq.deschedule(&events[id]);
-            live[id] = false;
-        } else if (roll <= 3) {
-            when[id] = 1 + rng.range(0, 199);
-            eq.reschedule(&events[id], when[id]);
-            seq[id] = op++;
-        }
-    }
+    st.eq.run();
 
-    eq.run();
-
-    // Every live event fired exactly once; no descheduled event fired.
-    std::vector<int> count(num_events, 0);
-    for (const Fired &f : fired)
-        ++count[f.id];
-    for (int id = 0; id < num_events; ++id)
-        EXPECT_EQ(count[id], live[id] ? 1 : 0) << "event " << id;
-
-    // Fire order == sort by (when, priority, stamp).
-    std::vector<int> expected;
-    for (int id = 0; id < num_events; ++id) {
-        if (live[id])
-            expected.push_back(id);
-    }
+    // Every event fired exactly once, in (when, priority, stamp) order.
+    std::vector<int> expected(st.when.size());
+    std::iota(expected.begin(), expected.end(), 0);
     std::sort(expected.begin(), expected.end(), [&](int a, int b) {
-        if (when[a] != when[b])
-            return when[a] < when[b];
-        if (pri[a] != pri[b])
-            return pri[a] < pri[b];
-        return seq[a] < seq[b];
+        if (st.when[a] != st.when[b])
+            return st.when[a] < st.when[b];
+        if (st.pri[a] != st.pri[b])
+            return st.pri[a] < st.pri[b];
+        return a < b;
     });
-    ASSERT_EQ(fired.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(fired[i].id, expected[i]) << "position " << i;
-        EXPECT_EQ(fired[i].when, when[fired[i].id]);
-    }
+    EXPECT_EQ(expected.size(), std::size_t{num_roots + num_roots / 5});
+    ASSERT_EQ(st.fired, expected);
 
-    // The stress actually exercised all three pop paths.
-    EXPECT_GT(eq.stalePops(), 0u);
-    EXPECT_GT(eq.nearPops(), 0u);
-    EXPECT_GT(eq.farPops(), 0u);
+    // The stress exercised both pop paths.
+    EXPECT_GT(st.eq.nearPops(), 0u);
+    EXPECT_GT(st.eq.farPops(), 0u);
+    EXPECT_EQ(st.eq.nearPops() + st.eq.farPops(), st.fired.size());
 }
 
 // ---------------------------------------------------------------------
@@ -487,14 +466,15 @@ TEST(Determinism, TiedArrivalsAtManyNodesDeliverInIdOrderBeforeComponents)
         for (mem::NodeId n = 0; n < first_src + num_srcs; ++n)
             net.registerEndpoint(n, &rec);
 
-        sim::EventFunctionWrapper probe(
-            [&] {
-                rec.log.push_back({true, 0, 0, 0, 0, ctx.curTick()});
-                if (ctx.curTick() < horizon)
-                    ctx.eventq.schedule(&probe, ctx.curTick() + 1);
-            },
-            "probe", sim::Event::prio_highest);
-        ctx.eventq.schedule(&probe, 0);
+        std::function<void()> probe = [&] {
+            rec.log.push_back({true, 0, 0, 0, 0, ctx.curTick()});
+            if (ctx.curTick() < horizon) {
+                ctx.eventq.scheduleOneShot(ctx.curTick() + 1,
+                                           [&] { probe(); },
+                                           sim::prio_highest);
+            }
+        };
+        ctx.eventq.scheduleOneShot(0, [&] { probe(); }, sim::prio_highest);
 
         // A random interleaving of the per-channel sequences.
         std::vector<std::size_t> next(per_chan_msgs.size(), 0);

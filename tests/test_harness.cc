@@ -213,11 +213,15 @@ TEST(Table, Fmt)
 
 TEST(SystemQueries, DebugReadSeesFreshestCopy)
 {
-    // Core 0 writes and keeps the block in M; debugRead must return the
-    // L1 copy, not the stale L2/DRAM one.
+    // Core 2 writes and keeps the block in M; debugRead must return the
+    // L1 copy, not the stale L2/DRAM one.  With four directory banks
+    // the block's home is not bank 0, so the read must pick the home
+    // bank and follow its owner to an L1 other than core 0's.
     isa::Assembler as;
-    const Addr var = as.word("var", 1);
-    as.bne(isa::tp, isa::x0, "done");
+    as.paddedWord("pad", 0); // pushes var into the next block
+    const Addr var = as.paddedWord("var", 1);
+    as.li(isa::t0, 2);
+    as.bne(isa::tp, isa::t0, "done");
     as.li(isa::a0, var);
     as.li(isa::t0, 99);
     as.st(isa::t0, isa::a0);
@@ -225,9 +229,12 @@ TEST(SystemQueries, DebugReadSeesFreshestCopy)
     as.halt();
     isa::Program prog = as.finish();
 
-    harness::System sys(testConfig(2), prog);
+    harness::SystemConfig cfg = testConfig(4);
+    cfg.withDirBanks(4);
+    ASSERT_NE(var / cfg.l2.block_size % cfg.dir_banks, 0u);
+    harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
-    const mem::L1Block *blk = sys.l1(0).findBlock(var);
+    const mem::L1Block *blk = sys.l1(2).findBlock(var);
     ASSERT_NE(blk, nullptr);
     EXPECT_EQ(blk->state, mem::L1State::M);
     EXPECT_EQ(sys.debugRead(var, 8), 99u);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the event queue: ordering, determinism, deschedule/
- * reschedule semantics, and one-shot helpers.
+ * Unit tests for the event queue: ordering, determinism, run horizons
+ * and the pooled one-shot events.
  */
 
 #include <gtest/gtest.h>
@@ -16,20 +16,13 @@ using namespace fenceless::sim;
 namespace
 {
 
-class RecordingEvent : public Event
+/** Schedule an event that appends @p id to @p log when it fires. */
+void
+record(EventQueue &eq, std::vector<int> &log, int id, Tick when,
+       int priority = prio_default)
 {
-  public:
-    RecordingEvent(std::vector<int> &log, int id,
-                   int priority = prio_default)
-        : Event(priority), log_(log), id_(id)
-    {}
-
-    void process() override { log_.push_back(id_); }
-
-  private:
-    std::vector<int> &log_;
-    int id_;
-};
+    eq.scheduleOneShot(when, [&log, id] { log.push_back(id); }, priority);
+}
 
 } // namespace
 
@@ -37,10 +30,9 @@ TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2), e3(log, 3);
-    eq.schedule(&e2, 20);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e3, 30);
+    record(eq, log, 2, 20);
+    record(eq, log, 1, 10);
+    record(eq, log, 3, 30);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -50,10 +42,9 @@ TEST(EventQueue, SameTickInsertionOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2), e3(log, 3);
-    eq.schedule(&e1, 5);
-    eq.schedule(&e2, 5);
-    eq.schedule(&e3, 5);
+    record(eq, log, 1, 5);
+    record(eq, log, 2, 5);
+    record(eq, log, 3, 5);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
@@ -62,35 +53,8 @@ TEST(EventQueue, PriorityBeatsInsertion)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent low(log, 1, Event::prio_lowest);
-    RecordingEvent high(log, 2, Event::prio_highest);
-    eq.schedule(&low, 5);
-    eq.schedule(&high, 5);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2, 1}));
-}
-
-TEST(EventQueue, Deschedule)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 20);
-    eq.deschedule(&e1);
-    EXPECT_FALSE(e1.scheduled());
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, Reschedule)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 20);
-    eq.reschedule(&e1, 30); // move past e2
+    record(eq, log, 1, 5, prio_lowest);
+    record(eq, log, 2, 5, prio_highest);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
 }
@@ -99,9 +63,8 @@ TEST(EventQueue, RunHorizonStopsEarly)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 100);
+    record(eq, log, 1, 10);
+    record(eq, log, 2, 100);
     eq.run(50);
     EXPECT_EQ(log, (std::vector<int>{1}));
     EXPECT_EQ(eq.curTick(), 50u);
@@ -114,15 +77,11 @@ TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
     std::vector<Tick> fired;
-    EventFunctionWrapper second([&] { fired.push_back(eq.curTick()); },
-                                "second");
-    EventFunctionWrapper first(
-        [&] {
-            fired.push_back(eq.curTick());
-            eq.schedule(&second, eq.curTick() + 7);
-        },
-        "first");
-    eq.schedule(&first, 3);
+    eq.scheduleOneShot(3, [&] {
+        fired.push_back(eq.curTick());
+        eq.scheduleOneShot(eq.curTick() + 7,
+                           [&] { fired.push_back(eq.curTick()); });
+    });
     eq.run();
     EXPECT_EQ(fired, (std::vector<Tick>{3, 10}));
 }
@@ -142,9 +101,8 @@ TEST(EventQueue, StepFiresExactlyOne)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent e1(log, 1), e2(log, 2);
-    eq.schedule(&e1, 1);
-    eq.schedule(&e2, 2);
+    record(eq, log, 1, 1);
+    record(eq, log, 2, 2);
     EXPECT_TRUE(eq.step());
     EXPECT_EQ(log.size(), 1u);
     EXPECT_TRUE(eq.step());
@@ -153,14 +111,24 @@ TEST(EventQueue, StepFiresExactlyOne)
 
 TEST(EventQueue, NumPendingTracksLazyDeletes)
 {
+    // Nothing is ever cancelled: a caller drops a callback lazily by
+    // moving a generation the callback captured.  The orphaned event
+    // stays pending, and counted, until it fires and returns.
     EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent e1(log, 1);
-    eq.schedule(&e1, 10);
+    std::uint64_t gen = 0;
+    int fired = 0;
+    eq.scheduleOneShot(10, [&, g = gen] {
+        if (g == gen)
+            ++fired;
+    });
     EXPECT_EQ(eq.numPending(), 1u);
-    eq.deschedule(&e1);
+    ++gen;
+    EXPECT_EQ(eq.numPending(), 1u);
+    EXPECT_FALSE(eq.empty());
+    eq.run();
+    EXPECT_EQ(fired, 0);
     EXPECT_EQ(eq.numPending(), 0u);
     EXPECT_TRUE(eq.empty());
-    eq.run();
-    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(eq.curTick(), 10u);
+    EXPECT_EQ(eq.stalePops(), 0u);
 }

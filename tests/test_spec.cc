@@ -404,6 +404,38 @@ TEST(Spec, CooldownForcesNonSpeculativeRetry)
     EXPECT_LT(epochs, 300u);
 }
 
+TEST(Spec, RollbackOrphansThePendingTick)
+{
+    // A rollback that lands while the core's next tick is queued
+    // orphans that tick: it fires and returns, and only the tick the
+    // restore schedules runs the core.  Were the orphan to run too, the
+    // core would retire twice in one cycle.
+    workload::Dekker wl;
+    harness::SystemConfig cfg = specConfig(2, cpu::ConsistencyModel::SC);
+    cfg.withTracing(static_cast<std::uint32_t>(trace::Flag::Core));
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+    EXPECT_GT(sys.totalRollbacks(), 0u);
+    std::string error;
+    EXPECT_TRUE(wl.check(sys.memReader(), cfg.num_cores, error))
+        << error;
+
+    const auto &tracks = sys.tracer().components();
+    std::vector<Tick> last_commit(tracks.size(), max_tick);
+    std::size_t commits = 0;
+    sys.tracer().forEach([&](const trace::TraceRecord &r) {
+        if (r.kind != static_cast<std::uint16_t>(
+                          trace::EventKind::CoreCommit))
+            return;
+        ++commits;
+        EXPECT_NE(last_commit[r.comp], r.tick)
+            << tracks[r.comp] << " retired twice at tick " << r.tick;
+        last_commit[r.comp] = r.tick;
+    });
+    EXPECT_GT(commits, 0u);
+}
+
 TEST(Spec, HaltCommitsOutstandingEpoch)
 {
     // A program that halts while inside an epoch: requestStop must

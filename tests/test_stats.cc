@@ -42,7 +42,6 @@ TEST(Formula, EmptyFunctionIsZero)
 {
     Formula f("f", "no fn", nullptr);
     EXPECT_EQ(f.value(), 0.0);
-    f.reset(); // no-op, must not crash
 }
 
 TEST(Distribution, WelfordLargeMeanSmallVariance)
@@ -71,38 +70,6 @@ TEST(Distribution, WeightedStdevMatchesRepeatedSamples)
     EXPECT_DOUBLE_EQ(a.mean(), b.mean());
     EXPECT_NEAR(a.stdev(), b.stdev(), 1e-12);
     EXPECT_EQ(a.samples(), b.samples());
-}
-
-TEST(StatRegistry, ResetClearsEveryKindInEveryGroup)
-{
-    StatRegistry reg;
-    StatGroup &g1 = reg.createGroup("g1");
-    StatGroup &g2 = reg.createGroup("g2");
-    Scalar &s = g1.addScalar("s", "scalar");
-    Distribution &d = g1.addDistribution("d", "dist");
-    Scalar &feeder = g2.addScalar("feeder", "formula input");
-    Formula &f = g2.addFormula("f", "derived",
-                               [&] { return feeder.value() * 2; });
-
-    s += 42;
-    d.sample(7);
-    d.sample(9);
-    feeder += 10;
-    ASSERT_EQ(s.count(), 42u);
-    ASSERT_EQ(d.samples(), 2u);
-
-    reg.reset();
-
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(d.samples(), 0u);
-    EXPECT_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.stdev(), 0.0);
-    // Formulas derive from live stats, so reset flows through inputs.
-    EXPECT_EQ(f.value(), 0.0);
-
-    // Structure survives: the groups and stats are still registered.
-    EXPECT_EQ(reg.findGroup("g1"), &g1);
-    EXPECT_NE(g2.find("f"), nullptr);
 }
 
 TEST(StatsJson, EveryKindRendersItsFullState)
@@ -222,15 +189,6 @@ TEST(PercentileSketch, WeightedAddMatchesRepeated)
         EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
 }
 
-TEST(PercentileSketch, ResetClears)
-{
-    PercentileSketch s;
-    s.add(42.0, 3);
-    s.reset();
-    EXPECT_EQ(s.samples(), 0u);
-    EXPECT_EQ(s.quantile(0.5), 0.0);
-}
-
 TEST(Distribution, PercentilesTrackSamples)
 {
     Distribution d("d", "latencies");
@@ -239,8 +197,6 @@ TEST(Distribution, PercentilesTrackSamples)
     EXPECT_NEAR(d.percentile(0.50), 50.0, 5.0);
     EXPECT_NEAR(d.percentile(0.95), 95.0, 10.0);
     EXPECT_NEAR(d.percentile(0.99), 99.0, 10.0);
-    d.reset();
-    EXPECT_EQ(d.percentile(0.50), 0.0);
 }
 
 TEST(StatsJson, QuoteEscapesSpecials)
