@@ -31,6 +31,7 @@ StoreBuffer::StoreBuffer(sim::SimContext &ctx,
           "buffer occupancy sampled at each push"))
 {
     flAssert(params_.size > 0, "store buffer needs at least one entry");
+    entries_.reserve(params_.size);
 }
 
 void
@@ -161,7 +162,7 @@ StoreBuffer::issueNext()
     issuePrefetches();
     const unsigned limit =
         params_.drain_in_order ? 1 : params_.max_inflight;
-    while (inflight_.size() < limit) {
+    while (inflight_ < limit) {
         Entry *e = pickEligible();
         if (!e)
             return;
@@ -173,7 +174,7 @@ StoreBuffer::issueNext()
         }
 
         e->issued = true;
-        inflight_.push_back(e->seq);
+        ++inflight_;
 
         mem::MemRequest req;
         req.op = mem::MemOp::Store;
@@ -232,10 +233,9 @@ StoreBuffer::issuePrefetches()
 void
 StoreBuffer::complete(std::uint64_t seq)
 {
-    auto inflight_it = std::find(inflight_.begin(), inflight_.end(),
-                                 seq);
-    if (inflight_it != inflight_.end())
-        inflight_.erase(inflight_it);
+    flAssert(inflight_ > 0, "store-buffer drain completed twice (seq ",
+             seq, ")");
+    --inflight_;
     // The entry may have been discarded by a rollback while in flight;
     // in that case there is nothing to remove (the L1 dropped the write
     // as a stale-epoch no-op).
@@ -271,8 +271,8 @@ StoreBuffer::discardAfter(std::uint64_t keep_up_to)
             flAssert(it->spec, "discarding a non-speculative store (seq ",
                      it->seq, ")");
             // A discarded entry that is already in flight completes
-            // at the L1 as a stale-epoch no-op; complete() drops it
-            // from inflight_ then.
+            // at the L1 as a stale-epoch no-op; complete() counts it
+            // out of inflight_ then.
             it = entries_.erase(it);
             ++removed;
         } else {

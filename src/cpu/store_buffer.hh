@@ -14,12 +14,14 @@
  *
  * The buffer keeps no waiters: after every completed drain it calls
  * Core::storeDrained(), and the owning core checks its own wait.
+ *
+ * Storage is one vector reserved to the buffer's size at construction,
+ * and in-flight drains are a count, so draining allocates nothing.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "base/stats.hh"
@@ -100,7 +102,7 @@ class StoreBuffer
     // --- stall-dossier inspection ----------------------------------------
 
     /** Buffered entries, oldest first (read-only, for wait graphs). */
-    const std::deque<Entry> &entries() const { return entries_; }
+    const std::vector<Entry> &entries() const { return entries_; }
 
     /** @return true if a drain retry is parked (MSHR backpressure). */
     bool retryPending() const { return retry_pending_; }
@@ -159,10 +161,14 @@ class StoreBuffer
     Core &core_;
     std::uint16_t trace_id_;
 
-    std::deque<Entry> entries_;
+    std::vector<Entry> entries_; //!< oldest first; never reallocates
     std::uint64_t next_seq_ = 1;
     std::uint32_t barrier_group_ = 0;
-    std::vector<std::uint64_t> inflight_; //!< seqs of issued drains
+    /**
+     * Issued drains not yet completed.  Every issued drain completes
+     * exactly once at the L1, a discarded one as a stale-epoch no-op.
+     */
+    unsigned inflight_ = 0;
     bool retry_pending_ = false; //!< MSHR-pressure retry scheduled
 
     statistics::Scalar &stat_pushed_;

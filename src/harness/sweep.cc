@@ -1,31 +1,13 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 namespace fenceless::harness
 {
-
-namespace
-{
-
-/**
- * One worker's share of the sweep.  The owner pops newest-first from
- * the back; thieves take oldest-first from the front, so a steal grabs
- * the task the owner would reach last.  A plain mutex per deque is
- * plenty here: tasks are whole simulation runs (milliseconds to
- * seconds), so queue traffic is negligible next to the work.
- */
-struct WorkerDeque
-{
-    std::mutex mutex;
-    std::deque<std::size_t> tasks; //!< indices into the shared batch
-};
-
-} // namespace
 
 unsigned
 SweepRunner::resolveJobs(unsigned jobs)
@@ -52,41 +34,19 @@ SweepRunner::runAll(std::vector<std::function<void()>> thunks) const
         return;
     }
 
-    // All tasks are known up front and none spawns more, so an empty
-    // set of deques means the sweep is fully claimed and a worker that
-    // finds nothing to pop or steal can simply retire.
-    std::vector<WorkerDeque> deques(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        deques[i % workers].tasks.push_back(i);
-
-    const std::size_t none = n; // sentinel: no task claimed
+    // All tasks are known up front and none spawns more, so one shared
+    // cursor hands them out: each worker claims the next index until
+    // the cursor passes the end.  Tasks are whole simulation runs
+    // (milliseconds to seconds), so one atomic increment per task is
+    // negligible next to the work.
+    std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
-    std::size_t error_index = none;
+    std::size_t error_index = n;
     std::exception_ptr error;
 
-    auto worker = [&](unsigned self) {
-        for (;;) {
-            std::size_t task = none;
-            {
-                std::lock_guard<std::mutex> lock(deques[self].mutex);
-                auto &mine = deques[self].tasks;
-                if (!mine.empty()) {
-                    task = mine.back();
-                    mine.pop_back();
-                }
-            }
-            for (unsigned delta = 1; task == none && delta < workers;
-                 ++delta) {
-                const unsigned victim = (self + delta) % workers;
-                std::lock_guard<std::mutex> lock(deques[victim].mutex);
-                auto &theirs = deques[victim].tasks;
-                if (!theirs.empty()) {
-                    task = theirs.front();
-                    theirs.pop_front();
-                }
-            }
-            if (task == none)
-                return;
+    auto worker = [&] {
+        for (std::size_t task = next.fetch_add(1); task < n;
+             task = next.fetch_add(1)) {
             try {
                 thunks[task]();
             } catch (...) {
@@ -103,7 +63,7 @@ SweepRunner::runAll(std::vector<std::function<void()>> thunks) const
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        threads.emplace_back(worker, w);
+        threads.emplace_back(worker);
     for (auto &thread : threads)
         thread.join();
 

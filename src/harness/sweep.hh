@@ -6,11 +6,12 @@
  * simulation (its own event queue, stat registry and memory image), so
  * the (workload x model x sweep-point) runs of an experiment are
  * embarrassingly parallel on the host.  A SweepRunner executes a batch
- * of such tasks on a small work-stealing thread pool and hands the
- * results back **in submission order**: tasks carry their index, the
- * result buffer restores the sequence, and all rendering happens on the
- * calling thread -- so output is bit-for-bit identical to a sequential
- * run regardless of the worker count.
+ * of such tasks on a small thread pool whose workers claim task indices
+ * from one shared atomic cursor, and hands the results back **in
+ * submission order**: tasks carry their index, the result buffer
+ * restores the sequence, and all rendering happens on the calling
+ * thread -- so output is bit-for-bit identical to a sequential run
+ * regardless of the worker count.
  *
  *     harness::SweepRunner runner(opts.jobs());
  *     std::vector<std::function<Row()>> tasks = ...;

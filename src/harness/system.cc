@@ -79,60 +79,26 @@ System::System(const SystemConfig &config, const isa::Program &prog)
              "L2 size must divide evenly across ", config_.dir_banks,
              " directory banks");
 
+    // Every sink is configured before any component is built.  Each
+    // component registers its trace track (and gets its flight-recorder
+    // ring) once, in its constructor, so the construction order below
+    // fixes the component ids: network; l1_<i> then its net.rx<i>;
+    // each directory bank then its net.rx<cores+b>; core_<i> then
+    // core_<i>.sb; spec_<i>.  The profiler must be configured first
+    // because components cache its ifEnabled() once.
     ctx_.tracer.setMask(config_.trace_mask);
-
-    // Pre-register the component list -- in construction order -- so
-    // the flight-recorder ring below is sized once; the components
-    // re-register idempotently and get the same ids.
-    {
-        std::vector<std::string> comp_names;
-        comp_names.emplace_back("network");
-        for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-            comp_names.push_back("l1_" + std::to_string(i));
-            comp_names.push_back("net.rx" + std::to_string(i));
-        }
-        for (std::uint32_t b = 0; b < config_.dir_banks; ++b) {
-            comp_names.push_back(dirBankName(config_.dir_banks, b));
-            comp_names.push_back(
-                "net.rx" + std::to_string(config_.num_cores + b));
-        }
-        for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-            comp_names.push_back("core_" + std::to_string(i));
-            comp_names.push_back("core_" + std::to_string(i) + ".sb");
-        }
-        if (config_.spec.mode != spec::SpecMode::Off) {
-            for (std::uint32_t i = 0; i < config_.num_cores; ++i)
-                comp_names.push_back("spec_" + std::to_string(i));
-        }
-        for (const std::string &name : comp_names)
-            ctx_.tracer.registerComponent(name);
-    }
-
-    // Flight recorder: configured after the component list is known,
-    // so the ring storage is sized in ONE allocation.  Registering a
-    // component into a live ring grows it with a full reallocate-and-
-    // copy, which is quadratic over the list and -- worse -- cycles
-    // the heap through every intermediate size on each System
-    // construction, fragmenting long-lived benchmark/sweep processes.
-    // The components constructed below re-register idempotently and
-    // never grow the ring.
     if (config_.blackbox_records > 0) {
         ctx_.tracer.configureRing(config_.blackbox_records,
                                   trace::default_blackbox_flags);
     }
-
-    // The profiler must be configured before any component
-    // construction below: each component caches ifEnabled() exactly
-    // once.
     if (config_.profile) {
         ctx_.profiler.configure(prog_.code.size(), config_.num_cores,
                                 config_.l1.block_size, codeSyms(),
                                 dataSyms());
     }
 
-    // Span sinks follow the same rule (components cache ifEnabled()
-    // once).  Everything below -- the aux names, the "tailtrace" stat
-    // group -- exists only when tracing is on, so a tracing-off run's
+    // Everything below -- the aux names, the "tailtrace" stat group --
+    // exists only when span tracing is on, so a tracing-off run's
     // stats/trace documents are byte-identical to a build without the
     // feature.
     if (config_.tail_sample > 0) {

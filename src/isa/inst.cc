@@ -1,7 +1,5 @@
 #include "isa/inst.hh"
 
-#include <sstream>
-
 #include "base/logging.hh"
 
 namespace fenceless::isa
@@ -54,100 +52,6 @@ opName(Op op)
       case Op::Pause: return "pause";
     }
     return "?";
-}
-
-namespace
-{
-
-const char *
-fenceName(FenceKind k)
-{
-    switch (k) {
-      case FenceKind::Full: return "full";
-      case FenceKind::Acquire: return "acq";
-      case FenceKind::Release: return "rel";
-    }
-    return "?";
-}
-
-const char *
-csrName(Csr c)
-{
-    switch (c) {
-      case Csr::Tid: return "tid";
-      case Csr::NumCores: return "ncores";
-      case Csr::Cycle: return "cycle";
-      case Csr::InstRet: return "instret";
-    }
-    return "?";
-}
-
-} // namespace
-
-std::string
-disassemble(const Inst &inst)
-{
-    std::ostringstream os;
-    os << opName(inst.op);
-    auto r = [](RegId id) {
-        std::ostringstream s;
-        s << "x" << static_cast<int>(id);
-        return s.str();
-    };
-
-    switch (inst.op) {
-      case Op::Add: case Op::Sub: case Op::And: case Op::Or: case Op::Xor:
-      case Op::Sll: case Op::Srl: case Op::Sra: case Op::Slt:
-      case Op::Sltu: case Op::Mul: case Op::Divu: case Op::Remu:
-        os << " " << r(inst.rd) << ", " << r(inst.rs1) << ", "
-           << r(inst.rs2);
-        break;
-      case Op::Addi: case Op::Andi: case Op::Ori: case Op::Xori:
-      case Op::Slli: case Op::Srli: case Op::Srai: case Op::Slti:
-      case Op::Sltiu:
-        os << " " << r(inst.rd) << ", " << r(inst.rs1) << ", " << inst.imm;
-        break;
-      case Op::Li:
-        os << " " << r(inst.rd) << ", " << inst.imm;
-        break;
-      case Op::Load:
-        os << static_cast<int>(inst.size) << " " << r(inst.rd) << ", "
-           << inst.imm << "(" << r(inst.rs1) << ")";
-        break;
-      case Op::Store:
-        os << static_cast<int>(inst.size) << " " << r(inst.rs2) << ", "
-           << inst.imm << "(" << r(inst.rs1) << ")";
-        break;
-      case Op::AmoSwap: case Op::AmoAdd:
-        os << static_cast<int>(inst.size) << " " << r(inst.rd) << ", "
-           << r(inst.rs2) << ", (" << r(inst.rs1) << ")";
-        break;
-      case Op::AmoCas:
-        os << static_cast<int>(inst.size) << " " << r(inst.rd) << ", "
-           << r(inst.rs2) << ", " << r(inst.rs3) << ", ("
-           << r(inst.rs1) << ")";
-        break;
-      case Op::Fence:
-        os << "." << fenceName(inst.fence);
-        break;
-      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
-      case Op::Bltu: case Op::Bgeu:
-        os << " " << r(inst.rs1) << ", " << r(inst.rs2) << ", @"
-           << inst.imm;
-        break;
-      case Op::Jal:
-        os << " " << r(inst.rd) << ", @" << inst.imm;
-        break;
-      case Op::Jalr:
-        os << " " << r(inst.rd) << ", " << r(inst.rs1) << "+" << inst.imm;
-        break;
-      case Op::CsrRead:
-        os << " " << r(inst.rd) << ", " << csrName(inst.csr);
-        break;
-      case Op::Halt: case Op::Nop: case Op::Pause:
-        break;
-    }
-    return os.str();
 }
 
 std::uint64_t

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "base/types.hh"
 
@@ -111,28 +110,11 @@ struct Inst
         return op == Op::AmoSwap || op == Op::AmoAdd || op == Op::AmoCas;
     }
 
-    bool isFence() const { return op == Op::Fence; }
     bool isMem() const { return isLoad() || isStore() || isAmo(); }
-
-    bool
-    isBranch() const
-    {
-        switch (op) {
-          case Op::Beq: case Op::Bne: case Op::Blt:
-          case Op::Bge: case Op::Bltu: case Op::Bgeu:
-          case Op::Jal: case Op::Jalr:
-            return true;
-          default:
-            return false;
-        }
-    }
 };
 
 /** @return the mnemonic for @p op. */
 const char *opName(Op op);
-
-/** @return a human-readable rendering of @p inst (for traces/tests). */
-std::string disassemble(const Inst &inst);
 
 /**
  * Shared ALU semantics used by both the functional interpreter and the

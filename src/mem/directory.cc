@@ -44,7 +44,6 @@ Directory::Directory(sim::SimContext &ctx, const std::string &name,
     : SimObject(ctx, name), params_(params), node_id_(node_id),
       num_cores_(num_cores), network_(network), backing_(backing),
       prof_(ctx.profiler.ifEnabled()),
-      rtrace_(ctx.spans.ifEnabled()),
       array_(params.size, params.assoc, params.block_size,
              bankIndexShift(params.banks)),
       stat_gets_(statGroup().addScalar("gets", "GetS transactions")),
@@ -127,9 +126,10 @@ Directory::addTxn(Addr block_addr)
     if (txn_free_.empty()) {
         txn = &txn_pool_.emplace_back();
     } else {
+        // A reused node keeps its (empty) queue's capacity; the caller
+        // resets the other fields through Txn::begin().
         txn = txn_free_.back();
         txn_free_.pop_back();
-        *txn = Txn{};
     }
     active_.insert(it, {block_addr, txn});
     return *txn;
@@ -142,38 +142,25 @@ Directory::addTxn(Addr block_addr)
 void
 Directory::dispatch(const Msg &msg)
 {
-    const bool busy = findTxn(msg.block_addr);
-    if (busy) {
-        pending_[msg.block_addr].push_back(QueuedReq{curTick(), msg});
-        ++total_pending_;
-        if (rtrace_ && rtrace_->sampled(msg.req_id)) {
-            rtrace_->record(msg.req_id, curTick(),
-                            reqtrace::Stage::DirQueue, traceId(),
-                            msg.block_addr,
-                            static_cast<std::uint32_t>(
-                                pending_[msg.block_addr].size()));
-        }
+    if (Txn *busy = findTxn(msg.block_addr)) {
+        busy->queue.push_back(QueuedReq{curTick(), msg});
+        FL_SPAN(*this, msg.req_id, reqtrace::Stage::DirQueue,
+                msg.block_addr,
+                static_cast<std::uint32_t>(busy->queue.size()));
         return;
     }
-    startTxn(msg, curTick());
+    startTxn(addTxn(msg.block_addr), msg, curTick());
 }
 
 void
-Directory::startTxn(const Msg &msg, Tick recv_tick)
+Directory::startTxn(Txn &txn, const Msg &msg, Tick recv_tick)
 {
     stat_txn_queue_wait_.sample(
         static_cast<double>(curTick() - recv_tick));
     FL_TEVENT(*this, trace::EventKind::ReqDirIngress, msg.req_id,
               static_cast<std::uint64_t>(msg.type));
-    Txn &txn = addTxn(msg.block_addr);
-    txn.req = msg;
-    txn.phase = Txn::Phase::Start;
-    txn.start_tick = curTick();
-    if (rtrace_ && rtrace_->sampled(msg.req_id)) {
-        rtrace_->record(msg.req_id, curTick(),
-                        reqtrace::Stage::DirAccess, traceId(),
-                        msg.block_addr);
-    }
+    txn.begin(msg, curTick());
+    FL_SPAN(*this, msg.req_id, reqtrace::Stage::DirAccess, msg.block_addr);
     // Model the directory/tag access latency before processing.
     eventq().scheduleOneShot(curTick() + params_.latency,
                              [this, addr = msg.block_addr] {
@@ -231,24 +218,20 @@ Directory::complete(Addr block_addr)
     const auto active_it = lowerBound(active_, block_addr);
     flAssert(active_it != active_.end() && active_it->first == block_addr,
              name(), ": complete with no active transaction");
-    const Txn &txn = *active_it->second;
+    Txn &txn = *active_it->second;
     stat_txn_service_.sample(
         static_cast<double>(curTick() - txn.start_tick));
     FL_TEVENT(*this, trace::EventKind::ReqDirDone, txn.req.req_id,
               txn.dram_reads);
     const bool was_recall = txn.is_recall;
-    txn_free_.push_back(active_it->second);
-    active_.erase(active_it);
-
-    auto it = pending_.find(block_addr);
-    if (it != pending_.end()) {
-        flAssert(!it->second.empty(), "empty pending queue left behind");
-        QueuedReq next = it->second.front();
-        it->second.pop_front();
-        --total_pending_;
-        if (it->second.empty())
-            pending_.erase(it);
-        startTxn(next.msg, next.recv_tick);
+    if (txn.queue.empty()) {
+        txn_free_.push_back(&txn);
+        active_.erase(active_it);
+    } else {
+        // The oldest queued request takes over this node in place.
+        const QueuedReq next = std::move(txn.queue.front());
+        txn.queue.erase(txn.queue.begin());
+        startTxn(txn, next.msg, next.recv_tick);
     }
 
     // Any completion but a recall's may free a way of this set (a
@@ -293,11 +276,8 @@ Directory::processGetS(Txn &txn, L2Block &blk)
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetS, blk.owner, blk.block_addr);
         txn.phase = Txn::Phase::Fwd;
-        if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-            rtrace_->record(txn.req.req_id, curTick(),
-                            reqtrace::Stage::DirFwd, traceId(),
-                            blk.block_addr, blk.owner);
-        }
+        FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
+                blk.block_addr, blk.owner);
         return;
     }
     if (blk.owner == requestor) {
@@ -336,11 +316,8 @@ Directory::processGetM(Txn &txn, L2Block &blk)
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetM, blk.owner, blk.block_addr);
         txn.phase = Txn::Phase::Fwd;
-        if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-            rtrace_->record(txn.req.req_id, curTick(),
-                            reqtrace::Stage::DirFwd, traceId(),
-                            blk.block_addr, blk.owner);
-        }
+        FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
+                blk.block_addr, blk.owner);
         return;
     }
 
@@ -365,11 +342,8 @@ Directory::processGetM(Txn &txn, L2Block &blk)
     stat_invs_sent_ += count;
     txn.pending_acks = count;
     txn.phase = Txn::Phase::InvAcks;
-    if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-        rtrace_->record(txn.req.req_id, curTick(),
-                        reqtrace::Stage::DirInv, traceId(),
-                        blk.block_addr, count);
-    }
+    FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirInv, blk.block_addr,
+            count);
 }
 
 // ---------------------------------------------------------------------
@@ -544,14 +518,11 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                 return false;
             }
             txn.phase = Txn::Phase::Blocked;
-            if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-                rtrace_->record(txn.req.req_id, curTick(),
-                                reqtrace::Stage::DirBlocked, traceId(),
-                                block_addr,
-                                static_cast<std::uint32_t>(
-                                    victim->block_addr >>
-                                    floorLog2(params_.block_size)));
-            }
+            FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirBlocked,
+                    block_addr,
+                    static_cast<std::uint32_t>(
+                        victim->block_addr >>
+                        floorLog2(params_.block_size)));
             startRecall(victim->block_addr, txn.req);
             return false;
         }
@@ -562,10 +533,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
 
     // Fetch the block from DRAM.
     txn.phase = Txn::Phase::Dram;
-    if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-        rtrace_->record(txn.req.req_id, curTick(),
-                        reqtrace::Stage::Dram, traceId(), block_addr);
-    }
+    FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::Dram, block_addr);
     ++stat_dram_reads_;
     ++txn.dram_reads;
     const Tick ready = std::max(curTick(), dram_next_free_)
@@ -591,13 +559,13 @@ void
 Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
 {
     ++stat_recalls_;
+    Msg req; // synthetic
+    req.type = MsgType::GetM;
+    req.block_addr = victim_addr;
     Txn &txn = addTxn(victim_addr);
+    txn.begin(req, curTick());
     txn.is_recall = true;
-    txn.start_tick = curTick();
     txn.resume = blocked_req;
-    txn.req = Msg{}; // synthetic
-    txn.req.type = MsgType::GetM;
-    txn.req.block_addr = victim_addr;
 
     L2Block *blk = array_.find(victim_addr);
     flAssert(blk, name(), ": recall target vanished");
@@ -678,10 +646,7 @@ void
 Directory::sendData(MsgType type, NodeId dst, const L2Block &blk,
                     std::uint64_t req_id)
 {
-    if (rtrace_ && rtrace_->sampled(req_id)) {
-        rtrace_->record(req_id, curTick(), reqtrace::Stage::ReplyNet,
-                        traceId(), blk.block_addr, dst);
-    }
+    FL_SPAN(*this, req_id, reqtrace::Stage::ReplyNet, blk.block_addr, dst);
     sendToL1(type, dst, blk.block_addr, blk.data.data(), req_id);
 }
 

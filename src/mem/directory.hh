@@ -2,10 +2,11 @@
  * @file
  * The shared, inclusive L2 cache with an integrated MESI directory.
  *
- * Blocking per block: one transaction at a time; requests to a busy
- * block queue and are dispatched in arrival order.  The directory
- * collects invalidation acks and forwards owner data itself, so L1s
- * never exchange messages directly.
+ * Blocking per block: one transaction at a time.  Requests to a busy
+ * block queue in its active transaction and are served in arrival
+ * order, each taking over the transaction as the previous one
+ * completes.  The directory collects invalidation acks and forwards
+ * owner data itself, so L1s never exchange messages directly.
  *
  * The L2 is inclusive: every block cached in any L1 has an L2 entry
  * carrying the directory state (owner, sharers).  Evicting such an
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -97,8 +97,11 @@ class Directory : public sim::SimObject, public MsgReceiver
         array_.forEach(fn);
     }
 
-    /** @return true when no transaction is active or queued. */
-    bool quiesced() const { return active_.empty() && total_pending_ == 0; }
+    /**
+     * @return true when no transaction is active or queued (a request
+     * only ever queues behind an active transaction).
+     */
+    bool quiesced() const { return active_.empty(); }
 
     // --- stall-dossier inspection ---------------------------------------
 
@@ -143,13 +146,19 @@ class Directory : public sim::SimObject, public MsgReceiver
             if (txn.resume)
                 v.resume_block = txn.resume->block_addr;
             v.req_id = txn.req.req_id;
-            if (auto it = pending_.find(addr); it != pending_.end())
-                v.queued = it->second.size();
+            v.queued = txn.queue.size();
             fn(v);
         }
     }
 
   private:
+    /** A request parked behind an active same-block transaction. */
+    struct QueuedReq
+    {
+        Tick recv_tick;
+        Msg msg;
+    };
+
     struct Txn
     {
         enum class Phase : std::uint8_t
@@ -169,13 +178,25 @@ class Directory : public sim::SimObject, public MsgReceiver
         std::optional<Msg> resume; //!< request to re-dispatch afterwards
         Tick start_tick = 0;       //!< when the txn left the queue
         unsigned dram_reads = 0;   //!< DRAM fills charged to this txn
-    };
+        /**
+         * Same-block requests parked behind this transaction, oldest
+         * first.  The node outlives each transaction it serves, so the
+         * capacity is kept and a steady state allocates nothing.
+         */
+        std::vector<QueuedReq> queue;
 
-    /** A request parked behind an active same-block transaction. */
-    struct QueuedReq
-    {
-        Tick recv_tick;
-        Msg msg;
+        /** Start serving @p msg; resets every field but the queue. */
+        void
+        begin(const Msg &msg, Tick now)
+        {
+            req = msg;
+            phase = Phase::Start;
+            pending_acks = 0;
+            is_recall = false;
+            resume.reset();
+            start_tick = now;
+            dram_reads = 0;
+        }
     };
 
     static const char *phaseName(Txn::Phase p);
@@ -186,7 +207,7 @@ class Directory : public sim::SimObject, public MsgReceiver
 
     // dispatch / queueing
     void dispatch(const Msg &msg);
-    void startTxn(const Msg &msg, Tick recv_tick);
+    void startTxn(Txn &txn, const Msg &msg, Tick recv_tick);
     void processRequest(Addr block_addr);
     void complete(Addr block_addr);
     void retryWayWaiter(Addr block_addr);
@@ -219,15 +240,15 @@ class Directory : public sim::SimObject, public MsgReceiver
     Network &network_;
     FlatMemory &backing_;
     prof::WasteProfiler *const prof_; //!< null when profiling is off
-    reqtrace::ReqTraceSink *const rtrace_; //!< null when spans are off
 
     CacheArray<L2Block> array_;
 
     /**
      * Active transactions: pooled nodes that never move (ensurePresent
      * holds a Txn& while startRecall adds another), indexed by
-     * (block, node) pairs sorted by block address.  Finished nodes go
-     * on a free list, so a steady state allocates nothing.
+     * (block, node) pairs sorted by block address.  A finished node
+     * passes to the oldest request queued behind it, or else goes on a
+     * free list, so a steady state allocates nothing.
      */
     std::deque<Txn> txn_pool_;
     std::vector<Txn *> txn_free_;
@@ -236,8 +257,6 @@ class Directory : public sim::SimObject, public MsgReceiver
     /** Blocks of WayWait transactions, oldest first. */
     std::vector<Addr> way_waiters_;
 
-    std::map<Addr, std::deque<QueuedReq>> pending_;
-    std::size_t total_pending_ = 0;
     Tick dram_next_free_ = 0;
 
     statistics::Scalar &stat_gets_;

@@ -28,7 +28,6 @@ L1Cache::L1Cache(sim::SimContext &ctx, const std::string &name,
     : SimObject(ctx, name), params_(params), core_id_(core_id),
       node_id_(core_id), dirmap_(dirmap), network_(network),
       prof_(ctx.profiler.ifEnabled()),
-      rtrace_(ctx.spans.ifEnabled()),
       array_(params.size, params.assoc, params.block_size),
       stat_loads_(statGroup().addScalar("loads", "load accesses")),
       stat_stores_(statGroup().addScalar("stores", "store accesses")),
@@ -193,15 +192,11 @@ L1Cache::access(MemRequest req)
 
     // Queue behind an outstanding miss to the same block.
     if (Mshr *mshr = findMshr(block_addr)) {
-        if (rtrace_ && mshr->traced) {
-            // Coalesced waiter: flagged, not on the tiled path -- span
-            // assembly turns it into its own L1Queue span.
-            rtrace_->record(mshr->req_id, curTick(),
-                            reqtrace::Stage::L1Queue, traceId(),
-                            block_addr,
-                            static_cast<std::uint32_t>(req.pc),
-                            reqtrace::span_flag_waiter);
-        }
+        // Coalesced waiter: flagged, not on the tiled path -- span
+        // assembly turns it into its own L1Queue span.
+        FL_SPAN(*this, mshr->req_id, reqtrace::Stage::L1Queue, block_addr,
+                static_cast<std::uint32_t>(req.pc),
+                reqtrace::span_flag_waiter);
         mshr->waiting.push_back(std::move(req));
         return;
     }
@@ -248,18 +243,15 @@ L1Cache::handleMiss(MemRequest req, bool want_m)
     // Request ids are minted per L1 (node in the high bits, local
     // counter below) rather than from the shared trace sink, so an id
     // depends only on this cache's own miss sequence -- and tail
-    // sampling, a hash of the id, only on the simulated timing.
+    // sampling, a hash of the id, only on the simulated timing.  Every
+    // span site, here and in the directory, re-derives that decision
+    // from the id.
     mshr.req_id =
         (static_cast<std::uint64_t>(node_id_ + 1) << 40) | ++last_req_id_;
-    if (rtrace_ && rtrace_->sampled(mshr.req_id)) {
-        // Span sampling is a pure function of the id, so the directory
-        // bank re-derives this decision from msg.req_id with no state.
-        mshr.traced = true;
-        mshr.pc = req.pc;
-        rtrace_->record(mshr.req_id, curTick(),
-                        reqtrace::Stage::ReqNet, traceId(), block_addr,
-                        static_cast<std::uint32_t>(req.pc));
-    }
+    FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet, block_addr,
+            static_cast<std::uint32_t>(req.pc));
+    // The miss's own request stays first in the MSHR until the fill
+    // installs, so a retry finds the issuing PC at waiting.front().
     mshr.waiting.push_back(std::move(req));
     FL_TEVENT(*this, trace::EventKind::ReqIssue, mshr.req_id,
               block_addr);
@@ -395,8 +387,6 @@ L1Cache::allocMshr(Addr block_addr)
     mshr.fill_pending = false;
     mshr.fill_blocked = false;
     mshr.fill_arrival = 0;
-    mshr.traced = false;
-    mshr.pc = 0;
     return mshr;
 }
 
@@ -427,11 +417,8 @@ L1Cache::handleData(const Msg &msg)
     mshr.fill = msg;
     mshr.fill_pending = true;
     mshr.fill_arrival = curTick();
-    if (rtrace_ && mshr.traced) {
-        rtrace_->record(mshr.req_id, curTick(),
-                        reqtrace::Stage::FillWait, traceId(),
-                        mshr.block_addr);
-    }
+    FL_SPAN(*this, mshr.req_id, reqtrace::Stage::FillWait,
+            mshr.block_addr);
     tryCompleteFill(mshr);
 }
 
@@ -525,12 +512,8 @@ L1Cache::tryCompleteFill(Mshr &mshr)
         static_cast<double>(curTick() - mshr.fill_arrival));
     FL_TEVENT(*this, trace::EventKind::ReqFill, mshr.req_id,
               mshr.block_addr);
-    if (rtrace_ && mshr.traced) {
-        rtrace_->record(mshr.req_id, curTick(), reqtrace::Stage::Done,
-                        traceId(), mshr.block_addr,
-                        static_cast<std::uint32_t>(
-                            mshr.waiting.size() - 1));
-    }
+    FL_SPAN(*this, mshr.req_id, reqtrace::Stage::Done, mshr.block_addr,
+            static_cast<std::uint32_t>(mshr.waiting.size() - 1));
 
     // Retire the MSHR, then replay the queued requests in order.  A
     // replayed write may re-miss for an upgrade and allocate a fresh
@@ -703,13 +686,10 @@ L1Cache::handleInv(const Msg &msg)
         mshr.fill_blocked = false;
         sendToDir(MsgType::InvAck, msg.block_addr);
         // Re-request; the waiting accesses stay queued.
-        if (rtrace_ && mshr.traced) {
-            rtrace_->record(mshr.req_id, curTick(),
-                            reqtrace::Stage::ReqNet, traceId(),
-                            msg.block_addr,
-                            static_cast<std::uint32_t>(mshr.pc),
-                            reqtrace::span_flag_retry);
-        }
+        FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet,
+                msg.block_addr,
+                static_cast<std::uint32_t>(mshr.waiting.front().pc),
+                reqtrace::span_flag_retry);
         sendToDir(mshr.want_m ? MsgType::GetM : MsgType::GetS,
                   msg.block_addr, nullptr, mshr.req_id);
         return;
@@ -771,13 +751,10 @@ L1Cache::handleFwd(const Msg &msg)
                   mshr.fill.data.data());
         mshr.fill_pending = false;
         mshr.fill_blocked = false;
-        if (rtrace_ && mshr.traced) {
-            rtrace_->record(mshr.req_id, curTick(),
-                            reqtrace::Stage::ReqNet, traceId(),
-                            msg.block_addr,
-                            static_cast<std::uint32_t>(mshr.pc),
-                            reqtrace::span_flag_retry);
-        }
+        FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet,
+                msg.block_addr,
+                static_cast<std::uint32_t>(mshr.waiting.front().pc),
+                reqtrace::span_flag_retry);
         sendToDir(mshr.want_m ? MsgType::GetM : MsgType::GetS,
                   msg.block_addr, nullptr, mshr.req_id);
         return;

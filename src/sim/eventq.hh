@@ -61,9 +61,8 @@ namespace detail
 
 /**
  * Type-erased nullary callable with inline storage, purpose-built for
- * pooled one-shot events.  Closures up to inline_bytes (the common
- * case: `this` plus a few words) live in the node itself; larger ones
- * fall back to a heap box behind the same two-function dispatch.
+ * pooled one-shot events.  Every closure (`this` plus a few words)
+ * lives in the node itself; a larger one fails to compile.
  */
 class OneShotFn
 {
@@ -81,22 +80,17 @@ class OneShotFn
     emplace(F &&fn)
     {
         using D = std::decay_t<F>;
+        static_assert(sizeof(D) <= inline_bytes &&
+                          alignof(D) <= alignof(std::max_align_t),
+                      "one-shot closure too large for the inline "
+                      "storage; capture less");
         clear();
-        if constexpr (sizeof(D) <= inline_bytes &&
-                      alignof(D) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
-            invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
-            if constexpr (std::is_trivially_destructible_v<D>)
-                destroy_ = nullptr;
-            else
-                destroy_ = [](void *p) { static_cast<D *>(p)->~D(); };
-        } else {
-            using Box = D *;
-            ::new (static_cast<void *>(storage_))
-                Box(new D(std::forward<F>(fn)));
-            invoke_ = [](void *p) { (**static_cast<Box *>(p))(); };
-            destroy_ = [](void *p) { delete *static_cast<Box *>(p); };
-        }
+        ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
+        invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
+        if constexpr (std::is_trivially_destructible_v<D>)
+            destroy_ = nullptr;
+        else
+            destroy_ = [](void *p) { static_cast<D *>(p)->~D(); };
     }
 
     /** Run the stored callable (one must be stored). */

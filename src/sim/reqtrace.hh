@@ -39,15 +39,18 @@
  * component -- L1, directory bank, network -- can re-derive the
  * decision statelessly from msg.req_id.
  *
+ * Every stage site records through one hook, FL_SPAN (the span twin
+ * of FL_TEVENT), which re-derives the sampling decision from the id.
+ *
  * Ownership and threading mirror trace::TraceSink / prof::WasteProfiler:
  * one sink per SimContext, driven by that context's single host
- * thread, so recording needs no locking.  Disabled cost is one
- * cached-pointer null test per stage site.  Span assembly happens
- * once, after the run: events are stable-sorted by (req_id, tick), and
- * any two same-request events at the same tick are recorded by the
- * same component (cross-component transitions ride the network, whose
- * minimum delay is one cycle), so the order is a pure function of the
- * simulated timing.
+ * thread, so recording needs no locking.  Disabled cost is one period
+ * test per stage site, with no payload evaluated.  Span assembly
+ * happens once, after the run: events are stable-sorted by (req_id,
+ * tick), and any two same-request events at the same tick are
+ * recorded by the same component (cross-component transitions ride the
+ * network, whose minimum delay is one cycle), so the order is a pure
+ * function of the simulated timing.
  */
 
 #pragma once
@@ -117,9 +120,8 @@ mixReqId(std::uint64_t x)
 }
 
 /**
- * Per-SimContext span sink.  configure() before components construct
- * (they cache ifEnabled() once, like the profiler); record() is the
- * hot path behind that cached pointer.
+ * Per-SimContext span sink.  configure() before the run; components
+ * record through FL_SPAN, which tests sampled() before record().
  */
 class ReqTraceSink
 {
@@ -140,18 +142,15 @@ class ReqTraceSink
     bool enabled() const { return period_ != 0; }
     std::uint64_t period() const { return period_; }
 
-    /** Cached by components; null when span tracing is off. */
-    ReqTraceSink *ifEnabled() { return enabled() ? this : nullptr; }
-
     /**
-     * Pure sampling predicate: true iff @p req_id is traced.  Id 0
-     * (control traffic: Puts, WbClean, probes) is never traced, and a
-     * disabled sink samples nothing.
+     * Pure sampling predicate: true iff @p req_id is traced.  A
+     * disabled sink samples nothing, and id 0 (control traffic: Puts,
+     * WbClean, probes) is never traced.
      */
     bool
     sampled(std::uint64_t req_id) const
     {
-        if (req_id == 0 || period_ == 0)
+        if (period_ == 0 || req_id == 0)
             return false;
         return mixReqId(req_id) <= threshold_;
     }
@@ -277,3 +276,19 @@ std::vector<const Span *> topK(const SpanSet &set, std::size_t k);
 Tick nearestRank(const std::vector<Tick> &sorted, double q);
 
 } // namespace fenceless::reqtrace
+
+/**
+ * Record a span stage boundary of request @p req at the current tick,
+ * if @p req is sampled.  @p obj must provide spans(), traceId() and
+ * curTick() (every SimObject does); the optional payload (a0, aux,
+ * flags) is not evaluated unless the request is sampled.
+ */
+#define FL_SPAN(obj, req, stage, ...)                                  \
+    do {                                                               \
+        const std::uint64_t fl_span_req_ = (req);                      \
+        if ((obj).spans().sampled(fl_span_req_)) {                     \
+            (obj).spans().record(fl_span_req_, (obj).curTick(),        \
+                                 (stage), (obj).traceId(),             \
+                                 ##__VA_ARGS__);                       \
+        }                                                              \
+    } while (0)

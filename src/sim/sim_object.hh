@@ -38,7 +38,10 @@ struct SimContext
 };
 
 /**
- * A named simulated component with its own stat group.
+ * A named simulated component with its own stat group and its own
+ * trace-sink track, registered once, at construction.  It provides
+ * what the FL_TEVENT and FL_SPAN hooks read: tracer(), spans(),
+ * traceId() and curTick().
  *
  * All components run at the same clock (1 tick == 1 cycle); latencies are
  * expressed directly in cycles.
@@ -69,6 +72,9 @@ class SimObject
 
     /** Timeline track id of this component in the trace sink. */
     std::uint16_t traceId() const { return trace_id_; }
+
+    /** The request-span sink (FL_SPAN records through it). */
+    reqtrace::ReqTraceSink &spans() { return ctx_.spans; }
 
   protected:
     SimContext &ctx_;

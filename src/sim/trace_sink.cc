@@ -104,17 +104,8 @@ eventKindName(EventKind k)
 std::uint16_t
 TraceSink::registerComponent(const std::string &name)
 {
-    // Idempotent by name: the System pre-registers its component list
-    // (in one fixed order), so the later registration by the component
-    // itself must return the same id instead of a duplicate track.
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        if (components_[i] == name)
-            return static_cast<std::uint16_t>(i);
-    }
     components_.push_back(name);
-    ring_heads_.push_back(0);
-    if (ring_capacity_ > 0)
-        ring_.resize(components_.size() * ring_capacity_);
+    rings_.push_back(Ring{std::vector<TraceRecord>(ring_capacity_), 0});
     return static_cast<std::uint16_t>(components_.size() - 1);
 }
 
@@ -122,19 +113,16 @@ void
 TraceSink::configureRing(std::size_t records_per_comp,
                          std::uint32_t flags)
 {
-    if (records_per_comp == 0 || flags == 0) {
-        ring_flags_ = 0;
-        ring_capacity_ = 0;
-        ring_.clear();
-        return;
+    std::size_t cap = 0;
+    if (records_per_comp != 0 && flags != 0) {
+        cap = 1;
+        while (cap < records_per_comp)
+            cap <<= 1;
     }
-    std::size_t cap = 1;
-    while (cap < records_per_comp)
-        cap <<= 1;
     ring_capacity_ = cap;
-    ring_flags_ = flags;
-    ring_.assign(components_.size() * ring_capacity_, TraceRecord{});
-    std::fill(ring_heads_.begin(), ring_heads_.end(), 0);
+    ring_flags_ = cap ? flags : 0;
+    for (Ring &ring : rings_)
+        ring = Ring{std::vector<TraceRecord>(cap), 0};
 }
 
 void

@@ -10,7 +10,12 @@
  * events for rollbacks (with cause), counter events for instruction
  * commit, and cross-component flow events following one memory request
  * from L1 miss through the directory back to the fill.  The same sink
- * keeps the flight-recorder rings (sim/blackbox.hh).
+ * keeps the flight recorder (sim/blackbox.hh): one fixed ring per
+ * component, allocated when the component registers.
+ *
+ * Each component registers itself once, when it is built; registration
+ * order is id order, which numbers the timeline tracks and orders the
+ * flight-recorder dump.
  *
  * Concurrency / cost model:
  *  - One sink per sim::SimContext -- i.e. per simulated system -- and a
@@ -158,24 +163,26 @@ class TraceSink
     bool enabled() const { return mask_ != 0; }
 
     /**
-     * Configure the flight-recorder ring: the last @p records_per_comp
+     * Configure the flight recorder: the last @p records_per_comp
      * events (flag-filtered by @p flags) of every component are kept in
-     * a fixed ring and survive until dumped -- the incident evidence
-     * for stall dossiers and panic dumps (see sim/blackbox.hh).  The
-     * capacity is rounded up to a power of two; 0 disables the ring.
-     * Safe to call before or after components register.
+     * that component's fixed ring and survive until dumped -- the
+     * incident evidence for stall dossiers and panic dumps (see
+     * sim/blackbox.hh).  The capacity is rounded up to a power of two;
+     * 0 disables the rings.  Resizes (and empties) the rings of the
+     * components already registered; a component registered later gets
+     * its ring at registration, so either order works.
      */
     void configureRing(std::size_t records_per_comp, std::uint32_t flags);
 
     std::size_t ringCapacity() const { return ring_capacity_; }
 
-    /** Total events ever pushed into the ring (across components). */
+    /** Total events ever pushed into the rings (across components). */
     std::uint64_t
     ringPushes() const
     {
         std::uint64_t pushes = 0;
-        for (std::uint64_t head : ring_heads_)
-            pushes += head;
+        for (const Ring &ring : rings_)
+            pushes += ring.head;
         return pushes;
     }
 
@@ -190,11 +197,9 @@ class TraceSink
     // --- component identity ----------------------------------------------
 
     /**
-     * Register a component; the id names its timeline track.
-     * Idempotent: re-registering an existing name returns its id, so
-     * the System can pre-register its whole component list (sizing
-     * the flight-recorder ring once) before the components register
-     * themselves.
+     * Register a component and allocate its flight-recorder ring; the
+     * returned id (registration order) names its timeline track.  Each
+     * component registers once, when it is built.
      */
     std::uint16_t registerComponent(const std::string &name);
 
@@ -232,12 +237,11 @@ class TraceSink
             // Ring write: one indexed store and one head bump.  This
             // is the always-on flight-recorder hot path; keep it
             // branch-light (capacity is a power of two).
-            std::uint64_t &head = ring_heads_[comp];
-            ring_[comp * ring_capacity_ +
-                  (head & (ring_capacity_ - 1))] =
+            Ring &ring = rings_[comp];
+            ring.slots[ring.head & (ring_capacity_ - 1)] =
                 TraceRecord{tick, a0, a1, comp,
                             static_cast<std::uint16_t>(kind), aux};
-            ++head;
+            ++ring.head;
         }
         if (!(mask_ & bit))
             return;
@@ -277,14 +281,13 @@ class TraceSink
     void
     forEachRingRecord(std::uint16_t comp, Fn fn) const
     {
-        if (ring_capacity_ == 0 || comp >= ring_heads_.size())
+        if (ring_capacity_ == 0 || comp >= rings_.size())
             return;
-        const std::uint64_t head = ring_heads_[comp];
+        const Ring &ring = rings_[comp];
         const std::uint64_t count = std::min<std::uint64_t>(
-            head, static_cast<std::uint64_t>(ring_capacity_));
-        const std::size_t base = comp * ring_capacity_;
-        for (std::uint64_t i = head - count; i < head; ++i)
-            fn(ring_[base + (i & (ring_capacity_ - 1))]);
+            ring.head, static_cast<std::uint64_t>(ring_capacity_));
+        for (std::uint64_t i = ring.head - count; i < ring.head; ++i)
+            fn(ring.slots[i & (ring_capacity_ - 1)]);
     }
 
     /** Discard all recorded events (identity registrations survive). */
@@ -316,12 +319,16 @@ class TraceSink
     std::vector<std::string> components_;
     std::vector<std::vector<std::string>> aux_names_;
 
-    // Flight-recorder ring: component-major fixed storage, one write
-    // head per component.
+    /** One component's flight-recorder ring. */
+    struct Ring
+    {
+        std::vector<TraceRecord> slots; //!< ring_capacity_ of them
+        std::uint64_t head = 0;         //!< events ever pushed
+    };
+
     std::uint32_t ring_flags_ = 0;
     std::size_t ring_capacity_ = 0; //!< slots per component (power of 2)
-    std::vector<TraceRecord> ring_;
-    std::vector<std::uint64_t> ring_heads_;
+    std::vector<Ring> rings_;       //!< indexed by component id
 };
 
 } // namespace fenceless::trace

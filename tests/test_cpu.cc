@@ -8,6 +8,7 @@
 
 #include "isa/assembler.hh"
 #include "tests/sim_test_util.hh"
+#include "workload/microbench.hh"
 
 using namespace fenceless;
 using namespace fenceless::isa;
@@ -229,6 +230,23 @@ TEST(Consistency, SbFullStalls)
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
     EXPECT_GT(coreStat(sys, 0, "stall_sb_full"), 0u);
+}
+
+TEST(Consistency, SbDrainRetriesUnderMshrBackPressure)
+{
+    // Three MSHRs: the L1 accepts a store-buffer miss only when no
+    // other miss is in flight, so drains and ownership prefetches that
+    // would miss meanwhile are refused and the buffer retries later.
+    // Streaming stores and lock AMOs must still complete correctly.
+    for (auto model : {cpu::ConsistencyModel::TSO,
+                       cpu::ConsistencyModel::RMO}) {
+        harness::SystemConfig cfg = testConfig(4, model);
+        cfg.l1.num_mshrs = 3;
+        workload::LocalLockStream::Params p;
+        p.iters = 16;
+        workload::LocalLockStream wl(p);
+        runWorkload(wl, cfg);
+    }
 }
 
 TEST(Consistency, RmoDrainsOutOfOrder)

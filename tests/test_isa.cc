@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the guest ISA: ALU/branch/AMO semantics, the
- * assembler (labels, data layout), the disassembler, and the
- * functional interpreter / reference executor.
+ * assembler (labels, data layout), and the functional interpreter /
+ * reference executor.
  */
 
 #include <gtest/gtest.h>
@@ -116,29 +116,6 @@ TEST(Assembler, ForwardAndBackwardLabels)
     EXPECT_TRUE(exec.run());
     EXPECT_EQ(exec.thread(0).reg(t0), 0u);
     EXPECT_EQ(exec.thread(0).reg(t1), 0u);
-}
-
-TEST(Assembler, Disassembly)
-{
-    Inst i;
-    i.op = Op::Add;
-    i.rd = 5;
-    i.rs1 = 6;
-    i.rs2 = 7;
-    EXPECT_EQ(disassemble(i), "add x5, x6, x7");
-
-    Inst ld;
-    ld.op = Op::Load;
-    ld.rd = 3;
-    ld.rs1 = 4;
-    ld.imm = 16;
-    ld.size = 8;
-    EXPECT_EQ(disassemble(ld), "ld8 x3, 16(x4)");
-
-    Inst f;
-    f.op = Op::Fence;
-    f.fence = FenceKind::Acquire;
-    EXPECT_EQ(disassemble(f), "fence.acq");
 }
 
 TEST(Interp, LoadsAndStores)

@@ -208,6 +208,60 @@ TEST(TraceSink, CapsAndCountsDrops)
     EXPECT_EQ(sink.dropped(), 12u);
 }
 
+TEST(TraceSink, RingSizedBeforeOrAfterRegistration)
+{
+    // Each component owns its flight-recorder ring.  Whether the ring
+    // is configured before the components register (the System's
+    // order) or after, every component keeps exactly its last
+    // ringCapacity() events.
+    const auto spec = static_cast<std::uint32_t>(trace::Flag::Spec);
+    trace::TraceSink before;
+    before.configureRing(3, spec);
+    before.registerComponent("c0");
+    before.registerComponent("c1");
+    trace::TraceSink after;
+    after.registerComponent("c0");
+    after.registerComponent("c1");
+    after.configureRing(3, spec);
+
+    for (trace::TraceSink *sink : {&before, &after}) {
+        ASSERT_EQ(sink->ringCapacity(), 4u); // rounded up to 2^k
+        for (std::uint16_t c = 0; c < 2; ++c) {
+            for (Tick t = 0; t < 10; ++t)
+                sink->record(c, trace::EventKind::SpecRollback, t, c);
+        }
+        EXPECT_EQ(sink->ringPushes(), 20u);
+        for (std::uint16_t c = 0; c < 2; ++c) {
+            std::vector<Tick> kept;
+            sink->forEachRingRecord(c, [&](const trace::TraceRecord &r) {
+                EXPECT_EQ(r.comp, c);
+                EXPECT_EQ(r.a0, c);
+                kept.push_back(r.tick);
+            });
+            EXPECT_EQ(kept, (std::vector<Tick>{6, 7, 8, 9}))
+                << sink->components()[c];
+        }
+    }
+}
+
+TEST(TraceSink, ComponentIdsFollowConstructionOrder)
+{
+    // Components register once, as the System builds them; the ids
+    // (track numbers, flight-recorder dump order) are that order.
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.withDirBanks(2).withSpeculation();
+    workload::LocalLockStream wl;
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    EXPECT_EQ(sys.tracer().components(),
+              (std::vector<std::string>{
+                  "network",
+                  "l1_0", "net.rx0", "l1_1", "net.rx1",
+                  "l2dir.bank0", "net.rx2", "l2dir.bank1", "net.rx3",
+                  "core_0", "core_0.sb", "core_1", "core_1.sb",
+                  "spec_0", "spec_1"}));
+}
+
 TEST(TraceSink, AuxNamesResolvePerKind)
 {
     trace::TraceSink sink;

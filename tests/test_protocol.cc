@@ -19,6 +19,7 @@
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
 #include "mem/network.hh"
+#include "sim/reqtrace.hh"
 #include "sim/sim_object.hh"
 
 using namespace fenceless;
@@ -185,6 +186,43 @@ class ProtocolBench
         for (const auto &d : dirs)
             total += d->statGroup().scalarCount(name);
         return total;
+    }
+
+    /** System::auditCoherence's checks, on a quiesced bench. */
+    void
+    auditCoherence() const
+    {
+        for (const auto &l1 : l1s)
+            EXPECT_TRUE(l1->quiesced()) << l1->name();
+        for (const auto &d : dirs)
+            EXPECT_TRUE(d->quiesced()) << d->name();
+        for (unsigned c = 0; c < l1s.size(); ++c) {
+            l1s[c]->forEachBlock([&](const L1Block &blk) {
+                const L2Block *l2 = dirEntry(blk.block_addr);
+                ASSERT_NE(l2, nullptr) << "inclusivity";
+                if (blk.state == L1State::S) {
+                    EXPECT_TRUE(l2->isSharer(c));
+                    EXPECT_FALSE(l2->hasOwner());
+                    EXPECT_TRUE(blk.data == l2->data);
+                } else {
+                    EXPECT_EQ(l2->owner, c);
+                    EXPECT_FALSE(l2->hasSharers());
+                }
+            });
+        }
+        for (const auto &d : dirs) {
+            d->forEachBlock([&](const L2Block &l2) {
+                if (l2.hasOwner()) {
+                    const L1State st = state(l2.owner, l2.block_addr);
+                    EXPECT_TRUE(st != L1State::I && st != L1State::S);
+                }
+                for (unsigned c = 0; c < l1s.size(); ++c) {
+                    if (l2.isSharer(c)) {
+                        EXPECT_EQ(state(c, l2.block_addr), L1State::S);
+                    }
+                }
+            });
+        }
     }
 
     sim::SimContext ctx;
@@ -529,6 +567,11 @@ class MockSpec : public SpecHooks
     specOverflow(Addr, bool) override
     {
         ++overflows;
+        if (park_overflows > 0) {
+            // Keep the tags: the fill parks on the full set.
+            --park_overflows;
+            return false;
+        }
         l1->rollbackSpecWrites();
         ++epoch;
         return true;
@@ -546,6 +589,7 @@ class MockSpec : public SpecHooks
     std::uint32_t epoch = 1;
     std::vector<Conflict> conflicts;
     unsigned overflows = 0;
+    unsigned park_overflows = 0; //!< next overflows answered by parking
 };
 
 /** ProtocolBench with a mock speculation controller on L1 0. */
@@ -737,6 +781,122 @@ TEST(SpecProtocol, OverflowInvokedWhenSetFullOfTags)
     EXPECT_EQ(b.mock.overflows, 0u);
     EXPECT_EQ(b.specLoad(0x2400), 3u);
     EXPECT_EQ(b.mock.overflows, 1u); // mock resolved it by rolling back
+}
+
+// ---------------------------------------------------------------------
+// Buffered fills yanked by a probe: the fill is parked on a set full of
+// speculatively-read blocks when the directory, which already counts
+// the L1 as owner or sharer, probes it for another core.  The L1 hands
+// the fill back and re-requests under the same request id.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+constexpr Addr yank_addr = 0x2400; //!< set 0 of the 1 KiB 2-way L1
+constexpr std::uint64_t yank_pc = 0x1234;
+
+/** SpecBench tracing every request, with L1 0's set 0 tag-pinned. */
+class YankBench : public SpecBench
+{
+  public:
+    YankBench()
+    {
+        ctx.spans.configure(1);
+        specLoad(0x2000);
+        specLoad(0x2200);
+        // The first fill into the pinned set parks; the next overflow
+        // rolls back, so the re-requested fill installs.
+        mock.park_overflows = 1;
+    }
+
+    /** Start a plain load of yank_addr on core 0 and run until idle. */
+    void
+    parkLoad()
+    {
+        MemRequest req;
+        req.op = MemOp::Load;
+        req.addr = yank_addr;
+        req.size = 8;
+        req.pc = yank_pc;
+        req.done_fn = storeValue<std::optional<std::uint64_t>>;
+        req.done_obj = &parked;
+        l1s[0]->access(std::move(req));
+        ctx.eventq.run();
+        EXPECT_FALSE(parked.has_value()) << "the fill did not park";
+        EXPECT_EQ(l1s[0]->statGroup().scalarCount("spec_overflow_waits"),
+                  1u);
+    }
+
+    /** Check the yanked request's assembled span. */
+    void
+    expectRetriedSpan() const
+    {
+        const reqtrace::SpanSet set =
+            reqtrace::assembleSpans(ctx.spans.events(), 1);
+        const reqtrace::Span *span = nullptr;
+        for (const reqtrace::Span &s : set.spans) {
+            if (!s.waiter && s.core() == 0 && s.block == yank_addr)
+                span = &s;
+        }
+        ASSERT_NE(span, nullptr);
+        EXPECT_EQ(set.incomplete, 0u);
+        EXPECT_EQ(span->retries, 1u);
+        EXPECT_EQ(span->pc, yank_pc);
+        Tick tiled = 0;
+        unsigned retry_stages = 0;
+        for (const reqtrace::SpanStage &st : span->stages) {
+            tiled += st.cycles;
+            if (st.flags & reqtrace::span_flag_retry) {
+                ++retry_stages;
+                EXPECT_EQ(st.stage, reqtrace::Stage::ReqNet);
+                EXPECT_EQ(st.aux, yank_pc);
+            }
+        }
+        EXPECT_EQ(retry_stages, 1u);
+        EXPECT_EQ(tiled, span->latency());
+    }
+
+    std::optional<std::uint64_t> parked;
+};
+
+} // namespace
+
+TEST(FillYank, ForwardYanksBufferedFill)
+{
+    YankBench b;
+    b.backing.write64(yank_addr, 7);
+    b.parkLoad(); // DataE: the directory now records core 0 as owner
+
+    // Core 1's read forwards to core 0, which returns the buffered
+    // data and re-requests; both end up sharing the block.
+    EXPECT_EQ(b.load(1, yank_addr), 7u);
+    ASSERT_TRUE(b.parked.has_value());
+    EXPECT_EQ(*b.parked, 7u);
+    EXPECT_EQ(b.l1s[0]->statGroup().scalarCount("fill_retries"), 1u);
+    EXPECT_EQ(b.state(0, yank_addr), L1State::S);
+    EXPECT_EQ(b.state(1, yank_addr), L1State::S);
+    b.auditCoherence();
+    b.expectRetriedSpan();
+}
+
+TEST(FillYank, InvalidationYanksBufferedSharedFill)
+{
+    YankBench b;
+    b.backing.write64(yank_addr, 7);
+    EXPECT_EQ(b.load(1, yank_addr), 7u); // core 1 takes it in E
+    b.parkLoad(); // DataS: core 0 is now a recorded sharer
+
+    // Core 1's upgrade invalidates core 0, which acks, drops the
+    // buffered fill and re-requests; the re-request reads the new value.
+    b.store(1, yank_addr, 8);
+    ASSERT_TRUE(b.parked.has_value());
+    EXPECT_EQ(*b.parked, 8u);
+    EXPECT_EQ(b.l1s[0]->statGroup().scalarCount("fill_retries"), 1u);
+    EXPECT_EQ(b.state(0, yank_addr), L1State::S);
+    EXPECT_EQ(b.state(1, yank_addr), L1State::S);
+    b.auditCoherence();
+    b.expectRetriedSpan();
 }
 
 // ---------------------------------------------------------------------

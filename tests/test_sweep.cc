@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -166,23 +165,6 @@ TEST(OneShotPool, ReentrantScheduleFromInsideProcess)
     });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.oneShotNodesFree(), eq.oneShotNodesAllocated());
-}
-
-TEST(OneShotPool, LargeClosureFallsBackToHeapBox)
-{
-    sim::EventQueue eq;
-    // 128 bytes of captured state: too big for the inline buffer, so
-    // this exercises the boxed path of OneShotFn.
-    std::array<std::uint64_t, 16> payload{};
-    std::iota(payload.begin(), payload.end(), 1);
-    std::uint64_t sum = 0;
-    eq.scheduleOneShot(5, [payload, &sum] {
-        for (std::uint64_t v : payload)
-            sum += v;
-    });
-    eq.run();
-    EXPECT_EQ(sum, 136u);
     EXPECT_EQ(eq.oneShotNodesFree(), eq.oneShotNodesAllocated());
 }
 
