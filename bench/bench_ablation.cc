@@ -115,7 +115,7 @@ runBackoffPoint(unsigned cap)
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("A1", "ablations of the model's design choices");
 
     const unsigned depths[] = {0, 1, 2, 4, 8};
@@ -134,11 +134,10 @@ main(int argc, char **argv)
     for (unsigned cap : caps)
         tasks.push_back([cap] { return runBackoffPoint(cap); });
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Meas &m) { return m.error; }))
-        return sweepExitCode(
-            results, [](const Meas &m) { return m.error; },
-            [](const Meas &m) { return m.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
+
     std::size_t idx = 0;
 
     // (a) ownership prefetch depth, TSO baseline, store-heavy workload

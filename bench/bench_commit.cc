@@ -34,7 +34,7 @@ struct Meas
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F8", "runtime vs per-commit arbitration latency "
                  "(on-demand SC, normalized to local flash commit)");
 
@@ -78,11 +78,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Meas &m) { return m.error; }))
-        return sweepExitCode(
-            results, [](const Meas &m) { return m.error; },
-            [](const Meas &m) { return m.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     std::size_t idx = 0;
     for (const Make &make : entries) {

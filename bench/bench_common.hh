@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -160,76 +159,28 @@ struct Row
 };
 
 /**
- * Run every task on a SweepRunner sized by --jobs and return the
- * results in submission order.  Tasks execute in any order across the
- * workers, but all rendering happens on the calling thread from the
- * ordered results, which keeps parallel output byte-identical to the
- * sequential run.
+ * Surface task failures once a sweep has drained: print every task's
+ * error to stderr, in submission order.  Works on any result type with
+ * `error` and `hung` fields.
+ * @return the process exit code (harness/exit_codes.hh): exit_hang if
+ *         any task hung, exit_postcondition if tasks failed for another
+ *         reason (a workload postcondition), 0 if every task succeeded
  */
 template <typename R>
-std::vector<R>
-runSweep(const harness::Options &opts,
-         std::vector<std::function<R()>> tasks)
-{
-    harness::SweepRunner runner(opts.jobs());
-    return runner.map(std::move(tasks));
-}
-
-/**
- * Surface task failures once the sweep has drained: print every error
- * (projected out of a result by @p error_of) to stderr.
- * @return true if no task failed
- */
-template <typename R, typename ErrorOf>
-bool
-sweepOk(const std::vector<R> &results, ErrorOf &&error_of)
-{
-    bool ok = true;
-    for (const auto &r : results) {
-        const std::string err = error_of(r);
-        if (!err.empty()) {
-            std::cerr << "error: " << err << "\n";
-            ok = false;
-        }
-    }
-    return ok;
-}
-
-/** sweepOk for the Row-producing sweeps. */
-inline bool
-sweepOk(const std::vector<Row> &rows)
-{
-    return sweepOk(rows, [](const Row &r) { return r.error; });
-}
-
-/**
- * Process exit code for a drained sweep (see harness/exit_codes.hh):
- * exit_hang if any task hung, exit_postcondition if any task failed
- * for another reason (a workload postcondition), exit_ok otherwise.
- * @p error_of / @p hung_of project the fields out of a result.
- */
-template <typename R, typename ErrorOf, typename HungOf>
 int
-sweepExitCode(const std::vector<R> &results, ErrorOf &&error_of,
-              HungOf &&hung_of)
+sweepFailed(const std::vector<R> &results)
 {
     int code = harness::exit_ok;
-    for (const auto &r : results) {
-        if (hung_of(r))
-            return harness::exit_hang;
-        if (!error_of(r).empty())
+    for (const R &r : results) {
+        if (r.error.empty())
+            continue;
+        std::cerr << "error: " << r.error << "\n";
+        if (r.hung)
+            code = harness::exit_hang;
+        else if (code != harness::exit_hang)
             code = harness::exit_postcondition;
     }
     return code;
-}
-
-/** sweepExitCode for the Row-producing sweeps. */
-inline int
-sweepExitCode(const std::vector<Row> &rows)
-{
-    return sweepExitCode(
-        rows, [](const Row &r) { return r.error; },
-        [](const Row &r) { return r.hung; });
 }
 
 /**
@@ -251,106 +202,6 @@ inline void
 banner(const std::string &id, const std::string &title)
 {
     std::cout << "\n=== " << id << ": " << title << " ===\n\n";
-}
-
-/**
- * Write the waste-profile artefacts requested on the command line:
- * `--profile-out=FILE` (JSON, plus FILE.folded with flamegraph folded
- * stacks) and `--waste-report` (top-N table on stdout).  No-op when
- * neither option was passed.  Callers that sweep many configurations
- * merge the per-run profiles (in submission order, for byte-identical
- * output at any --jobs) and pass the merged profile here once.
- * @return false if a requested file could not be opened
- */
-inline bool
-writeProfileArtifacts(const prof::Profile &profile,
-                      const harness::Options &opts)
-{
-    if (const std::string path = opts.profileOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --profile-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        profile.writeJson(os);
-        const std::string folded_path = path + ".folded";
-        std::ofstream folded(folded_path);
-        if (!folded) {
-            std::cerr << "error: cannot open --profile-out file '"
-                      << folded_path << "'\n";
-            return false;
-        }
-        profile.writeFolded(folded);
-        std::cerr << "profile written to " << path << " and "
-                  << folded_path << "\n";
-    }
-    if (opts.wasteReport())
-        profile.writeReport(std::cout);
-    return true;
-}
-
-/**
- * Write the observability artefacts requested on the command line:
- * `--trace-out=FILE` (Chrome trace-event JSON, load in
- * ui.perfetto.dev), `--stats-json=FILE` (full stat registry plus the
- * snapshot time series), `--blackbox-out=FILE` (flight-recorder dump,
- * same format as --trace-out), `--profile-out=FILE` and
- * `--waste-report` (waste-attribution profile).  No-op when no option
- * was passed.
- * @return false if a requested file could not be opened
- */
-inline bool
-writeObservability(const harness::System &sys,
-                   const harness::Options &opts)
-{
-    if (const std::string path = opts.traceOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --trace-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.exportTrace(os);
-        std::cerr << "trace written to " << path
-                  << " (open in ui.perfetto.dev)\n";
-    }
-    if (const std::string path = opts.statsJson(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --stats-json file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeStatsJson(os);
-        std::cerr << "stats written to " << path << "\n";
-    }
-    if (const std::string path = opts.blackboxOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --blackbox-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeBlackbox(os);
-        std::cerr << "flight recorder written to " << path
-                  << " (open in ui.perfetto.dev)\n";
-    }
-    if (const std::string path = opts.outliersOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --outliers-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeOutliers(os);
-        std::cerr << "outlier dossiers written to " << path << "\n";
-    }
-    if (opts.profiling() && !writeProfileArtifacts(sys.profile(), opts))
-        return false;
-    if (opts.tailReport())
-        sys.writeTailReport(std::cout);
-    return true;
 }
 
 /**

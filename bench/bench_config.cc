@@ -14,10 +14,9 @@ using namespace fenceless::bench;
 int
 main(int argc, char **argv)
 {
-    // No sweep here, but parse anyway so every bench binary accepts
-    // the common flags (--jobs, --help, ...).
-    harness::Options opts(argc, argv);
-    (void)opts;
+    // No sweep here, but accept --jobs like every bench binary, so
+    // scripts can pass it to each one (and --help works).
+    harness::Options(argc, argv, harness::Options::Jobs);
     banner("T1", "simulated system configuration");
 
     const harness::SystemConfig cfg = defaultConfig();

@@ -61,7 +61,7 @@ runOne(const Make &make, spec::Granularity g, unsigned k)
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F4", "per-store queue capacity vs block granularity "
                  "(on-demand SC, 160-cycle DRAM, runtime normalized "
                  "to block granularity)");
@@ -100,11 +100,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Meas &m) { return m.error; }))
-        return sweepExitCode(
-            results, [](const Meas &m) { return m.error; },
-            [](const Meas &m) { return m.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     std::size_t idx = 0;
     for (const Make &make : entries) {

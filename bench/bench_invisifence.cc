@@ -45,7 +45,8 @@ profileScope(const workload::Workload &wl, cpu::ConsistencyModel model,
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs |
+                                      harness::Options::Profile);
     banner("F2", "fence speculation vs baseline (normalized runtime, "
                  "baseline RMO = 1.00)");
 
@@ -93,12 +94,9 @@ main(int argc, char **argv)
         });
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results,
-                 [](const WorkloadNorms &w) { return w.error; }))
-        return sweepExitCode(
-            results, [](const WorkloadNorms &w) { return w.error; },
-            [](const WorkloadNorms &w) { return w.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     double geo[6] = {1, 1, 1, 1, 1, 1};
     for (const auto &w : results) {
@@ -128,7 +126,7 @@ main(int argc, char **argv)
         prof::Profile merged;
         for (const auto &w : results)
             merged.merge(w.profile);
-        if (!writeProfileArtifacts(merged, opts))
+        if (!opts.writeProfile(merged))
             return 1;
     }
     return 0;

@@ -116,7 +116,7 @@ runPoint(const Make &make, Cycles dram_latency)
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F6", "speedup of IF-SC over SC vs DRAM latency "
                  "(8 cores)");
 
@@ -157,11 +157,9 @@ main(int argc, char **argv)
             tasks.push_back([make, lat] { return runPoint(make, lat); });
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Meas &m) { return m.error; }))
-        return sweepExitCode(
-            results, [](const Meas &m) { return m.error; },
-            [](const Meas &m) { return m.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     std::size_t idx = 0;
     for (const Make &make : entries) {

@@ -15,7 +15,7 @@ using namespace fenceless::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F3", "on-demand vs continuous speculation (SC, runtime "
                  "normalized to baseline SC)");
 
@@ -69,9 +69,9 @@ main(int argc, char **argv)
         });
     }
 
-    auto rows = runSweep(opts, std::move(tasks));
-    if (!sweepOk(rows))
-        return sweepExitCode(rows);
+    auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(rows))
+        return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));
     table.print(std::cout);

@@ -30,7 +30,7 @@ struct Point
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F5", "rollbacks vs contention (on-demand SC, 8 cores)");
 
     std::vector<Point> points;
@@ -98,9 +98,9 @@ main(int argc, char **argv)
         });
     }
 
-    auto rows = runSweep(opts, std::move(tasks));
-    if (!sweepOk(rows))
-        return sweepExitCode(rows);
+    auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(rows))
+        return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));
     table.print(std::cout);

@@ -32,7 +32,7 @@ struct Series
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     banner("F7", "runtime vs store-buffer size (store-intensive "
                  "workloads, normalized to 16-entry TSO baseline)");
 
@@ -90,11 +90,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Series &s) { return s.error; }))
-        return sweepExitCode(
-            results, [](const Series &s) { return s.error; },
-            [](const Series &s) { return s.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     std::size_t idx = 0;
     for (const Make &make : entries) {

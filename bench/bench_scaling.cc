@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "bench/bench_common.hh"
@@ -68,7 +67,8 @@ jsonNum(double v)
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs |
+                                      harness::Options::SweepJson);
     banner("F9", "IF-SC speedup over SC vs core count");
 
     const std::uint32_t core_counts[] = {1, 2, 4, 8, 16};
@@ -123,11 +123,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto results = runSweep(opts, std::move(tasks));
-    if (!sweepOk(results, [](const Meas &m) { return m.error; }))
-        return sweepExitCode(
-            results, [](const Meas &m) { return m.error; },
-            [](const Meas &m) { return m.hung; });
+    auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
+    if (int code = sweepFailed(results))
+        return code;
 
     std::size_t idx = 0;
     for (const Make &make : entries) {
@@ -217,13 +215,10 @@ main(int argc, char **argv)
         }
     }
 
-    auto noc_results = runSweep(opts, std::move(noc_tasks));
-    if (!sweepOk(noc_results,
-                 [](const NocMeas &m) { return m.error; })) {
-        return sweepExitCode(
-            noc_results, [](const NocMeas &m) { return m.error; },
-            [](const NocMeas &m) { return m.hung; });
-    }
+    auto noc_results =
+        harness::SweepRunner(opts.jobs()).map(std::move(noc_tasks));
+    if (int code = sweepFailed(noc_results))
+        return code;
 
     idx = 0;
     for (mem::Topology topo : topos) {
@@ -246,34 +241,34 @@ main(int argc, char **argv)
     // One JSON object per F9b sweep point for fl_report --sweep-json:
     // the deterministic simulated counters only, never host timings.
     if (const std::string path = opts.sweepJson(); !path.empty()) {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            std::cerr << "cannot write --sweep-json file " << path
-                      << "\n";
-            return 1;
-        }
-        idx = 0;
-        for (mem::Topology topo : topos) {
-            for (std::uint32_t cores : noc_cores) {
-                const NocMeas &m = noc_results[idx++];
-                os << "{\"figure\": \"F9b\""
-                   << ", \"workload\": \"local-lock-stream\""
-                   << ", \"topology\": \"" << mem::topologyName(topo)
-                   << "\", \"cores\": " << cores
-                   << ", \"dir_banks\": 8"
-                   << ", \"base_cycles\": " << m.base_cycles
-                   << ", \"spec_cycles\": " << m.spec_cycles
-                   << ", \"speedup\": " << jsonNum(m.speedup)
-                   << ", \"rollbacks\": " << m.rollbacks
-                   << ", \"msgs\": " << m.msgs
-                   << ", \"hops\": " << m.hops
-                   << ", \"hops_per_msg\": " << jsonNum(m.hops_per_msg)
-                   << ", \"links_used\": " << m.links_used
-                   << ", \"hot_link_msgs\": " << m.hot_link_msgs
-                   << ", \"hot_link_busy\": " << m.hot_link_busy
-                   << "}\n";
+        auto write = [&](std::ostream &os) {
+            std::size_t i = 0;
+            for (mem::Topology topo : topos) {
+                for (std::uint32_t cores : noc_cores) {
+                    const NocMeas &m = noc_results[i++];
+                    os << "{\"figure\": \"F9b\""
+                       << ", \"workload\": \"local-lock-stream\""
+                       << ", \"topology\": \""
+                       << mem::topologyName(topo)
+                       << "\", \"cores\": " << cores
+                       << ", \"dir_banks\": 8"
+                       << ", \"base_cycles\": " << m.base_cycles
+                       << ", \"spec_cycles\": " << m.spec_cycles
+                       << ", \"speedup\": " << jsonNum(m.speedup)
+                       << ", \"rollbacks\": " << m.rollbacks
+                       << ", \"msgs\": " << m.msgs
+                       << ", \"hops\": " << m.hops
+                       << ", \"hops_per_msg\": "
+                       << jsonNum(m.hops_per_msg)
+                       << ", \"links_used\": " << m.links_used
+                       << ", \"hot_link_msgs\": " << m.hot_link_msgs
+                       << ", \"hot_link_busy\": " << m.hot_link_busy
+                       << "}\n";
+                }
             }
-        }
+        };
+        if (!harness::Options::writeFile("sweep-json", path, write, ""))
+            return 1;
     }
     return 0;
 }

@@ -21,8 +21,9 @@
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "bench/bench_common.hh"
 #include "harness/exit_codes.hh"
 #include "harness/options.hh"
 #include "harness/system.hh"
@@ -43,7 +44,10 @@ main(int argc, char **argv)
         else
             args.push_back(argv[i]);
     }
-    harness::Options opts(static_cast<int>(args.size()), args.data());
+    harness::Options opts(static_cast<int>(args.size()), args.data(),
+                          harness::Options::Machine |
+                              harness::Options::Artifacts |
+                              harness::Options::Profile);
 
     harness::SystemConfig cfg;
     cfg.num_cores = 2;
@@ -65,7 +69,7 @@ main(int argc, char **argv)
     harness::System sys(cfg, prog);
     const bool done = sys.run();
 
-    if (!bench::writeObservability(sys, opts))
+    if (!opts.writeArtifacts(sys))
         return harness::exit_fatal;
 
     if (!done) {

@@ -66,7 +66,7 @@ run(workload::Workload &wl, std::uint32_t cores, bool speculative,
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
     const std::uint32_t counts[] = {1, 2, 4, 8};
     const unsigned num_counts = 4;
 

@@ -19,7 +19,7 @@
 
 #include <iostream>
 
-#include "bench/bench_common.hh"
+#include "harness/exit_codes.hh"
 #include "harness/options.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
@@ -30,7 +30,11 @@ using namespace fenceless;
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv,
+                          harness::Options::Machine |
+                              harness::Options::Artifacts |
+                              harness::Options::Profile |
+                              harness::Options::ScaleCsv);
 
     // 1. Describe the machine (tweak with --cores, --model, ...).
     harness::SystemConfig cfg;
@@ -76,7 +80,7 @@ main(int argc, char **argv)
 
         // 5. The speculative run is the interesting timeline: write
         // any requested --trace-out / --stats-json artefacts from it.
-        if (speculative && !bench::writeObservability(sys, opts))
+        if (speculative && !opts.writeArtifacts(sys))
             return 1;
 
         const double cycles =

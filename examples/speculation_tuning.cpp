@@ -100,7 +100,7 @@ runVariant(const Variant &variant,
 int
 main(int argc, char **argv)
 {
-    harness::Options opts(argc, argv);
+    harness::Options opts(argc, argv, harness::Options::Jobs);
 
     workload::IrregularUpdate::Params wp;
     wp.updates = 512;

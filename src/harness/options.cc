@@ -1,8 +1,11 @@
 #include "harness/options.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
@@ -14,25 +17,124 @@ namespace fenceless::harness
 namespace
 {
 
-const char *known_options[] = {
-    "cores", "model", "spec", "granularity", "overflow", "sb-size",
-    "l1-kb", "l2-kb", "dram-latency", "net-latency", "topology",
-    "hop-latency", "dir-banks", "scale", "seed",
-    "jobs", "csv", "trace", "trace-out", "stats-json", "stats-interval",
-    "sweep-json",
-    "profile-out", "waste-report", "blackbox-out", "blackbox",
-    "watchdog-interval", "watchdog-storm", "tail-sample", "tail-report",
-    "outliers-out", "outliers", "help",
+/** One option: its --help entry and the set it belongs to. */
+struct OptionSpec
+{
+    const char *usage; //!< "--NAME" or "--NAME=ARG", --help's left column
+    std::string help;  //!< right column; '\n' starts a continuation line
+    Options::Set set;
+
+    /** NAME: what argv spells between "--" and any "=". */
+    std::string
+    name() const
+    {
+        const std::string u = usage + 2;
+        return u.substr(0, u.find('='));
+    }
 };
 
-bool
-isKnown(const std::string &name)
+/** Every option, in --help order. */
+const std::vector<OptionSpec> &
+optionTable()
 {
-    for (const char *k : known_options) {
-        if (name == k)
-            return true;
+    using O = Options;
+    static const std::vector<OptionSpec> table = {
+        {"--cores=N", "number of cores (up to 64)", O::Machine},
+        {"--model=sc|tso|rmo", "consistency model", O::Machine},
+        {"--spec=off|on-demand|continuous", "", O::Machine},
+        {"--granularity=block|per-store", "", O::Machine},
+        {"--overflow=stall|rollback", "", O::Machine},
+        {"--sb-size=N", "store-buffer entries", O::Machine},
+        {"--l1-kb=N", "L1 size (KiB)", O::Machine},
+        {"--l2-kb=N", "L2 size (KiB)", O::Machine},
+        {"--dram-latency=N", "DRAM latency (cycles)", O::Machine},
+        {"--net-latency=N", "crossbar flat latency (cycles)", O::Machine},
+        {"--topology=T", "interconnect: crossbar|ring|mesh", O::Machine},
+        {"--hop-latency=N",
+         "per-hop latency for ring/mesh\n(cycles, default 3)", O::Machine},
+        {"--dir-banks=N",
+         "directory banks (power of two,\n"
+         "1..64; banks interleave by block)",
+         O::Machine},
+        {"--scale=N", "workload scaling factor", O::ScaleCsv},
+        {"--jobs=N",
+         "host threads for independent runs\n"
+         "(default: hardware concurrency;\n"
+         "1 = sequential; output identical)",
+         O::Jobs},
+        {"--csv", "machine-readable tables", O::ScaleCsv},
+        {"--trace=f1,f2",
+         "structured-trace flags (" + trace::validFlagNames() + ")",
+         O::Artifacts},
+        {"--trace-out=FILE",
+         "write Chrome trace-event JSON\n"
+         "(implies --trace=all if no --trace)",
+         O::Artifacts},
+        {"--stats-json=FILE", "write the stat registry as JSON",
+         O::Artifacts},
+        {"--stats-interval=N",
+         "snapshot stats every N cycles into\n"
+         "the --stats-json time series",
+         O::Artifacts},
+        {"--sweep-json=FILE",
+         "benchmarks that sweep an axis also\n"
+         "write one JSON object per sweep\n"
+         "point (fl_report --sweep-json)",
+         O::SweepJson},
+        {"--profile-out=FILE",
+         "write the waste-attribution profile\n"
+         "as JSON plus FILE.folded (flamegraph\n"
+         "folded stacks)",
+         O::Profile},
+        {"--waste-report", "print the top-N waste table", O::Profile},
+        {"--blackbox-out=FILE",
+         "dump the flight recorder after the\n"
+         "run (Chrome trace-event JSON)",
+         O::Artifacts},
+        {"--blackbox=N",
+         "flight-recorder depth per component\n(default 256; 0 = off)",
+         O::Artifacts},
+        {"--watchdog-interval=N",
+         "hang-watchdog window in cycles\n(default 100000; 0 = off)",
+         O::Artifacts},
+        {"--watchdog-storm=N",
+         "rollbacks/window classified as a\n"
+         "rollback storm (default 256)",
+         O::Artifacts},
+        {"--tail-sample=N",
+         "trace 1 in N misses end to end\n(1 = every miss)",
+         O::Artifacts},
+        {"--tail-report",
+         "print the critical-path stage\n"
+         "attribution table (implies\n"
+         "--tail-sample=64 if unset)",
+         O::Artifacts},
+        {"--outliers-out=FILE",
+         "write top-K slowest-request\n"
+         "dossiers as JSON (implies span\n"
+         "tracing like --tail-report)",
+         O::Artifacts},
+        {"--outliers=K", "dossiers to keep (default 10)", O::Artifacts},
+    };
+    return table;
+}
+
+/** The options @p sets accepts: the table rows in them, then --help. */
+void
+printUsage(const std::string &prog, unsigned sets)
+{
+    auto entry = [](const std::string &usage, const std::string &help) {
+        std::cout << "  " << std::left << std::setw(22) << usage;
+        for (char c : help)
+            std::cout << c << (c == '\n' ? std::string(24, ' ') : "");
+        std::cout << "\n";
+    };
+    std::cout << "usage: " << prog << " [options]\n";
+    for (const OptionSpec &opt : optionTable()) {
+        if (opt.set & sets)
+            entry(opt.usage, opt.help);
     }
-    return false;
+    entry("--help", "this message");
 }
 
 /**
@@ -42,7 +144,7 @@ isKnown(const std::string &name)
  * never truncates an existing one before the run actually writes).
  */
 void
-requireWritable(const char *option, const std::string &path)
+requireWritable(const std::string &option, const std::string &path)
 {
     std::ofstream os(path, std::ios::app);
     if (!os) {
@@ -53,8 +155,9 @@ requireWritable(const char *option, const std::string &path)
 
 } // namespace
 
-Options::Options(int argc, char **argv)
+Options::Options(int argc, char **argv, unsigned sets)
 {
+    const auto &table = optionTable();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
@@ -67,25 +170,30 @@ Options::Options(int argc, char **argv)
             name = arg.substr(0, eq);
             value = arg.substr(eq + 1);
         }
-        if (!isKnown(name))
+        const bool accepted =
+            name == "help" ||
+            std::any_of(table.begin(), table.end(),
+                        [&](const OptionSpec &opt) {
+                            return (opt.set & sets) && name == opt.name();
+                        });
+        if (!accepted)
             fatal("unknown option '--", name, "' (try --help)");
         values_[name] = value;
     }
 
     if (has("help")) {
-        printUsage(argv[0] ? argv[0] : "binary");
+        printUsage(argv[0] ? argv[0] : "binary", sets);
         std::exit(0);
     }
     csv_ = has("csv");
     scale_ = static_cast<unsigned>(getInt("scale", 1));
-    seed_ = getInt("seed", 42);
     jobs_ = static_cast<unsigned>(getInt("jobs", 0));
 
-    for (const char *opt : {"trace-out", "stats-json", "profile-out",
-                            "blackbox-out", "sweep-json",
-                            "outliers-out"}) {
-        if (has(opt))
-            requireWritable(opt, get(opt));
+    // An option whose argument is FILE names an output path.
+    for (const OptionSpec &opt : table) {
+        const std::string name = opt.name();
+        if (has(name) && std::string(opt.usage).ends_with("=FILE"))
+            requireWritable(name, get(name));
     }
     if (has("profile-out")) // the folded sibling is written too
         requireWritable("profile-out", get("profile-out") + ".folded");
@@ -236,65 +344,72 @@ Options::applyTo(SystemConfig base) const
     return base;
 }
 
-void
-Options::printUsage(const std::string &prog)
+bool
+Options::writeFile(const std::string &option, const std::string &path,
+                   const std::function<void(std::ostream &)> &write,
+                   const std::string &announce)
 {
-    std::cout
-        << "usage: " << prog << " [options]\n"
-        << "  --cores=N             number of cores (up to 64)\n"
-        << "  --model=sc|tso|rmo    consistency model\n"
-        << "  --spec=off|on-demand|continuous\n"
-        << "  --granularity=block|per-store\n"
-        << "  --overflow=stall|rollback\n"
-        << "  --sb-size=N           store-buffer entries\n"
-        << "  --l1-kb=N             L1 size (KiB)\n"
-        << "  --l2-kb=N             L2 size (KiB)\n"
-        << "  --dram-latency=N      DRAM latency (cycles)\n"
-        << "  --net-latency=N       crossbar flat latency (cycles)\n"
-        << "  --topology=T          interconnect: crossbar|ring|mesh\n"
-        << "  --hop-latency=N       per-hop latency for ring/mesh\n"
-           "                        (cycles, default 3)\n"
-        << "  --dir-banks=N         directory banks (power of two,\n"
-           "                        1..64; banks interleave by block)\n"
-        << "  --scale=N             workload scaling factor\n"
-        << "  --seed=N              workload seed\n"
-        << "  --jobs=N              host threads for independent runs\n"
-           "                        (default: hardware concurrency;\n"
-           "                        1 = sequential; output identical)\n"
-        << "  --csv                 machine-readable tables\n"
-        << "  --trace=f1,f2         structured-trace flags ("
-        << trace::validFlagNames() << ")\n"
-        << "  --trace-out=FILE      write Chrome trace-event JSON\n"
-           "                        (implies --trace=all if no --trace)\n"
-        << "  --stats-json=FILE     write the stat registry as JSON\n"
-        << "  --stats-interval=N    snapshot stats every N cycles into\n"
-           "                        the --stats-json time series\n"
-        << "  --sweep-json=FILE     benchmarks that sweep an axis also\n"
-           "                        write one JSON object per sweep\n"
-           "                        point (fl_report --sweep-json)\n"
-        << "  --profile-out=FILE    write the waste-attribution profile\n"
-           "                        as JSON plus FILE.folded (flamegraph\n"
-           "                        folded stacks)\n"
-        << "  --waste-report        print the top-N waste table\n"
-        << "  --blackbox-out=FILE   dump the flight recorder after the\n"
-           "                        run (Chrome trace-event JSON)\n"
-        << "  --blackbox=N          flight-recorder depth per component\n"
-           "                        (default 256; 0 = off)\n"
-        << "  --watchdog-interval=N hang-watchdog window in cycles\n"
-           "                        (default 100000; 0 = off)\n"
-        << "  --watchdog-storm=N    rollbacks/window classified as a\n"
-           "                        rollback storm (default 256)\n"
-        << "  --tail-sample=N       trace 1 in N misses end to end\n"
-           "                        (1 = every miss; byte-identical\n"
-           "                        for any --jobs)\n"
-        << "  --tail-report         print the critical-path stage\n"
-           "                        attribution table (implies\n"
-           "                        --tail-sample=64 if unset)\n"
-        << "  --outliers-out=FILE   write top-K slowest-request\n"
-           "                        dossiers as JSON (implies span\n"
-           "                        tracing like --tail-report)\n"
-        << "  --outliers=K          dossiers to keep (default 10)\n"
-        << "  --help                this message\n";
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "error: cannot open --" << option << " file '"
+                  << path << "'\n";
+        return false;
+    }
+    write(os);
+    if (!announce.empty())
+        std::cerr << announce << "\n";
+    return true;
+}
+
+bool
+Options::writeProfile(const prof::Profile &profile) const
+{
+    if (const std::string path = get("profile-out"); !path.empty()) {
+        const std::string folded = path + ".folded";
+        if (!writeFile("profile-out", path,
+                       [&](std::ostream &os) { profile.writeJson(os); },
+                       "") ||
+            !writeFile("profile-out", folded,
+                       [&](std::ostream &os) { profile.writeFolded(os); },
+                       "profile written to " + path + " and " + folded))
+            return false;
+    }
+    if (has("waste-report"))
+        profile.writeReport(std::cout);
+    return true;
+}
+
+bool
+Options::writeArtifacts(const System &sys) const
+{
+    const char *const perfetto = " (open in ui.perfetto.dev)";
+    const struct
+    {
+        const char *option;
+        void (System::*write)(std::ostream &) const;
+        const char *what;   //!< announced as "WHAT written to PATH"
+        const char *suffix; //!< appended to the announcement
+    } files[] = {
+        {"trace-out", &System::exportTrace, "trace", perfetto},
+        {"stats-json", &System::writeStatsJson, "stats", ""},
+        {"blackbox-out", &System::writeBlackbox, "flight recorder",
+         perfetto},
+        {"outliers-out", &System::writeOutliers, "outlier dossiers", ""},
+    };
+    for (const auto &f : files) {
+        const std::string path = get(f.option);
+        if (!path.empty() &&
+            !writeFile(f.option, path,
+                       [&](std::ostream &os) { (sys.*f.write)(os); },
+                       std::string(f.what) + " written to " + path +
+                           f.suffix))
+            return false;
+    }
+    if (profiling() && !writeProfile(sys.profile()))
+        return false;
+    if (has("tail-report"))
+        sys.writeTailReport(std::cout);
+    return true;
 }
 
 } // namespace fenceless::harness

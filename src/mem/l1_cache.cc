@@ -680,18 +680,8 @@ L1Cache::handleInv(const Msg &msg)
     // granted us the block and immediately served a conflicting writer)?
     Mshr *pending = findMshr(msg.block_addr);
     if (pending && pending->fill_pending) {
-        Mshr &mshr = *pending;
-        ++stat_fill_retries_;
-        mshr.fill_pending = false;
-        mshr.fill_blocked = false;
         sendToDir(MsgType::InvAck, msg.block_addr);
-        // Re-request; the waiting accesses stay queued.
-        FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet,
-                msg.block_addr,
-                static_cast<std::uint32_t>(mshr.waiting.front().pc),
-                reqtrace::span_flag_retry);
-        sendToDir(mshr.want_m ? MsgType::GetM : MsgType::GetS,
-                  msg.block_addr, nullptr, mshr.req_id);
+        refetchYankedFill(*pending);
         return;
     }
 
@@ -710,6 +700,21 @@ L1Cache::handleInv(const Msg &msg)
     blk->valid = false;
     blk->state = L1State::I;
     sendToDir(MsgType::InvAck, msg.block_addr);
+}
+
+void
+L1Cache::refetchYankedFill(Mshr &mshr)
+{
+    ++stat_fill_retries_;
+    mshr.fill_pending = false;
+    mshr.fill_blocked = false;
+    // Re-request; the waiting accesses stay queued.
+    FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet,
+            mshr.block_addr,
+            static_cast<std::uint32_t>(mshr.waiting.front().pc),
+            reqtrace::span_flag_retry);
+    sendToDir(mshr.want_m ? MsgType::GetM : MsgType::GetS,
+              mshr.block_addr, nullptr, mshr.req_id);
 }
 
 void
@@ -745,18 +750,9 @@ L1Cache::handleFwd(const Msg &msg)
     // re-request.
     Mshr *pending = findMshr(msg.block_addr);
     if (pending && pending->fill_pending) {
-        Mshr &mshr = *pending;
-        ++stat_fill_retries_;
         sendToDir(MsgType::FwdDataAck, msg.block_addr,
-                  mshr.fill.data.data());
-        mshr.fill_pending = false;
-        mshr.fill_blocked = false;
-        FL_SPAN(*this, mshr.req_id, reqtrace::Stage::ReqNet,
-                msg.block_addr,
-                static_cast<std::uint32_t>(mshr.waiting.front().pc),
-                reqtrace::span_flag_retry);
-        sendToDir(mshr.want_m ? MsgType::GetM : MsgType::GetS,
-                  msg.block_addr, nullptr, mshr.req_id);
+                  pending->fill.data.data());
+        refetchYankedFill(*pending);
         return;
     }
 

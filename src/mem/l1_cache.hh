@@ -245,6 +245,11 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     void handleFwd(const Msg &msg);
     void handlePutAck(const Msg &msg);
     void checkSpecConflict(L1Block &blk, bool remote_write);
+    /**
+     * A probe took @p mshr's buffered fill and the caller has answered
+     * it: count the retry and request the block again.
+     */
+    void refetchYankedFill(Mshr &mshr);
 
     // evictions
     void evict(L1Block &victim);

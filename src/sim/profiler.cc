@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "base/provenance.hh"
+#include "base/stats_json.hh"
 
 namespace fenceless::prof
 {
@@ -259,21 +260,6 @@ Profile::merge(const Profile &other)
     }
 }
 
-namespace
-{
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-}
-
-} // namespace
-
 void
 Profile::writeJson(std::ostream &os) const
 {
@@ -289,10 +275,9 @@ Profile::writeJson(std::ostream &os) const
     os << "],\n  \"pcs\": [";
     bool first = true;
     for (const auto &[key, row] : pcs) {
-        os << (first ? "" : ",") << "\n    {\"sym\": \"";
-        jsonEscape(os, key);
-        os << "\", \"pc\": " << row.pc << ", \"execs\": " << row.execs
-           << ", \"cycles\": {";
+        os << (first ? "" : ",") << "\n    {\"sym\": "
+           << statistics::jsonQuote(key) << ", \"pc\": " << row.pc
+           << ", \"execs\": " << row.execs << ", \"cycles\": {";
         for (std::size_t b = 0; b < num_buckets; ++b) {
             os << (b ? ", " : "") << "\""
                << cycleBucketName(static_cast<CycleBucket>(b))
@@ -304,9 +289,8 @@ Profile::writeJson(std::ostream &os) const
     os << "\n  ],\n  \"lines\": [";
     first = true;
     for (const auto &[key, row] : lines) {
-        os << (first ? "" : ",") << "\n    {\"sym\": \"";
-        jsonEscape(os, key);
-        os << "\", \"addr\": " << row.addr
+        os << (first ? "" : ",") << "\n    {\"sym\": "
+           << statistics::jsonQuote(key) << ", \"addr\": " << row.addr
            << ", \"touches\": " << row.touches
            << ", \"invalidations\": " << row.invalidations
            << ", \"ping_pongs\": " << row.ping_pongs
@@ -318,13 +302,11 @@ Profile::writeJson(std::ostream &os) const
     os << "\n  ],\n  \"rollbacks\": [";
     first = true;
     for (const auto &[key, row] : rollbacks) {
-        os << (first ? "" : ",") << "\n    {\"cause\": \"";
-        jsonEscape(os, row.cause);
-        os << "\", \"victim\": \"";
-        jsonEscape(os, row.victim);
-        os << "\", \"line\": \"";
-        jsonEscape(os, row.line);
-        os << "\", \"count\": " << row.count
+        os << (first ? "" : ",") << "\n    {\"cause\": "
+           << statistics::jsonQuote(row.cause)
+           << ", \"victim\": " << statistics::jsonQuote(row.victim)
+           << ", \"line\": " << statistics::jsonQuote(row.line)
+           << ", \"count\": " << row.count
            << ", \"discarded_insts\": " << row.discarded_insts << "}";
         first = false;
     }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "harness/options.hh"
@@ -20,8 +22,12 @@ using namespace fenceless::test;
 namespace
 {
 
+constexpr unsigned every_set = Options::Jobs | Options::Machine |
+                               Options::Artifacts | Options::Profile |
+                               Options::SweepJson | Options::ScaleCsv;
+
 Options
-parse(std::vector<std::string> args)
+parse(std::vector<std::string> args, unsigned sets = every_set)
 {
     std::vector<char *> argv;
     static std::vector<std::string> storage;
@@ -29,7 +35,7 @@ parse(std::vector<std::string> args)
     storage.insert(storage.begin(), "prog");
     for (auto &s : storage)
         argv.push_back(s.data());
-    return Options(static_cast<int>(argv.size()), argv.data());
+    return Options(static_cast<int>(argv.size()), argv.data(), sets);
 }
 
 } // namespace
@@ -72,12 +78,11 @@ TEST(Options, GranularityAndOverflow)
     EXPECT_EQ(cfg.spec.mode, spec::SpecMode::OnDemand);
 }
 
-TEST(Options, CsvScaleSeed)
+TEST(Options, CsvScale)
 {
-    Options opts = parse({"--csv", "--scale=5", "--seed=99"});
+    Options opts = parse({"--csv", "--scale=5"});
     EXPECT_TRUE(opts.csv());
     EXPECT_EQ(opts.scale(), 5u);
-    EXPECT_EQ(opts.seed(), 99u);
 }
 
 TEST(Options, UnknownOptionIsFatal)
@@ -90,6 +95,25 @@ TEST(Options, UnknownOptionIsFatal)
                     "unknown option")
             << arg;
     }
+}
+
+TEST(Options, OptionOutsideTheBinarysSetsIsFatal)
+{
+    // A sweep bench honors --jobs only.  Anything else it would ignore
+    // is refused like a typo, before a file the option names exists.
+    const std::string path =
+        testing::TempDir() + "options_outside_sets.json";
+    std::remove(path.c_str());
+    for (const std::string &arg : std::vector<std::string>{
+             "--model=sc", "--seed=7", "--stats-json=" + path}) {
+        const std::string name = arg.substr(2, arg.find('=') - 2);
+        EXPECT_EXIT(parse({arg}, Options::Jobs),
+                    testing::ExitedWithCode(1),
+                    "unknown option '--" + name + "'")
+            << arg;
+    }
+    EXPECT_FALSE(std::ifstream(path).good()) << path;
+    EXPECT_EQ(parse({"--jobs=3"}, Options::Jobs).jobs(), 3u);
 }
 
 TEST(Options, TopologyAndBankingFlags)

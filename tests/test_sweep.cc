@@ -1,21 +1,23 @@
 /**
  * @file
  * Unit tests for the host-parallel sweep runner: result ordering,
- * error propagation, and the determinism guarantee (a table rendered
- * from simulation runs is byte-identical for any worker count).  Also
- * covers the pooled one-shot event path the runner's workloads lean
- * on.
+ * error propagation, the determinism guarantee (a table rendered from
+ * simulation runs is byte-identical for any worker count) and the
+ * bench binaries' exit code for a failed sweep.  Also covers the
+ * pooled one-shot event path the runner's workloads lean on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
@@ -64,6 +66,26 @@ renderSweep(unsigned jobs)
     std::ostringstream os;
     table.print(os);
     return os.str();
+}
+
+/** One sweep task's outcome, as the bench binaries report it. */
+struct Outcome
+{
+    std::string error;
+    bool hung = false;
+};
+
+/** bench::sweepFailed on @p results, plus what it printed. */
+int
+sweepFailedPrinting(const std::vector<Outcome> &results,
+                    std::string &printed)
+{
+    std::ostringstream err;
+    std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+    const int code = bench::sweepFailed(results);
+    std::cerr.rdbuf(saved);
+    printed = err.str();
+    return code;
 }
 
 } // namespace
@@ -132,6 +154,26 @@ TEST(SweepRunner, SimulationTableIsIdenticalAcrossWorkerCounts)
     EXPECT_FALSE(sequential.empty());
     EXPECT_EQ(renderSweep(8), sequential);
     EXPECT_EQ(renderSweep(3), sequential);
+}
+
+TEST(SweepFailed, HangBeatsPostconditionAndEveryErrorIsPrinted)
+{
+    std::string printed;
+    EXPECT_EQ(sweepFailedPrinting({{}, {}}, printed), harness::exit_ok);
+    EXPECT_EQ(printed, "");
+
+    EXPECT_EQ(sweepFailedPrinting({{}, {"a failed"}, {"b failed"}},
+                                  printed),
+              harness::exit_postcondition);
+    EXPECT_EQ(printed, "error: a failed\nerror: b failed\n");
+
+    // A hang wins over postcondition failures on either side of it.
+    EXPECT_EQ(sweepFailedPrinting(
+                  {{"a failed"}, {}, {"b hung", true}, {"c failed"}},
+                  printed),
+              harness::exit_hang);
+    EXPECT_EQ(printed,
+              "error: a failed\nerror: b hung\nerror: c failed\n");
 }
 
 TEST(OneShotPool, ReusesNodesAcrossBursts)
