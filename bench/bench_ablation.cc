@@ -25,12 +25,10 @@ namespace
 {
 
 /** One ablation point: cycles plus a per-section auxiliary counter. */
-struct Meas
+struct Meas : harness::RunError
 {
     double cycles = 0;
     std::uint64_t aux = 0; //!< prefetches (a) / rollbacks (c)
-    std::string error;
-    bool hung = false;
 };
 
 workload::LocalLockStream::Params
@@ -57,15 +55,12 @@ runPrefetchPoint(unsigned depth)
     harness::SystemConfig cfg = defaultConfig();
     cfg.sb_prefetch_depth = depth;
     workload::LocalLockStream wl(deepStreamParams());
-    MeasuredSystem m = measureSystem(wl, cfg);
-    if (!m.ok()) {
-        out.error = m.error;
-        out.hung = m.hung;
-        return out;
-    }
-    out.cycles = static_cast<double>(m.sys->runtimeCycles());
+    harness::Run run = harness::runWorkload(wl, cfg);
+    if (!run.ok())
+        return {run};
+    out.cycles = static_cast<double>(run.sys->runtimeCycles());
     for (std::uint32_t c = 0; c < cfg.num_cores; ++c)
-        out.aux += m.sys->l1(c).statGroup().scalarCount("prefetches");
+        out.aux += run.sys->l1(c).statGroup().scalarCount("prefetches");
     return out;
 }
 
@@ -78,13 +73,10 @@ runInflightPoint(unsigned inflight)
     cfg.sb_max_inflight = inflight;
     cfg.sb_prefetch_depth = 0; // isolate the overlap effect
     workload::LocalLockStream wl(deepStreamParams());
-    RunOutcome r = measure(wl, cfg);
-    if (!r) {
-        out.error = r.error;
-        out.hung = r.hung;
-        return out;
-    }
-    out.cycles = static_cast<double>(r.result.cycles);
+    harness::Run run = harness::runWorkload(wl, cfg);
+    if (!run.ok())
+        return {run};
+    out.cycles = static_cast<double>(run.sys->runtimeCycles());
     return out;
 }
 
@@ -99,14 +91,11 @@ runBackoffPoint(unsigned cap)
         cfg.spec.max_cooldown = cap;
     }
     workload::Dekker wl(dekkerParams());
-    RunOutcome r = measure(wl, cfg);
-    if (!r) {
-        out.error = r.error;
-        out.hung = r.hung;
-        return out;
-    }
-    out.cycles = static_cast<double>(r.result.cycles);
-    out.aux = r.result.rollbacks;
+    harness::Run run = harness::runWorkload(wl, cfg);
+    if (!run.ok())
+        return {run};
+    out.cycles = static_cast<double>(run.sys->runtimeCycles());
+    out.aux = run.sys->totalRollbacks();
     return out;
 }
 
@@ -135,7 +124,7 @@ main(int argc, char **argv)
         tasks.push_back([cap] { return runBackoffPoint(cap); });
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;

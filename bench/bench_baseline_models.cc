@@ -51,26 +51,25 @@ main(int argc, char **argv)
                                cpu::ConsistencyModel::RMO}) {
                 harness::SystemConfig cfg = defaultConfig();
                 cfg.model = model;
-                MeasuredSystem m = measureSystem(*wl, cfg);
-                if (!m.ok())
-                    return {{}, m.error, m.hung};
+                harness::Run run = harness::runWorkload(*wl, cfg);
+                if (!run.ok())
+                    return {run};
                 cycles[i] =
-                    static_cast<double>(m.sys->runtimeCycles());
-                stall_frac[i] = 100.0 * orderingStalls(*m.sys)
+                    static_cast<double>(run.sys->runtimeCycles());
+                stall_frac[i] = 100.0 * orderingStalls(*run.sys)
                                 / (cycles[i] * cfg.num_cores);
                 ++i;
             }
-            return {{wl->name(),
-                     harness::fmt(cycles[0] / cycles[2]),
+            return {{},
+                    {wl->name(), harness::fmt(cycles[0] / cycles[2]),
                      harness::fmt(cycles[1] / cycles[2]), "1.00",
                      harness::fmt(stall_frac[0], 1),
-                     harness::fmt(stall_frac[1], 1)},
-                    ""};
+                     harness::fmt(stall_frac[1], 1)}};
         });
     }
 
     auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(rows))
+    if (int code = harness::sweepFailed(rows))
         return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));

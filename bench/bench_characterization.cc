@@ -26,10 +26,10 @@ main(int argc, char **argv)
     for (auto &wl : sharedSuite(2)) {
         tasks.push_back([wl]() -> Row {
             harness::SystemConfig cfg = defaultConfig();
-            MeasuredSystem m = measureSystem(*wl, cfg);
-            if (!m.ok())
-                return {{}, m.error, m.hung};
-            harness::System &sys = *m.sys;
+            harness::Run run = harness::runWorkload(*wl, cfg);
+            if (!run.ok())
+                return {run};
+            harness::System &sys = *run.sys;
 
             std::uint64_t insts = 0, fences = 0, atomics = 0;
             std::uint64_t l1_hits = 0, l1_misses = 0;
@@ -51,7 +51,8 @@ main(int argc, char **argv)
             }
             const double accesses =
                 static_cast<double>(l1_hits + l1_misses);
-            return {{wl->name(), harness::fmt(insts / 1000.0, 1),
+            return {{},
+                    {wl->name(), harness::fmt(insts / 1000.0, 1),
                      harness::fmt(1000.0 * fences / insts, 2),
                      harness::fmt(1000.0 * atomics / insts, 2),
                      harness::fmt(occ_sum / cfg.num_cores, 2),
@@ -60,13 +61,12 @@ main(int argc, char **argv)
                          2),
                      harness::fmt(static_cast<double>(
                                       sys.runtimeCycles())
-                                  * cfg.num_cores / insts, 2)},
-                    ""};
+                                  * cfg.num_cores / insts, 2)}};
         });
     }
 
     auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(rows))
+    if (int code = harness::sweepFailed(rows))
         return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));

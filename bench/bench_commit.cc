@@ -21,12 +21,10 @@ namespace
 using Make = std::function<workload::WorkloadPtr()>;
 
 /** One (workload, arbitration-latency) point. */
-struct Meas
+struct Meas : harness::RunError
 {
     double cycles = 0;
     std::uint64_t commits = 0;
-    std::string error;
-    bool hung = false;
 };
 
 } // namespace
@@ -65,21 +63,18 @@ main(int argc, char **argv)
                 cfg.withSpeculation();
                 cfg.spec.commit_arb_latency = a;
                 auto wl = make();
-                RunOutcome r = measure(*wl, cfg);
-                if (!r) {
-                    out.error = r.error;
-                    out.hung = r.hung;
-                    return out;
-                }
-                out.cycles = static_cast<double>(r.result.cycles);
-                out.commits = r.result.commits;
+                harness::Run run = harness::runWorkload(*wl, cfg);
+                if (!run.ok())
+                    return {run};
+                out.cycles = static_cast<double>(run.sys->runtimeCycles());
+                out.commits = run.sys->totalCommits();
                 return out;
             });
         }
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;

@@ -22,12 +22,10 @@ namespace
 using Make = std::function<workload::WorkloadPtr()>;
 
 /** One (workload, granularity-variant) run. */
-struct Meas
+struct Meas : harness::RunError
 {
     double cycles = 0;
     std::uint64_t stalls = 0;
-    std::string error;
-    bool hung = false;
 };
 
 Meas
@@ -42,15 +40,12 @@ runOne(const Make &make, spec::Granularity g, unsigned k)
     cfg.spec.ps_store_queue = k;
     cfg.spec.ps_load_cam = 2 * k;
     auto wl = make();
-    MeasuredSystem m = measureSystem(*wl, cfg);
-    if (!m.ok()) {
-        out.error = m.error;
-        out.hung = m.hung;
-        return out;
-    }
-    out.cycles = static_cast<double>(m.sys->runtimeCycles());
+    harness::Run run = harness::runWorkload(*wl, cfg);
+    if (!run.ok())
+        return {run};
+    out.cycles = static_cast<double>(run.sys->runtimeCycles());
     for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
-        out.stalls += m.sys->specController(c)->statGroup()
+        out.stalls += run.sys->specController(c)->statGroup()
                           .scalarCount("spec_limit_stalls");
     }
     return out;
@@ -101,7 +96,7 @@ main(int argc, char **argv)
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;

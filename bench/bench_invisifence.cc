@@ -22,13 +22,11 @@ namespace
 {
 
 /** One workload's six normalized runtimes, for the geomean row. */
-struct WorkloadNorms
+struct WorkloadNorms : harness::RunError
 {
-    std::string name;
+    std::string name{};
     double norm[6] = {};
-    prof::Profile profile; //!< merged across the six runs (if enabled)
-    std::string error;
-    bool hung = false;
+    prof::Profile profile{}; //!< merged across the six runs (if enabled)
 };
 
 /** Scope prefix for one run's profile, e.g. "spinlock/IF-TSO". */
@@ -71,16 +69,15 @@ main(int argc, char **argv)
                     if (speculative)
                         cfg.withSpeculation();
                     cfg.profile = profiling;
-                    RunOutcome r = measure(
-                        *wl, cfg,
-                        profileScope(*wl, model, speculative));
-                    if (!r) {
-                        out.error = r.error;
-                        out.hung = r.hung;
-                        return out;
+                    harness::Run run = harness::runWorkload(*wl, cfg);
+                    if (!run.ok())
+                        return {run};
+                    if (profiling) {
+                        out.profile.merge(run.sys->profile(
+                            profileScope(*wl, model, speculative)));
                     }
-                    out.profile.merge(r.profile);
-                    cycles[i] = static_cast<double>(r.result.cycles);
+                    cycles[i] =
+                        static_cast<double>(run.sys->runtimeCycles());
                     if (model == cpu::ConsistencyModel::RMO &&
                         !speculative) {
                         rmo_base = cycles[i];
@@ -95,7 +92,7 @@ main(int argc, char **argv)
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     double geo[6] = {1, 1, 1, 1, 1, 1};

@@ -22,7 +22,7 @@ namespace
 using Make = std::function<workload::WorkloadPtr()>;
 
 /** One (workload, latency) point: base + speculative runs. */
-struct Meas
+struct Meas : harness::RunError
 {
     double speedup = 0;
     std::uint64_t max_stores_per_epoch = 0;
@@ -43,8 +43,6 @@ struct Meas
     double share_reply = 0;
     Tick span_p999 = 0;
     std::uint64_t outliers = 0;
-    std::string error;
-    bool hung = false;
 };
 
 /** Percent of traced-miss cycles owned by @p stage. */
@@ -71,36 +69,33 @@ runPoint(const Make &make, Cycles dram_latency)
     cfg.model = cpu::ConsistencyModel::SC;
     cfg.l2.dram_latency = dram_latency;
     auto base_wl = make();
-    RunOutcome base = measure(*base_wl, cfg);
-    if (!base) {
-        out.error = base.error;
-        out.hung = base.hung;
-        return out;
-    }
+    harness::Run base = harness::runWorkload(*base_wl, cfg);
+    if (!base.ok())
+        return {base};
+    const double base_cycles =
+        static_cast<double>(base.sys->runtimeCycles());
+    base.sys.reset();
 
     cfg.withSpeculation();
     cfg.withTailTrace(1); // span-trace every miss of the measured run
     auto wl = make();
-    MeasuredSystem m = measureSystem(*wl, cfg);
-    if (!m.ok()) {
-        out.error = m.error;
-        out.hung = m.hung;
-        return out;
-    }
-    out.speedup = static_cast<double>(base.result.cycles)
-                  / static_cast<double>(m.sys->runtimeCycles());
+    harness::Run run = harness::runWorkload(*wl, cfg);
+    if (!run.ok())
+        return {run};
+    out.speedup =
+        base_cycles / static_cast<double>(run.sys->runtimeCycles());
     for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
         out.max_stores_per_epoch =
             std::max(out.max_stores_per_epoch,
-                     m.sys->specController(c)->maxStoresPerEpoch());
+                     run.sys->specController(c)->maxStoresPerEpoch());
     }
-    out.miss_latency = meanPhaseLatency(*m.sys, "l1_", "miss_latency");
-    out.dir_queue = meanPhaseLatency(*m.sys, "l2dir",
+    out.miss_latency = meanPhaseLatency(*run.sys, "l1_", "miss_latency");
+    out.dir_queue = meanPhaseLatency(*run.sys, "l2dir",
                                      "txn_queue_wait");
-    out.dir_service = meanPhaseLatency(*m.sys, "l2dir", "txn_service");
-    out.net_transit = meanPhaseLatency(*m.sys, "network",
+    out.dir_service = meanPhaseLatency(*run.sys, "l2dir", "txn_service");
+    out.net_transit = meanPhaseLatency(*run.sys, "network",
                                        "msg_latency");
-    const reqtrace::TailAttribution &at = m.sys->tailAttribution();
+    const reqtrace::TailAttribution &at = run.sys->tailAttribution();
     out.share_req_net = stageShare(at, reqtrace::Stage::ReqNet);
     out.share_dir = stageShare(at, reqtrace::Stage::DirQueue) +
                     stageShare(at, reqtrace::Stage::DirAccess);
@@ -158,7 +153,7 @@ main(int argc, char **argv)
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;

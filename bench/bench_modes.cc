@@ -34,10 +34,11 @@ main(int argc, char **argv)
             {
                 harness::SystemConfig cfg = defaultConfig();
                 cfg.model = cpu::ConsistencyModel::SC;
-                RunOutcome r = measure(*wl, cfg);
-                if (!r)
-                    return {{}, r.error, r.hung};
-                base_cycles = static_cast<double>(r.result.cycles);
+                harness::Run run = harness::runWorkload(*wl, cfg);
+                if (!run.ok())
+                    return {run};
+                base_cycles =
+                    static_cast<double>(run.sys->runtimeCycles());
             }
             int i = 0;
             for (auto mode : {spec::SpecMode::OnDemand,
@@ -45,32 +46,32 @@ main(int argc, char **argv)
                 harness::SystemConfig cfg = defaultConfig();
                 cfg.model = cpu::ConsistencyModel::SC;
                 cfg.spec.mode = mode;
-                MeasuredSystem m = measureSystem(*wl, cfg);
-                if (!m.ok())
-                    return {{}, m.error, m.hung};
+                harness::Run run = harness::runWorkload(*wl, cfg);
+                if (!run.ok())
+                    return {run};
                 cycles[i] =
-                    static_cast<double>(m.sys->runtimeCycles());
+                    static_cast<double>(run.sys->runtimeCycles());
                 for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
                     epochs[i] +=
-                        m.sys->specController(c)->epochsStarted();
+                        run.sys->specController(c)->epochsStarted();
                     rollbacks[i] +=
-                        m.sys->specController(c)->rollbacks();
+                        run.sys->specController(c)->rollbacks();
                 }
                 ++i;
             }
-            return {{wl->name(), "1.00",
+            return {{},
+                    {wl->name(), "1.00",
                      harness::fmt(cycles[0] / base_cycles),
                      harness::fmt(cycles[1] / base_cycles),
                      std::to_string(epochs[0]),
                      std::to_string(epochs[1]),
                      std::to_string(rollbacks[0]),
-                     std::to_string(rollbacks[1])},
-                    ""};
+                     std::to_string(rollbacks[1])}};
         });
     }
 
     auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(rows))
+    if (int code = harness::sweepFailed(rows))
         return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));

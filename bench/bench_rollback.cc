@@ -64,42 +64,43 @@ main(int argc, char **argv)
             harness::SystemConfig base_cfg = defaultConfig();
             base_cfg.model = cpu::ConsistencyModel::SC;
             auto base_wl = pt.make();
-            RunOutcome base = measure(*base_wl, base_cfg);
-            if (!base)
-                return {{}, base.error, base.hung};
+            harness::Run base = harness::runWorkload(*base_wl, base_cfg);
+            if (!base.ok())
+                return {base};
             const double base_cycles =
-                static_cast<double>(base.result.cycles);
+                static_cast<double>(base.sys->runtimeCycles());
+            base.sys.reset();
 
             harness::SystemConfig cfg = base_cfg;
             cfg.withSpeculation();
             auto wl = pt.make();
-            MeasuredSystem m = measureSystem(*wl, cfg);
-            if (!m.ok())
-                return {{}, m.error, m.hung};
+            harness::Run run = harness::runWorkload(*wl, cfg);
+            if (!run.ok())
+                return {run};
 
             std::uint64_t rollbacks = 0, epochs = 0, discarded = 0;
-            std::uint64_t insts = m.sys->totalInstructions();
+            std::uint64_t insts = run.sys->totalInstructions();
             for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
-                auto *ctrl = m.sys->specController(c);
+                auto *ctrl = run.sys->specController(c);
                 rollbacks += ctrl->rollbacks();
                 epochs += ctrl->epochsStarted();
                 discarded += ctrl->statGroup().scalarCount(
                     "discarded_insts");
             }
-            return {{pt.label,
+            return {{},
+                    {pt.label,
                      harness::fmt(1000.0 * rollbacks / insts, 3),
                      harness::fmt(
                          100.0 * discarded / (insts + discarded), 2),
                      std::to_string(epochs),
                      harness::fmt(base_cycles
                                   / static_cast<double>(
-                                      m.sys->runtimeCycles()))},
-                    ""};
+                                      run.sys->runtimeCycles()))}};
         });
     }
 
     auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(rows))
+    if (int code = harness::sweepFailed(rows))
         return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));

@@ -20,11 +20,9 @@ namespace
 using Make = std::function<workload::WorkloadPtr()>;
 
 /** Raw cycles for one config row across the swept buffer sizes. */
-struct Series
+struct Series : harness::RunError
 {
-    std::vector<double> cycles;
-    std::string error;
-    bool hung = false;
+    std::vector<double> cycles{};
 };
 
 } // namespace
@@ -76,14 +74,11 @@ main(int argc, char **argv)
                     if (cr.speculative)
                         cfg.withSpeculation();
                     auto wl = make();
-                    RunOutcome r = measure(*wl, cfg);
-                    if (!r) {
-                        s.error = r.error;
-                        s.hung = r.hung;
-                        return s;
-                    }
+                    harness::Run run = harness::runWorkload(*wl, cfg);
+                    if (!run.ok())
+                        return {run};
                     s.cycles.push_back(
-                        static_cast<double>(r.result.cycles));
+                        static_cast<double>(run.sys->runtimeCycles()));
                 }
                 return s;
             });
@@ -91,7 +86,7 @@ main(int argc, char **argv)
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;

@@ -27,17 +27,15 @@ namespace
 using Make = std::function<workload::WorkloadPtr()>;
 
 /** One (workload, core-count) point: base + speculative runs. */
-struct Meas
+struct Meas : harness::RunError
 {
     bool skipped = false; //!< below the workload's minThreads
     double speedup = 0;
     std::uint64_t rollbacks = 0;
-    std::string error;
-    bool hung = false;
 };
 
 /** One (topology, core-count) point of the F9b NoC sweep. */
-struct NocMeas
+struct NocMeas : harness::RunError
 {
     double speedup = 0;
     double hops_per_msg = 0;
@@ -49,8 +47,6 @@ struct NocMeas
     std::uint64_t links_used = 0;
     std::uint64_t hot_link_msgs = 0;
     std::uint64_t hot_link_busy = 0;
-    std::string error;
-    bool hung = false;
 };
 
 /** A JSON double: %.6g is plenty for speedups and never locale-y. */
@@ -99,32 +95,28 @@ main(int argc, char **argv)
                 }
                 harness::SystemConfig cfg = defaultConfig(cores);
                 cfg.model = cpu::ConsistencyModel::SC;
-                RunOutcome base = measure(*base_wl, cfg);
-                if (!base) {
-                    out.error = base.error;
-                    out.hung = base.hung;
-                    return out;
-                }
+                harness::Run base = harness::runWorkload(*base_wl, cfg);
+                if (!base.ok())
+                    return {base};
+                const double base_cycles =
+                    static_cast<double>(base.sys->runtimeCycles());
+                base.sys.reset();
 
                 cfg.withSpeculation();
                 auto wl = make();
-                MeasuredSystem m = measureSystem(*wl, cfg);
-                if (!m.ok()) {
-                    out.error = m.error;
-                    out.hung = m.hung;
-                    return out;
-                }
-                out.speedup =
-                    static_cast<double>(base.result.cycles)
-                    / static_cast<double>(m.sys->runtimeCycles());
-                out.rollbacks = m.sys->totalRollbacks();
+                harness::Run run = harness::runWorkload(*wl, cfg);
+                if (!run.ok())
+                    return {run};
+                out.speedup = base_cycles
+                    / static_cast<double>(run.sys->runtimeCycles());
+                out.rollbacks = run.sys->totalRollbacks();
                 return out;
             });
         }
     }
 
     auto results = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(results))
+    if (int code = harness::sweepFailed(results))
         return code;
 
     std::size_t idx = 0;
@@ -173,28 +165,23 @@ main(int argc, char **argv)
                 cfg.model = cpu::ConsistencyModel::SC;
                 cfg.withDirBanks(8).withTopology(topo);
                 workload::LocalLockStream base_wl(wp);
-                RunOutcome base = measure(base_wl, cfg);
-                if (!base) {
-                    out.error = base.error;
-                    out.hung = base.hung;
-                    return out;
-                }
+                harness::Run base = harness::runWorkload(base_wl, cfg);
+                if (!base.ok())
+                    return {base};
+                out.base_cycles = base.sys->runtimeCycles();
+                base.sys.reset();
 
                 cfg.withSpeculation();
                 workload::LocalLockStream wl(wp);
-                MeasuredSystem m = measureSystem(wl, cfg);
-                if (!m.ok()) {
-                    out.error = m.error;
-                    out.hung = m.hung;
-                    return out;
-                }
-                out.base_cycles = base.result.cycles;
-                out.spec_cycles = m.sys->runtimeCycles();
+                harness::Run run = harness::runWorkload(wl, cfg);
+                if (!run.ok())
+                    return {run};
+                out.spec_cycles = run.sys->runtimeCycles();
                 out.speedup =
                     static_cast<double>(out.base_cycles)
                     / static_cast<double>(out.spec_cycles);
-                out.rollbacks = m.sys->totalRollbacks();
-                for (const auto &group : m.sys->stats().groups()) {
+                out.rollbacks = run.sys->totalRollbacks();
+                for (const auto &group : run.sys->stats().groups()) {
                     if (group->name() != "network")
                         continue;
                     out.msgs = group->scalarCount("msgs");
@@ -217,7 +204,7 @@ main(int argc, char **argv)
 
     auto noc_results =
         harness::SweepRunner(opts.jobs()).map(std::move(noc_tasks));
-    if (int code = sweepFailed(noc_results))
+    if (int code = harness::sweepFailed(noc_results))
         return code;
 
     idx = 0;

@@ -61,14 +61,14 @@ main(int argc, char **argv)
             harness::SystemConfig cfg = defaultConfig();
             cfg.model = cpu::ConsistencyModel::SC;
             cfg.withSpeculation();
-            MeasuredSystem m = measureSystem(*wl, cfg);
-            if (!m.ok())
-                return {{}, m.error, m.hung};
+            harness::Run run = harness::runWorkload(*wl, cfg);
+            if (!run.ok())
+                return {run};
 
             std::uint64_t max_stores = 0, max_sw = 0, max_sr = 0;
             double insts_sum = 0;
             for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
-                auto *ctrl = m.sys->specController(c);
+                auto *ctrl = run.sys->specController(c);
                 max_stores = std::max(max_stores,
                                       ctrl->maxStoresPerEpoch());
                 max_sw = std::max(max_sw, ctrl->maxSwBlocks());
@@ -78,15 +78,15 @@ main(int argc, char **argv)
                     ctrl->statGroup().find("epoch_insts"));
                 insts_sum += d ? d->mean() : 0.0;
             }
-            return {{wl->name(), std::to_string(max_stores),
+            return {{},
+                    {wl->name(), std::to_string(max_stores),
                      std::to_string(max_sw), std::to_string(max_sr),
-                     harness::fmt(insts_sum / cfg.num_cores, 1)},
-                    ""};
+                     harness::fmt(insts_sum / cfg.num_cores, 1)}};
         });
     }
 
     auto rows = harness::SweepRunner(opts.jobs()).map(std::move(tasks));
-    if (int code = sweepFailed(rows))
+    if (int code = harness::sweepFailed(rows))
         return code;
     for (auto &row : rows)
         table.addRow(std::move(row.cells));

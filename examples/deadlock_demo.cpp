@@ -21,12 +21,9 @@
  */
 
 #include <iostream>
-#include <string>
-#include <vector>
 
-#include "harness/exit_codes.hh"
 #include "harness/options.hh"
-#include "harness/system.hh"
+#include "harness/run.hh"
 #include "workload/microbench.hh"
 
 using namespace fenceless;
@@ -34,20 +31,11 @@ using namespace fenceless;
 int
 main(int argc, char **argv)
 {
-    // --healthy is demo-specific, so strip it before Options (which
-    // rejects unknown flags).
-    bool healthy = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--healthy")
-            healthy = true;
-        else
-            args.push_back(argv[i]);
-    }
-    harness::Options opts(static_cast<int>(args.size()), args.data(),
+    harness::Options opts(argc, argv,
                           harness::Options::Machine |
                               harness::Options::Artifacts |
-                              harness::Options::Profile);
+                              harness::Options::Profile |
+                              harness::Options::Healthy);
 
     harness::SystemConfig cfg;
     cfg.num_cores = 2;
@@ -58,38 +46,31 @@ main(int argc, char **argv)
     cfg = opts.applyTo(cfg);
 
     workload::SeededDeadlock wl;
-    isa::Program prog = wl.build(cfg.num_cores);
-    if (!healthy) {
+    if (!opts.healthy()) {
         // Drop the owner's Fwd*Ack for both cross-loaded blocks: the
         // two directory transactions wedge in their forward phase and
-        // the cores deadlock waiting on each other's blocks.
+        // the cores deadlock waiting on each other's blocks.  Building
+        // the program lays the blocks out.
+        wl.build(cfg.num_cores);
         cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
     }
 
-    harness::System sys(cfg, prog);
-    const bool done = sys.run();
-
-    if (!opts.writeArtifacts(sys))
+    harness::Run run = harness::runWorkload(wl, cfg);
+    if (!opts.writeArtifacts(*run.sys))
         return harness::exit_fatal;
 
-    if (!done) {
-        // The watchdog already printed the dossier to stderr; repeat
-        // it on stdout so scripts can capture it separately.
-        if (sys.hung())
-            std::cout << sys.dossier();
-        else
-            std::cerr << "cycle budget exhausted without a watchdog "
-                         "abort\n";
-        return harness::exit_hang;
-    }
-
-    std::string error;
-    if (!wl.check(sys.memReader(), cfg.num_cores, error)) {
-        std::cerr << "postcondition failed: " << error << "\n";
-        sys.writeBlackboxTail(std::cerr);
+    if (!run.ok()) {
+        std::cerr << "error: " << run.error << "\n";
+        if (run.hung) {
+            // The watchdog already printed the dossier to stderr;
+            // repeat it on stdout so scripts can capture it separately.
+            std::cout << run.sys->dossier();
+            return harness::exit_hang;
+        }
+        run.sys->writeBlackboxTail(std::cerr);
         return harness::exit_postcondition;
     }
-    std::cout << "healthy run completed in " << sys.runtimeCycles()
+    std::cout << "healthy run completed in " << run.sys->runtimeCycles()
               << " cycles and verified (no deadlock without the "
                  "fault injection)\n";
     return harness::exit_ok;

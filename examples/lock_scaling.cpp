@@ -15,10 +15,9 @@
 
 #include <iostream>
 
-#include "harness/exit_codes.hh"
 #include "harness/options.hh"
+#include "harness/run.hh"
 #include "harness/sweep.hh"
-#include "harness/system.hh"
 #include "harness/table.hh"
 #include "workload/microbench.hh"
 
@@ -28,38 +27,11 @@ namespace
 {
 
 /** Baseline and speculative cycles of one (lock, cores) point. */
-struct Point
+struct Point : harness::RunError
 {
     double base = 0;
     double spec = 0;
-    std::string error;
-    bool hung = false;
 };
-
-double
-run(workload::Workload &wl, std::uint32_t cores, bool speculative,
-    std::string &error, bool &hung)
-{
-    harness::SystemConfig cfg;
-    cfg.num_cores = cores;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    if (speculative)
-        cfg.withSpeculation();
-
-    isa::Program prog = wl.build(cores);
-    harness::System sys(cfg, prog);
-    if (!sys.run()) {
-        hung = true;
-        error = wl.name() + (sys.hung() ? " hung (watchdog abort)"
-                                        : " did not terminate");
-        return 0;
-    }
-    if (!wl.check(sys.memReader(), cores, error)) {
-        error = "postcondition failed: " + error;
-        return 0;
-    }
-    return static_cast<double>(sys.runtimeCycles());
-}
 
 } // namespace
 
@@ -95,13 +67,19 @@ main(int argc, char **argv)
             auto make = entry.make;
             tasks.push_back([make, c]() -> Point {
                 Point pt;
-                auto wl_base = make();
-                pt.base = run(*wl_base, c, false, pt.error,
-                              pt.hung);
-                if (!pt.error.empty())
-                    return pt;
-                auto wl_spec = make();
-                pt.spec = run(*wl_spec, c, true, pt.error, pt.hung);
+                harness::SystemConfig cfg;
+                cfg.num_cores = c;
+                cfg.model = cpu::ConsistencyModel::TSO;
+                for (bool speculative : {false, true}) {
+                    if (speculative)
+                        cfg.withSpeculation();
+                    auto wl = make();
+                    harness::Run run = harness::runWorkload(*wl, cfg);
+                    if (!run.ok())
+                        return {run};
+                    (speculative ? pt.spec : pt.base) =
+                        static_cast<double>(run.sys->runtimeCycles());
+                }
                 return pt;
             });
         }
@@ -109,13 +87,8 @@ main(int argc, char **argv)
 
     harness::SweepRunner runner(opts.jobs());
     auto points = runner.map(std::move(tasks));
-    for (const auto &pt : points) {
-        if (!pt.error.empty()) {
-            std::cerr << "error: " << pt.error << "\n";
-            return pt.hung ? harness::exit_hang
-                           : harness::exit_postcondition;
-        }
-    }
+    if (int code = harness::sweepFailed(points))
+        return code;
 
     std::size_t idx = 0;
     for (const auto &entry : entries) {

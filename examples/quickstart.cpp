@@ -19,9 +19,8 @@
 
 #include <iostream>
 
-#include "harness/exit_codes.hh"
 #include "harness/options.hh"
-#include "harness/system.hh"
+#include "harness/run.hh"
 #include "harness/table.hh"
 #include "workload/microbench.hh"
 
@@ -57,28 +56,22 @@ main(int argc, char **argv)
         if (speculative)
             run_cfg.withSpeculation();
 
-        // 3. Build and run the system.  A hang exits with code 4
-        // (the watchdog has already printed its stall dossier).
-        isa::Program prog = wl.build(run_cfg.num_cores);
-        harness::System sys(run_cfg, prog);
-        if (!sys.run()) {
-            std::cerr << (sys.hung()
-                              ? "simulation hung (see dossier above)\n"
-                              : "simulation did not terminate\n");
-            return harness::exit_hang;
-        }
-
-        // 4. Verify the parallel program actually worked.  A failed
+        // 3. Build and run the system, then verify the parallel
+        // program actually worked.  A hang exits with code 4 (the
+        // watchdog has already printed its stall dossier); a failed
         // postcondition exits with code 3 and prints the flight-
         // recorder tail: the last events before the bad outcome.
-        std::string error;
-        if (!wl.check(sys.memReader(), run_cfg.num_cores, error)) {
-            std::cerr << "postcondition failed: " << error << "\n";
-            sys.writeBlackboxTail(std::cerr);
+        harness::Run run = harness::runWorkload(wl, run_cfg);
+        if (!run.ok()) {
+            std::cerr << "error: " << run.error << "\n";
+            if (run.hung)
+                return harness::exit_hang;
+            run.sys->writeBlackboxTail(std::cerr);
             return harness::exit_postcondition;
         }
+        const harness::System &sys = *run.sys;
 
-        // 5. The speculative run is the interesting timeline: write
+        // 4. The speculative run is the interesting timeline: write
         // any requested --trace-out / --stats-json artefacts from it.
         if (speculative && !opts.writeArtifacts(sys))
             return 1;

@@ -14,10 +14,9 @@
 
 #include <iostream>
 
-#include "harness/exit_codes.hh"
 #include "harness/options.hh"
+#include "harness/run.hh"
 #include "harness/sweep.hh"
-#include "harness/system.hh"
 #include "harness/table.hh"
 #include "workload/kernels.hh"
 
@@ -33,38 +32,27 @@ struct Variant
 };
 
 /** One rendered table row, or the error that prevented it. */
-struct Row
+struct Row : harness::RunError
 {
-    std::vector<std::string> cells;
-    std::string error;
-    bool hung = false;
+    std::vector<std::string> cells{};
 };
 
 Row
 runVariant(const Variant &variant,
            const workload::IrregularUpdate::Params &wp)
 {
-    Row row;
     harness::SystemConfig cfg;
     cfg.num_cores = 8;
     cfg.model = cpu::ConsistencyModel::SC;
     cfg.spec = variant.params;
 
     workload::IrregularUpdate wl(wp);
-    isa::Program prog = wl.build(cfg.num_cores);
-    harness::System sys(cfg, prog);
-    if (!sys.run()) {
-        row.hung = true;
-        row.error = variant.label +
-                    (sys.hung() ? ": hung (watchdog abort)"
-                                : ": did not terminate");
-        return row;
+    harness::Run run = harness::runWorkload(wl, cfg);
+    if (!run.ok()) {
+        run.error = variant.label + ": " + run.error;
+        return {run};
     }
-    std::string error;
-    if (!wl.check(sys.memReader(), cfg.num_cores, error)) {
-        row.error = variant.label + ": postcondition failed: " + error;
-        return row;
-    }
+    harness::System &sys = *run.sys;
 
     std::uint64_t epochs = 0, commits = 0, rollbacks = 0,
                   discarded = 0;
@@ -84,15 +72,13 @@ runVariant(const Variant &variant,
             ctrl->statGroup().find("epoch_insts"));
         epoch_insts += d ? d->mean() : 0;
     }
-    row.cells = {variant.label,
-                 harness::fmt(
-                     static_cast<double>(sys.runtimeCycles()), 0),
-                 std::to_string(epochs), std::to_string(commits),
-                 std::to_string(rollbacks),
-                 std::to_string(discarded),
-                 with_ctrl ? harness::fmt(epoch_insts / with_ctrl, 1)
-                           : "-"};
-    return row;
+    return {{},
+            {variant.label,
+             harness::fmt(static_cast<double>(sys.runtimeCycles()), 0),
+             std::to_string(epochs), std::to_string(commits),
+             std::to_string(rollbacks), std::to_string(discarded),
+             with_ctrl ? harness::fmt(epoch_insts / with_ctrl, 1)
+                       : "-"}};
 }
 
 } // namespace
@@ -158,14 +144,10 @@ main(int argc, char **argv)
 
     harness::SweepRunner runner(opts.jobs());
     auto rows = runner.map(std::move(tasks));
-    for (auto &row : rows) {
-        if (!row.error.empty()) {
-            std::cerr << "error: " << row.error << "\n";
-            return row.hung ? harness::exit_hang
-                            : harness::exit_postcondition;
-        }
+    if (int code = harness::sweepFailed(rows))
+        return code;
+    for (auto &row : rows)
         table.addRow(std::move(row.cells));
-    }
     table.print(std::cout);
 
     std::cout << "\nReading the table: epochs == commits + rollbacks; "

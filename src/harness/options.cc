@@ -115,6 +115,10 @@ optionTable()
          "tracing like --tail-report)",
          O::Artifacts},
         {"--outliers=K", "dossiers to keep (default 10)", O::Artifacts},
+        {"--healthy",
+         "skip the injected fault: the run\n"
+         "completes, verifies and exits 0",
+         O::Healthy},
     };
     return table;
 }

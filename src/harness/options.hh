@@ -46,6 +46,7 @@ class Options
         Profile = 1u << 3,   //!< --profile-out, --waste-report
         SweepJson = 1u << 4, //!< --sweep-json
         ScaleCsv = 1u << 5,  //!< --scale, --csv
+        Healthy = 1u << 6,   //!< --healthy (deadlock_demo)
     };
 
     /**
@@ -61,6 +62,9 @@ class Options
 
     bool csv() const { return csv_; }
     unsigned scale() const { return scale_; }
+
+    /** --healthy: run deadlock_demo without its injected fault. */
+    bool healthy() const { return has("healthy"); }
 
     /**
      * Worker threads for host-parallel sweeps (SweepRunner); 0 means

@@ -20,7 +20,9 @@
  * Tasks must not share mutable state (each one builds its own
  * workloads and Systems) and must report failures as values rather
  * than calling fatal(): an exit() from a worker thread would kill the
- * whole sweep mid-output.
+ * whole sweep mid-output.  Results carry the failure by deriving from
+ * harness::RunError, and harness::sweepFailed reports them once the
+ * sweep has drained (harness/run.hh).
  */
 
 #pragma once

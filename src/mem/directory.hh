@@ -117,13 +117,9 @@ class Directory : public sim::SimObject, public MsgReceiver
         const char *phase = "?";
         MsgType req_type = MsgType::GetS;
         NodeId requester = 0;
-        unsigned pending_acks = 0;
         bool is_recall = false;
-        Tick start_tick = 0;
         bool has_resume = false;  //!< a blocked request re-dispatches after
         Addr resume_block = 0;    //!< its block address (Blocked/recall)
-        std::uint64_t req_id = 0; //!< request-lifetime trace id
-        std::size_t queued = 0;   //!< same-block requests parked behind
     };
 
     /** Visit every active transaction in block-address order. */
@@ -139,14 +135,10 @@ class Directory : public sim::SimObject, public MsgReceiver
             v.phase = phaseName(txn.phase);
             v.req_type = txn.req.type;
             v.requester = txn.req.src;
-            v.pending_acks = txn.pending_acks;
             v.is_recall = txn.is_recall;
-            v.start_tick = txn.start_tick;
             v.has_resume = txn.resume.has_value();
             if (txn.resume)
                 v.resume_block = txn.resume->block_addr;
-            v.req_id = txn.req.req_id;
-            v.queued = txn.queue.size();
             fn(v);
         }
     }

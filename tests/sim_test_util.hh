@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/system.hh"
+#include "harness/run.hh"
 #include "workload/workload.hh"
 
 namespace fenceless::test
@@ -33,15 +33,12 @@ testConfig(std::uint32_t cores = 4,
 
 /** Run @p wl under @p cfg; assert termination, postconditions, audit. */
 inline void
-runWorkload(workload::Workload &wl, harness::SystemConfig cfg)
+runAndAudit(workload::Workload &wl, const harness::SystemConfig &cfg)
 {
-    isa::Program prog = wl.build(cfg.num_cores);
-    harness::System sys(cfg, prog);
-    ASSERT_TRUE(sys.run()) << wl.name() << " did not terminate";
-    std::string error;
-    EXPECT_TRUE(wl.check(sys.memReader(), cfg.num_cores, error))
-        << error;
-    sys.auditCoherence();
+    harness::Run run = harness::runWorkload(wl, cfg);
+    ASSERT_FALSE(run.hung) << run.error;
+    EXPECT_TRUE(run.ok()) << run.error;
+    run.sys->auditCoherence();
 }
 
 } // namespace fenceless::test

@@ -281,7 +281,7 @@ TEST(Watchdog, HealthyRunOfSeededWorkloadPasses)
     workload::SeededDeadlock wl;
     harness::SystemConfig cfg = testConfig(2);
     cfg.watchdog_interval = 5'000;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 // ---------------------------------------------------------------------

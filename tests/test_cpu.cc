@@ -245,7 +245,7 @@ TEST(Consistency, SbDrainRetriesUnderMshrBackPressure)
         workload::LocalLockStream::Params p;
         p.iters = 16;
         workload::LocalLockStream wl(p);
-        runWorkload(wl, cfg);
+        runAndAudit(wl, cfg);
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Harness tests: option parsing, table rendering, System-level
- * functional reads and aggregate queries.
+ * Harness tests: option parsing, the checked run and its failure
+ * values, table rendering, System-level functional reads and aggregate
+ * queries.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "harness/table.hh"
 #include "isa/assembler.hh"
 #include "tests/sim_test_util.hh"
+#include "workload/microbench.hh"
 
 using namespace fenceless;
 using namespace fenceless::harness;
@@ -24,7 +26,8 @@ namespace
 
 constexpr unsigned every_set = Options::Jobs | Options::Machine |
                                Options::Artifacts | Options::Profile |
-                               Options::SweepJson | Options::ScaleCsv;
+                               Options::SweepJson | Options::ScaleCsv |
+                               Options::Healthy;
 
 Options
 parse(std::vector<std::string> args, unsigned sets = every_set)
@@ -105,7 +108,8 @@ TEST(Options, OptionOutsideTheBinarysSetsIsFatal)
         testing::TempDir() + "options_outside_sets.json";
     std::remove(path.c_str());
     for (const std::string &arg : std::vector<std::string>{
-             "--model=sc", "--seed=7", "--stats-json=" + path}) {
+             "--model=sc", "--seed=7", "--stats-json=" + path,
+             "--healthy"}) {
         const std::string name = arg.substr(2, arg.find('=') - 2);
         EXPECT_EXIT(parse({arg}, Options::Jobs),
                     testing::ExitedWithCode(1),
@@ -114,6 +118,12 @@ TEST(Options, OptionOutsideTheBinarysSetsIsFatal)
     }
     EXPECT_FALSE(std::ifstream(path).good()) << path;
     EXPECT_EQ(parse({"--jobs=3"}, Options::Jobs).jobs(), 3u);
+
+    // deadlock_demo's sets accept --healthy.
+    const unsigned demo_sets = Options::Machine | Options::Artifacts |
+                               Options::Profile | Options::Healthy;
+    EXPECT_TRUE(parse({"--healthy"}, demo_sets).healthy());
+    EXPECT_FALSE(parse({}, demo_sets).healthy());
 }
 
 TEST(Options, TopologyAndBankingFlags)
@@ -196,6 +206,77 @@ TEST(Options, BadNumberIsFatal)
 {
     EXPECT_EXIT(parse({"--cores=banana"}).applyTo(SystemConfig{}),
                 testing::ExitedWithCode(1), "expects a number");
+}
+
+namespace
+{
+
+/** A spinlock run whose postcondition always fails. */
+class FailingCheck : public workload::SpinlockCrit
+{
+  public:
+    bool
+    check(const workload::MemReader &, std::uint32_t,
+          std::string &error) const override
+    {
+        error = "counter is off by one";
+        return false;
+    }
+};
+
+} // namespace
+
+TEST(RunWorkload, HealthyRunIsOk)
+{
+    workload::SpinlockCrit wl;
+    harness::Run run = runWorkload(wl, testConfig());
+    EXPECT_TRUE(run.ok()) << run.error;
+    EXPECT_FALSE(run.hung);
+    ASSERT_TRUE(run.sys);
+    EXPECT_GT(run.sys->runtimeCycles(), 0u);
+}
+
+TEST(RunWorkload, WatchdogAbortIsAHang)
+{
+    workload::SeededDeadlock wl;
+    SystemConfig cfg = testConfig(2);
+    cfg.watchdog_interval = 5'000;
+    wl.build(cfg.num_cores); // lays out the blocks whose acks drop
+    cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
+    harness::Run run = runWorkload(wl, cfg);
+    EXPECT_TRUE(run.hung);
+    EXPECT_NE(run.error.find("watchdog abort"), std::string::npos)
+        << run.error;
+    // The System stays for the incident report.
+    ASSERT_TRUE(run.sys);
+    EXPECT_TRUE(run.sys->hung());
+    EXPECT_NE(run.sys->dossier().find("DEADLOCK CYCLE"),
+              std::string::npos);
+}
+
+TEST(RunWorkload, ExhaustedCycleBudgetIsAHang)
+{
+    workload::SpinlockCrit wl;
+    SystemConfig cfg = testConfig();
+    cfg.max_cycles = 100;
+    cfg.watchdog_interval = 0;
+    harness::Run run = runWorkload(wl, cfg);
+    EXPECT_TRUE(run.hung);
+    EXPECT_NE(run.error.find("cycle budget"), std::string::npos)
+        << run.error;
+    ASSERT_TRUE(run.sys);
+    EXPECT_FALSE(run.sys->hung());
+}
+
+TEST(RunWorkload, FailedPostconditionIsNotAHang)
+{
+    FailingCheck wl;
+    harness::Run run = runWorkload(wl, testConfig());
+    EXPECT_FALSE(run.ok());
+    EXPECT_FALSE(run.hung);
+    EXPECT_EQ(run.error, "workload 'spinlock-crit' failed verification: "
+                         "counter is off by one");
+    ASSERT_TRUE(run.sys);
 }
 
 TEST(Table, AlignedRendering)

@@ -157,7 +157,7 @@ TEST(Spec, RollbackRestoresArchState)
     workload::SpinlockCrit::Params p;
     p.iters = 150;
     workload::SpinlockCrit wl(p);
-    runWorkload(wl, specConfig(4, cpu::ConsistencyModel::TSO));
+    runAndAudit(wl, specConfig(4, cpu::ConsistencyModel::TSO));
 }
 
 TEST(Spec, SpecMatchesBaselineFinalState)
@@ -166,9 +166,9 @@ TEST(Spec, SpecMatchesBaselineFinalState)
                        cpu::ConsistencyModel::TSO,
                        cpu::ConsistencyModel::RMO}) {
         workload::AtomicHistogram wl;
-        runWorkload(wl, testConfig(4, model));
+        runAndAudit(wl, testConfig(4, model));
         workload::AtomicHistogram wl2;
-        runWorkload(wl2, specConfig(4, model));
+        runAndAudit(wl2, specConfig(4, model));
     }
 }
 
@@ -178,7 +178,7 @@ TEST(Spec, ContinuousModeCommitsAndFinishes)
     harness::SystemConfig cfg = specConfig(
         4, cpu::ConsistencyModel::SC, spec::SpecMode::Continuous);
     cfg.spec.min_epoch_insts = 64;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 TEST(Spec, OverflowRollbackPolicy)
@@ -222,7 +222,7 @@ TEST(Spec, OverflowStallPolicy)
     p.n = 8;
     p.iters = 2;
     workload::Stencil2D wl(p);
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 TEST(Spec, PerStoreGranularityHitsLimit)
@@ -377,7 +377,7 @@ TEST(Spec, RollbackDuringCommitArbitrationIsSafe)
     harness::SystemConfig cfg = specConfig(4,
                                            cpu::ConsistencyModel::SC);
     cfg.spec.commit_arb_latency = 60;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 TEST(Spec, CooldownForcesNonSpeculativeRetry)

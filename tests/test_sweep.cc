@@ -3,8 +3,8 @@
  * Unit tests for the host-parallel sweep runner: result ordering,
  * error propagation, the determinism guarantee (a table rendered from
  * simulation runs is byte-identical for any worker count) and the
- * bench binaries' exit code for a failed sweep.  Also covers the
- * pooled one-shot event path the runner's workloads lean on.
+ * exit code of a failed sweep.  Also covers the pooled one-shot event
+ * path the runner's workloads lean on.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
+#include "harness/run.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
@@ -68,21 +68,14 @@ renderSweep(unsigned jobs)
     return os.str();
 }
 
-/** One sweep task's outcome, as the bench binaries report it. */
-struct Outcome
-{
-    std::string error;
-    bool hung = false;
-};
-
-/** bench::sweepFailed on @p results, plus what it printed. */
+/** harness::sweepFailed on @p results, plus what it printed. */
 int
-sweepFailedPrinting(const std::vector<Outcome> &results,
+sweepFailedPrinting(const std::vector<harness::RunError> &results,
                     std::string &printed)
 {
     std::ostringstream err;
     std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
-    const int code = bench::sweepFailed(results);
+    const int code = harness::sweepFailed(results);
     std::cerr.rdbuf(saved);
     printed = err.str();
     return code;

@@ -59,7 +59,7 @@ TEST_P(CacheGeometry, SuiteCorrectAcrossGeometries)
         if (cfg.num_cores < wl->minThreads())
             continue;
         SCOPED_TRACE(wl->name());
-        runWorkload(*wl, cfg);
+        runAndAudit(*wl, cfg);
     }
 }
 
@@ -95,7 +95,7 @@ TEST_P(SpinlockParams, CounterExactUnderAllSettings)
     workload::SpinlockCrit wl(p);
     harness::SystemConfig cfg = testConfig(4);
     cfg.spec.mode = spec::SpecMode::OnDemand;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,7 +125,7 @@ TEST_P(ProdConsParams, EveryItemDeliveredOnce)
         SCOPED_TRACE(consistencyModelName(model));
         harness::SystemConfig cfg = testConfig(4, model);
         cfg.spec.mode = spec::SpecMode::OnDemand;
-        runWorkload(wl, cfg);
+        runAndAudit(wl, cfg);
     }
 }
 
@@ -154,7 +154,7 @@ TEST_P(StencilParams, MatchesHostModel)
     harness::SystemConfig cfg = testConfig(cores,
                                            cpu::ConsistencyModel::RMO);
     cfg.spec.mode = spec::SpecMode::OnDemand;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,7 +182,7 @@ TEST_P(RadixParams, PartitionCorrect)
     harness::SystemConfig cfg = testConfig(4,
                                            cpu::ConsistencyModel::SC);
     cfg.spec.mode = spec::SpecMode::Continuous;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RadixParams,
@@ -245,7 +245,7 @@ TEST_P(SpecKnobs, IrregularUpdateStaysCorrect)
     cfg.spec.ps_store_queue = GetParam().ps_queue;
     cfg.spec.ps_load_cam = GetParam().ps_queue * 2;
     cfg.spec.commit_arb_latency = GetParam().commit_arb;
-    runWorkload(wl, cfg);
+    runAndAudit(wl, cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(

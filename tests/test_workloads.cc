@@ -60,7 +60,7 @@ TEST_P(WorkloadMatrix, WholeSuitePostconditionsHold)
         if (GetParam().cores < wl->minThreads())
             continue;
         SCOPED_TRACE(wl->name());
-        runWorkload(*wl, config());
+        runAndAudit(*wl, config());
     }
 }
 
