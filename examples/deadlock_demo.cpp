@@ -49,9 +49,7 @@ main(int argc, char **argv)
     if (!opts.healthy()) {
         // Drop the owner's Fwd*Ack for both cross-loaded blocks: the
         // two directory transactions wedge in their forward phase and
-        // the cores deadlock waiting on each other's blocks.  Building
-        // the program lays the blocks out.
-        wl.build(cfg.num_cores);
+        // the cores deadlock waiting on each other's blocks.
         cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
     }
 

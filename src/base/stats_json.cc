@@ -59,8 +59,8 @@ constexpr UnitRule unit_rules[] = {
 const char *
 statUnit(const Stat &stat)
 {
-    // Match on the short (group-unqualified) name so a group named
-    // e.g. "net.rx3" cannot accidentally satisfy a rule.
+    // Match on the short (group-unqualified) name so a group's name
+    // cannot accidentally satisfy a rule.
     const std::string &name = stat.name();
     const auto dot = name.rfind('.');
     const std::string short_name =

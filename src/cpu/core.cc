@@ -62,7 +62,7 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
     : SimObject(ctx, name), params_(params), core_id_(core_id),
       prog_(prog), decoded_(prog), l1_(l1), num_cores_(num_cores),
       prof_(ctx.profiler.ifEnabled()),
-      sb_(ctx, statGroup(),
+      sb_(statGroup(),
           StoreBuffer::Params{params.sb_size,
                               ModelPolicy::sbDrainsInOrder(params.model),
                               params.sb_max_inflight,

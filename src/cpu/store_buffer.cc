@@ -9,12 +9,10 @@
 namespace fenceless::cpu
 {
 
-StoreBuffer::StoreBuffer(sim::SimContext &ctx,
-                         statistics::StatGroup &stats,
+StoreBuffer::StoreBuffer(statistics::StatGroup &stats,
                          const Params &params, mem::L1Cache &l1,
                          Core &core)
-    : ctx_(ctx), params_(params), l1_(l1), core_(core),
-      trace_id_(ctx.tracer.registerComponent(stats.name() + ".sb")),
+    : params_(params), l1_(l1), core_(core),
       stat_pushed_(stats.addScalar("sb_pushed", "stores retired into "
                                    "the store buffer")),
       stat_drained_(stats.addScalar("sb_drained", "stores written to "
@@ -37,7 +35,7 @@ StoreBuffer::StoreBuffer(sim::SimContext &ctx,
 void
 StoreBuffer::recordOccupancy()
 {
-    FL_TEVENT(*this, trace::EventKind::SbOccupancy, entries_.size());
+    FL_TEVENT(core_, trace::EventKind::SbOccupancy, entries_.size());
 }
 
 bool
@@ -199,7 +197,7 @@ StoreBuffer::scheduleRetry()
     if (retry_pending_)
         return;
     retry_pending_ = true;
-    ctx_.eventq.scheduleOneShot(ctx_.curTick() + 4, [this] {
+    core_.eventq().scheduleOneShot(core_.curTick() + 4, [this] {
         retry_pending_ = false;
         issueNext();
     });

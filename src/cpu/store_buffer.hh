@@ -13,7 +13,9 @@
  * speculative entries on rollback.
  *
  * The buffer keeps no waiters: after every completed drain it calls
- * Core::storeDrained(), and the owning core checks its own wait.
+ * Core::storeDrained(), and the owning core checks its own wait.  It
+ * is part of its core: its stats, its occupancy trace records and its
+ * retry event all belong to the core.
  *
  * Storage is one vector reserved to the buffer's size at construction,
  * and in-flight drains are a count, so draining allocates nothing.
@@ -27,7 +29,6 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "mem/l1_cache.hh"
-#include "sim/sim_object.hh"
 
 namespace fenceless::cpu
 {
@@ -80,8 +81,8 @@ class StoreBuffer
     };
 
     /** Built by @p core, which it notifies after every drain. */
-    StoreBuffer(sim::SimContext &ctx, statistics::StatGroup &stats,
-                const Params &params, mem::L1Cache &l1, Core &core);
+    StoreBuffer(statistics::StatGroup &stats, const Params &params,
+                mem::L1Cache &l1, Core &core);
 
     // --- status --------------------------------------------------------
 
@@ -141,12 +142,7 @@ class StoreBuffer
     void scheduleRetry();
     void complete(std::uint64_t seq);
     Entry *pickEligible();
-
-    // FL_TEVENT interface (the buffer is not a SimObject; it records
-    // on its own timeline track registered at construction).
-    trace::TraceSink &tracer() { return ctx_.tracer; }
-    std::uint16_t traceId() const { return trace_id_; }
-    Tick curTick() const { return ctx_.curTick(); }
+    /** Record the occupancy counter on the core's track. */
     void recordOccupancy();
 
     static bool
@@ -155,11 +151,9 @@ class StoreBuffer
         return a1 < a2 + s2 && a2 < a1 + s1;
     }
 
-    sim::SimContext &ctx_;
     Params params_;
     mem::L1Cache &l1_;
     Core &core_;
-    std::uint16_t trace_id_;
 
     std::vector<Entry> entries_; //!< oldest first; never reallocates
     std::uint64_t next_seq_ = 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -68,7 +69,9 @@ optionTable()
          O::Artifacts},
         {"--trace-out=FILE",
          "write Chrome trace-event JSON\n"
-         "(implies --trace=all if no --trace)",
+         "(implies --trace=all if no --trace,\n"
+         "and --tail-sample=64 if unset: its\n"
+         "request arrows are sampled spans)",
          O::Artifacts},
         {"--stats-json=FILE", "write the stat registry as JSON",
          O::Artifacts},
@@ -168,21 +171,23 @@ Options::Options(int argc, char **argv, unsigned sets)
             fatal("unexpected argument '", arg,
                   "' (only --option[=value] is supported)");
         arg = arg.substr(2);
-        std::string name = arg;
-        std::string value = "1";
-        if (auto eq = arg.find('='); eq != std::string::npos) {
-            name = arg.substr(0, eq);
-            value = arg.substr(eq + 1);
-        }
-        const bool accepted =
-            name == "help" ||
-            std::any_of(table.begin(), table.end(),
-                        [&](const OptionSpec &opt) {
-                            return (opt.set & sets) && name == opt.name();
-                        });
-        if (!accepted)
+        const auto eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
+        const auto spec = std::find_if(
+            table.begin(), table.end(), [&](const OptionSpec &opt) {
+                return (opt.set & sets) && name == opt.name();
+            });
+        if (spec == table.end() && name != "help")
             fatal("unknown option '--", name, "' (try --help)");
-        values_[name] = value;
+        // The usage spells the shape: "--NAME=ARG" needs a value and
+        // "--NAME" takes none.
+        const char *usage = spec == table.end() ? "--help" : spec->usage;
+        const bool wants_value = std::strchr(usage, '=') != nullptr;
+        if (wants_value != (eq != std::string::npos))
+            fatal("option --", name,
+                  wants_value ? " needs a value" : " takes no value",
+                  " (usage: ", usage, ")");
+        values_[name] = wants_value ? arg.substr(eq + 1) : "";
     }
 
     if (has("help")) {
@@ -332,11 +337,12 @@ Options::applyTo(SystemConfig base) const
     if (has("watchdog-storm"))
         base.watchdog_storm = getInt("watchdog-storm", 0);
     // --tail-report / --outliers-out imply span tracing at the default
-    // period; --tail-sample=N sets the period explicitly (1 = every
-    // miss).  Off by default: the sanctioned outputs must stay
+    // period, and so does --trace-out, whose request arrows are the
+    // sampled spans; --tail-sample=N sets the period explicitly (1 =
+    // every miss).  Off by default: the sanctioned outputs must stay
     // byte-identical when no tail option is given.
     if (has("tail-sample") || has("tail-report") ||
-        has("outliers-out") || has("outliers")) {
+        has("outliers-out") || has("outliers") || has("trace-out")) {
         base.tail_sample = getInt("tail-sample", 64);
         if (base.tail_sample == 0) {
             std::cerr << "warning: --tail-sample=0 disables span "

@@ -52,8 +52,9 @@ class Options
     /**
      * Parse argv.  An option outside @p sets is fatal, like an unknown
      * one (typos should not silently run the default experiment);
-     * positional arguments are not supported.  `--help` prints the
-     * options of @p sets and exits.
+     * positional arguments are not supported.  So is the wrong value
+     * shape: a flag given a value (`--csv=0`) or an option given none
+     * (`--cores`).  `--help` prints the options of @p sets and exits.
      */
     Options(int argc, char **argv, unsigned sets);
 

@@ -82,9 +82,8 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     // Every sink is configured before any component is built.  Each
     // component registers its trace track (and gets its flight-recorder
     // ring) once, in its constructor, so the construction order below
-    // fixes the component ids: network; l1_<i> then its net.rx<i>;
-    // each directory bank then its net.rx<cores+b>; core_<i> then
-    // core_<i>.sb; spec_<i>.  The profiler must be configured first
+    // fixes the component ids: network; l1_<i>; each directory bank;
+    // core_<i>; spec_<i>.  The profiler must be configured first
     // because components cache its ifEnabled() once.
     ctx_.tracer.setMask(config_.trace_mask);
     if (config_.blackbox_records > 0) {

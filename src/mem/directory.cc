@@ -80,6 +80,9 @@ Directory::Directory(sim::SimContext &ctx, const std::string &name,
 void
 Directory::receiveMsg(const Msg &msg)
 {
+    FL_TEVENT(*this, trace::EventKind::NetHop, msg.req_id,
+              curTick() - msg.sent_tick,
+              static_cast<std::uint32_t>(msg.type));
     // Every message must target this bank's address slice: a misrouted
     // request means an L1's DirectoryMap disagrees with the system's.
     flAssert(((msg.block_addr >> floorLog2(params_.block_size))
@@ -157,8 +160,6 @@ Directory::startTxn(Txn &txn, const Msg &msg, Tick recv_tick)
 {
     stat_txn_queue_wait_.sample(
         static_cast<double>(curTick() - recv_tick));
-    FL_TEVENT(*this, trace::EventKind::ReqDirIngress, msg.req_id,
-              static_cast<std::uint64_t>(msg.type));
     txn.begin(msg, curTick());
     FL_SPAN(*this, msg.req_id, reqtrace::Stage::DirAccess, msg.block_addr);
     // Model the directory/tag access latency before processing.
@@ -221,8 +222,6 @@ Directory::complete(Addr block_addr)
     Txn &txn = *active_it->second;
     stat_txn_service_.sample(
         static_cast<double>(curTick() - txn.start_tick));
-    FL_TEVENT(*this, trace::EventKind::ReqDirDone, txn.req.req_id,
-              txn.dram_reads);
     const bool was_recall = txn.is_recall;
     if (txn.queue.empty()) {
         txn_free_.push_back(&txn);
@@ -535,7 +534,6 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
     txn.phase = Txn::Phase::Dram;
     FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::Dram, block_addr);
     ++stat_dram_reads_;
-    ++txn.dram_reads;
     const Tick ready = std::max(curTick(), dram_next_free_)
                        + params_.dram_latency;
     dram_next_free_ = std::max(curTick(), dram_next_free_)

@@ -169,7 +169,6 @@ class Directory : public sim::SimObject, public MsgReceiver
         bool is_recall = false;    //!< internal L2-eviction transaction
         std::optional<Msg> resume; //!< request to re-dispatch afterwards
         Tick start_tick = 0;       //!< when the txn left the queue
-        unsigned dram_reads = 0;   //!< DRAM fills charged to this txn
         /**
          * Same-block requests parked behind this transaction, oldest
          * first.  The node outlives each transaction it serves, so the
@@ -187,7 +186,6 @@ class Directory : public sim::SimObject, public MsgReceiver
             is_recall = false;
             resume.reset();
             start_tick = now;
-            dram_reads = 0;
         }
     };
 

@@ -253,8 +253,6 @@ L1Cache::handleMiss(MemRequest req, bool want_m)
     // The miss's own request stays first in the MSHR until the fill
     // installs, so a retry finds the issuing PC at waiting.front().
     mshr.waiting.push_back(std::move(req));
-    FL_TEVENT(*this, trace::EventKind::ReqIssue, mshr.req_id,
-              block_addr);
     sendToDir(want_m ? MsgType::GetM : MsgType::GetS, block_addr,
               nullptr, mshr.req_id);
 }
@@ -510,8 +508,6 @@ L1Cache::tryCompleteFill(Mshr &mshr)
         static_cast<double>(curTick() - mshr.miss_start));
     stat_miss_fill_wait_.sample(
         static_cast<double>(curTick() - mshr.fill_arrival));
-    FL_TEVENT(*this, trace::EventKind::ReqFill, mshr.req_id,
-              mshr.block_addr);
     FL_SPAN(*this, mshr.req_id, reqtrace::Stage::Done, mshr.block_addr,
             static_cast<std::uint32_t>(mshr.waiting.size() - 1));
 
@@ -614,6 +610,9 @@ L1Cache::findWb(Addr block_addr)
 void
 L1Cache::receiveMsg(const Msg &msg)
 {
+    FL_TEVENT(*this, trace::EventKind::NetHop, msg.req_id,
+              curTick() - msg.sent_tick,
+              static_cast<std::uint32_t>(msg.type));
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataE:

@@ -177,6 +177,7 @@ Network::Network(sim::SimContext &ctx, const std::string &name,
         mesh_w_ = meshDims(params_.num_nodes).w;
     }
 
+    // Each endpoint records its arrivals (NetHop) on its own track.
     std::vector<std::string> msg_names;
     for (int t = 0; t <= static_cast<int>(MsgType::FwdNoDataAck); ++t)
         msg_names.push_back(msgTypeName(static_cast<MsgType>(t)));
@@ -199,7 +200,6 @@ Network::registerEndpoint(NodeId id, MsgReceiver *receiver)
     Node &n = ensureNode(id);
     flAssert(!n.receiver, "endpoint ", id, " already registered");
     n.receiver = receiver;
-    n.trace_id = tracer().registerComponent("net.rx" + std::to_string(id));
 }
 
 void
@@ -284,17 +284,9 @@ Network::deliver(std::uint32_t slot)
     const Msg msg = slab_[slot];
     free_slots_.push_back(slot);
 
-    const Tick now = curTick();
-    const Tick latency = now - msg.sent_tick;
-    stat_msg_latency_.sample(static_cast<double>(latency));
+    stat_msg_latency_.sample(static_cast<double>(curTick() - msg.sent_tick));
     ++nodes_[msg.src].chans[msg.dst].delivered;
-    const Node &dst = nodes_[msg.dst];
-    if (tracer().wants(trace::Flag::Net)) {
-        tracer().record(dst.trace_id, trace::EventKind::NetHop, now,
-                        msg.req_id, latency,
-                        static_cast<std::uint32_t>(msg.type));
-    }
-    dst.receiver->receiveMsg(msg);
+    nodes_[msg.dst].receiver->receiveMsg(msg);
 }
 
 std::uint32_t

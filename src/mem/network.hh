@@ -254,8 +254,7 @@ class Network : public sim::SimObject
     struct Node
     {
         MsgReceiver *receiver = nullptr;
-        std::uint16_t trace_id = 0; //!< "net.rxN" track in the sink
-        std::vector<TxChan> chans;  //!< this node's channels, by dst
+        std::vector<TxChan> chans; //!< this node's channels, by dst
     };
 
     /**

@@ -68,15 +68,6 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
       case EventKind::SbOccupancy:
         os << " entries=" << r.a0;
         break;
-      case EventKind::ReqIssue:
-      case EventKind::ReqFill:
-        os << " req=" << r.a0 << " block=0x" << std::hex << r.a1
-           << std::dec;
-        break;
-      case EventKind::ReqDirIngress:
-      case EventKind::ReqDirDone:
-        os << " req=" << r.a0 << " a1=" << r.a1;
-        break;
       case EventKind::NetHop:
         os << " req=" << r.a0 << " latency=" << r.a1 << " msg="
            << sink.auxName(kind, r.aux);

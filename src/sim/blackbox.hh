@@ -44,9 +44,10 @@ namespace fenceless::trace
  * Default ring mask: everything except per-instruction commit counters.
  * CoreCommit fires once per retired instruction -- recording it would
  * put a ring store on the single hottest path in the simulator; the
- * stall/spec/request/network kinds that matter for incident forensics
- * fire orders of magnitude less often, which is how the always-on
- * recorder stays within its <=3% full-system budget.
+ * stall, speculation, store-buffer and message-arrival kinds that
+ * matter for incident forensics fire orders of magnitude less often,
+ * which is how the always-on recorder stays within its <=3%
+ * full-system budget.
  */
 inline constexpr std::uint32_t default_blackbox_flags =
     static_cast<std::uint32_t>(Flag::All) &

@@ -13,8 +13,7 @@ namespace
 {
 
 constexpr Flag all_flags[] = {
-    Flag::Core, Flag::SB, Flag::Net, Flag::Spec, Flag::Req, Flag::Stall,
-    Flag::All,
+    Flag::Core, Flag::SB, Flag::Net, Flag::Spec, Flag::Stall, Flag::All,
 };
 
 } // namespace
@@ -27,7 +26,6 @@ flagName(Flag f)
       case Flag::SB: return "sb";
       case Flag::Net: return "net";
       case Flag::Spec: return "spec";
-      case Flag::Req: return "req";
       case Flag::Stall: return "stall";
       case Flag::All: return "all";
     }
@@ -90,10 +88,6 @@ eventKindName(EventKind k)
       case EventKind::SpecEpoch: return "spec_epoch";
       case EventKind::SpecRollback: return "rollback";
       case EventKind::SbOccupancy: return "sb_occupancy";
-      case EventKind::ReqIssue: return "req_issue";
-      case EventKind::ReqDirIngress: return "dir_ingress";
-      case EventKind::ReqDirDone: return "dir_done";
-      case EventKind::ReqFill: return "l1_fill";
       case EventKind::NetHop: return "net_hop";
       case EventKind::ReqStage: return "req_stage";
       case EventKind::NumKinds: break;
@@ -193,41 +187,6 @@ writeCommon(std::ostream &os, const char *name, const char *ph,
        << "\", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid;
 }
 
-using FlowChains = std::map<std::uint64_t, std::vector<const TraceRecord *>>;
-
-/**
- * Write each request's records in tick order, one slice per record
- * (drawn by @p slice), chained by a flow named and categorised @p cat:
- * the "s"/"t"/"f" triple makes Perfetto draw arrows between the
- * request's slices.
- */
-template <typename SliceFn>
-void
-writeFlowChains(EventWriter &w, const char *cat, FlowChains &chains,
-                SliceFn slice)
-{
-    for (auto &[req_id, events] : chains) {
-        std::stable_sort(events.begin(), events.end(),
-                         [](const TraceRecord *a, const TraceRecord *b) {
-                             return a->tick < b->tick;
-                         });
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            const TraceRecord &r = *events[i];
-            slice(w.next(), r);
-            if (events.size() < 2)
-                continue;
-            const char *ph = i == 0 ? "s"
-                             : i + 1 == events.size() ? "f" : "t";
-            std::ostream &os = w.next();
-            writeCommon(os, cat, ph, r.tick, r.comp);
-            os << ", \"cat\": \"" << cat << "\", \"id\": " << req_id;
-            if (*ph == 'f')
-                os << ", \"bp\": \"e\"";
-            os << "}";
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -258,12 +217,10 @@ TraceSink::exportChromeJson(std::ostream &os,
                  << "}}";
     }
 
-    // Request-lifetime events and sampled request-span stages
-    // (synthesized from the reqtrace sinks) are grouped per request id
-    // so the export can chain them with flow arrows; everything else
-    // streams out in record order.
-    FlowChains flows;
-    FlowChains spans;
+    // Sampled request-span stages (synthesized from the reqtrace sink)
+    // are grouped per request id so the export can chain them with
+    // flow arrows; everything else streams out in record order.
+    std::map<std::uint64_t, std::vector<const TraceRecord *>> spans;
 
     for (const TraceRecord &r : records) {
         const auto kind = static_cast<EventKind>(r.kind);
@@ -312,14 +269,6 @@ TraceSink::exportChromeJson(std::ostream &os,
                << auxName(kind, r.aux) << "\"}}";
             break;
 
-          case EventKind::ReqIssue:
-          case EventKind::ReqDirIngress:
-          case EventKind::ReqDirDone:
-          case EventKind::ReqFill:
-            if (r.a0 != 0)
-                flows[r.a0].push_back(&r);
-            break;
-
           case EventKind::ReqStage:
             if (r.a0 != 0)
                 spans[r.a0].push_back(&r);
@@ -330,32 +279,35 @@ TraceSink::exportChromeJson(std::ostream &os,
         }
     }
 
-    // One short slice per request phase: arrows L1 -> directory -> L1
-    // for each traced miss.
-    const auto phase_slice = [](std::ostream &o, const TraceRecord &r) {
-        const auto kind = static_cast<EventKind>(r.kind);
-        writeCommon(o, eventKindName(kind), "X", r.tick, r.comp);
-        o << ", \"dur\": 1, \"args\": {\"req\": " << r.a0;
-        if (kind == EventKind::ReqIssue || kind == EventKind::ReqFill)
-            o << ", \"block\": " << r.a1;
-        o << "}}";
-    };
-    writeFlowChains(w, "req", flows, phase_slice);
-
     // Sampled request spans: one named slice per tiled stage on the
-    // component that recorded it, so Perfetto draws the request's path
-    // through the memory system as an arrow chain under the existing
-    // guest tracks.
-    const auto stage_slice = [this](std::ostream &o,
-                                    const TraceRecord &r) {
-        const std::string &sname = auxName(EventKind::ReqStage, r.aux);
-        writeCommon(o, sname.empty() ? "req_stage" : sname.c_str(), "X",
-                    r.tick, r.comp);
-        o << ", \"dur\": " << (r.a1 ? r.a1 : 1)
-          << ", \"args\": {\"req\": " << r.a0
-          << ", \"cycles\": " << r.a1 << "}}";
-    };
-    writeFlowChains(w, "span", spans, stage_slice);
+    // component that recorded it, in tick order, chained by a "span"
+    // flow -- the "s"/"t"/"f" triple makes Perfetto draw the request's
+    // path through the memory system as an arrow chain under the
+    // existing guest tracks.
+    for (auto &[req_id, stages] : spans) {
+        std::stable_sort(stages.begin(), stages.end(),
+                         [](const TraceRecord *a, const TraceRecord *b) {
+                             return a->tick < b->tick;
+                         });
+        for (std::size_t i = 0; i < stages.size(); ++i) {
+            const TraceRecord &r = *stages[i];
+            const std::string &sname = auxName(EventKind::ReqStage, r.aux);
+            writeCommon(w.next(), sname.empty() ? "req_stage" : sname.c_str(),
+                        "X", r.tick, r.comp);
+            os << ", \"dur\": " << (r.a1 ? r.a1 : 1)
+               << ", \"args\": {\"req\": " << r.a0
+               << ", \"cycles\": " << r.a1 << "}}";
+            if (stages.size() < 2)
+                continue;
+            const char *ph = i == 0 ? "s"
+                             : i + 1 == stages.size() ? "f" : "t";
+            writeCommon(w.next(), "span", ph, r.tick, r.comp);
+            os << ", \"cat\": \"span\", \"id\": " << req_id;
+            if (*ph == 'f')
+                os << ", \"bp\": \"e\"";
+            os << "}";
+        }
+    }
 
     os << "\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n";
 }

@@ -7,14 +7,17 @@
  * converts them on demand to Chrome trace-event / Perfetto JSON
  * (`--trace-out=run.json`, open in `ui.perfetto.dev`): per-core
  * duration events for speculation epochs and stall intervals, instant
- * events for rollbacks (with cause), counter events for instruction
- * commit, and cross-component flow events following one memory request
- * from L1 miss through the directory back to the fill.  The same sink
- * keeps the flight recorder (sim/blackbox.hh): one fixed ring per
- * component, allocated when the component registers.
+ * events for rollbacks (with cause) and message arrivals, and counter
+ * events for instruction commit and store-buffer occupancy.  A
+ * request's path through the memory system comes from the sampled
+ * request spans (sim/reqtrace.hh), which the export draws as stage
+ * slices chained by flow arrows.  The same sink keeps the flight
+ * recorder (sim/blackbox.hh): one fixed ring per component, allocated
+ * when the component registers.
  *
- * Each component registers itself once, when it is built; registration
- * order is id order, which numbers the timeline tracks and orders the
+ * Each component registers itself once, when it is built, and records
+ * only what happened to it, on its own track; registration order is id
+ * order, which numbers the timeline tracks and orders the
  * flight-recorder dump.
  *
  * Concurrency / cost model:
@@ -46,12 +49,11 @@ namespace fenceless::trace
 /** Event families a trace mask selects (`--trace=core,spec`). */
 enum class Flag : std::uint32_t
 {
-    Core  = 1u << 0,
-    SB    = 1u << 1,
-    Net   = 1u << 2,
-    Spec  = 1u << 3,
-    Req   = 1u << 4, //!< request-lifetime flow events (miss attribution)
-    Stall = 1u << 5, //!< core stall-interval duration events
+    Core  = 1u << 0, //!< instruction-commit counters
+    SB    = 1u << 1, //!< store-buffer occupancy, on the core's track
+    Net   = 1u << 2, //!< message arrivals, on the receiver's track
+    Spec  = 1u << 3, //!< speculation epochs and rollbacks
+    Stall = 1u << 4, //!< core stall-interval duration events
     All   = ~0u,
 };
 
@@ -82,20 +84,16 @@ enum class EventKind : std::uint16_t
     // Speculation episodes (Flag::Spec)
     SpecEpoch,    //!< duration: a0 = begin tick, a1 = insts, aux = outcome
     SpecRollback, //!< instant: a1 = discarded insts, aux = cause id
-    // Store buffer (Flag::SB)
+    // Store buffer (Flag::SB), recorded by its core
     SbOccupancy,  //!< counter: a0 = entries buffered
-    // Request lifetime (Flag::Req): a0 = request id, flows across
-    // components; the exporter draws arrows between the phase slices.
-    ReqIssue,     //!< L1 miss issued to the directory; a1 = block addr
-    ReqDirIngress,//!< request arrived at the directory; a1 = msg type
-    ReqDirDone,   //!< directory transaction completed; a1 = dram reads
-    ReqFill,      //!< fill installed in the L1; a1 = block addr
-    // Network (Flag::Net)
-    NetHop,       //!< instant on the network track: a0 = req id,
+    // Network (Flag::Net), recorded by the receiving L1 or bank
+    NetHop,       //!< instant: a message arrived; a0 = req id,
                   //!< a1 = latency, aux = msg type
-    // Sampled request spans (Flag::Req).  Synthesized at export time
-    // from the reqtrace span sinks, never recorded live: one slice per
-    // tiled stage, chained with flow arrows under the guest tracks.
+    // Sampled request spans: the trace's only request record.
+    // Synthesized at export time from the reqtrace span sink, never
+    // recorded live (span sampling, not a flag, selects them): one
+    // slice per tiled stage, chained with flow arrows under the guest
+    // tracks.
     ReqStage,     //!< duration: a0 = req id, a1 = cycles, aux = stage
     NumKinds,
 };
@@ -117,12 +115,8 @@ eventKindFlag(EventKind k)
       case EventKind::SpecEpoch:
       case EventKind::SpecRollback: return Flag::Spec;
       case EventKind::SbOccupancy: return Flag::SB;
-      case EventKind::ReqIssue:
-      case EventKind::ReqDirIngress:
-      case EventKind::ReqDirDone:
-      case EventKind::ReqFill: return Flag::Req;
       case EventKind::NetHop: return Flag::Net;
-      case EventKind::ReqStage: return Flag::Req;
+      case EventKind::ReqStage: // export-only
       case EventKind::NumKinds: break;
     }
     return Flag::All;
@@ -334,9 +328,10 @@ class TraceSink
 } // namespace fenceless::trace
 
 /**
- * Record a structured trace event.  @p obj must provide tracer(),
- * traceId() and curTick() (every SimObject does).  The payload
- * arguments are not evaluated when the gating flag is disabled.
+ * Record a structured trace event on @p obj's own track: every live
+ * record goes through here.  @p obj must provide tracer(), traceId()
+ * and curTick() (every SimObject does).  The payload arguments are not
+ * evaluated when the gating flag is disabled.
  */
 #define FL_TEVENT(obj, kind, ...)                                      \
     do {                                                               \

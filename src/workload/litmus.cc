@@ -32,7 +32,7 @@ emitDispatch(Assembler &as, std::uint32_t participants)
 {
     for (std::uint32_t t = 0; t < participants; ++t) {
         as.li(t0, t);
-        as.beq(tp, t0, "t" + std::to_string(t));
+        as.beq(tp, t0, std::string("t").append(std::to_string(t)));
     }
     as.halt();
 }

@@ -660,8 +660,7 @@ LocalLockStream::check(const MemReader &read, std::uint32_t num_threads,
 // SeededDeadlock
 // ---------------------------------------------------------------------
 
-isa::Program
-SeededDeadlock::build(std::uint32_t)
+SeededDeadlock::SeededDeadlock()
 {
     Assembler as;
     const Addr x = as.paddedWord("X", 0);
@@ -730,7 +729,13 @@ SeededDeadlock::build(std::uint32_t)
     as.st(t1, t2); // done[tp] = 1
     as.halt();
 
-    return as.finish();
+    prog_ = as.finish();
+}
+
+isa::Program
+SeededDeadlock::build(std::uint32_t)
+{
+    return prog_;
 }
 
 bool

@@ -251,15 +251,17 @@ class LocalLockStream : public Workload
 class SeededDeadlock : public Workload
 {
   public:
-    SeededDeadlock() = default;
+    /** Lays the program out; threads past the first two halt at once. */
+    SeededDeadlock();
 
     std::string name() const override { return "seeded-deadlock"; }
+    /** The program laid out at construction (any thread count). */
     isa::Program build(std::uint32_t num_threads) override;
     bool check(const MemReader &read, std::uint32_t num_threads,
                std::string &error) const override;
     std::uint32_t minThreads() const override { return 2; }
 
-    /** Block addresses for drop_fwd_acks_for (valid after build). */
+    /** Block addresses for drop_fwd_acks_for. */
     Addr blockX() const { return x_addr_; }
     Addr blockY() const { return y_addr_; }
 
@@ -268,6 +270,7 @@ class SeededDeadlock : public Workload
     Addr y_addr_ = 0;
     Addr done_addr_ = 0;
     Addr result_addr_ = 0;
+    isa::Program prog_;
 };
 
 /**

@@ -61,9 +61,9 @@ std::unique_ptr<harness::System>
 buildDeadlockedSystem(workload::SeededDeadlock &wl,
                       harness::SystemConfig cfg)
 {
-    isa::Program prog = wl.build(cfg.num_cores);
     cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
-    return std::make_unique<harness::System>(cfg, prog);
+    return std::make_unique<harness::System>(cfg,
+                                             wl.build(cfg.num_cores));
 }
 
 } // namespace

@@ -157,13 +157,55 @@ TEST(Options, UnknownTraceFlagIsFatal)
 {
     // A name that selects no event kind must fail the run, never
     // record nothing.
-    for (const std::string name : {"l1", "dir", "bogus"}) {
+    for (const std::string name : {"l1", "dir", "req", "bogus"}) {
         EXPECT_EXIT(parse({"--trace=" + name}).applyTo(SystemConfig{}),
                     testing::ExitedWithCode(1),
                     "unknown trace flag\\(s\\) '" + name +
-                        "' \\(valid: core,sb,net,spec,req,stall,all\\)")
+                        "' \\(valid: core,sb,net,spec,stall,all\\)")
             << name;
     }
+}
+
+TEST(Options, SpanOutputsImplySpanSampling)
+{
+    // Span sampling is off unless an output is made of spans: the tail
+    // report, the dossiers, and the trace, whose request arrows are
+    // the sampled spans.  --tail-sample sets the period.
+    const std::string path = testing::TempDir() + "options_spans.json";
+    const auto sampling = [](std::vector<std::string> args) {
+        return parse(std::move(args)).applyTo(SystemConfig{}).tail_sample;
+    };
+    EXPECT_EQ(sampling({}), 0u);
+    EXPECT_EQ(sampling({"--stats-json=" + path}), 0u);
+    for (const std::string &arg : std::vector<std::string>{
+             "--tail-report", "--outliers-out=" + path,
+             "--trace-out=" + path})
+        EXPECT_EQ(sampling({arg}), 64u) << arg;
+    EXPECT_EQ(sampling({"--trace-out=" + path, "--tail-sample=1"}), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(Options, WrongValueShapeIsFatal)
+{
+    // The usage spells each option's shape.  A flag given a value is
+    // refused, so "--csv=0" cannot read as on, and so is an option
+    // given none, so "--stats-json" cannot write a file named "1";
+    // both fail before any file is opened.
+    std::remove("1");
+    for (const std::string arg :
+         {"--csv=0", "--healthy=no", "--waste-report=x",
+          "--tail-report=1", "--help=x"}) {
+        const std::string name = arg.substr(0, arg.find('='));
+        EXPECT_EXIT(parse({arg}), testing::ExitedWithCode(1),
+                    "option " + name + " takes no value")
+            << arg;
+    }
+    for (const std::string arg : {"--stats-json", "--trace-out", "--cores"}) {
+        EXPECT_EXIT(parse({arg}), testing::ExitedWithCode(1),
+                    "option " + arg + " needs a value")
+            << arg;
+    }
+    EXPECT_FALSE(std::ifstream("1").good());
 }
 
 TEST(Options, SimModeEchoedIntoProvenance)
@@ -241,7 +283,6 @@ TEST(RunWorkload, WatchdogAbortIsAHang)
     workload::SeededDeadlock wl;
     SystemConfig cfg = testConfig(2);
     cfg.watchdog_interval = 5'000;
-    wl.build(cfg.num_cores); // lays out the blocks whose acks drop
     cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
     harness::Run run = runWorkload(wl, cfg);
     EXPECT_TRUE(run.hung);

@@ -2,8 +2,8 @@
  * @file
  * Observability tests: the --trace flag vocabulary, the structured
  * TraceSink (recording, capping, aux-name tables, Chrome trace-event
- * export) and the System-level plumbing (per-system sinks,
- * request-lifetime events, periodic stat snapshots, the --stats-json
+ * export) and the System-level plumbing (per-system sinks, which
+ * track records each kind, periodic stat snapshots, the --stats-json
  * document).
  */
 
@@ -87,12 +87,14 @@ expectBalancedJson(const std::string &json)
 
 /** Run the quickstart workload with the given observability config. */
 std::unique_ptr<harness::System>
-runTracedSystem(std::uint32_t trace_mask, Tick stats_interval = 0)
+runTracedSystem(std::uint32_t trace_mask, Tick stats_interval = 0,
+                std::uint64_t tail_sample = 0)
 {
     harness::SystemConfig cfg = testConfig(2);
     cfg.withSpeculation();
     cfg.trace_mask = trace_mask;
     cfg.stats_interval = stats_interval;
+    cfg.tail_sample = tail_sample;
     workload::LocalLockStream::Params params;
     params.iters = 16;
     workload::LocalLockStream wl(params);
@@ -129,7 +131,7 @@ TEST(Trace, ParseFlagsReportsUnknownNames)
     EXPECT_NE(error.find("bogus"), std::string::npos);
     // The error lists every valid flag so a sweep log is actionable.
     EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos);
-    EXPECT_EQ(trace::validFlagNames(), "core,sb,net,spec,req,stall,all");
+    EXPECT_EQ(trace::validFlagNames(), "core,sb,net,spec,stall,all");
 }
 
 TEST(TraceFlags, ParseAcceptsKnownFlagCombinations)
@@ -167,7 +169,7 @@ TEST(TraceSink, DisabledByDefaultAndMaskGates)
     sink.setMask(static_cast<std::uint32_t>(trace::Flag::Spec));
     EXPECT_TRUE(sink.enabled());
     EXPECT_TRUE(sink.wants(trace::Flag::Spec));
-    EXPECT_FALSE(sink.wants(trace::Flag::Req));
+    EXPECT_FALSE(sink.wants(trace::Flag::Net));
 }
 
 TEST(TraceSink, RecordsInOrderAcrossChunks)
@@ -247,7 +249,9 @@ TEST(TraceSink, RingSizedBeforeOrAfterRegistration)
 TEST(TraceSink, ComponentIdsFollowConstructionOrder)
 {
     // Components register once, as the System builds them; the ids
-    // (track numbers, flight-recorder dump order) are that order.
+    // (track numbers, flight-recorder dump order) are that order.  A
+    // component owns exactly one track: the network and the store
+    // buffers record nothing on anyone's behalf.
     harness::SystemConfig cfg = testConfig(2);
     cfg.withDirBanks(2).withSpeculation();
     workload::LocalLockStream wl;
@@ -255,11 +259,9 @@ TEST(TraceSink, ComponentIdsFollowConstructionOrder)
     harness::System sys(cfg, prog);
     EXPECT_EQ(sys.tracer().components(),
               (std::vector<std::string>{
-                  "network",
-                  "l1_0", "net.rx0", "l1_1", "net.rx1",
-                  "l2dir.bank0", "net.rx2", "l2dir.bank1", "net.rx3",
-                  "core_0", "core_0.sb", "core_1", "core_1.sb",
-                  "spec_0", "spec_1"}));
+                  "network", "l1_0", "l1_1", "l2dir.bank0",
+                  "l2dir.bank1", "core_0", "core_1", "spec_0",
+                  "spec_1"}));
 }
 
 TEST(TraceSink, AuxNamesResolvePerKind)
@@ -283,17 +285,21 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     const std::uint16_t core = sink.registerComponent("core_0");
     const std::uint16_t l1 = sink.registerComponent("l1_0");
     sink.setAuxNames(trace::EventKind::SpecRollback, {"conflict"});
+    sink.setAuxNames(trace::EventKind::ReqStage, {"req_net", "done"});
 
     // One of each phase: counter, duration, instant, request flow.
     sink.record(core, trace::EventKind::CoreCommit, 10, 5);
     sink.record(core, trace::EventKind::SpecEpoch, 50, 20, 12, 1);
     sink.record(core, trace::EventKind::SpecRollback, 60, 0, 4, 0);
-    sink.record(l1, trace::EventKind::ReqIssue, 30, 1, 0x1000);
-    sink.record(l1, trace::EventKind::ReqFill, 90, 1, 0x1000);
 
     std::vector<trace::TraceRecord> records;
     sink.forEach(
         [&](const trace::TraceRecord &r) { records.push_back(r); });
+    // The flow: one sampled request's two span stages, which the
+    // System synthesizes at export rather than records.
+    const auto stage = static_cast<std::uint16_t>(trace::EventKind::ReqStage);
+    records.push_back({30, 1, 60, l1, stage, 0});
+    records.push_back({90, 1, 0, l1, stage, 1});
     std::ostringstream os;
     sink.exportChromeJson(os, records, sink.dropped(), "");
     const std::string json = os.str();
@@ -307,9 +313,12 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     // The rollback is an instant with its decoded cause.
     EXPECT_NE(json.find("conflict"), std::string::npos);
-    // The request produced a flow arrow (start + finish).
+    // The request produced a flow arrow (start + finish) between its
+    // named stage slices.
     EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
+    EXPECT_NE(json.find("\"cat\": \"span\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\": \"req_net\""), std::string::npos);
 }
 
 TEST(SystemObservability, DisabledTracingRecordsNothing)
@@ -322,36 +331,73 @@ TEST(SystemObservability, DisabledTracingRecordsNothing)
 TEST(SystemObservability, EndToEndTraceHasAllEventFamilies)
 {
     auto sys = runTracedSystem(
-        static_cast<std::uint32_t>(trace::Flag::All));
+        static_cast<std::uint32_t>(trace::Flag::All), 0, 1);
     ASSERT_GT(sys->tracer().size(), 0u);
 
-    bool saw_commit = false, saw_epoch = false, saw_issue = false,
-         saw_dir = false, saw_fill = false, saw_sb = false;
+    bool saw_commit = false, saw_epoch = false, saw_hop = false,
+         saw_sb = false;
     sys->tracer().forEach([&](const trace::TraceRecord &r) {
         switch (static_cast<trace::EventKind>(r.kind)) {
           case trace::EventKind::CoreCommit: saw_commit = true; break;
           case trace::EventKind::SpecEpoch: saw_epoch = true; break;
-          case trace::EventKind::ReqIssue: saw_issue = true; break;
-          case trace::EventKind::ReqDirIngress: saw_dir = true; break;
-          case trace::EventKind::ReqFill: saw_fill = true; break;
+          case trace::EventKind::NetHop: saw_hop = true; break;
           case trace::EventKind::SbOccupancy: saw_sb = true; break;
           default: break;
         }
     });
     EXPECT_TRUE(saw_commit);
     EXPECT_TRUE(saw_epoch);
-    EXPECT_TRUE(saw_issue);
-    EXPECT_TRUE(saw_dir);
-    EXPECT_TRUE(saw_fill);
+    EXPECT_TRUE(saw_hop);
     EXPECT_TRUE(saw_sb);
 
     std::ostringstream os;
     sys->exportTrace(os);
     const std::string json = os.str();
     expectBalancedJson(json);
-    // Request-lifetime flows cross components (≥1 start/finish pair).
+    // Sampled request spans cross components (≥1 start/finish pair).
     EXPECT_GE(countOccurrences(json, "\"ph\": \"s\""), 1u);
     EXPECT_GE(countOccurrences(json, "\"ph\": \"f\""), 1u);
+}
+
+TEST(SystemObservability, EachKindIsRecordedOnItsOwnersTrack)
+{
+    // A message arrival is recorded by the L1 or bank it reached and
+    // store-buffer occupancy by its core, in the full trace and in the
+    // flight recorder alike.  Span stages are synthesized only at
+    // export, never recorded.
+    auto sys = runTracedSystem(
+        static_cast<std::uint32_t>(trace::Flag::All), 0, 1);
+    const trace::TraceSink &sink = sys->tracer();
+    const auto starts = [](const std::string &s, const char *prefix) {
+        return s.rfind(prefix, 0) == 0;
+    };
+    std::size_t hops = 0, occupancies = 0;
+    const auto check = [&](const trace::TraceRecord &r) {
+        const std::string &track = sink.components().at(r.comp);
+        switch (static_cast<trace::EventKind>(r.kind)) {
+          case trace::EventKind::NetHop:
+            ++hops;
+            EXPECT_TRUE(starts(track, "l1_") || starts(track, "l2dir"))
+                << track;
+            break;
+          case trace::EventKind::SbOccupancy:
+            ++occupancies;
+            EXPECT_TRUE(starts(track, "core_") &&
+                        track.find('.') == std::string::npos)
+                << track;
+            break;
+          case trace::EventKind::ReqStage:
+            ADD_FAILURE() << "span stage recorded live on " << track;
+            break;
+          default:
+            break;
+        }
+    };
+    sink.forEach(check);
+    for (std::size_t c = 0; c < sink.components().size(); ++c)
+        sink.forEachRingRecord(static_cast<std::uint16_t>(c), check);
+    EXPECT_GT(hops, 0u);
+    EXPECT_GT(occupancies, 0u);
 }
 
 TEST(SystemObservability, MaskRestrictsFamilies)
