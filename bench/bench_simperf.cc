@@ -108,13 +108,12 @@ BM_TraceSink(benchmark::State &state)
 {
     const bool enabled = state.range(0) != 0;
     trace::TraceSink sink;
-    if (enabled)
-        sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
+    sink.setEnabled(enabled);
     const std::uint16_t comp = sink.registerComponent("bench");
     std::uint64_t events = 0;
     for (auto _ : state) {
         for (Tick t = 0; t < 4096; ++t) {
-            if (sink.wants(trace::Flag::Core))
+            if (sink.wants(trace::EventKind::CoreCommit))
                 sink.record(comp, trace::EventKind::CoreCommit, t, t);
             ++events;
         }
@@ -128,9 +127,9 @@ BENCHMARK(BM_TraceSink)->Arg(0)->Arg(1);
 
 /**
  * Whole-system overhead of full tracing: the BM_FullSystem workload
- * with every event family recorded.  Compare against
- * BM_FullSystem/1 for the flags-on cost; BM_FullSystem itself keeps
- * measuring the flags-off path (trace_mask == 0).
+ * with every event kind recorded.  Compare against BM_FullSystem/1
+ * for the tracing-on cost; BM_FullSystem itself keeps measuring the
+ * tracing-off path.
  */
 void
 BM_FullSystemTraced(benchmark::State &state)

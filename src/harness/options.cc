@@ -10,7 +10,6 @@
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
-#include "sim/trace_sink.hh"
 
 namespace fenceless::harness
 {
@@ -24,6 +23,11 @@ struct OptionSpec
     const char *usage; //!< "--NAME" or "--NAME=ARG", --help's left column
     std::string help;  //!< right column; '\n' starts a continuation line
     Options::Set set;
+    /**
+     * The outputs this option only shapes: given without any of them,
+     * it would do nothing (or work no output reads), so it is fatal.
+     */
+    std::vector<const char *> needs = {};
 
     /** NAME: what argv spells between "--" and any "=". */
     std::string
@@ -64,21 +68,19 @@ optionTable()
          "1 = sequential; output identical)",
          O::Jobs},
         {"--csv", "machine-readable tables", O::ScaleCsv},
-        {"--trace=f1,f2",
-         "structured-trace flags (" + trace::validFlagNames() + ")",
-         O::Artifacts},
         {"--trace-out=FILE",
-         "write Chrome trace-event JSON\n"
-         "(implies --trace=all if no --trace,\n"
-         "and --tail-sample=64 if unset: its\n"
+         "write Chrome trace-event JSON of\n"
+         "every event kind (implies\n"
+         "--tail-sample=64 if unset: its\n"
          "request arrows are sampled spans)",
          O::Artifacts},
         {"--stats-json=FILE", "write the stat registry as JSON",
          O::Artifacts},
         {"--stats-interval=N",
          "snapshot stats every N cycles into\n"
-         "the --stats-json time series",
-         O::Artifacts},
+         "the --stats-json time series\n"
+         "(needs --stats-json)",
+         O::Artifacts, {"stats-json"}},
         {"--sweep-json=FILE",
          "benchmarks that sweep an axis also\n"
          "write one JSON object per sweep\n"
@@ -105,8 +107,13 @@ optionTable()
          "rollback storm (default 256)",
          O::Artifacts},
         {"--tail-sample=N",
-         "trace 1 in N misses end to end\n(1 = every miss)",
-         O::Artifacts},
+         "trace 1 in N misses end to end\n"
+         "(1 = every miss; needs an output\n"
+         "that reads spans: --tail-report,\n"
+         "--outliers-out, --trace-out or\n"
+         "--stats-json)",
+         O::Artifacts,
+         {"tail-report", "outliers-out", "trace-out", "stats-json"}},
         {"--tail-report",
          "print the critical-path stage\n"
          "attribution table (implies\n"
@@ -117,7 +124,10 @@ optionTable()
          "dossiers as JSON (implies span\n"
          "tracing like --tail-report)",
          O::Artifacts},
-        {"--outliers=K", "dossiers to keep (default 10)", O::Artifacts},
+        {"--outliers=K",
+         "dossiers to keep (default 10;\n"
+         "needs --outliers-out)",
+         O::Artifacts, {"outliers-out"}},
         {"--healthy",
          "skip the injected fault: the run\n"
          "completes, verifies and exits 0",
@@ -197,6 +207,21 @@ Options::Options(int argc, char **argv, unsigned sets)
     csv_ = has("csv");
     scale_ = static_cast<unsigned>(getInt("scale", 1));
     jobs_ = static_cast<unsigned>(getInt("jobs", 0));
+
+    for (const OptionSpec &opt : table) {
+        if (opt.needs.empty() || !has(opt.name()) ||
+            std::any_of(opt.needs.begin(), opt.needs.end(),
+                        [&](const char *out) { return has(out); }))
+            continue;
+        const std::size_t n = opt.needs.size();
+        std::string outputs;
+        for (std::size_t i = 0; i < n; ++i) {
+            outputs += i == 0 ? "--" : i + 1 == n ? " or --" : ", --";
+            outputs += opt.needs[i];
+        }
+        fatal("option --", opt.name(), " needs ", outputs, ", the output",
+              n > 1 ? "s" : "", " it shapes");
+    }
 
     // An option whose argument is FILE names an output path.
     for (const OptionSpec &opt : table) {
@@ -313,18 +338,8 @@ Options::applyTo(SystemConfig base) const
         }
         base.dir_banks = static_cast<std::uint32_t>(banks);
     }
-    if (has("trace")) {
-        std::uint32_t mask = 0;
-        std::string error;
-        if (!trace::parseFlags(get("trace"), mask, error))
-            fatal("--trace: ", error);
-        base.trace_mask = mask;
-    } else if (has("trace-out")) {
-        // An output file without an explicit flag set means "record
-        // everything": the common quick-look invocation.
-        base.trace_mask =
-            static_cast<std::uint32_t>(trace::Flag::All);
-    }
+    if (has("trace-out"))
+        base.tracing = true;
     if (has("stats-interval"))
         base.stats_interval = getInt("stats-interval", 0);
     if (profiling())
@@ -342,15 +357,16 @@ Options::applyTo(SystemConfig base) const
     // every miss).  Off by default: the sanctioned outputs must stay
     // byte-identical when no tail option is given.
     if (has("tail-sample") || has("tail-report") ||
-        has("outliers-out") || has("outliers") || has("trace-out")) {
+        has("outliers-out") || has("trace-out")) {
         base.tail_sample = getInt("tail-sample", 64);
         if (base.tail_sample == 0) {
             std::cerr << "warning: --tail-sample=0 disables span "
                          "tracing; tail outputs will be empty\n";
         }
+    }
+    if (has("outliers"))
         base.tail_outliers =
             static_cast<std::uint32_t>(getInt("outliers", 10));
-    }
     return base;
 }
 

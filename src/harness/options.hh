@@ -54,7 +54,10 @@ class Options
      * one (typos should not silently run the default experiment);
      * positional arguments are not supported.  So is the wrong value
      * shape: a flag given a value (`--csv=0`) or an option given none
-     * (`--cores`).  `--help` prints the options of @p sets and exits.
+     * (`--cores`), and an option that only shapes an output given
+     * without it (`--stats-interval` without `--stats-json`).  All of
+     * these fail before any output file is opened.  `--help` prints
+     * the options of @p sets and exits.
      */
     Options(int argc, char **argv, unsigned sets);
 

@@ -39,13 +39,6 @@ dirWaitId(std::uint32_t banks, std::uint32_t b)
 
 } // namespace
 
-std::uint32_t
-System::bankOf(Addr addr) const
-{
-    return static_cast<std::uint32_t>(addr / config_.l2.block_size)
-           & (config_.dir_banks - 1);
-}
-
 std::vector<prof::CodeSym>
 System::codeSyms() const
 {
@@ -65,7 +58,9 @@ System::dataSyms() const
 }
 
 System::System(const SystemConfig &config, const isa::Program &prog)
-    : config_(config), prog_(prog)
+    : config_(config), prog_(prog),
+      dirmap_(config.num_cores, config.dir_banks,
+              floorLog2(config.l2.block_size))
 {
     flAssert(config_.num_cores >= 1, "need at least one core");
     flAssert(config_.num_cores <= mem::max_cores,
@@ -82,33 +77,22 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     // Every sink is configured before any component is built.  Each
     // component registers its trace track (and gets its flight-recorder
     // ring) once, in its constructor, so the construction order below
-    // fixes the component ids: network; l1_<i>; each directory bank;
-    // core_<i>; spec_<i>.  The profiler must be configured first
-    // because components cache its ifEnabled() once.
-    ctx_.tracer.setMask(config_.trace_mask);
-    if (config_.blackbox_records > 0) {
-        ctx_.tracer.configureRing(config_.blackbox_records,
-                                  trace::default_blackbox_flags);
-    }
+    // fixes the component ids: l1_<i>; each directory bank; core_<i>;
+    // spec_<i>.  The profiler must be configured first because
+    // components cache its ifEnabled() once.
+    ctx_.tracer.setEnabled(config_.tracing);
+    ctx_.tracer.configureRing(config_.blackbox_records);
     if (config_.profile) {
         ctx_.profiler.configure(prog_.code.size(), config_.num_cores,
                                 config_.l1.block_size, codeSyms(),
                                 dataSyms());
     }
 
-    // Everything below -- the aux names, the "tailtrace" stat group --
-    // exists only when span tracing is on, so a tracing-off run's
-    // stats/trace documents are byte-identical to a build without the
-    // feature.
+    // The "tailtrace" stat group exists only when span tracing is on,
+    // so a tracing-off run's stats document is byte-identical to a
+    // build without the feature.
     if (config_.tail_sample > 0) {
         ctx_.spans.configure(config_.tail_sample);
-        std::vector<std::string> stage_names;
-        for (std::size_t s = 0; s < reqtrace::num_stages; ++s) {
-            stage_names.emplace_back(reqtrace::stageName(
-                static_cast<reqtrace::Stage>(s)));
-        }
-        ctx_.tracer.setAuxNames(trace::EventKind::ReqStage,
-                                std::move(stage_names));
         statistics::StatGroup &g = ctx_.stats.createGroup("tailtrace");
         tail_stat_spans_ = &g.addScalar("sampled_spans",
             "complete primary request spans sampled");
@@ -130,28 +114,20 @@ System::System(const SystemConfig &config, const isa::Program &prog)
 
     isa::loadImage(prog_, backing_);
 
-    // The topology layer needs the endpoint count for routing; the
-    // crossbar ignores it but gets the true value anyway.
-    config_.net.num_nodes = config_.num_cores + config_.dir_banks;
-    network_ = std::make_unique<mem::Network>(ctx_, "network",
-                                              config_.net);
+    network_ = std::make_unique<mem::Network>(
+        ctx_, "network", config_.net, config_.num_cores + config_.dir_banks);
 
-    const mem::DirectoryMap dirmap(config_.num_cores, config_.dir_banks,
-                                   floorLog2(config_.l2.block_size));
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
         l1s_.push_back(std::make_unique<mem::L1Cache>(
             ctx_, "l1_" + std::to_string(i),
-            config_.l1, i, dirmap, *network_));
+            config_.l1, i, dirmap_, *network_));
     }
+    mem::Directory::Params bank_params = config_.l2;
+    bank_params.size = config_.l2.size / config_.dir_banks;
     for (std::uint32_t b = 0; b < config_.dir_banks; ++b) {
-        mem::Directory::Params bank_params = config_.l2;
-        bank_params.size = config_.l2.size / config_.dir_banks;
-        bank_params.banks = config_.dir_banks;
-        bank_params.bank = b;
         dirs_.push_back(std::make_unique<mem::Directory>(
-            ctx_, dirBankName(config_.dir_banks, b),
-            bank_params, config_.num_cores + b, config_.num_cores,
-            *network_, backing_));
+            ctx_, dirBankName(config_.dir_banks, b), bank_params,
+            dirmap_, b, *network_, backing_));
     }
 
     cpu::Core::Params core_params;
@@ -447,7 +423,7 @@ System::writeOutliers(std::ostream &os) const
        << tail_spans_.spans.size() << ",\n  \"outliers\": [";
     bool first = true;
     for (const reqtrace::Span *sp : top) {
-        const std::uint32_t bank = bankOf(sp->block);
+        const std::uint32_t bank = dirmap_.bankOf(sp->block);
         const auto dir_node =
             static_cast<mem::NodeId>(config_.num_cores + bank);
         const auto core_node = static_cast<mem::NodeId>(sp->core());
@@ -520,7 +496,7 @@ System::debugRead(Addr addr, unsigned size) const
 {
     // Only the directory's owner can hold the block in M or E (see
     // auditCoherence()); an MStale owner falls through to the bank.
-    const mem::Directory &home = *dirs_[bankOf(addr)];
+    const mem::Directory &home = *dirs_[dirmap_.bankOf(addr)];
     const mem::L2Block *blk = home.findBlock(addr);
     std::uint64_t v = 0;
     if (blk && blk->hasOwner() && l1s_[blk->owner]->debugRead(addr, size, v))
@@ -574,44 +550,13 @@ System::quiesced() const
 void
 System::exportTrace(std::ostream &os) const
 {
-    // Canonical order: bucket records per component, concatenate in
-    // component-id order, stable-sort by tick -- the same rule the
-    // flight recorder uses (sim/blackbox.hh).
-    const std::size_t ncomps = ctx_.tracer.components().size();
-    std::vector<std::vector<trace::TraceRecord>> by_comp(ncomps);
-    ctx_.tracer.forEach([&](const trace::TraceRecord &r) {
-        by_comp[r.comp].push_back(r);
-    });
     std::vector<trace::TraceRecord> records;
-    for (auto &bucket : by_comp) {
-        records.insert(records.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-    }
-    // Synthesize ReqStage records from the assembled spans -- at
-    // export time only, so a tracing-off dump carries no trace of the
-    // feature and live recording pays nothing for it.
-    if (config_.tail_sample > 0) {
-        for (const reqtrace::Span &sp : tail_spans_.spans) {
-            for (const reqtrace::SpanStage &st : sp.stages) {
-                trace::TraceRecord r{};
-                r.tick = st.at;
-                r.a0 = sp.req_id;
-                r.a1 = st.cycles;
-                r.comp = st.node;
-                r.kind = static_cast<std::uint16_t>(
-                    trace::EventKind::ReqStage);
-                r.aux = static_cast<std::uint32_t>(st.stage);
-                records.push_back(r);
-            }
-        }
-    }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const trace::TraceRecord &a,
-                        const trace::TraceRecord &b) {
-                         return a.tick < b.tick;
-                     });
-    ctx_.tracer.exportChromeJson(os, records, ctx_.tracer.dropped(),
-                                 provenanceJson());
+    records.reserve(ctx_.tracer.size());
+    ctx_.tracer.forEach(
+        [&](const trace::TraceRecord &r) { records.push_back(r); });
+    trace::sortCanonical(records);
+    ctx_.tracer.exportChromeJson(os, records, tail_spans_,
+                                 ctx_.tracer.dropped(), provenanceJson());
 }
 
 void
@@ -757,7 +702,8 @@ System::buildWaitGraph(sim::WaitGraph &g) const
         l1s_[i]->forEachMshr([&](const mem::L1Cache::Mshr &m) {
             g.addEdge(WaitNode{Kind::Mshr, i, m.block_addr},
                       WaitNode{Kind::DirTxn,
-                               dirWaitId(banks, bankOf(m.block_addr)),
+                               dirWaitId(banks,
+                                         dirmap_.bankOf(m.block_addr)),
                                m.block_addr},
                       m.want_m ? "GetM outstanding"
                                : "GetS outstanding");
@@ -894,7 +840,8 @@ System::auditCoherence() const
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
         l1s_[i]->forEachBlock([&](const mem::L1Block &blk) {
             const mem::L2Block *l2 =
-                dirs_[bankOf(blk.block_addr)]->findBlock(blk.block_addr);
+                dirs_[dirmap_.bankOf(blk.block_addr)]->findBlock(
+                    blk.block_addr);
             flAssert(l2, "inclusivity: L1 ", i, " holds 0x", std::hex,
                      blk.block_addr, std::dec, " but the L2 does not");
             switch (blk.state) {

@@ -54,11 +54,10 @@ struct SystemConfig
     std::uint32_t dir_banks = 1;
 
     /**
-     * Structured-trace flag mask (trace::Flag values).  0 (default)
-     * disables recording entirely; instrumentation then costs one
-     * inline mask test per site.
+     * Record every structured-trace event kind for exportTrace().  Off
+     * (default), instrumentation costs one inline mask test per site.
      */
-    std::uint32_t trace_mask = 0;
+    bool tracing = false;
 
     /**
      * Periodic stat-snapshot interval in cycles (0 = off).  Each
@@ -79,8 +78,8 @@ struct SystemConfig
      * are kept in a fixed ring (rounded up to a power of two) and
      * dumped on panic, watchdog abort, or demand (`--blackbox-out`).
      * On by default -- the ring records only the low-frequency event
-     * kinds (see trace::default_blackbox_flags), keeping full-system
-     * cost within ~3%.  0 disables the recorder.
+     * kinds (see trace::ring_kinds), keeping full-system cost within
+     * ~3%.  0 disables the recorder.
      */
     std::size_t blackbox_records = 256;
 
@@ -119,12 +118,11 @@ struct SystemConfig
         return *this;
     }
 
-    /** Convenience: enable structured tracing for the given flags. */
+    /** Convenience: enable structured tracing. */
     SystemConfig &
-    withTracing(std::uint32_t mask =
-                    static_cast<std::uint32_t>(trace::Flag::All))
+    withTracing()
     {
-        trace_mask = mask;
+        tracing = true;
         return *this;
     }
 
@@ -241,10 +239,11 @@ class System
     }
 
     /**
-     * Write the recorded structured trace as Chrome trace-event JSON
-     * (open in ui.perfetto.dev or chrome://tracing), stamped with build
-     * provenance.  Records are ordered canonically (per component,
-     * then stably by tick), the same rule the flight recorder uses.
+     * Write the recorded structured trace and the sampled request
+     * spans as Chrome trace-event JSON (open in ui.perfetto.dev or
+     * chrome://tracing), stamped with build provenance.  Records are
+     * in the canonical order the flight recorder uses too
+     * (trace::sortCanonical).
      */
     void exportTrace(std::ostream &os) const;
 
@@ -384,8 +383,6 @@ class System
         bool done = false;
     };
 
-    /** The bank whose slice @p addr falls in. */
-    std::uint32_t bankOf(Addr addr) const;
     bool allHalted() const;
     sim::Watchdog::Progress progress() const;
     std::vector<prof::CodeSym> codeSyms() const;
@@ -401,6 +398,8 @@ class System
 
     SystemConfig config_;
     isa::Program prog_;
+    /** Routes each block to its home bank, for the L1s and for us. */
+    mem::DirectoryMap dirmap_;
 
     // Precedes every component: reverse destruction order tears the
     // components down before the queue, sinks and registry they use.

@@ -38,14 +38,15 @@ lowerBound(Index &index, Addr block_addr)
 } // namespace
 
 Directory::Directory(sim::SimContext &ctx, const std::string &name,
-                     const Params &params, NodeId node_id,
-                     std::uint32_t num_cores, Network &network,
+                     const Params &params, const DirectoryMap &map,
+                     std::uint32_t bank, Network &network,
                      FlatMemory &backing)
-    : SimObject(ctx, name), params_(params), node_id_(node_id),
-      num_cores_(num_cores), network_(network), backing_(backing),
+    : SimObject(ctx, name), params_(params), map_(map), bank_(bank),
+      node_id_(map.first_node + bank), num_cores_(map.first_node),
+      network_(network), backing_(backing),
       prof_(ctx.profiler.ifEnabled()),
       array_(params.size, params.assoc, params.block_size,
-             bankIndexShift(params.banks)),
+             bankIndexShift(map.banks)),
       stat_gets_(statGroup().addScalar("gets", "GetS transactions")),
       stat_getm_(statGroup().addScalar("getm", "GetM transactions")),
       stat_puts_(statGroup().addScalar("puts", "Put transactions")),
@@ -67,13 +68,16 @@ Directory::Directory(sim::SimContext &ctx, const std::string &name,
       stat_txn_service_(statGroup().addDistribution("txn_service",
           "cycles from transaction start to completion"))
 {
-    flAssert(num_cores <= max_cores, "directory supports at most ",
+    flAssert(num_cores_ <= max_cores, "directory supports at most ",
              max_cores, " cores");
     flAssert(params.block_size <= MsgPayload::capacity, name,
              ": block size ", params.block_size, " exceeds the ",
              MsgPayload::capacity, "-byte message payload");
-    flAssert(params.bank < params.banks, name, ": bank index ",
-             params.bank, " out of range for ", params.banks, " banks");
+    flAssert(map.block_shift == floorLog2(params.block_size), name,
+             ": the directory map's block shift ", map.block_shift,
+             " does not match the ", params.block_size, "-byte block");
+    flAssert(bank < map.banks, name, ": bank index ", bank,
+             " out of range for ", map.banks, " banks");
     network_.registerEndpoint(node_id_, this);
 }
 
@@ -85,10 +89,9 @@ Directory::receiveMsg(const Msg &msg)
               static_cast<std::uint32_t>(msg.type));
     // Every message must target this bank's address slice: a misrouted
     // request means an L1's DirectoryMap disagrees with the system's.
-    flAssert(((msg.block_addr >> floorLog2(params_.block_size))
-              & (params_.banks - 1)) == params_.bank,
+    flAssert(map_.bankOf(msg.block_addr) == bank_,
              name(), ": ", msg.toString(), " does not belong to bank ",
-             params_.bank, " of ", params_.banks);
+             bank_, " of ", map_.banks);
     if (isDirRequest(msg.type)) {
         dispatch(msg);
         return;

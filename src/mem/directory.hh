@@ -64,22 +64,20 @@ class Directory : public sim::SimObject, public MsgReceiver
         Cycles latency = 6;       //!< tag/dir access before processing
         Cycles dram_latency = 80; //!< DRAM read latency
         Cycles dram_cycle = 4;    //!< min cycles between DRAM accesses
-
-        /**
-         * Address-interleaved banking (see mem::DirectoryMap): this
-         * instance is bank `bank` of `banks` (power of two), serving
-         * only the blocks whose low block-index bits equal `bank`.
-         * `size` is this bank's slice of the L2, not the total; each
-         * bank owns its own DRAM channel (dram_cycle spacing is per
-         * bank).  The 1/0 default is the monolithic directory.
-         */
-        std::uint32_t banks = 1;
-        std::uint32_t bank = 0;
     };
 
+    /**
+     * Bank @p bank of the address-interleaved directory @p map, the
+     * map the L1s route with: it serves only the blocks whose low
+     * block-index bits equal @p bank, at network node
+     * `map.first_node + bank`, for the `map.first_node` cores below
+     * it.  `params.size` is this bank's slice of the L2, not the
+     * total; each bank owns its own DRAM channel (dram_cycle spacing
+     * is per bank).  A one-bank map is the monolithic directory.
+     */
     Directory(sim::SimContext &ctx, const std::string &name,
-              const Params &params, NodeId node_id, std::uint32_t num_cores,
-              Network &network, FlatMemory &backing);
+              const Params &params, const DirectoryMap &map,
+              std::uint32_t bank, Network &network, FlatMemory &backing);
 
     void receiveMsg(const Msg &msg) override;
 
@@ -225,6 +223,8 @@ class Directory : public sim::SimObject, public MsgReceiver
     void dramWriteback(L2Block &blk);
 
     Params params_;
+    DirectoryMap map_;
+    std::uint32_t bank_;
     NodeId node_id_;
     std::uint32_t num_cores_;
     Network &network_;

@@ -142,8 +142,9 @@ Msg::toString() const
 }
 
 Network::Network(sim::SimContext &ctx, const std::string &name,
-                 const Params &params)
-    : SimObject(ctx, name), params_(params),
+                 const Params &params, std::uint32_t num_nodes)
+    : ctx_(ctx), stats_(ctx.stats.createGroup(name)), params_(params),
+      num_nodes_(num_nodes), nodes_(num_nodes),
       stat_msgs_(statGroup().addScalar("msgs", "messages delivered")),
       stat_bytes_(statGroup().addScalar("bytes", "bytes delivered")),
       stat_data_msgs_(statGroup().addScalar("data_msgs",
@@ -168,46 +169,45 @@ Network::Network(sim::SimContext &ctx, const std::string &name,
 {
     flAssert(params_.link_bytes_per_cycle > 0,
              "network link bandwidth must be positive");
+    flAssert(num_nodes_ <= max_endpoints, num_nodes_,
+             " endpoints exceed the ", max_endpoints,
+             " the delivery order encodes");
     if (params_.topology != Topology::Crossbar) {
-        flAssert(params_.num_nodes >= 2, topologyName(params_.topology),
-                 " topology needs num_nodes >= 2 (got ",
-                 params_.num_nodes, ")");
+        flAssert(num_nodes_ >= 2, topologyName(params_.topology),
+                 " topology needs at least 2 endpoints (got ",
+                 num_nodes_, ")");
         flAssert(params_.hop_latency > 0,
                  "per-hop latency must be positive");
-        mesh_w_ = meshDims(params_.num_nodes).w;
+        mesh_w_ = meshDims(num_nodes_).w;
     }
 
     // Each endpoint records its arrivals (NetHop) on its own track.
     std::vector<std::string> msg_names;
     for (int t = 0; t <= static_cast<int>(MsgType::FwdNoDataAck); ++t)
         msg_names.push_back(msgTypeName(static_cast<MsgType>(t)));
-    tracer().setAuxNames(trace::EventKind::NetHop, std::move(msg_names));
-}
-
-Network::Node &
-Network::ensureNode(NodeId id)
-{
-    flAssert(id < max_endpoints, "endpoint ", id, " is beyond the ",
-             max_endpoints, " the delivery order encodes");
-    if (nodes_.size() <= id)
-        nodes_.resize(id + 1);
-    return nodes_[id];
+    ctx_.tracer.setAuxNames(trace::EventKind::NetHop,
+                            std::move(msg_names));
 }
 
 void
 Network::registerEndpoint(NodeId id, MsgReceiver *receiver)
 {
-    Node &n = ensureNode(id);
-    flAssert(!n.receiver, "endpoint ", id, " already registered");
-    n.receiver = receiver;
+    flAssert(id < num_nodes_, "endpoint ", id, " outside the ",
+             num_nodes_, "-endpoint network");
+    flAssert(!nodes_[id].receiver, "endpoint ", id,
+             " already registered");
+    nodes_[id].receiver = receiver;
 }
 
 void
 Network::send(Msg msg)
 {
-    flAssert(msg.dst < nodes_.size() && nodes_[msg.dst].receiver,
-             "message to unregistered endpoint ", msg.dst);
-    Node &src = ensureNode(msg.src);
+    flAssert(msg.src < num_nodes_ && msg.dst < num_nodes_ &&
+                 nodes_[msg.dst].receiver,
+             "message ", msg.src, "->", msg.dst,
+             " to an unregistered endpoint of the ", num_nodes_,
+             "-endpoint network");
+    Node &src = nodes_[msg.src];
 
     // Fault injection (tests only): swallow the owner's probe response
     // before it touches channel state, wedging the directory's forward
@@ -221,7 +221,7 @@ Network::send(Msg msg)
         return;
     }
 
-    msg.sent_tick = curTick();
+    msg.sent_tick = ctx_.curTick();
 
     const Cycles serialization =
         (msg.sizeBytes() + params_.link_bytes_per_cycle - 1)
@@ -230,11 +230,6 @@ Network::send(Msg msg)
     Tick route_latency = params_.latency;
     std::uint32_t hops = 1;
     if (params_.topology != Topology::Crossbar) {
-        flAssert(msg.src < params_.num_nodes &&
-                 msg.dst < params_.num_nodes,
-                 "endpoint outside the configured ",
-                 topologyName(params_.topology), " (num_nodes=",
-                 params_.num_nodes, ")");
         hops = routeHops(msg.src, msg.dst);
         route_latency = static_cast<Tick>(hops) * params_.hop_latency;
     }
@@ -271,7 +266,7 @@ Network::send(Msg msg)
         free_slots_.pop_back();
         slab_[slot] = msg;
     }
-    eventq().scheduleOneShot(
+    ctx_.eventq.scheduleOneShot(
         arrival, [this, slot] { deliver(slot); },
         delivery_prio_base +
             static_cast<int>(msg.dst * max_endpoints + msg.src));
@@ -284,7 +279,8 @@ Network::deliver(std::uint32_t slot)
     const Msg msg = slab_[slot];
     free_slots_.push_back(slot);
 
-    stat_msg_latency_.sample(static_cast<double>(curTick() - msg.sent_tick));
+    stat_msg_latency_.sample(
+        static_cast<double>(ctx_.curTick() - msg.sent_tick));
     ++nodes_[msg.src].chans[msg.dst].delivered;
     nodes_[msg.dst].receiver->receiveMsg(msg);
 }
@@ -293,7 +289,7 @@ std::uint32_t
 Network::routeHops(NodeId s, NodeId d) const
 {
     return params_.topology == Topology::Ring
-               ? ringHops(params_.num_nodes, s, d)
+               ? ringHops(num_nodes_, s, d)
                : gridDistance(mesh_w_, s, d);
 }
 
@@ -303,7 +299,7 @@ Network::foldLinks(std::vector<std::uint64_t> &msgs,
 {
     const std::size_t nlinks =
         static_cast<std::size_t>(routerSlots(params_.topology,
-                                             params_.num_nodes)) * 4;
+                                             num_nodes_)) * 4;
     msgs.assign(nlinks, 0);
     busy.assign(nlinks, 0);
     for (NodeId s = 0; s < nodes_.size(); ++s) {
@@ -312,7 +308,7 @@ Network::foldLinks(std::vector<std::uint64_t> &msgs,
             const TxChan &ch = chans[d];
             if (ch.sent == 0)
                 continue;
-            forEachRouteLink(params_.topology, params_.num_nodes, s, d,
+            forEachRouteLink(params_.topology, num_nodes_, s, d,
                              [&](std::uint32_t link) {
                                  msgs[link] += ch.sent;
                                  busy[link] += ch.busy;

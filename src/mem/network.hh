@@ -157,7 +157,12 @@ forEachRouteLink(Topology t, std::uint32_t n, NodeId s, NodeId d, Fn &&fn)
  */
 std::string linkName(Topology t, std::uint32_t link_id);
 
-class Network : public sim::SimObject
+/**
+ * The interconnect.  It owns the "network" stat group but no trace
+ * track: every message arrival is recorded by the L1 or bank that
+ * receives it.
+ */
+class Network
 {
   public:
     struct Params
@@ -165,12 +170,6 @@ class Network : public sim::SimObject
         Topology topology = Topology::Crossbar;
         Cycles latency = 8;     //!< crossbar traversal latency
         Cycles hop_latency = 3; //!< per-link latency (ring/mesh)
-        /**
-         * Endpoint count, fixing the ring circumference / mesh
-         * dimensions.  Required (>= 2) for ring and mesh; the crossbar
-         * ignores it and grows its node table on demand.
-         */
-        std::uint32_t num_nodes = 0;
         std::uint32_t link_bytes_per_cycle = 16;
 
         /**
@@ -184,8 +183,17 @@ class Network : public sim::SimObject
         std::vector<Addr> drop_fwd_acks_for;
     };
 
+    /**
+     * A network of @p num_nodes endpoints, ids 0 .. num_nodes - 1; the
+     * count fixes the ring circumference and the mesh dimensions.
+     */
     Network(sim::SimContext &ctx, const std::string &name,
-            const Params &params);
+            const Params &params, std::uint32_t num_nodes);
+
+    Network(const Network &) = delete;
+    Network &operator=(const Network &) = delete;
+
+    statistics::StatGroup &statGroup() { return stats_; }
 
     /** Attach the receiver for endpoint @p id. */
     void registerEndpoint(NodeId id, MsgReceiver *receiver);
@@ -267,7 +275,6 @@ class Network : public sim::SimObject
     static constexpr int delivery_prio_base = -100000;
     static constexpr NodeId max_endpoints = 128;
 
-    Node &ensureNode(NodeId id);
     void deliver(std::uint32_t slot);
 
     /** Links a message s -> d crosses (ring/mesh only). */
@@ -280,9 +287,12 @@ class Network : public sim::SimObject
     void foldLinks(std::vector<std::uint64_t> &msgs,
                    std::vector<std::uint64_t> &busy) const;
 
+    sim::SimContext &ctx_;
+    statistics::StatGroup &stats_;
     Params params_;
+    std::uint32_t num_nodes_;
     std::uint32_t mesh_w_ = 0; //!< mesh grid width (mesh only)
-    std::vector<Node> nodes_;
+    std::vector<Node> nodes_;  //!< indexed by endpoint id
     std::vector<Msg> slab_;                 //!< messages in flight
     std::vector<std::uint32_t> free_slots_; //!< unused slab slots
 

@@ -1,8 +1,9 @@
 #include "sim/blackbox.hh"
 
-#include <algorithm>
 #include <iomanip>
 #include <ostream>
+
+#include "sim/reqtrace.hh"
 
 namespace fenceless::trace
 {
@@ -10,10 +11,6 @@ namespace fenceless::trace
 std::vector<TraceRecord>
 blackboxRecords(const TraceSink &sink)
 {
-    // Canonical order: gather per component (component-id order), then
-    // stable-sort by tick.  Per-component streams are already
-    // tick-monotone, so this is a time merge where same-tick records
-    // from different components land in component-id order.
     std::vector<TraceRecord> out;
     for (std::size_t c = 0; c < sink.components().size(); ++c) {
         sink.forEachRingRecord(static_cast<std::uint16_t>(c),
@@ -21,10 +18,7 @@ blackboxRecords(const TraceSink &sink)
                                    out.push_back(r);
                                });
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceRecord &a, const TraceRecord &b) {
-                         return a.tick < b.tick;
-                     });
+    sortCanonical(out);
     return out;
 }
 
@@ -37,7 +31,8 @@ writeBlackboxJson(std::ostream &os, const TraceSink &sink,
     // the dump is honest about being a tail, not the full history.
     const std::uint64_t overwritten =
         sink.ringPushes() - static_cast<std::uint64_t>(records.size());
-    sink.exportChromeJson(os, records, overwritten, provenance_json);
+    sink.exportChromeJson(os, records, reqtrace::SpanSet{}, overwritten,
+                          provenance_json);
 }
 
 namespace
@@ -72,7 +67,6 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
         os << " req=" << r.a0 << " latency=" << r.a1 << " msg="
            << sink.auxName(kind, r.aux);
         break;
-      case EventKind::ReqStage:
       case EventKind::NumKinds:
         break;
     }

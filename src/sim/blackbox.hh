@@ -7,12 +7,10 @@
  * the dump side: it merges the per-component rings into one totally
  * ordered record stream and writes it out two ways.
  *
- * Merge order is *canonical*, not capture order: records are gathered
- * per component (in global component-id order) and stable-sorted by
- * tick.  Per-component ring order is already tick-monotone, so the
- * result is a proper time merge in which same-tick records from
- * different components appear in component-id order -- a pure function
- * of the simulated timing, whatever order the events were pushed in.
+ * Merge order is *canonical*, not capture order: the order
+ * trace::sortCanonical gives the full trace, by tick and then by
+ * component id -- a pure function of the simulated timing, whatever
+ * order the events were pushed in.
  *
  * The two output forms:
  *
@@ -39,19 +37,6 @@
 
 namespace fenceless::trace
 {
-
-/**
- * Default ring mask: everything except per-instruction commit counters.
- * CoreCommit fires once per retired instruction -- recording it would
- * put a ring store on the single hottest path in the simulator; the
- * stall, speculation, store-buffer and message-arrival kinds that
- * matter for incident forensics fire orders of magnitude less often,
- * which is how the always-on recorder stays within its <=3%
- * full-system budget.
- */
-inline constexpr std::uint32_t default_blackbox_flags =
-    static_cast<std::uint32_t>(Flag::All) &
-    ~static_cast<std::uint32_t>(Flag::Core);
 
 /**
  * The flight-recorder contents as one canonically ordered stream (see

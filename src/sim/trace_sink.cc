@@ -1,83 +1,13 @@
 #include "sim/trace_sink.hh"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
-#include <sstream>
 #include <utility>
+
+#include "sim/reqtrace.hh"
 
 namespace fenceless::trace
 {
-
-namespace
-{
-
-constexpr Flag all_flags[] = {
-    Flag::Core, Flag::SB, Flag::Net, Flag::Spec, Flag::Stall, Flag::All,
-};
-
-} // namespace
-
-const char *
-flagName(Flag f)
-{
-    switch (f) {
-      case Flag::Core: return "core";
-      case Flag::SB: return "sb";
-      case Flag::Net: return "net";
-      case Flag::Spec: return "spec";
-      case Flag::Stall: return "stall";
-      case Flag::All: return "all";
-    }
-    return "?";
-}
-
-std::string
-validFlagNames()
-{
-    std::string names;
-    for (Flag f : all_flags) {
-        if (!names.empty())
-            names += ",";
-        names += flagName(f);
-    }
-    return names;
-}
-
-bool
-parseFlags(const std::string &spec, std::uint32_t &mask,
-           std::string &error)
-{
-    std::uint32_t parsed = 0;
-    std::string token;
-    std::string unknown;
-    std::istringstream is(spec);
-    while (std::getline(is, token, ',')) {
-        if (token.empty())
-            continue;
-        bool found = false;
-        for (Flag f : all_flags) {
-            if (token == flagName(f)) {
-                parsed |= static_cast<std::uint32_t>(f);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            // Collect every bad token so one retry fixes them all.
-            if (!unknown.empty())
-                unknown += "', '";
-            unknown += token;
-        }
-    }
-    if (!unknown.empty()) {
-        error = "unknown trace flag(s) '" + unknown + "' (valid: " +
-                validFlagNames() + ")";
-        return false;
-    }
-    mask = parsed;
-    return true;
-}
 
 const char *
 eventKindName(EventKind k)
@@ -89,7 +19,6 @@ eventKindName(EventKind k)
       case EventKind::SpecRollback: return "rollback";
       case EventKind::SbOccupancy: return "sb_occupancy";
       case EventKind::NetHop: return "net_hop";
-      case EventKind::ReqStage: return "req_stage";
       case EventKind::NumKinds: break;
     }
     return "?";
@@ -104,17 +33,16 @@ TraceSink::registerComponent(const std::string &name)
 }
 
 void
-TraceSink::configureRing(std::size_t records_per_comp,
-                         std::uint32_t flags)
+TraceSink::configureRing(std::size_t records_per_comp)
 {
     std::size_t cap = 0;
-    if (records_per_comp != 0 && flags != 0) {
+    if (records_per_comp != 0) {
         cap = 1;
         while (cap < records_per_comp)
             cap <<= 1;
     }
     ring_capacity_ = cap;
-    ring_flags_ = cap ? flags : 0;
+    ring_mask_ = cap ? ring_kinds : 0;
     for (Ring &ring : rings_)
         ring = Ring{std::vector<TraceRecord>(cap), 0};
 }
@@ -151,6 +79,16 @@ TraceSink::clear()
     chunks_.clear();
     size_ = 0;
     dropped_ = 0;
+}
+
+void
+sortCanonical(std::vector<TraceRecord> &records)
+{
+    std::stable_sort(records.begin(), records.end(),
+                     [](const TraceRecord &a, const TraceRecord &b) {
+                         return a.tick != b.tick ? a.tick < b.tick
+                                                 : a.comp < b.comp;
+                     });
 }
 
 // ---------------------------------------------------------------------
@@ -192,6 +130,7 @@ writeCommon(std::ostream &os, const char *name, const char *ph,
 void
 TraceSink::exportChromeJson(std::ostream &os,
                             const std::vector<TraceRecord> &records,
+                            const reqtrace::SpanSet &spans,
                             std::uint64_t dropped,
                             const std::string &provenance_json) const
 {
@@ -216,11 +155,6 @@ TraceSink::exportChromeJson(std::ostream &os,
                  << "\"pid\": 0, \"args\": {\"count\": " << dropped
                  << "}}";
     }
-
-    // Sampled request-span stages (synthesized from the reqtrace sink)
-    // are grouped per request id so the export can chain them with
-    // flow arrows; everything else streams out in record order.
-    std::map<std::uint64_t, std::vector<const TraceRecord *>> spans;
 
     for (const TraceRecord &r : records) {
         const auto kind = static_cast<EventKind>(r.kind);
@@ -269,11 +203,6 @@ TraceSink::exportChromeJson(std::ostream &os,
                << auxName(kind, r.aux) << "\"}}";
             break;
 
-          case EventKind::ReqStage:
-            if (r.a0 != 0)
-                spans[r.a0].push_back(&r);
-            break;
-
           case EventKind::NumKinds:
             break;
         }
@@ -283,25 +212,34 @@ TraceSink::exportChromeJson(std::ostream &os,
     // component that recorded it, in tick order, chained by a "span"
     // flow -- the "s"/"t"/"f" triple makes Perfetto draw the request's
     // path through the memory system as an arrow chain under the
-    // existing guest tracks.
-    for (auto &[req_id, stages] : spans) {
+    // existing guest tracks.  A primary span and its coalesced-waiter
+    // spans share the request id, so they are one flow: their stages
+    // merge by tick, each span's stages in order, primary first.
+    std::vector<const reqtrace::SpanStage *> stages;
+    for (auto sp = spans.spans.begin(); sp != spans.spans.end();) {
+        const std::uint64_t req_id = sp->req_id;
+        stages.clear();
+        for (; sp != spans.spans.end() && sp->req_id == req_id; ++sp) {
+            for (const reqtrace::SpanStage &st : sp->stages)
+                stages.push_back(&st);
+        }
         std::stable_sort(stages.begin(), stages.end(),
-                         [](const TraceRecord *a, const TraceRecord *b) {
-                             return a->tick < b->tick;
+                         [](const reqtrace::SpanStage *a,
+                            const reqtrace::SpanStage *b) {
+                             return a->at < b->at;
                          });
         for (std::size_t i = 0; i < stages.size(); ++i) {
-            const TraceRecord &r = *stages[i];
-            const std::string &sname = auxName(EventKind::ReqStage, r.aux);
-            writeCommon(w.next(), sname.empty() ? "req_stage" : sname.c_str(),
-                        "X", r.tick, r.comp);
-            os << ", \"dur\": " << (r.a1 ? r.a1 : 1)
-               << ", \"args\": {\"req\": " << r.a0
-               << ", \"cycles\": " << r.a1 << "}}";
+            const reqtrace::SpanStage &st = *stages[i];
+            writeCommon(w.next(), reqtrace::stageName(st.stage), "X",
+                        st.at, st.node);
+            os << ", \"dur\": " << (st.cycles ? st.cycles : 1)
+               << ", \"args\": {\"req\": " << req_id
+               << ", \"cycles\": " << st.cycles << "}}";
             if (stages.size() < 2)
                 continue;
             const char *ph = i == 0 ? "s"
                              : i + 1 == stages.size() ? "f" : "t";
-            writeCommon(w.next(), "span", ph, r.tick, r.comp);
+            writeCommon(w.next(), "span", ph, st.at, st.node);
             os << ", \"cat\": \"span\", \"id\": " << req_id;
             if (*ph == 'f')
                 os << ", \"bp\": \"e\"";

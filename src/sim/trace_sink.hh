@@ -11,7 +11,8 @@
  * events for instruction commit and store-buffer occupancy.  A
  * request's path through the memory system comes from the sampled
  * request spans (sim/reqtrace.hh), which the export draws as stage
- * slices chained by flow arrows.  The same sink keeps the flight
+ * slices chained by flow arrows.  Tracing is one switch: on, the sink
+ * records every kind.  The same sink keeps the flight
  * recorder (sim/blackbox.hh): one fixed ring per component, allocated
  * when the component registers.
  *
@@ -25,8 +26,7 @@
  *    system runs on exactly one host thread, so the hot path is a plain
  *    bounds-checked append: no locks, no atomics, safe under
  *    `SweepRunner --jobs=N` because sinks share nothing.  Dumps order
- *    records canonically (sim/blackbox.hh,
- *    harness::System::exportTrace).
+ *    records canonically (sortCanonical).
  *  - Disabled tracing costs one inline mask test (the FL_TEVENT
  *    macro); nothing is evaluated or stored.
  *  - Recording is capped (default 4M events, ~128 MiB) so a runaway
@@ -43,84 +43,57 @@
 
 #include "base/types.hh"
 
+namespace fenceless::reqtrace
+{
+struct SpanSet;
+} // namespace fenceless::reqtrace
+
 namespace fenceless::trace
 {
 
-/** Event families a trace mask selects (`--trace=core,spec`). */
-enum class Flag : std::uint32_t
-{
-    Core  = 1u << 0, //!< instruction-commit counters
-    SB    = 1u << 1, //!< store-buffer occupancy, on the core's track
-    Net   = 1u << 2, //!< message arrivals, on the receiver's track
-    Spec  = 1u << 3, //!< speculation epochs and rollbacks
-    Stall = 1u << 4, //!< core stall-interval duration events
-    All   = ~0u,
-};
-
-/** @return the canonical lower-case name of a single flag. */
-const char *flagName(Flag f);
-
-/** Comma-separated list of every valid flag name (for error messages). */
-std::string validFlagNames();
-
-/**
- * Parse "core,spec" / "all" into @p mask.
- * @return true on success; on failure @p error describes the unknown
- *         name and lists the valid flags, and @p mask is untouched.
- */
-bool parseFlags(const std::string &spec, std::uint32_t &mask,
-                std::string &error);
-
 /**
  * Every kind of structured event the simulator records.  The exporter
- * knows each kind's Chrome phase (duration / instant / counter / flow)
- * and how to decode its payload words.
+ * knows each kind's Chrome phase (duration / instant / counter) and how
+ * to decode its payload words.  A request's path through the memory
+ * system is not a kind: the export draws it from the assembled request
+ * spans (sim/reqtrace.hh).
  */
 enum class EventKind : std::uint16_t
 {
-    // Core timeline (Flag::Core / Flag::Stall)
     CoreCommit,   //!< counter: a0 = instructions retired so far
     CoreStall,    //!< duration: a0 = begin tick, aux = StallReason id
-    // Speculation episodes (Flag::Spec)
     SpecEpoch,    //!< duration: a0 = begin tick, a1 = insts, aux = outcome
     SpecRollback, //!< instant: a1 = discarded insts, aux = cause id
-    // Store buffer (Flag::SB), recorded by its core
-    SbOccupancy,  //!< counter: a0 = entries buffered
-    // Network (Flag::Net), recorded by the receiving L1 or bank
-    NetHop,       //!< instant: a message arrived; a0 = req id,
-                  //!< a1 = latency, aux = msg type
-    // Sampled request spans: the trace's only request record.
-    // Synthesized at export time from the reqtrace span sink, never
-    // recorded live (span sampling, not a flag, selects them): one
-    // slice per tiled stage, chained with flow arrows under the guest
-    // tracks.
-    ReqStage,     //!< duration: a0 = req id, a1 = cycles, aux = stage
+    SbOccupancy,  //!< counter: a0 = entries buffered, on the core's track
+    NetHop,       //!< instant, on the receiving L1's or bank's track: a
+                  //!< message arrived; a0 = req id, a1 = latency,
+                  //!< aux = msg type
     NumKinds,
 };
 
 const char *eventKindName(EventKind k);
 
-/**
- * The Flag that gates recording of @p k (how FL_TEVENT filters).
- * constexpr so the per-site guard folds to a compile-time constant:
- * every FL_TEVENT passes a literal kind, and with tracing off the whole
- * guard reduces to one inline mask test against a constant bit.
- */
-constexpr Flag
-eventKindFlag(EventKind k)
+/** The mask bit of @p k (constexpr: FL_TEVENT passes a literal kind). */
+constexpr std::uint32_t
+kindBit(EventKind k)
 {
-    switch (k) {
-      case EventKind::CoreCommit: return Flag::Core;
-      case EventKind::CoreStall: return Flag::Stall;
-      case EventKind::SpecEpoch:
-      case EventKind::SpecRollback: return Flag::Spec;
-      case EventKind::SbOccupancy: return Flag::SB;
-      case EventKind::NetHop: return Flag::Net;
-      case EventKind::ReqStage: // export-only
-      case EventKind::NumKinds: break;
-    }
-    return Flag::All;
+    return 1u << static_cast<unsigned>(k);
 }
+
+/** Every kind: what a full trace records. */
+inline constexpr std::uint32_t all_kinds =
+    kindBit(EventKind::NumKinds) - 1;
+
+/**
+ * What the flight recorder keeps: every kind but the per-instruction
+ * commit counter.  CoreCommit fires once per retired instruction, so
+ * recording it would put a ring store on the single hottest path in
+ * the simulator; the kinds that matter for incident forensics fire
+ * orders of magnitude less often, which keeps the always-on recorder
+ * within its full-system budget.
+ */
+inline constexpr std::uint32_t ring_kinds =
+    all_kinds & ~kindBit(EventKind::CoreCommit);
 
 /** One recorded event.  32 bytes, trivially copyable. */
 struct TraceRecord
@@ -150,23 +123,23 @@ class TraceSink
 
     // --- configuration ---------------------------------------------------
 
-    /** Enable recording for the given Flag mask (0 = off, the default). */
-    void setMask(std::uint32_t mask) { mask_ = mask; }
+    /** Record every kind into the full trace, or nothing (the default). */
+    void setEnabled(bool on) { mask_ = on ? all_kinds : 0; }
 
-    /** @return true if any structured tracing is enabled. */
+    /** @return true if the full trace is recording. */
     bool enabled() const { return mask_ != 0; }
 
     /**
      * Configure the flight recorder: the last @p records_per_comp
-     * events (flag-filtered by @p flags) of every component are kept in
-     * that component's fixed ring and survive until dumped -- the
+     * events (of the ring_kinds) of every component are kept in that
+     * component's fixed ring and survive until dumped -- the
      * incident evidence for stall dossiers and panic dumps (see
      * sim/blackbox.hh).  The capacity is rounded up to a power of two;
      * 0 disables the rings.  Resizes (and empties) the rings of the
      * components already registered; a component registered later gets
      * its ring at registration, so either order works.
      */
-    void configureRing(std::size_t records_per_comp, std::uint32_t flags);
+    void configureRing(std::size_t records_per_comp);
 
     std::size_t ringCapacity() const { return ring_capacity_; }
 
@@ -180,12 +153,11 @@ class TraceSink
         return pushes;
     }
 
-    /** @return true if events gated by @p f should be recorded. */
+    /** @return true if events of kind @p k should be recorded. */
     bool
-    wants(Flag f) const
+    wants(EventKind k) const
     {
-        return ((mask_ | ring_flags_) &
-                static_cast<std::uint32_t>(f)) != 0;
+        return ((mask_ | ring_mask_) & kindBit(k)) != 0;
     }
 
     // --- component identity ----------------------------------------------
@@ -225,9 +197,8 @@ class TraceSink
            std::uint64_t a0 = 0, std::uint64_t a1 = 0,
            std::uint32_t aux = 0)
     {
-        const auto bit =
-            static_cast<std::uint32_t>(eventKindFlag(kind));
-        if (ring_flags_ & bit) {
+        const std::uint32_t bit = kindBit(kind);
+        if (ring_mask_ & bit) {
             // Ring write: one indexed store and one head bump.  This
             // is the always-on flight-recorder hot path; keep it
             // branch-light (capacity is a power of two).
@@ -289,7 +260,8 @@ class TraceSink
 
     /**
      * Write @p records -- the canonically ordered full trace or the
-     * merged flight-recorder rings -- as a Chrome trace-event JSON
+     * merged flight-recorder rings -- and the request spans of @p spans
+     * (empty for a flight-recorder dump) as a Chrome trace-event JSON
      * object (`{"traceEvents": [...]}`), loadable by chrome://tracing
      * and ui.perfetto.dev, using this sink's component and aux-name
      * registrations for identity.  Ticks are exported as microseconds
@@ -299,13 +271,14 @@ class TraceSink
      */
     void exportChromeJson(std::ostream &os,
                           const std::vector<TraceRecord> &records,
+                          const reqtrace::SpanSet &spans,
                           std::uint64_t dropped,
                           const std::string &provenance_json) const;
 
   private:
     void addChunk();
 
-    std::uint32_t mask_ = 0;
+    std::uint32_t mask_ = 0; //!< all_kinds, or 0 when off
     std::size_t max_records_;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
@@ -320,10 +293,18 @@ class TraceSink
         std::uint64_t head = 0;         //!< events ever pushed
     };
 
-    std::uint32_t ring_flags_ = 0;
+    std::uint32_t ring_mask_ = 0;   //!< ring_kinds, or 0 when off
     std::size_t ring_capacity_ = 0; //!< slots per component (power of 2)
     std::vector<Ring> rings_;       //!< indexed by component id
 };
+
+/**
+ * Put @p records in the canonical dump order shared by the full trace
+ * and the flight recorder: by tick, then by component id, each
+ * component's records keeping their recording order -- a pure function
+ * of the simulated timing, whatever order components ran in.
+ */
+void sortCanonical(std::vector<TraceRecord> &records);
 
 } // namespace fenceless::trace
 
@@ -331,12 +312,11 @@ class TraceSink
  * Record a structured trace event on @p obj's own track: every live
  * record goes through here.  @p obj must provide tracer(), traceId()
  * and curTick() (every SimObject does).  The payload arguments are not
- * evaluated when the gating flag is disabled.
+ * evaluated unless the trace or the flight recorder wants @p kind.
  */
 #define FL_TEVENT(obj, kind, ...)                                      \
     do {                                                               \
-        if ((obj).tracer().wants(                                      \
-                fenceless::trace::eventKindFlag(kind))) {              \
+        if ((obj).tracer().wants(kind)) {                              \
             (obj).tracer().record((obj).traceId(), kind,               \
                                   (obj).curTick(), ##__VA_ARGS__);     \
         }                                                              \

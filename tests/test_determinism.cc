@@ -349,7 +349,7 @@ TEST(Determinism, TiedArrivalsDeliverInCanonicalOrder)
         sim::SimContext ctx;
         mem::Network::Params p;
         p.latency = 4;
-        mem::Network net(ctx, "net", p);
+        mem::Network net(ctx, "net", p, num_sources + 1);
         Collector sink;
         sink.ctx = &ctx;
         net.registerEndpoint(0, &sink);
@@ -459,7 +459,8 @@ TEST(Determinism, TiedArrivalsAtManyNodesDeliverInIdOrderBeforeComponents)
     std::vector<Entry> reference;
     for (int round = 0; round < 20; ++round) {
         sim::SimContext ctx;
-        mem::Network net(ctx, "net", mem::Network::Params{});
+        mem::Network net(ctx, "net", mem::Network::Params{},
+                         first_src + num_srcs);
         Recorder rec;
         rec.ctx = &ctx;
         rec.net = &net;

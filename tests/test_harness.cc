@@ -93,7 +93,8 @@ TEST(Options, UnknownOptionIsFatal)
     // Typos and retired flags alike: a run must never silently ignore
     // an option it was given.
     for (const char *arg : {"--bogus", "--parallel-sim=1", "--shards=4",
-                            "--shard-report", "--host-telemetry=1"}) {
+                            "--shard-report", "--host-telemetry=1",
+                            "--trace=all"}) {
         EXPECT_EXIT(parse({arg}), testing::ExitedWithCode(1),
                     "unknown option")
             << arg;
@@ -153,19 +154,6 @@ TEST(Options, UnknownTopologyIsFatal)
                 testing::ExitedWithCode(1), "unknown topology");
 }
 
-TEST(Options, UnknownTraceFlagIsFatal)
-{
-    // A name that selects no event kind must fail the run, never
-    // record nothing.
-    for (const std::string name : {"l1", "dir", "req", "bogus"}) {
-        EXPECT_EXIT(parse({"--trace=" + name}).applyTo(SystemConfig{}),
-                    testing::ExitedWithCode(1),
-                    "unknown trace flag\\(s\\) '" + name +
-                        "' \\(valid: core,sb,net,spec,stall,all\\)")
-            << name;
-    }
-}
-
 TEST(Options, SpanOutputsImplySpanSampling)
 {
     // Span sampling is off unless an output is made of spans: the tail
@@ -182,6 +170,54 @@ TEST(Options, SpanOutputsImplySpanSampling)
              "--trace-out=" + path})
         EXPECT_EQ(sampling({arg}), 64u) << arg;
     EXPECT_EQ(sampling({"--trace-out=" + path, "--tail-sample=1"}), 1u);
+    // --outliers only sizes the dossiers; --outliers-out samples.
+    const SystemConfig dossiers =
+        parse({"--outliers=5", "--outliers-out=" + path})
+            .applyTo(SystemConfig{});
+    EXPECT_EQ(dossiers.tail_sample, 64u);
+    EXPECT_EQ(dossiers.tail_outliers, 5u);
+    std::remove(path.c_str());
+}
+
+TEST(Options, ShapingOptionWithoutItsOutputIsFatal)
+{
+    // An option that only shapes an output would do nothing, or work
+    // that no output reads, without it: it is refused like an option
+    // the binary ignores, before any output file is opened, naming the
+    // output it needs.
+    const std::string path = testing::TempDir() + "options_shaping.json";
+    std::remove(path.c_str());
+    const struct
+    {
+        const char *arg;
+        const char *needs;
+    } cases[] = {
+        {"--stats-interval=10", "--stats-json"},
+        {"--outliers=5", "--outliers-out"},
+        {"--tail-sample=1",
+         "--tail-report, --outliers-out, --trace-out or --stats-json"},
+    };
+    for (const auto &c : cases) {
+        const std::string name =
+            std::string(c.arg).substr(0, std::string(c.arg).find('='));
+        EXPECT_EXIT(parse({c.arg}), testing::ExitedWithCode(1),
+                    "option " + name + " needs " + c.needs)
+            << c.arg;
+        EXPECT_EXIT(parse({c.arg, "--blackbox-out=" + path}),
+                    testing::ExitedWithCode(1), "needs")
+            << c.arg;
+    }
+    EXPECT_FALSE(std::ifstream(path).good()) << path;
+
+    // With its output, each shapes it.
+    EXPECT_EQ(parse({"--stats-interval=10", "--stats-json=" + path})
+                  .applyTo(SystemConfig{})
+                  .stats_interval,
+              10u);
+    EXPECT_EQ(parse({"--tail-sample=1", "--stats-json=" + path})
+                  .applyTo(SystemConfig{})
+                  .tail_sample,
+              1u);
     std::remove(path.c_str());
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Observability tests: the --trace flag vocabulary, the structured
- * TraceSink (recording, capping, aux-name tables, Chrome trace-event
- * export) and the System-level plumbing (per-system sinks, which
- * track records each kind, periodic stat snapshots, the --stats-json
- * document).
+ * Observability tests: the structured TraceSink (what it records,
+ * capping, aux-name tables, Chrome trace-event export of records and
+ * request spans) and the System-level plumbing (per-system sinks,
+ * which track records each kind, periodic stat snapshots, the
+ * --stats-json document).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness/sweep.hh"
+#include "sim/reqtrace.hh"
 #include "sim/trace_sink.hh"
 #include "tests/sim_test_util.hh"
 #include "workload/microbench.hh"
@@ -87,12 +88,12 @@ expectBalancedJson(const std::string &json)
 
 /** Run the quickstart workload with the given observability config. */
 std::unique_ptr<harness::System>
-runTracedSystem(std::uint32_t trace_mask, Tick stats_interval = 0,
+runTracedSystem(bool tracing, Tick stats_interval = 0,
                 std::uint64_t tail_sample = 0)
 {
     harness::SystemConfig cfg = testConfig(2);
     cfg.withSpeculation();
-    cfg.trace_mask = trace_mask;
+    cfg.tracing = tracing;
     cfg.stats_interval = stats_interval;
     cfg.tail_sample = tail_sample;
     workload::LocalLockStream::Params params;
@@ -106,76 +107,32 @@ runTracedSystem(std::uint32_t trace_mask, Tick stats_interval = 0,
 
 } // namespace
 
-TEST(Trace, ParseFlags)
-{
-    using trace::Flag;
-    std::uint32_t mask = 0;
-    std::string error;
-    EXPECT_TRUE(trace::parseFlags("net", mask, error));
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::Net));
-    EXPECT_TRUE(trace::parseFlags("core,spec", mask, error));
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(Flag::Core) |
-                        static_cast<std::uint32_t>(Flag::Spec));
-    EXPECT_TRUE(trace::parseFlags("all", mask, error));
-    EXPECT_EQ(mask, ~0u);
-    EXPECT_TRUE(trace::parseFlags("", mask, error));
-    EXPECT_EQ(mask, 0u);
-}
-
-TEST(Trace, ParseFlagsReportsUnknownNames)
-{
-    std::uint32_t mask = 0xdead;
-    std::string error;
-    EXPECT_FALSE(trace::parseFlags("net,bogus", mask, error));
-    EXPECT_EQ(mask, 0xdeadu) << "mask must be untouched on failure";
-    EXPECT_NE(error.find("bogus"), std::string::npos);
-    // The error lists every valid flag so a sweep log is actionable.
-    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos);
-    EXPECT_EQ(trace::validFlagNames(), "core,sb,net,spec,stall,all");
-}
-
-TEST(TraceFlags, ParseAcceptsKnownFlagCombinations)
-{
-    std::uint32_t mask = 0;
-    std::string error;
-    ASSERT_TRUE(trace::parseFlags("core,sb", mask, error)) << error;
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::Core) |
-                        static_cast<std::uint32_t>(trace::Flag::SB));
-    ASSERT_TRUE(trace::parseFlags("all", mask, error)) << error;
-    EXPECT_EQ(mask, static_cast<std::uint32_t>(trace::Flag::All));
-}
-
-TEST(TraceFlags, ParseRejectsUnknownFlagsListingAllOfThem)
-{
-    std::uint32_t mask = 0xdead;
-    std::string error;
-    ASSERT_FALSE(
-        trace::parseFlags("core,bogus,spec,typo", mask, error));
-    // Both bad tokens in one message, plus the valid vocabulary.
-    EXPECT_NE(error.find("bogus"), std::string::npos) << error;
-    EXPECT_NE(error.find("typo"), std::string::npos) << error;
-    EXPECT_NE(error.find(trace::validFlagNames()), std::string::npos)
-        << error;
-    // A failed parse leaves the caller's mask untouched.
-    EXPECT_EQ(mask, 0xdeadu);
-}
-
 TEST(TraceSink, DisabledByDefaultAndMaskGates)
 {
+    // Off by default.  The flight recorder wants every kind but the
+    // per-instruction commit counter; tracing wants every kind.
+    using trace::EventKind;
     trace::TraceSink sink;
     EXPECT_FALSE(sink.enabled());
-    EXPECT_FALSE(sink.wants(trace::Flag::Spec));
+    EXPECT_FALSE(sink.wants(EventKind::SpecEpoch));
 
-    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Spec));
+    sink.configureRing(4);
+    EXPECT_FALSE(sink.enabled());
+    EXPECT_FALSE(sink.wants(EventKind::CoreCommit));
+    for (EventKind k : {EventKind::CoreStall, EventKind::SpecEpoch,
+                        EventKind::SpecRollback, EventKind::SbOccupancy,
+                        EventKind::NetHop})
+        EXPECT_TRUE(sink.wants(k)) << trace::eventKindName(k);
+
+    sink.setEnabled(true);
     EXPECT_TRUE(sink.enabled());
-    EXPECT_TRUE(sink.wants(trace::Flag::Spec));
-    EXPECT_FALSE(sink.wants(trace::Flag::Net));
+    EXPECT_TRUE(sink.wants(EventKind::CoreCommit));
 }
 
 TEST(TraceSink, RecordsInOrderAcrossChunks)
 {
     trace::TraceSink sink;
-    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
+    sink.setEnabled(true);
     const std::uint16_t comp = sink.registerComponent("c0");
     // Cross at least one chunk boundary.
     const std::size_t n = trace::TraceSink::chunk_records + 100;
@@ -202,7 +159,7 @@ TEST(TraceSink, RecordsInOrderAcrossChunks)
 TEST(TraceSink, CapsAndCountsDrops)
 {
     trace::TraceSink sink(8);
-    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
+    sink.setEnabled(true);
     const std::uint16_t comp = sink.registerComponent("c0");
     for (Tick t = 0; t < 20; ++t)
         sink.record(comp, trace::EventKind::CoreCommit, t);
@@ -216,15 +173,14 @@ TEST(TraceSink, RingSizedBeforeOrAfterRegistration)
     // is configured before the components register (the System's
     // order) or after, every component keeps exactly its last
     // ringCapacity() events.
-    const auto spec = static_cast<std::uint32_t>(trace::Flag::Spec);
     trace::TraceSink before;
-    before.configureRing(3, spec);
+    before.configureRing(3);
     before.registerComponent("c0");
     before.registerComponent("c1");
     trace::TraceSink after;
     after.registerComponent("c0");
     after.registerComponent("c1");
-    after.configureRing(3, spec);
+    after.configureRing(3);
 
     for (trace::TraceSink *sink : {&before, &after}) {
         ASSERT_EQ(sink->ringCapacity(), 4u); // rounded up to 2^k
@@ -250,8 +206,10 @@ TEST(TraceSink, ComponentIdsFollowConstructionOrder)
 {
     // Components register once, as the System builds them; the ids
     // (track numbers, flight-recorder dump order) are that order.  A
-    // component owns exactly one track: the network and the store
-    // buffers record nothing on anyone's behalf.
+    // component owns exactly one track, and only components that
+    // record own one: the network, whose arrivals its receivers
+    // record, and the store buffers, whose occupancy their cores
+    // record, have none.
     harness::SystemConfig cfg = testConfig(2);
     cfg.withDirBanks(2).withSpeculation();
     workload::LocalLockStream wl;
@@ -259,9 +217,8 @@ TEST(TraceSink, ComponentIdsFollowConstructionOrder)
     harness::System sys(cfg, prog);
     EXPECT_EQ(sys.tracer().components(),
               (std::vector<std::string>{
-                  "network", "l1_0", "l1_1", "l2dir.bank0",
-                  "l2dir.bank1", "core_0", "core_1", "spec_0",
-                  "spec_1"}));
+                  "l1_0", "l1_1", "l2dir.bank0", "l2dir.bank1",
+                  "core_0", "core_1", "spec_0", "spec_1"}));
 }
 
 TEST(TraceSink, AuxNamesResolvePerKind)
@@ -281,13 +238,13 @@ TEST(TraceSink, AuxNamesResolvePerKind)
 TEST(TraceSink, ExportsWellFormedChromeJson)
 {
     trace::TraceSink sink;
-    sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
+    sink.setEnabled(true);
     const std::uint16_t core = sink.registerComponent("core_0");
     const std::uint16_t l1 = sink.registerComponent("l1_0");
+    const std::uint16_t dir = sink.registerComponent("l2dir");
     sink.setAuxNames(trace::EventKind::SpecRollback, {"conflict"});
-    sink.setAuxNames(trace::EventKind::ReqStage, {"req_net", "done"});
 
-    // One of each phase: counter, duration, instant, request flow.
+    // One of each phase: counter, duration, instant.
     sink.record(core, trace::EventKind::CoreCommit, 10, 5);
     sink.record(core, trace::EventKind::SpecEpoch, 50, 20, 12, 1);
     sink.record(core, trace::EventKind::SpecRollback, 60, 0, 4, 0);
@@ -295,13 +252,15 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     std::vector<trace::TraceRecord> records;
     sink.forEach(
         [&](const trace::TraceRecord &r) { records.push_back(r); });
-    // The flow: one sampled request's two span stages, which the
-    // System synthesizes at export rather than records.
-    const auto stage = static_cast<std::uint16_t>(trace::EventKind::ReqStage);
-    records.push_back({30, 1, 60, l1, stage, 0});
-    records.push_back({90, 1, 0, l1, stage, 1});
+    // The request flow: one sampled request's two span stages.
+    reqtrace::SpanSet spans;
+    reqtrace::Span span;
+    span.req_id = 1;
+    span.stages = {{reqtrace::Stage::ReqNet, 30, 60, l1, 0, 0},
+                   {reqtrace::Stage::ReplyNet, 90, 4, dir, 0, 0}};
+    spans.spans.push_back(span);
     std::ostringstream os;
-    sink.exportChromeJson(os, records, sink.dropped(), "");
+    sink.exportChromeJson(os, records, spans, sink.dropped(), "");
     const std::string json = os.str();
 
     expectBalancedJson(json);
@@ -319,19 +278,75 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
     EXPECT_NE(json.find("\"cat\": \"span\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"req_net\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\": \"reply_net\""), std::string::npos);
+}
+
+TEST(TraceSink, PrimaryAndWaiterSpansFormOneFlowInTickOrder)
+{
+    // Coalesced waiters share their primary miss's request id, so the
+    // export draws the primary and its waiter spans as one flow: their
+    // stages merge by tick, and on a tie the primary's stage comes
+    // first.
+    using reqtrace::Stage;
+    trace::TraceSink sink;
+    const std::uint16_t l1 = sink.registerComponent("l1_0");
+    const std::uint16_t dir = sink.registerComponent("l2dir");
+    reqtrace::Span primary;
+    primary.req_id = 7;
+    primary.stages = {{Stage::ReqNet, 10, 5, l1, 0, 0},
+                      {Stage::DirAccess, 15, 20, dir, 0, 0},
+                      {Stage::ReplyNet, 35, 5, dir, 0, 0}};
+    reqtrace::SpanSet spans;
+    spans.spans.push_back(primary);
+    for (Tick queued : {Tick(12), Tick(15)}) {
+        reqtrace::Span waiter;
+        waiter.req_id = 7;
+        waiter.waiter = true;
+        waiter.stages = {{Stage::L1Queue, queued, 40 - queued, l1, 0,
+                          reqtrace::span_flag_waiter}};
+        spans.spans.push_back(waiter);
+    }
+    std::ostringstream os;
+    sink.exportChromeJson(os, {}, spans, 0, "");
+
+    // The exporter writes one event per line: list the request's
+    // stage slices and flow steps as "name@ts" in output order.
+    std::vector<std::string> slices, flow;
+    std::istringstream lines(os.str());
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t name = line.find("\"name\": \"");
+        const std::size_t ts = line.find("\"ts\": ");
+        if (name == std::string::npos || ts == std::string::npos)
+            continue;
+        const std::size_t from = name + 9;
+        const std::string event =
+            line.substr(from, line.find('"', from) - from) + "@" +
+            std::to_string(std::stoull(line.substr(ts + 6)));
+        if (line.find("\"req\": 7") != std::string::npos) {
+            slices.push_back(event);
+        } else if (line.find("\"id\": 7") != std::string::npos) {
+            const std::size_t ph = line.find("\"ph\": \"") + 7;
+            flow.push_back(line.substr(ph, 1) + event);
+        }
+    }
+    EXPECT_EQ(slices, (std::vector<std::string>{
+                          "req_net@10", "l1_queue@12", "dir_access@15",
+                          "l1_queue@15", "reply_net@35"}));
+    EXPECT_EQ(flow, (std::vector<std::string>{
+                        "sspan@10", "tspan@12", "tspan@15", "tspan@15",
+                        "fspan@35"}));
 }
 
 TEST(SystemObservability, DisabledTracingRecordsNothing)
 {
-    auto sys = runTracedSystem(0);
+    auto sys = runTracedSystem(false);
     EXPECT_EQ(sys->tracer().size(), 0u);
     EXPECT_EQ(sys->tracer().dropped(), 0u);
 }
 
 TEST(SystemObservability, EndToEndTraceHasAllEventFamilies)
 {
-    auto sys = runTracedSystem(
-        static_cast<std::uint32_t>(trace::Flag::All), 0, 1);
+    auto sys = runTracedSystem(true, 0, 1);
     ASSERT_GT(sys->tracer().size(), 0u);
 
     bool saw_commit = false, saw_epoch = false, saw_hop = false,
@@ -363,10 +378,8 @@ TEST(SystemObservability, EachKindIsRecordedOnItsOwnersTrack)
 {
     // A message arrival is recorded by the L1 or bank it reached and
     // store-buffer occupancy by its core, in the full trace and in the
-    // flight recorder alike.  Span stages are synthesized only at
-    // export, never recorded.
-    auto sys = runTracedSystem(
-        static_cast<std::uint32_t>(trace::Flag::All), 0, 1);
+    // flight recorder alike.
+    auto sys = runTracedSystem(true, 0, 1);
     const trace::TraceSink &sink = sys->tracer();
     const auto starts = [](const std::string &s, const char *prefix) {
         return s.rfind(prefix, 0) == 0;
@@ -386,9 +399,6 @@ TEST(SystemObservability, EachKindIsRecordedOnItsOwnersTrack)
                         track.find('.') == std::string::npos)
                 << track;
             break;
-          case trace::EventKind::ReqStage:
-            ADD_FAILURE() << "span stage recorded live on " << track;
-            break;
           default:
             break;
         }
@@ -400,23 +410,10 @@ TEST(SystemObservability, EachKindIsRecordedOnItsOwnersTrack)
     EXPECT_GT(occupancies, 0u);
 }
 
-TEST(SystemObservability, MaskRestrictsFamilies)
-{
-    auto sys = runTracedSystem(
-        static_cast<std::uint32_t>(trace::Flag::Spec));
-    ASSERT_GT(sys->tracer().size(), 0u);
-    sys->tracer().forEach([&](const trace::TraceRecord &r) {
-        const auto kind = static_cast<trace::EventKind>(r.kind);
-        EXPECT_TRUE(kind == trace::EventKind::SpecEpoch ||
-                    kind == trace::EventKind::SpecRollback)
-            << "unexpected kind " << r.kind;
-    });
-}
-
 TEST(SystemObservability, RequestLatencyDistributionsPopulated)
 {
-    auto sys = runTracedSystem(0);
-    // Attribution stats fill in regardless of the trace mask: they are
+    auto sys = runTracedSystem(false);
+    // Attribution stats fill in whether or not tracing is on: they are
     // ordinary Distributions, not trace events.
     const auto *l1 = sys->stats().findGroup("l1_0");
     ASSERT_NE(l1, nullptr);
@@ -449,7 +446,7 @@ TEST(SystemObservability, PeriodicSnapshotsFormTimeSeries)
     const std::string links_key =
         "\"network.links_used\": {\"kind\": \"scalar\", \"value\": ";
 
-    auto sys = runTracedSystem(0, 200);
+    auto sys = runTracedSystem(false, 200);
     ASSERT_GE(sys->snapshots().size(), 2u);
     Tick prev = 0;
     std::uint64_t prev_msgs = 0;
@@ -490,7 +487,7 @@ TEST(SystemObservability, PeriodicSnapshotsFormTimeSeries)
 
 TEST(SystemObservability, StatsJsonDocumentComposes)
 {
-    auto sys = runTracedSystem(0, 200);
+    auto sys = runTracedSystem(false, 200);
     std::ostringstream os;
     sys->writeStatsJson(os);
     const std::string json = os.str();
@@ -510,8 +507,7 @@ TEST(SystemObservability, TracedSystemsAreSweepSafe)
     std::vector<std::function<std::size_t()>> tasks;
     for (int i = 0; i < 8; ++i) {
         tasks.push_back([]() -> std::size_t {
-            auto sys = runTracedSystem(
-                static_cast<std::uint32_t>(trace::Flag::All));
+            auto sys = runTracedSystem(true);
             return sys->tracer().size();
         });
     }

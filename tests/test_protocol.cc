@@ -74,8 +74,8 @@ class ProtocolBench
         net_params.topology = topology;
         net_params.latency = 2;
         net_params.hop_latency = 1;
-        net_params.num_nodes = 2 + banks;
-        network = std::make_unique<Network>(ctx, "network", net_params);
+        network = std::make_unique<Network>(ctx, "network", net_params,
+                                            2 + banks);
 
         const DirectoryMap dirmap(2, banks, 6);
         L1Cache::Params l1p;
@@ -88,20 +88,16 @@ class ProtocolBench
                                                 dirmap, *network));
 
         Directory::Params l2p;
-        l2p.size = 64 * 1024;
+        l2p.size = 64 * 1024 / banks;
         l2p.assoc = 4;
         l2p.latency = 2;
         l2p.dram_latency = 10;
         for (std::uint32_t b = 0; b < banks; ++b) {
-            Directory::Params bp = l2p;
-            bp.size = l2p.size / banks;
-            bp.banks = banks;
-            bp.bank = b;
             dirs.push_back(std::make_unique<Directory>(
                 ctx,
                 banks == 1 ? std::string("dir")
                            : "dir.bank" + std::to_string(b),
-                bp, 2 + b, 2, *network, backing));
+                l2p, dirmap, b, *network, backing));
         }
     }
 
@@ -502,7 +498,7 @@ TEST(Protocol2, NetworkPreservesChannelFifo)
     sim::SimContext ctx;
     Network::Params p;
     p.latency = 3;
-    Network net(ctx, "net", p);
+    Network net(ctx, "net", p, 2);
 
     struct Collector : MsgReceiver
     {

@@ -412,7 +412,7 @@ TEST(Spec, RollbackOrphansThePendingTick)
     // core would retire twice in one cycle.
     workload::Dekker wl;
     harness::SystemConfig cfg = specConfig(2, cpu::ConsistencyModel::SC);
-    cfg.withTracing(static_cast<std::uint32_t>(trace::Flag::Core));
+    cfg.withTracing();
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());

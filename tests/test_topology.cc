@@ -136,7 +136,7 @@ TEST(Topology, CrossbarAlwaysOneHop)
 
     // Through a real Network: one hop per message, whatever the ids.
     sim::SimContext ctx;
-    Network net(ctx, "network", Network::Params{});
+    Network net(ctx, "network", Network::Params{}, 9);
     RecordingEndpoint ep(ctx);
     net.registerEndpoint(8, &ep);
     net.registerEndpoint(0, &ep);
@@ -192,10 +192,9 @@ TEST(Topology, RingArrivalTiming)
     sim::SimContext ctx;
     Network::Params params;
     params.topology = Topology::Ring;
-    params.num_nodes = 4;
     params.hop_latency = 3;
     params.link_bytes_per_cycle = 16;
-    Network net(ctx, "network", params);
+    Network net(ctx, "network", params, 4);
 
     RecordingEndpoint ep(ctx);
     net.registerEndpoint(2, &ep);
@@ -251,9 +250,8 @@ TEST(Topology, MeshPartialLastRowRoutesThroughEmptySlots)
     sim::SimContext ctx;
     Network::Params params;
     params.topology = Topology::Mesh;
-    params.num_nodes = 24;
     params.hop_latency = 2;
-    Network net(ctx, "network", params);
+    Network net(ctx, "network", params, 24);
     RecordingEndpoint ep(ctx);
     net.registerEndpoint(19, &ep);
 
@@ -277,9 +275,8 @@ TEST(Topology, MeshHopAndLinkStatsFold)
     sim::SimContext ctx;
     Network::Params params;
     params.topology = Topology::Mesh;
-    params.num_nodes = 4;
     params.hop_latency = 2;
-    Network net(ctx, "network", params);
+    Network net(ctx, "network", params, 4);
 
     RecordingEndpoint ep(ctx);
     net.registerEndpoint(3, &ep);
@@ -323,11 +320,10 @@ TEST(Topology, ChannelFoldMatchesPerMessageWalks)
         sim::SimContext ctx;
         Network::Params params;
         params.topology = c.topology;
-        params.num_nodes = c.nodes;
         params.hop_latency = 2;
         params.link_bytes_per_cycle = 16;
         params.drop_fwd_acks_for = {dropped_block};
-        Network net(ctx, "network", params);
+        Network net(ctx, "network", params, c.nodes);
         std::vector<std::unique_ptr<RecordingEndpoint>> eps;
         for (NodeId n = 0; n < c.nodes; ++n) {
             eps.push_back(std::make_unique<RecordingEndpoint>(ctx));
