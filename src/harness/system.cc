@@ -839,9 +839,9 @@ System::auditCoherence() const
 
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
         l1s_[i]->forEachBlock([&](const mem::L1Block &blk) {
-            const mem::L2Block *l2 =
-                dirs_[dirmap_.bankOf(blk.block_addr)]->findBlock(
-                    blk.block_addr);
+            const mem::Directory &home = *dirs_[dirmap_.bankOf(
+                blk.block_addr)];
+            const mem::L2Block *l2 = home.findBlock(blk.block_addr);
             flAssert(l2, "inclusivity: L1 ", i, " holds 0x", std::hex,
                      blk.block_addr, std::dec, " but the L2 does not");
             switch (blk.state) {
@@ -863,7 +863,7 @@ System::auditCoherence() const
                 flAssert(!l2->hasOwner(), "shared block 0x", std::hex,
                          blk.block_addr, std::dec, " also has an owner");
                 // Shared copies are clean: data must match the L2.
-                flAssert(blk.data == l2->data,
+                flAssert(home.holdsData(*l2, l1s_[i]->blockData(blk)),
                          "S copy of 0x", std::hex, blk.block_addr,
                          std::dec, " in L1 ", i,
                          " differs from the L2 data");
@@ -881,8 +881,7 @@ System::auditCoherence() const
         if (l2.hasOwner()) {
             const mem::L1Block *blk =
                 l1s_.at(l2.owner)->findBlock(l2.block_addr);
-            flAssert(blk && blk->valid &&
-                     blk->state != mem::L1State::S,
+            flAssert(blk && blk->state != mem::L1State::S,
                      "directory owner ", l2.owner, " of 0x", std::hex,
                      l2.block_addr, std::dec,
                      " does not hold the block exclusively");
@@ -892,8 +891,7 @@ System::auditCoherence() const
                 continue;
             const mem::L1Block *blk =
                 l1s_.at(c)->findBlock(l2.block_addr);
-            flAssert(blk && blk->valid &&
-                     blk->state == mem::L1State::S,
+            flAssert(blk && blk->state == mem::L1State::S,
                      "recorded sharer ", c, " of 0x", std::hex,
                      l2.block_addr, std::dec,
                      " does not hold the block in S");

@@ -183,9 +183,9 @@ Directory::processRequest(Addr block_addr)
     switch (req.type) {
       case MsgType::GetS:
       case MsgType::GetM: {
-        if (!ensurePresent(txn, block_addr))
+        L2Block *blk = ensurePresent(txn, block_addr);
+        if (!blk)
             return; // waiting for DRAM or a victim recall
-        L2Block *blk = array_.find(block_addr);
         array_.touch(*blk);
         if (req.type == MsgType::GetS) {
             ++stat_gets_;
@@ -362,7 +362,7 @@ Directory::processPut(Txn &txn, L2Block &blk)
         if (blk.owner == sender) {
             flAssert(txn.req.data.size() == array_.blockSize(),
                      name(), ": PutM with bad payload");
-            blk.data.assign(txn.req.data.data(), txn.req.data.size());
+            array_.assign(blk, txn.req.data.data(), txn.req.data.size());
             blk.dirty = true;
             blk.owner = invalid_core;
         } else {
@@ -403,7 +403,7 @@ Directory::handleWbClean(const Msg &msg)
              msg.src);
     flAssert(msg.data.size() == array_.blockSize(),
              name(), ": WbClean with bad payload");
-    blk->data.assign(msg.data.data(), msg.data.size());
+    array_.assign(*blk, msg.data.data(), msg.data.size());
     blk->dirty = true;
 }
 
@@ -450,7 +450,7 @@ Directory::handleAck(const Msg &msg)
     if (msg.type == MsgType::FwdDataAck) {
         flAssert(msg.data.size() == array_.blockSize(),
                  name(), ": FwdDataAck with bad payload");
-        blk->data.assign(msg.data.data(), msg.data.size());
+        array_.assign(*blk, msg.data.data(), msg.data.size());
         blk->dirty = true;
     }
     // On FwdNoDataAck the L2 copy is already the authoritative value.
@@ -486,11 +486,11 @@ Directory::handleAck(const Msg &msg)
 // L2 fills and recalls
 // ---------------------------------------------------------------------
 
-bool
+L2Block *
 Directory::ensurePresent(Txn &txn, Addr block_addr)
 {
-    if (array_.find(block_addr))
-        return true;
+    if (L2Block *blk = array_.find(block_addr))
+        return blk;
 
     if (txn.phase == Txn::Phase::Dram) {
         panic(name(), ": re-entered ensurePresent while in Dram phase");
@@ -517,7 +517,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                     txn.phase = Txn::Phase::WayWait;
                     way_waiters_.push_back(block_addr);
                 }
-                return false;
+                return nullptr;
             }
             txn.phase = Txn::Phase::Blocked;
             FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirBlocked,
@@ -526,10 +526,10 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                         victim->block_addr >>
                         floorLog2(params_.block_size)));
             startRecall(victim->block_addr, txn.req);
-            return false;
+            return nullptr;
         }
         dramWriteback(*victim);
-        victim->valid = false;
+        array_.invalidate(*victim);
         way = victim;
     }
 
@@ -542,18 +542,17 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
     dram_next_free_ = std::max(curTick(), dram_next_free_)
                       + params_.dram_cycle;
 
-    way->valid = true;
-    way->block_addr = block_addr;
+    array_.install(*way, block_addr);
     way->dirty = false;
     way->owner = invalid_core;
     way->sharers = 0;
-    backing_.read(block_addr, way->data.data(), array_.blockSize());
+    backing_.read(block_addr, array_.data(*way), array_.blockSize());
     array_.touch(*way);
 
     eventq().scheduleOneShot(ready, [this, block_addr] {
         processRequest(block_addr);
     });
-    return false;
+    return nullptr;
 }
 
 void
@@ -597,7 +596,7 @@ Directory::finishRecall(Txn &txn, L2Block &victim)
              name(), ": recall finished with live copies");
     const Addr victim_addr = victim.block_addr;
     dramWriteback(victim);
-    victim.valid = false;
+    array_.invalidate(victim);
 
     std::optional<Msg> resume = std::move(txn.resume);
     complete(victim_addr); // also dispatches queued requests for victim
@@ -616,7 +615,7 @@ Directory::dramWriteback(L2Block &blk)
     if (!blk.dirty)
         return;
     ++stat_dram_writes_;
-    backing_.write(blk.block_addr, blk.data.data(), array_.blockSize());
+    backing_.write(blk.block_addr, array_.data(blk), array_.blockSize());
     blk.dirty = false;
     // Writes are buffered; only the occupancy cost is modelled.
     dram_next_free_ = std::max(curTick(), dram_next_free_)
@@ -648,7 +647,7 @@ Directory::sendData(MsgType type, NodeId dst, const L2Block &blk,
                     std::uint64_t req_id)
 {
     FL_SPAN(*this, req_id, reqtrace::Stage::ReplyNet, blk.block_addr, dst);
-    sendToL1(type, dst, blk.block_addr, blk.data.data(), req_id);
+    sendToL1(type, dst, blk.block_addr, array_.data(blk), req_id);
 }
 
 std::uint64_t
@@ -656,7 +655,7 @@ Directory::debugRead(Addr addr, unsigned size) const
 {
     const L2Block *blk = array_.find(addr);
     if (blk)
-        return blk->readInt(addr - blk->block_addr, size);
+        return array_.readInt(*blk, addr - blk->block_addr, size);
     return backing_.readInt(addr, size);
 }
 

@@ -52,6 +52,7 @@ struct L2Block : CacheBlockBase
     void addSharer(CoreId c) { sharers |= std::uint64_t{1} << c; }
     void removeSharer(CoreId c) { sharers &= ~(std::uint64_t{1} << c); }
 };
+static_assert(sizeof(L2Block) <= 32, "an L2 set scan reads whole blocks");
 
 class Directory : public sim::SimObject, public MsgReceiver
 {
@@ -84,6 +85,13 @@ class Directory : public sim::SimObject, public MsgReceiver
     // --- debug / verification ------------------------------------------
 
     const L2Block *findBlock(Addr addr) const { return array_.find(addr); }
+
+    /** @return true if @p blk, a block of this bank, holds @p data. */
+    bool
+    holdsData(const L2Block &blk, const std::uint8_t *data) const
+    {
+        return array_.sameData(blk, data);
+    }
 
     /** Functional read: L2 copy if present, else DRAM. */
     std::uint64_t debugRead(Addr addr, unsigned size) const;
@@ -206,7 +214,11 @@ class Directory : public sim::SimObject, public MsgReceiver
     void processPut(Txn &txn, L2Block &blk);
 
     // fills and victims
-    bool ensurePresent(Txn &txn, Addr block_addr);
+    /**
+     * @return @p block_addr's L2 block, or nullptr after parking @p txn
+     * on a DRAM fill, a victim recall or a full set.
+     */
+    L2Block *ensurePresent(Txn &txn, Addr block_addr);
     void startRecall(Addr victim_addr, const Msg &blocked_req);
     void finishRecall(Txn &txn, L2Block &victim);
 

@@ -109,7 +109,7 @@ L1Cache::commitSpecWrites()
 {
     for (Addr addr : sw_blocks_) {
         L1Block *blk = array_.find(addr);
-        flAssert(blk && blk->valid && blk->state == L1State::M,
+        flAssert(blk && blk->state == L1State::M,
                  name(), ": commit lost a speculatively-written block 0x",
                  std::hex, addr);
         // The speculative data becomes architectural: the block is now an
@@ -126,7 +126,7 @@ L1Cache::rollbackSpecWrites()
 {
     for (Addr addr : sw_blocks_) {
         L1Block *blk = array_.find(addr);
-        flAssert(blk && blk->valid && blk->state == L1State::M,
+        flAssert(blk && blk->state == L1State::M,
                  name(), ": rollback lost a speculatively-written block "
                  "0x", std::hex, addr);
         // Discard the speculative data.  The directory still records us
@@ -202,8 +202,7 @@ L1Cache::access(MemRequest req)
     }
 
     L1Block *blk = array_.find(req.addr);
-    const bool present =
-        blk && blk->valid && blk->state != L1State::MStale;
+    const bool present = blk && blk->state != L1State::MStale;
 
     if (req.isLoad()) {
         if (present) {
@@ -213,7 +212,7 @@ L1Cache::access(MemRequest req)
             return;
         }
         ++stat_misses_;
-        handleMiss(std::move(req), blk && blk->valid
+        handleMiss(std::move(req), blk != nullptr
                    /* MStale refetches with GetM to keep one dir case */);
         return;
     }
@@ -274,7 +273,7 @@ L1Cache::performLoad(L1Block &blk, MemRequest &req)
         prof_->touchLine(core_id_, blk.block_addr,
                          static_cast<unsigned>(offset), req.size);
     }
-    respond(req, blk.readInt(offset, req.size));
+    respond(req, array_.readInt(blk, offset, req.size));
 }
 
 void
@@ -311,7 +310,7 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
         // to the L2 so rollback can recover it.  FIFO ordering on our
         // channel to the directory guarantees it lands before any later
         // FwdNoDataAck we might send for this block.
-        sendToDir(MsgType::WbClean, blk.block_addr, blk.data.data());
+        sendToDir(MsgType::WbClean, blk.block_addr, array_.data(blk));
         blk.dirty = false;
         ++stat_wb_clean_;
     }
@@ -319,12 +318,12 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
     const Addr offset = req.addr - blk.block_addr;
     std::uint64_t old_value = 0;
     if (req.isAmo()) {
-        old_value = blk.readInt(offset, req.size);
+        old_value = array_.readInt(blk, offset, req.size);
         flAssert(req.amo_fn, name(),
                  ": AMO request without an AMO function");
-        blk.writeInt(offset, req.size, req.applyAmo(old_value));
+        array_.writeInt(blk, offset, req.size, req.applyAmo(old_value));
     } else {
-        blk.writeInt(offset, req.size, req.store_data);
+        array_.writeInt(blk, offset, req.size, req.store_data);
     }
 
     if (req.spec) {
@@ -427,7 +426,7 @@ L1Cache::tryCompleteFill(Mshr &mshr)
     const Msg &msg = mshr.fill;
 
     L1Block *blk = array_.find(mshr.block_addr);
-    if (!blk || !blk->valid) {
+    if (!blk) {
         blk = array_.findFreeWay(mshr.block_addr);
         if (!blk) {
             // Pick a victim.  Blocks carrying live speculation tags
@@ -485,15 +484,14 @@ L1Cache::tryCompleteFill(Mshr &mshr)
             evict(*victim);
             blk = victim; // evict() leaves the way invalid
         }
-        blk->block_addr = mshr.block_addr;
-        blk->valid = true;
+        array_.install(*blk, mshr.block_addr);
         blk->sr_epoch = 0;
         blk->sw_epoch = 0;
     }
 
     flAssert(msg.data.size() == array_.blockSize(),
              name(), ": fill with wrong payload size");
-    blk->data.assign(msg.data.data(), msg.data.size());
+    array_.assign(*blk, msg.data.data(), msg.data.size());
     blk->dirty = false;
     switch (msg.type) {
       case MsgType::DataS: blk->state = L1State::S; break;
@@ -570,8 +568,8 @@ L1Cache::evict(L1Block &victim)
         // silently upgraded, and the directory cannot tell.
         wb.state = WbEntry::State::MIA;
         wb.has_data = true;
-        wb.data.assign(victim.data.data(), victim.data.size());
-        sendToDir(MsgType::PutM, victim.block_addr, victim.data.data());
+        wb.data.assign(array_.data(victim), array_.blockSize());
+        sendToDir(MsgType::PutM, victim.block_addr, array_.data(victim));
         break;
       case L1State::MStale:
         wb.state = WbEntry::State::MIA;
@@ -588,7 +586,7 @@ L1Cache::evict(L1Block &victim)
     }
     wb_buffer_.push_back(std::move(wb));
 
-    victim.valid = false;
+    array_.invalidate(victim);
     victim.state = L1State::I;
     victim.dirty = false;
 }
@@ -663,8 +661,7 @@ L1Cache::handleInv(const Msg &msg)
 
     // Writeback-buffer entry (PutS raced with the invalidation)?
     if (WbEntry *wb = findWb(msg.block_addr)) {
-        const L1Block *live = array_.find(msg.block_addr);
-        flAssert(!live || !live->valid, name(),
+        flAssert(!array_.find(msg.block_addr), name(),
                  ": Inv matched a writeback entry while a valid array "
                  "copy of 0x", std::hex, msg.block_addr, std::dec,
                  " exists");
@@ -685,7 +682,7 @@ L1Cache::handleInv(const Msg &msg)
     }
 
     L1Block *blk = array_.find(msg.block_addr);
-    if (!blk || !blk->valid) {
+    if (!blk) {
         // Possible only transiently (e.g. we were invalidated while a
         // re-request is queued at the directory); ack and move on.
         sendToDir(MsgType::InvAck, msg.block_addr);
@@ -696,7 +693,7 @@ L1Cache::handleInv(const Msg &msg)
              l1StateName(blk->state), " for 0x", std::hex,
              msg.block_addr);
     checkSpecConflict(*blk, true);
-    blk->valid = false;
+    array_.invalidate(*blk);
     blk->state = L1State::I;
     sendToDir(MsgType::InvAck, msg.block_addr);
 }
@@ -729,8 +726,7 @@ L1Cache::handleFwd(const Msg &msg)
         // same-block misses, and channel FIFO order acks the Put
         // before any re-acquired fill arrives) -- otherwise this probe
         // could be answered from the wrong copy.
-        const L1Block *live = array_.find(msg.block_addr);
-        flAssert(!live || !live->valid, name(),
+        flAssert(!array_.find(msg.block_addr), name(),
                  ": probe matched a writeback entry while a valid "
                  "array copy of 0x", std::hex, msg.block_addr,
                  std::dec, " exists");
@@ -756,7 +752,7 @@ L1Cache::handleFwd(const Msg &msg)
     }
 
     L1Block *blk = array_.find(msg.block_addr);
-    flAssert(blk && blk->valid, name(), ": ", msgTypeName(msg.type),
+    flAssert(blk, name(), ": ", msgTypeName(msg.type),
              " for a block we do not hold (0x", std::hex, msg.block_addr,
              std::dec, ")");
 
@@ -767,7 +763,7 @@ L1Cache::handleFwd(const Msg &msg)
         // now): the directory's L2 copy is the authoritative
         // pre-speculation value.
         sendToDir(MsgType::FwdNoDataAck, msg.block_addr);
-        blk->valid = false;
+        array_.invalidate(*blk);
         blk->state = L1State::I;
         return;
     }
@@ -776,12 +772,12 @@ L1Cache::handleFwd(const Msg &msg)
              name(), ": ", msgTypeName(msg.type), " in state ",
              l1StateName(blk->state));
 
-    sendToDir(MsgType::FwdDataAck, msg.block_addr, blk->data.data());
+    sendToDir(MsgType::FwdDataAck, msg.block_addr, array_.data(*blk));
     if (msg.type == MsgType::FwdGetS) {
         blk->state = L1State::S;
         blk->dirty = false; // directory updates the L2 copy
     } else {
-        blk->valid = false;
+        array_.invalidate(*blk);
         blk->state = L1State::I;
         blk->dirty = false;
     }
@@ -824,11 +820,9 @@ bool
 L1Cache::debugRead(Addr addr, unsigned size, std::uint64_t &out) const
 {
     const L1Block *blk = array_.find(addr);
-    if (!blk || !blk->valid)
+    if (!blk || (blk->state != L1State::M && blk->state != L1State::E))
         return false;
-    if (blk->state != L1State::M && blk->state != L1State::E)
-        return false;
-    out = blk->readInt(addr - blk->block_addr, size);
+    out = array_.readInt(*blk, addr - blk->block_addr, size);
     return true;
 }
 

@@ -60,6 +60,7 @@ struct L1Block : CacheBlockBase
     std::uint32_t sr_epoch = 0; //!< speculatively-read tag (epoch id)
     std::uint32_t sw_epoch = 0; //!< speculatively-written tag (epoch id)
 };
+static_assert(sizeof(L1Block) <= 32, "an L1 set scan reads whole blocks");
 
 class L1Cache : public sim::SimObject, public MsgReceiver
 {
@@ -134,6 +135,13 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     /** @return the block holding @p addr, if cached (any state). */
     const L1Block *findBlock(Addr addr) const { return array_.find(addr); }
 
+    /** @return the payload of @p blk, a block of this cache. */
+    const std::uint8_t *
+    blockData(const L1Block &blk) const
+    {
+        return array_.data(blk);
+    }
+
     /**
      * @return true if another miss can be accepted without exhausting
      * the MSHRs (keeps a margin for demand accesses).  The store
@@ -154,7 +162,7 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     hasWritePermission(Addr addr) const
     {
         const L1Block *blk = array_.find(addr);
-        return blk && blk->valid &&
+        return blk &&
                (blk->state == L1State::M || blk->state == L1State::E);
     }
 

@@ -34,9 +34,9 @@
  * Sampling must be byte-identical run to run and across --jobs, so it
  * is a pure function of the request id: ids are minted per L1 as
  * (node+1)<<40 | local-miss-sequence (see L1Cache::handleMiss), and a
- * request is sampled iff a splitmix64
- * hash of its id falls in the configured 1-in-N slice.  Every
- * component -- L1, directory bank, network -- can re-derive the
+ * request is sampled iff the splitmix64 hash of its id is at most
+ * ~0 / N, a 1-in-N slice tested without a divide.  The components that
+ * record stages -- L1s and directory banks -- each re-derive the
  * decision statelessly from msg.req_id.
  *
  * Every stage site records through one hook, FL_SPAN (the span twin

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <vector>
+
+#include "base/random.hh"
 #include "isa/assembler.hh"
 #include "mem/cache_array.hh"
 #include "tests/sim_test_util.hh"
@@ -28,6 +33,18 @@ struct TestBlock : mem::CacheBlockBase
     int tag_state = 0;
 };
 
+/** Install @p addr into its set's lowest free way and touch it. */
+TestBlock *
+fill(mem::CacheArray<TestBlock> &arr, Addr addr)
+{
+    TestBlock *b = arr.findFreeWay(addr);
+    if (b) {
+        arr.install(*b, addr);
+        arr.touch(*b);
+    }
+    return b;
+}
+
 } // namespace
 
 TEST(CacheArray, Geometry)
@@ -42,30 +59,49 @@ TEST(CacheArray, Geometry)
     EXPECT_NE(arr.setIndex(0x0), arr.setIndex(64));
 }
 
+TEST(CacheArray, ShiftAndMaskMatchDivideAndModulo)
+{
+    Random rng(7);
+    for (unsigned assoc : {1u, 8u, 16u, 64u}) {
+        for (unsigned block_size : {32u, 64u}) {
+            for (unsigned shift = 0; shift <= 6; ++shift) {
+                const std::uint64_t sets = 32;
+                mem::CacheArray<TestBlock> arr(sets * assoc * block_size,
+                                               assoc, block_size, shift);
+                for (int i = 0; i < 200; ++i) {
+                    const Addr a = rng.next() >> (i % 40);
+                    ASSERT_EQ(arr.setIndex(a),
+                              ((a / block_size) >> shift) % sets)
+                        << "assoc " << assoc << " block " << block_size
+                        << " shift " << shift << " addr 0x" << std::hex
+                        << a;
+                    ASSERT_EQ(arr.blockAlign(a), a / block_size * block_size);
+                }
+            }
+        }
+    }
+}
+
 TEST(CacheArray, FindAndTouch)
 {
     mem::CacheArray<TestBlock> arr(4096, 4, 64);
     EXPECT_EQ(arr.find(0x100), nullptr);
-    TestBlock *b = arr.findFreeWay(0x100);
+    TestBlock *b = fill(arr, 0x100);
     ASSERT_NE(b, nullptr);
-    b->valid = true;
-    b->block_addr = 0x100;
-    arr.touch(*b);
+    EXPECT_EQ(b->block_addr, 0x100u);
     EXPECT_EQ(arr.find(0x100), b);
     EXPECT_EQ(arr.find(0x120), b); // same block
     EXPECT_EQ(arr.find(0x140), nullptr);
+    arr.invalidate(*b);
+    EXPECT_EQ(arr.find(0x100), nullptr);
+    EXPECT_EQ(arr.findFreeWay(0x100), b);
 }
 
 TEST(CacheArray, LruVictim)
 {
     mem::CacheArray<TestBlock> arr(4 * 64, 4, 64); // one set, 4 ways
-    for (Addr a = 0; a < 4 * 64; a += 64) {
-        TestBlock *b = arr.findFreeWay(a);
-        ASSERT_NE(b, nullptr);
-        b->valid = true;
-        b->block_addr = a;
-        arr.touch(*b);
-    }
+    for (Addr a = 0; a < 4 * 64; a += 64)
+        ASSERT_NE(fill(arr, a), nullptr);
     EXPECT_EQ(arr.findFreeWay(0x400), nullptr);
     // Touch block 0 so block 64 becomes LRU.
     arr.touch(*arr.find(0));
@@ -78,13 +114,8 @@ TEST(CacheArray, LruVictim)
 TEST(CacheArray, VictimPredicateFilters)
 {
     mem::CacheArray<TestBlock> arr(4 * 64, 4, 64);
-    for (Addr a = 0; a < 4 * 64; a += 64) {
-        TestBlock *b = arr.findFreeWay(a);
-        b->valid = true;
-        b->block_addr = a;
-        b->tag_state = (a == 64) ? 1 : 0;
-        arr.touch(*b);
-    }
+    for (Addr a = 0; a < 4 * 64; a += 64)
+        fill(arr, a)->tag_state = (a == 64) ? 1 : 0;
     TestBlock *victim = arr.findVictim(
         0x400, [](const TestBlock &b) { return b.tag_state == 1; });
     ASSERT_NE(victim, nullptr);
@@ -92,6 +123,118 @@ TEST(CacheArray, VictimPredicateFilters)
     victim = arr.findVictim(
         0x400, [](const TestBlock &b) { return b.tag_state == 2; });
     EXPECT_EQ(victim, nullptr);
+}
+
+TEST(CacheArray, ValidWayMaskOrdersEveryWayOfASixtyFourWaySet)
+{
+    // Two sets of 64 ways: filling set 0 sets every bit of its mask,
+    // the edge where a one-per-way mask is the whole word.
+    constexpr unsigned ways = 64;
+    mem::CacheArray<TestBlock> arr(2 * ways * 64, ways, 64);
+    const Addr set_stride = 2 * 64; // next block of the same set
+    auto addrOf = [&](unsigned w) { return w * set_stride; };
+
+    // Free ways are taken lowest first; untouched ways tie on LRU and
+    // the lowest wins.
+    TestBlock *way0 = arr.findFreeWay(0);
+    ASSERT_NE(way0, nullptr);
+    for (unsigned w = 0; w < ways; ++w) {
+        TestBlock *b = arr.findFreeWay(addrOf(w));
+        ASSERT_EQ(b, way0 + w) << "way " << w;
+        arr.install(*b, addrOf(w));
+        EXPECT_EQ(arr.findVictim(0, [](const TestBlock &) { return true; }),
+                  way0);
+    }
+    EXPECT_EQ(arr.findFreeWay(0), nullptr);
+    for (unsigned w = 0; w < ways; ++w)
+        EXPECT_EQ(arr.find(addrOf(w)), way0 + w) << "way " << w;
+
+    // LRU: touch every way, then all but the top one again.
+    for (unsigned w = 0; w < ways; ++w)
+        arr.touch(way0[w]);
+    auto any = [](const TestBlock &) { return true; };
+    EXPECT_EQ(arr.findVictim(0, any), way0 + 0);
+    for (unsigned w = 0; w + 1 < ways; ++w)
+        arr.touch(way0[w]);
+    EXPECT_EQ(arr.findVictim(0, any), way0 + ways - 1);
+    EXPECT_EQ(arr.findVictim(0, [&](const TestBlock &b) {
+                  return &b != way0 + ways - 1 && &b != way0 + 0;
+              }),
+              way0 + 1);
+
+    // Set 1 holds two blocks; forEach walks set 0's ways, then set 1's.
+    TestBlock *s1a = fill(arr, 64);
+    TestBlock *s1b = fill(arr, 64 + set_stride);
+    ASSERT_EQ(s1b, s1a + 1);
+
+    // Invalidating frees exactly those ways.
+    for (unsigned w : {63u, 5u, 17u})
+        arr.invalidate(way0[w]);
+    for (unsigned w : {5u, 17u, 63u})
+        EXPECT_EQ(arr.find(addrOf(w)), nullptr) << "way " << w;
+    EXPECT_EQ(arr.find(addrOf(6)), way0 + 6);
+    EXPECT_EQ(arr.findFreeWay(0), way0 + 5);
+    EXPECT_EQ(arr.findVictim(0, any), way0 + 0);
+
+    std::vector<const TestBlock *> seen;
+    arr.forEach([&](const TestBlock &b) { seen.push_back(&b); });
+    std::vector<const TestBlock *> expected;
+    for (unsigned w = 0; w < ways; ++w) {
+        if (w != 5 && w != 17 && w != 63)
+            expected.push_back(way0 + w);
+    }
+    expected.push_back(s1a);
+    expected.push_back(s1b);
+    EXPECT_EQ(seen, expected);
+
+    // The top way comes back first once it is the only free one.
+    arr.install(way0[5], addrOf(5));
+    arr.install(way0[17], addrOf(17));
+    EXPECT_EQ(arr.findFreeWay(0), way0 + ways - 1);
+    arr.install(way0[63], addrOf(63));
+    EXPECT_EQ(arr.findFreeWay(0), nullptr);
+    EXPECT_EQ(arr.find(addrOf(63)), way0 + ways - 1);
+}
+
+TEST(CacheArray, PayloadsOfNeighbouringBlocksDoNotAlias)
+{
+    mem::CacheArray<TestBlock> arr(2 * 4 * 64, 4, 64); // 2 sets, 4 ways
+    std::vector<TestBlock *> blocks;
+    std::vector<std::array<std::uint8_t, 64>> payloads(8);
+    for (Addr a = 0; a < 8 * 64; a += 64) {
+        blocks.push_back(fill(arr, a));
+        auto &bytes = payloads[blocks.size() - 1];
+        for (unsigned i = 0; i < 64; ++i)
+            bytes[i] = static_cast<std::uint8_t>(a + i);
+        arr.assign(*blocks.back(), bytes.data(), bytes.size());
+    }
+    // Overwrite both edges of every payload.
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        arr.writeInt(*blocks[i], 0, 8, 0x1000 + i);
+        arr.writeInt(*blocks[i], 56, 8, 0x2000 + i);
+    }
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        std::uint64_t middle = 0;
+        std::memcpy(&middle, payloads[i].data() + 8, 8);
+        EXPECT_EQ(arr.readInt(*blocks[i], 0, 8), 0x1000 + i);
+        EXPECT_EQ(arr.readInt(*blocks[i], 8, 8), middle);
+        EXPECT_EQ(arr.readInt(*blocks[i], 56, 8), 0x2000 + i);
+        // Block k's payload sits k block sizes into the arena.
+        EXPECT_EQ(arr.data(*blocks[i]) - arr.data(*blocks[0]),
+                  (blocks[i] - blocks[0]) * 64);
+    }
+    arr.assign(*blocks[2], payloads[5].data(), 64);
+    EXPECT_TRUE(arr.sameData(*blocks[2], payloads[5].data()));
+    EXPECT_FALSE(arr.sameData(*blocks[1], payloads[5].data()));
+    EXPECT_FALSE(arr.sameData(*blocks[3], payloads[5].data()));
+    EXPECT_EQ(arr.readInt(*blocks[1], 56, 8), 0x2001u);
+    EXPECT_EQ(arr.readInt(*blocks[3], 0, 8), 0x1003u);
+}
+
+TEST(CacheArray, WiderThanTheValidMaskDies)
+{
+    EXPECT_DEATH(mem::CacheArray<TestBlock>(65 * 64, 65, 64),
+                 "64-way limit");
 }
 
 // ---------------------------------------------------------------------

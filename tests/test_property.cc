@@ -5,7 +5,9 @@
  * per-thread regions + commutative shared atomics).  The timing
  * simulator's final memory must equal the functional reference
  * executor's, for every consistency model and speculation mode, and the
- * coherence invariants must hold afterwards.
+ * coherence invariants must hold afterwards.  The ReplacementOrder
+ * tests also pin exact counts of such programs on two small machines,
+ * so a change to cache replacement order shows.
  */
 
 #include <gtest/gtest.h>
@@ -148,6 +150,26 @@ compareAgainstReference(const GeneratedProgram &gen,
     }
 }
 
+/**
+ * The geometry that once exposed a probe-handler/rollback reentrancy
+ * race: a direct-mapped L1 so small that overflow-fill retries
+ * constantly evict blocks while probes are in flight.  The seed picks
+ * the speculation mode and the overflow policy.
+ */
+harness::SystemConfig
+directMappedSpecMachine(std::uint64_t seed)
+{
+    harness::SystemConfig cfg = testConfig(4, cpu::ConsistencyModel::SC);
+    cfg.l1.size = 512;
+    cfg.l1.assoc = 1;
+    cfg.l2.size = 16 * 1024;
+    cfg.spec.mode = (seed % 2) ? spec::SpecMode::Continuous
+                               : spec::SpecMode::OnDemand;
+    cfg.spec.overflow = (seed % 3) ? spec::OverflowPolicy::Stall
+                                   : spec::OverflowPolicy::Rollback;
+    return cfg;
+}
+
 struct PropertyParam
 {
     std::uint64_t seed;
@@ -231,24 +253,90 @@ TEST(RandomProgramsStress, TinyCachesManySeeds)
 
 TEST(RandomProgramsStress, DirectMappedWithSpeculation)
 {
-    // The geometry that once exposed a probe-handler/rollback
-    // reentrancy race: a direct-mapped L1 so small that overflow-fill
-    // retries constantly evict blocks while probes are in flight.
     for (std::uint64_t seed = 20; seed < 26; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        GeneratedProgram gen = generate(seed, 4, 200);
-        harness::SystemConfig cfg =
-            testConfig(4, cpu::ConsistencyModel::SC);
-        cfg.l1.size = 512;
-        cfg.l1.assoc = 1;
-        cfg.l2.size = 16 * 1024;
-        cfg.spec.mode =
-            (seed % 2) ? spec::SpecMode::Continuous
-                       : spec::SpecMode::OnDemand;
-        cfg.spec.overflow = (seed % 3)
-            ? spec::OverflowPolicy::Stall
-            : spec::OverflowPolicy::Rollback;
-        compareAgainstReference(gen, cfg);
+        compareAgainstReference(generate(seed, 4, 200),
+                                directMappedSpecMachine(seed));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replacement order, pinned
+// ---------------------------------------------------------------------
+
+TEST(ReplacementOrder, FullL2SetRandomProgramsCountsExact)
+{
+    // BankedProtocol.FullL2SetParksMissesUntilAWayFrees's machine under
+    // sixteen generated programs: nearly every miss recalls an L2
+    // victim that LRU picks from two candidates, so any change to
+    // victim choice moves these counts.
+    struct Row
+    {
+        std::uint64_t seed;
+        test::ReplacementCounts want;
+    };
+    const Row rows[] = {
+        {40, {.cycles = 9663, .insts = 4162,
+              .banks = {{695, 711, 695}, {681, 697, 680}}}},
+        {41, {.cycles = 11646, .insts = 4270,
+              .banks = {{612, 628, 612}, {634, 650, 634}}}},
+        {42, {.cycles = 10019, .insts = 4186,
+              .banks = {{677, 693, 676}, {692, 708, 691}}}},
+        {43, {.cycles = 11408, .insts = 4258,
+              .banks = {{642, 658, 641}, {547, 563, 547}}}},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE("seed " + std::to_string(r.seed));
+        GeneratedProgram gen = generate(r.seed, 16, 200);
+        harness::SystemConfig cfg = test::fullL2SetMachine();
+        cfg.spec.mode = (r.seed % 2) ? spec::SpecMode::Continuous
+                                     : spec::SpecMode::OnDemand;
+        harness::System sys(cfg, gen.prog);
+        ASSERT_TRUE(sys.run());
+        sys.auditCoherence();
+        EXPECT_EQ(test::replacementCounts(sys), r.want);
+    }
+}
+
+TEST(ReplacementOrder, DirectMappedSpeculationCountsExact)
+{
+    // DirectMappedWithSpeculation's machine and programs, plus two
+    // longer programs that park fills on a set full of speculatively
+    // tagged blocks.  The 16 KiB L2 never evicts here.
+    struct Row
+    {
+        std::uint64_t seed;
+        unsigned ops;
+        test::ReplacementCounts want;
+    };
+    const Row rows[] = {
+        {20, 200, {.cycles = 2004, .insts = 1026, .banks = {{0, 33, 0}},
+                   .evictions = 34}},
+        {21, 200, {.cycles = 1994, .insts = 1006, .banks = {{0, 33, 0}},
+                   .evictions = 38}},
+        {22, 200, {.cycles = 2108, .insts = 1040, .banks = {{0, 33, 0}},
+                   .evictions = 32}},
+        {23, 200, {.cycles = 1939, .insts = 996, .banks = {{0, 33, 0}},
+                   .evictions = 41}},
+        {24, 200, {.cycles = 1622, .insts = 982, .banks = {{0, 33, 0}},
+                   .evictions = 41}},
+        {25, 200, {.cycles = 2032, .insts = 1010, .banks = {{0, 33, 0}},
+                   .evictions = 37, .overflow_waits = 1,
+                   .fill_retries = 1}},
+        {52, 400, {.cycles = 3550, .insts = 1970, .banks = {{0, 33, 0}},
+                   .evictions = 70, .overflow_waits = 2,
+                   .fill_retries = 2}},
+        {113, 400, {.cycles = 4172, .insts = 1986, .banks = {{0, 33, 0}},
+                    .evictions = 76, .overflow_waits = 2,
+                    .fill_retries = 2}},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE("seed " + std::to_string(r.seed));
+        GeneratedProgram gen = generate(r.seed, 4, r.ops);
+        harness::System sys(directMappedSpecMachine(r.seed), gen.prog);
+        ASSERT_TRUE(sys.run());
+        sys.auditCoherence();
+        EXPECT_EQ(test::replacementCounts(sys), r.want);
     }
 }
 

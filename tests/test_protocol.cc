@@ -5,8 +5,8 @@
  * inspect the resulting MESI states, directory bookkeeping and message
  * behaviour -- including the transient races (writeback vs probe,
  * buffered fill vs invalidation) and the speculation-specific states
- * (WbClean, MStale).  One whole-system case uses sixteen cores to miss
- * on a single L2 set all at once.
+ * (WbClean, MStale).  Two whole-system cases use sixteen cores to miss
+ * on a single L2 set all at once; one pins the run's exact counts.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "mem/network.hh"
 #include "sim/reqtrace.hh"
 #include "sim/sim_object.hh"
+#include "tests/sim_test_util.hh"
 
 using namespace fenceless;
 using namespace fenceless::mem;
@@ -166,12 +167,20 @@ class ProtocolBench
     state(unsigned core, Addr addr) const
     {
         const L1Block *blk = l1s[core]->findBlock(addr);
-        return blk && blk->valid ? blk->state : L1State::I;
+        return blk ? blk->state : L1State::I;
     }
 
     const L2Block *dirEntry(Addr addr) const
     {
         return bankFor(addr).findBlock(addr);
+    }
+
+    /** The L2 copy's 8-byte word at @p addr. */
+    std::uint64_t
+    l2Word(Addr addr) const
+    {
+        EXPECT_NE(dirEntry(addr), nullptr) << "no L2 copy";
+        return bankFor(addr).debugRead(addr, 8);
     }
 
     /** Summed over banks, so callers are bank-count agnostic. */
@@ -199,7 +208,8 @@ class ProtocolBench
                 if (blk.state == L1State::S) {
                     EXPECT_TRUE(l2->isSharer(c));
                     EXPECT_FALSE(l2->hasOwner());
-                    EXPECT_TRUE(blk.data == l2->data);
+                    EXPECT_TRUE(bankFor(blk.block_addr)
+                                    .holdsData(*l2, l1s[c]->blockData(blk)));
                 } else {
                     EXPECT_EQ(l2->owner, c);
                     EXPECT_FALSE(l2->hasSharers());
@@ -291,7 +301,7 @@ TEST(Protocol2, DirtyDataForwardsOnRead)
     EXPECT_EQ(b.state(1, 0x1000), L1State::S);
     EXPECT_GE(b.dirStat("fwds_sent"), 1u);
     // The forward updated the L2 copy.
-    EXPECT_EQ(b.dirEntry(0x1000)->readInt(0, 8), 1234u);
+    EXPECT_EQ(b.l2Word(0x1000), 1234u);
 }
 
 TEST(Protocol2, DirtyDataForwardsOnWrite)
@@ -339,7 +349,7 @@ TEST(Protocol2, EvictionWritesBackDirtyData)
     b.store(0, 0x1000 + 1024, 333); // evicts 0x1000
     EXPECT_EQ(b.state(0, 0x1000), L1State::I);
     // The directory received the PutM and owns the current data.
-    EXPECT_EQ(b.dirEntry(0x1000)->readInt(0, 8), 111u);
+    EXPECT_EQ(b.l2Word(0x1000), 111u);
     EXPECT_FALSE(b.dirEntry(0x1000)->hasOwner());
     // And a re-read returns it.
     EXPECT_EQ(b.load(0, 0x1000), 111u);
@@ -696,7 +706,7 @@ TEST(SpecProtocol, CleanBeforeSpecWritePreservesDirtyData)
     // Speculatively overwrite; the L1 must push 1111 to the L2 first.
     b.specStore(0x1000, 2222);
     EXPECT_GE(b.l1s[0]->statGroup().scalarCount("wb_clean"), 1u);
-    EXPECT_EQ(b.dirEntry(0x1000)->readInt(0, 8), 1111u);
+    EXPECT_EQ(b.l2Word(0x1000), 1111u);
 
     // Remote read -> rollback; the reader sees the committed 1111.
     EXPECT_EQ(b.load(1, 0x1000), 1111u);
@@ -1047,28 +1057,21 @@ TEST(Protocol2, MshrAndTxnWalksAreBlockOrdered)
     EXPECT_TRUE(b.dirs[0]->quiesced());
 }
 
-TEST(BankedProtocol, FullL2SetParksMissesUntilAWayFrees)
+namespace
 {
-    // Sixteen cores miss at once on distinct blocks of one set of a
-    // 2-way L2 slice: every way is soon held by an active transaction,
-    // and later misses must wait for one to finish instead of
-    // aborting.  Block k (stride 1 KiB: bank 0, set 0) gets k + 1.
-    harness::SystemConfig cfg;
-    cfg.num_cores = 16;
-    cfg.dir_banks = 2;
-    cfg.l1.size = 4 * 1024;
-    cfg.l1.assoc = 4;
-    cfg.l2.size = 2 * 1024; // per bank: 8 sets of 2 ways
-    cfg.l2.assoc = 2;
-    cfg.l2.dram_latency = 30;
-    cfg.max_cycles = 5'000'000;
 
-    constexpr std::uint64_t rounds = 4;
+/**
+ * Each core stores to @p rounds distinct blocks of bank 0, set 0
+ * (stride 1 KiB): block k gets k + 1.  Sets @p arr to the first block.
+ */
+isa::Program
+fullL2SetBurst(const harness::SystemConfig &cfg, std::uint64_t rounds,
+               Addr *arr)
+{
     constexpr std::uint64_t stride = 1024;
     isa::Assembler as;
-    const Addr arr = as.alloc("arr", cfg.num_cores * rounds * stride,
-                              16 * stride);
-    as.li(isa::a0, arr);
+    *arr = as.alloc("arr", cfg.num_cores * rounds * stride, 16 * stride);
+    as.li(isa::a0, *arr);
     as.slli(isa::t0, isa::tp, 10);
     as.add(isa::a0, isa::a0, isa::t0);
     as.addi(isa::t1, isa::tp, 1);
@@ -1081,7 +1084,22 @@ TEST(BankedProtocol, FullL2SetParksMissesUntilAWayFrees)
     as.addi(isa::s0, isa::s0, -1);
     as.bne(isa::s0, isa::x0, "loop");
     as.halt();
-    const isa::Program prog = as.finish();
+    return as.finish();
+}
+
+} // namespace
+
+TEST(BankedProtocol, FullL2SetParksMissesUntilAWayFrees)
+{
+    // Sixteen cores miss at once on distinct blocks of one set of a
+    // 2-way L2 slice: every way is soon held by an active transaction,
+    // and later misses must wait for one to finish instead of
+    // aborting.
+    const harness::SystemConfig cfg = test::fullL2SetMachine();
+    constexpr std::uint64_t rounds = 4;
+    constexpr std::uint64_t stride = 1024;
+    Addr arr = 0;
+    const isa::Program prog = fullL2SetBurst(cfg, rounds, &arr);
 
     // Mid-burst, the wait-for graph ties parked misses to the
     // transactions holding their set's ways.
@@ -1105,4 +1123,23 @@ TEST(BankedProtocol, FullL2SetParksMissesUntilAWayFrees)
     EXPECT_GT(sys.stats().findGroup("l2dir.bank0")->scalarCount("recalls"),
               0u);
     sys.auditCoherence();
+}
+
+// ---------------------------------------------------------------------
+// Replacement order, pinned
+// ---------------------------------------------------------------------
+
+TEST(ReplacementOrder, FullL2SetBurstCountsExact)
+{
+    // Six blocks per core, all in one 2-way set of bank 0: the burst
+    // recalls, writes back and parks on the full set throughout.
+    const harness::SystemConfig cfg = test::fullL2SetMachine();
+    Addr arr = 0;
+    const isa::Program prog = fullL2SetBurst(cfg, 6, &arr);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+    sys.auditCoherence();
+    const test::ReplacementCounts want{
+        .cycles = 2943, .insts = 592, .banks = {{94, 96, 94}, {0, 0, 0}}};
+    EXPECT_EQ(test::replacementCounts(sys), want);
 }
