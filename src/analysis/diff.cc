@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 namespace fenceless::analysis
 {
@@ -42,37 +41,17 @@ operator<(const StatDelta &a, const StatDelta &b)
 }
 
 ProfileDiff
-diffProfiles(const ProfileRun &base, const ProfileRun &cand,
+diffProfiles(const prof::Profile &base, const prof::Profile &cand,
              std::size_t top_n)
 {
     ProfileDiff out;
 
-    // Whole-run bucket totals: exact integer sums over the per-PC
-    // rows, so they equal each run's own --waste-report totals.
     const auto base_totals = base.bucketTotals();
     const auto cand_totals = cand.bucketTotals();
-    const std::vector<std::string> &taxonomy =
-        !base.buckets.empty() ? base.buckets : cand.buckets;
-    std::set<std::string> seen;
-    for (const std::string &b : taxonomy) {
-        BucketDelta d{b, 0, 0};
-        auto bit = base_totals.find(b);
-        if (bit != base_totals.end())
-            d.base = bit->second;
-        auto cit = cand_totals.find(b);
-        if (cit != cand_totals.end())
-            d.cand = cit->second;
-        out.buckets.push_back(d);
-        seen.insert(b);
-    }
-    for (const auto &[b, total] : cand_totals) {
-        if (seen.count(b))
-            continue;
-        BucketDelta d{b, 0, total};
-        auto bit = base_totals.find(b);
-        if (bit != base_totals.end())
-            d.base = bit->second;
-        out.buckets.push_back(d);
+    for (std::size_t b = 0; b < prof::num_buckets; ++b) {
+        out.buckets.push_back(
+            {prof::cycleBucketName(static_cast<prof::CycleBucket>(b)),
+             base_totals[b], cand_totals[b]});
     }
 
     // Per-symbol deltas over the union of symbols; a symbol present
@@ -86,21 +65,17 @@ diffProfiles(const ProfileRun &base, const ProfileRun &cand,
             (bi != base.pcs.end() && bi->first < ci->first)) {
             d.sym = bi->first;
             d.base_wasted = bi->second.wasted();
-            d.base_total = bi->second.total();
             d.only_base = true;
             ++bi;
         } else if (bi == base.pcs.end() || ci->first < bi->first) {
             d.sym = ci->first;
             d.cand_wasted = ci->second.wasted();
-            d.cand_total = ci->second.total();
             d.only_cand = true;
             ++ci;
         } else {
             d.sym = bi->first;
             d.base_wasted = bi->second.wasted();
-            d.base_total = bi->second.total();
             d.cand_wasted = ci->second.wasted();
-            d.cand_total = ci->second.total();
             ++bi;
             ++ci;
         }
@@ -122,23 +97,21 @@ diffProfiles(const ProfileRun &base, const ProfileRun &cand,
         out.improved.resize(top_n);
 
     // Folded flamegraph diff ("sym;bucket base cand"): the union of
-    // stacks of both runs, in sorted order.  Zero-both stacks cannot
-    // occur (writers skip zero rows) but are filtered anyway.
+    // stacks of both runs, in sorted order.  Zero counts are skipped,
+    // as Profile::writeFolded skips them.
     std::map<std::string, FoldedDiffRow> folded;
     for (const auto &[sym, row] : base.pcs) {
-        for (const auto &[bucket, n] : row.cycles) {
-            if (!n)
-                continue;
-            FoldedDiffRow &fr = folded[sym + ";" + bucket];
-            fr.base = n;
+        for (std::size_t b = 0; b < prof::num_buckets; ++b) {
+            if (row.cycles[b])
+                folded[sym + ";" + out.buckets[b].bucket].base =
+                    row.cycles[b];
         }
     }
     for (const auto &[sym, row] : cand.pcs) {
-        for (const auto &[bucket, n] : row.cycles) {
-            if (!n)
-                continue;
-            FoldedDiffRow &fr = folded[sym + ";" + bucket];
-            fr.cand = n;
+        for (std::size_t b = 0; b < prof::num_buckets; ++b) {
+            if (row.cycles[b])
+                folded[sym + ";" + out.buckets[b].bucket].cand =
+                    row.cycles[b];
         }
     }
     for (auto &[stack, row] : folded) {
@@ -277,9 +250,6 @@ summarize(const RunInput &run)
     out.links_used = s.scalar("network", "network.links_used");
     out.hot_link_msgs = s.scalar("network", "network.hot_link_msgs");
     out.hot_link_busy = s.scalar("network", "network.hot_link_busy");
-
-    if (run.has_profile)
-        out.waste = run.profile.bucketTotals();
     return out;
 }
 

@@ -5,9 +5,10 @@
  * metrics, and scaling analysis over a swept axis.
  *
  * Waste deltas are computed on the profiler's raw integer cycle
- * counters, never on derived floats, so the whole-run per-bucket
- * totals in a report match each run's own `--waste-report` output to
- * the exact count -- the property CI's report-smoke job asserts.
+ * counters, never on derived floats.  The whole-run per-bucket totals
+ * come from prof::Profile::bucketTotals(), the function each run's own
+ * `--waste-report` prints them with, so the two agree to the exact
+ * count -- the property CI's report-smoke job asserts.
  *
  * Every ranking here is deterministic: value ordering with the symbol
  * string as tiebreak, operating on sorted maps, so two invocations
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -47,8 +47,6 @@ struct PcDelta
     std::string sym;
     std::uint64_t base_wasted = 0;
     std::uint64_t cand_wasted = 0;
-    std::uint64_t base_total = 0;
-    std::uint64_t cand_total = 0;
     bool only_base = false; //!< symbol vanished in the candidate
     bool only_cand = false; //!< symbol is new in the candidate
 
@@ -76,8 +74,8 @@ struct ProfileDiff
     std::vector<FoldedDiffRow> folded; //!< every stack, sorted
 };
 
-ProfileDiff diffProfiles(const ProfileRun &base, const ProfileRun &cand,
-                         std::size_t top_n);
+ProfileDiff diffProfiles(const prof::Profile &base,
+                         const prof::Profile &cand, std::size_t top_n);
 
 /** One numeric facet of one stat, in both runs. */
 struct StatDelta
@@ -139,9 +137,6 @@ struct RunSummary
 
     /** max per-core insts over mean: 1.0 is perfectly balanced. */
     double core_imbalance = 0.0;
-
-    /** Waste-bucket cycle totals (empty without a profile). */
-    std::map<std::string, std::uint64_t> waste;
 };
 
 RunSummary summarize(const RunInput &run);

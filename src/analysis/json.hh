@@ -47,9 +47,7 @@ class Json
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
     bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
 
     /**
      * Parse @p text into @p out.  On failure returns false and sets

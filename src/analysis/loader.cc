@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "base/stats_json.hh"
-#include "sim/profiler.hh"
 
 namespace fenceless::analysis
 {
@@ -15,16 +14,6 @@ StatValue::primary() const
     if (kind == "distribution")
         return field("total");
     return field("value");
-}
-
-std::vector<std::string>
-StatsRun::groupNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(groups.size());
-    for (const auto &[name, stats] : groups)
-        names.push_back(name);
-    return names;
 }
 
 const StatValue *
@@ -104,39 +93,6 @@ StatsRun::countGroups(const std::string &group_prefix) const
             ++n;
     }
     return n;
-}
-
-std::uint64_t
-ProfileRun::PcRow::total() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[bucket, n] : cycles)
-        sum += n;
-    return sum;
-}
-
-std::uint64_t
-ProfileRun::PcRow::wasted() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[bucket, n] : cycles) {
-        if (bucket != "execute")
-            sum += n;
-    }
-    return sum;
-}
-
-std::map<std::string, std::uint64_t>
-ProfileRun::bucketTotals() const
-{
-    std::map<std::string, std::uint64_t> totals;
-    for (const std::string &b : buckets)
-        totals[b] = 0;
-    for (const auto &[sym, row] : pcs) {
-        for (const auto &[bucket, n] : row.cycles)
-            totals[bucket] += n;
-    }
-    return totals;
 }
 
 bool
@@ -250,45 +206,41 @@ loadStatsRun(const std::string &text, const std::string &label,
 }
 
 bool
-loadProfileRun(const std::string &text, ProfileRun &out,
-               std::string &error)
+loadProfile(const std::string &text, prof::Profile &out,
+            std::string &error)
 {
     Json doc;
     if (!Json::parse(text, doc, error)) {
         error = "profile: " + error;
         return false;
     }
+    int version = 0;
     if (!checkSchemaVersion(doc, prof::profile_schema_version,
-                            "profile", out.schema_version, error))
+                            "profile", version, error))
         return false;
 
-    for (const Json &b : doc["buckets"].array())
-        out.buckets.push_back(b.asString());
+    // Rows carry their counts by bucket name, so a document from a
+    // build with another taxonomy would drop or misfile cycles.
+    const std::vector<Json> &buckets = doc["buckets"].array();
+    bool same = buckets.size() == prof::num_buckets;
+    for (std::size_t b = 0; same && b < prof::num_buckets; ++b) {
+        same = buckets[b].asString() ==
+               prof::cycleBucketName(static_cast<prof::CycleBucket>(b));
+    }
+    if (!same) {
+        error = "profile: \"buckets\" differs from this tool's waste "
+                "taxonomy; refusing to compare";
+        return false;
+    }
+
     for (const Json &row : doc["pcs"].array()) {
-        ProfileRun::PcRow pc;
+        prof::Profile::PcRow &pc = out.pcs[row["sym"].asString()];
         pc.pc = row["pc"].asU64();
         pc.execs = row["execs"].asU64();
-        for (const auto &[bucket, n] : row["cycles"].object())
-            pc.cycles[bucket] = n.asU64();
-        out.pcs[row["sym"].asString()] = std::move(pc);
-    }
-    for (const Json &row : doc["lines"].array()) {
-        ProfileRun::LineRow line;
-        line.touches = row["touches"].asU64();
-        line.invalidations = row["invalidations"].asU64();
-        line.ping_pongs = row["ping_pongs"].asU64();
-        line.cores_touched =
-            static_cast<std::uint32_t>(row["cores_touched"].asU64());
-        line.false_sharing = row["false_sharing"].asBool();
-        out.lines[row["sym"].asString()] = line;
-    }
-    for (const Json &row : doc["rollbacks"].array()) {
-        const std::string key = row["cause"].asString() + "|" +
-                                row["victim"].asString() + "|" +
-                                row["line"].asString();
-        ProfileRun::RollbackRow &rb = out.rollbacks[key];
-        rb.count += row["count"].asU64();
-        rb.discarded_insts += row["discarded_insts"].asU64();
+        for (std::size_t b = 0; b < prof::num_buckets; ++b) {
+            pc.cycles[b] = row["cycles"][prof::cycleBucketName(
+                static_cast<prof::CycleBucket>(b))].asU64();
+        }
     }
     return true;
 }

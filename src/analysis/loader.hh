@@ -8,8 +8,8 @@
  *  - `--stats-json` documents (schema_version, provenance with
  *    sim_mode, groups of typed stats, the self-describing schema
  *    block, periodic snapshots);
- *  - `--profile-out` documents (waste-bucket taxonomy plus per-PC,
- *    per-line and per-rollback views);
+ *  - `--profile-out` documents, read into the prof::Profile the
+ *    simulator wrote them from (per-PC rows only);
  *  - `--sweep-json` rows from bench_scaling (one JSON object per
  *    line, one line per sweep point).
  *
@@ -29,13 +29,13 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/json.hh"
+#include "sim/profiler.hh"
 
 namespace fenceless::analysis
 {
@@ -88,9 +88,6 @@ struct StatsRun
     std::map<std::string, std::map<std::string, StatValue>> groups;
     std::map<std::string, SchemaEntry> schema;
 
-    /** Group names in deterministic (sorted) order. */
-    std::vector<std::string> groupNames() const;
-
     /**
      * Scalar/primary value of @p stat inside @p group; 0 when the
      * group or stat is absent (tolerance, not an error).
@@ -118,53 +115,13 @@ struct StatsRun
     std::size_t countGroups(const std::string &group_prefix) const;
 };
 
-/** One parsed --profile-out document. */
-struct ProfileRun
-{
-    struct PcRow
-    {
-        std::uint64_t pc = 0;
-        std::uint64_t execs = 0;
-        /** bucket name -> cycles; integer counts, diffed exactly. */
-        std::map<std::string, std::uint64_t> cycles;
-
-        std::uint64_t total() const;
-        std::uint64_t wasted() const; //!< total minus execute
-    };
-
-    struct LineRow
-    {
-        std::uint64_t touches = 0;
-        std::uint64_t invalidations = 0;
-        std::uint64_t ping_pongs = 0;
-        std::uint32_t cores_touched = 0;
-        bool false_sharing = false;
-    };
-
-    struct RollbackRow
-    {
-        std::uint64_t count = 0;
-        std::uint64_t discarded_insts = 0;
-    };
-
-    int schema_version = 0;
-    std::vector<std::string> buckets; //!< taxonomy, document order
-    std::map<std::string, PcRow> pcs; //!< sym -> row
-    std::map<std::string, LineRow> lines;
-    /** "cause|victim|line" -> row */
-    std::map<std::string, RollbackRow> rollbacks;
-
-    /** Whole-run cycles per bucket (exact integer sums over pcs). */
-    std::map<std::string, std::uint64_t> bucketTotals() const;
-};
-
 /** A label plus the artifacts loaded for one simulator run. */
 struct RunInput
 {
     std::string label;
     StatsRun stats;
     bool has_profile = false;
-    ProfileRun profile;
+    prof::Profile profile;
 };
 
 /** Slurp @p path; false + @p error on I/O failure. */
@@ -179,9 +136,14 @@ bool readFile(const std::string &path, std::string &out,
 bool loadStatsRun(const std::string &text, const std::string &label,
                   StatsRun &out, std::string &error);
 
-/** Parse @p text as a --profile-out document into @p out. */
-bool loadProfileRun(const std::string &text, ProfileRun &out,
-                    std::string &error);
+/**
+ * Parse @p text as a --profile-out document into @p out: the per-PC
+ * rows (sym, pc, execs, cycles per bucket), the only view fl_report
+ * reports.  Fails like loadStatsRun, and also when the document's
+ * "buckets" list is not this build's waste taxonomy in order.
+ */
+bool loadProfile(const std::string &text, prof::Profile &out,
+                 std::string &error);
 
 /**
  * Parse bench_scaling --sweep-json rows: one JSON object per line,

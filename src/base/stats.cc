@@ -120,15 +120,15 @@ Distribution::stdev() const
 }
 
 std::string
-StatGroup::qualify(const std::string &name) const
+StatGroup::qualifiedName(const Stat &stat) const
 {
-    return name_.empty() ? name : name_ + "." + name;
+    return name_.empty() ? stat.name() : name_ + "." + stat.name();
 }
 
 Scalar &
 StatGroup::addScalar(const std::string &name, const std::string &desc)
 {
-    auto stat = std::make_unique<Scalar>(qualify(name), desc);
+    auto stat = std::make_unique<Scalar>(name, desc);
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;
@@ -137,7 +137,7 @@ StatGroup::addScalar(const std::string &name, const std::string &desc)
 Distribution &
 StatGroup::addDistribution(const std::string &name, const std::string &desc)
 {
-    auto stat = std::make_unique<Distribution>(qualify(name), desc);
+    auto stat = std::make_unique<Distribution>(name, desc);
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;
@@ -147,8 +147,7 @@ Formula &
 StatGroup::addFormula(const std::string &name, const std::string &desc,
                       std::function<double()> fn)
 {
-    auto stat = std::make_unique<Formula>(qualify(name), desc,
-                                          std::move(fn));
+    auto stat = std::make_unique<Formula>(name, desc, std::move(fn));
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;
@@ -157,9 +156,8 @@ StatGroup::addFormula(const std::string &name, const std::string &desc,
 const Stat *
 StatGroup::find(const std::string &short_name) const
 {
-    const std::string full = qualify(short_name);
     for (const auto &s : stats_) {
-        if (s->name() == full)
+        if (s->name() == short_name)
             return s.get();
     }
     return nullptr;

@@ -162,7 +162,8 @@ class Formula : public Stat
  * A named collection of statistics belonging to one component.
  *
  * The group owns its stats; components keep references to the concrete
- * objects.  Names are automatically prefixed with the group name.
+ * objects.  A stat keeps the short name it was registered with;
+ * qualifiedName() prefixes the group name where output needs it.
  */
 class StatGroup
 {
@@ -180,7 +181,7 @@ class StatGroup
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
 
-    /** Look up a stat by its short (unprefixed) name; nullptr if absent. */
+    /** Look up a stat by its short name; nullptr if absent. */
     const Stat *find(const std::string &short_name) const;
 
     /** Look up a scalar's count by short name; 0 if absent. */
@@ -192,9 +193,10 @@ class StatGroup
 
     const std::vector<std::unique_ptr<Stat>> &stats() const { return stats_; }
 
-  private:
-    std::string qualify(const std::string &name) const;
+    /** "group.stat": the name @p stat is printed under. */
+    std::string qualifiedName(const Stat &stat) const;
 
+  private:
     std::string name_;
     std::vector<std::unique_ptr<Stat>> stats_;
 };

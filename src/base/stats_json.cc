@@ -59,14 +59,10 @@ constexpr UnitRule unit_rules[] = {
 const char *
 statUnit(const Stat &stat)
 {
-    // Match on the short (group-unqualified) name so a group's name
-    // cannot accidentally satisfy a rule.
-    const std::string &name = stat.name();
-    const auto dot = name.rfind('.');
-    const std::string short_name =
-        dot == std::string::npos ? name : name.substr(dot + 1);
+    // Match on the short name so a group's name cannot accidentally
+    // satisfy a rule.
     for (const UnitRule &rule : unit_rules) {
-        if (short_name.find(rule.needle) != std::string::npos)
+        if (stat.name().find(rule.needle) != std::string::npos)
             return rule.unit;
     }
     return "count";
@@ -136,7 +132,7 @@ printJson(std::ostream &os, const StatGroup &group)
     bool first = true;
     for (const auto &s : group.stats()) {
         os << (first ? "" : ", ") << "\n      "
-           << jsonQuote(s->name()) << ": ";
+           << jsonQuote(group.qualifiedName(*s)) << ": ";
         printJson(os, *s);
         first = false;
     }
@@ -168,7 +164,8 @@ printSchemaJson(std::ostream &os, const StatRegistry &registry)
                 dynamic_cast<const Distribution *>(s.get()) ? "distribution"
                 : dynamic_cast<const Formula *>(s.get())    ? "formula"
                                                             : "scalar";
-            os << (first ? "" : ",") << "\n    " << jsonQuote(s->name())
+            os << (first ? "" : ",") << "\n    "
+               << jsonQuote(g->qualifiedName(*s))
                << ": {\"kind\": \"" << kind << "\", \"unit\": \""
                << statUnit(*s) << "\", \"desc\": "
                << jsonQuote(s->desc()) << "}";

@@ -91,7 +91,8 @@ optionTable()
          "as JSON plus FILE.folded (flamegraph\n"
          "folded stacks)",
          O::Profile},
-        {"--waste-report", "print the top-N waste table", O::Profile},
+        {"--waste-report", "print bucket totals and top-N tables",
+         O::Profile},
         {"--blackbox-out=FILE",
          "dump the flight recorder after the\n"
          "run (Chrome trace-event JSON)",

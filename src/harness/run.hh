@@ -1,13 +1,16 @@
 /**
  * @file
  * One checked run: build a workload's program, run it on its own
- * System, verify its postconditions, and report a failure as a value.
+ * System, verify its postconditions, audit its coherence state, and
+ * report a failure as a value.
  *
  * The evaluation binaries and examples run their workloads through
- * runWorkload().  Termination and postconditions are hard
- * requirements -- a table computed from a broken run would be
- * meaningless -- but a failing point must not exit() from a sweep
- * worker thread, so the failure comes back as a RunError.  Sweep
+ * runWorkload().  Termination, postconditions and a quiesced machine
+ * are hard requirements -- a table computed from a broken run would
+ * be meaningless -- but a failing point must not exit() from a sweep
+ * worker thread, so the failure comes back as a RunError.  The
+ * coherence audit that follows panics on a violation, as it would
+ * anywhere: a broken protocol invariant is a simulator bug.  Sweep
  * results carry it by deriving from RunError, and the main thread
  * surfaces every failure with sweepFailed() once the sweep has
  * drained (DESIGN.md section 7.1):
@@ -52,7 +55,7 @@ struct Run : RunError
     std::unique_ptr<System> sys;
 };
 
-/** Build, run and verify @p wl under @p cfg. */
+/** Build, run, verify and audit @p wl under @p cfg. */
 inline Run
 runWorkload(workload::Workload &wl, const SystemConfig &cfg)
 {
@@ -71,7 +74,15 @@ runWorkload(workload::Workload &wl, const SystemConfig &cfg)
     if (!wl.check(run.sys->memReader(), cfg.num_cores, check_error)) {
         run.error = "workload '" + wl.name() +
                     "' failed verification: " + check_error;
+        return run;
     }
+    if (!run.sys->quiesced()) {
+        run.error = "workload '" + wl.name() +
+                    "' did not quiesce (events, misses or directory "
+                    "transactions still in flight)";
+        return run;
+    }
+    run.sys->auditCoherence();
     return run;
 }
 

@@ -723,11 +723,12 @@ System::buildWaitGraph(sim::WaitGraph &g) const
     const std::uint32_t wid = dirWaitId(banks, b);
     bank_dir.forEachTxn([&](const mem::Directory::TxnView &t) {
         const WaitNode txn{Kind::DirTxn, wid, t.block};
-        const std::string phase = t.phase;
-        if (phase == "dram") {
+        switch (t.phase) {
+          case mem::Directory::Phase::Dram:
             g.addEdge(txn, WaitNode{Kind::Dram, wid, 0},
                       "awaiting DRAM fill");
-        } else if (phase == "fwd") {
+            break;
+          case mem::Directory::Phase::Fwd: {
             const mem::L2Block *blk = bank_dir.findBlock(t.block);
             if (blk && blk->hasOwner()) {
                 std::ostringstream label;
@@ -741,7 +742,9 @@ System::buildWaitGraph(sim::WaitGraph &g) const
                                    0},
                           label.str());
             }
-        } else if (phase == "inv-acks") {
+            break;
+          }
+          case mem::Directory::Phase::InvAcks: {
             const mem::L2Block *blk = bank_dir.findBlock(t.block);
             if (blk) {
                 for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
@@ -751,7 +754,9 @@ System::buildWaitGraph(sim::WaitGraph &g) const
                     }
                 }
             }
-        } else if (phase == "way-wait") {
+            break;
+          }
+          case mem::Directory::Phase::WayWait:
             // Parked until a transaction holding a way of its set ends.
             bank_dir.forEachTxn([&](const mem::Directory::TxnView &o) {
                 if (o.set == t.set && bank_dir.findBlock(o.block)) {
@@ -759,6 +764,10 @@ System::buildWaitGraph(sim::WaitGraph &g) const
                               "awaiting a free way of its L2 set");
                 }
             });
+            break;
+          case mem::Directory::Phase::Start:
+          case mem::Directory::Phase::Blocked:
+            break;
         }
         // A recall transaction unblocks the request parked behind it;
         // victim and blocked request both live in this bank's slice.

@@ -256,7 +256,7 @@ Directory::retryWayWaiter(Addr block_addr)
     // FIFO if the set is still full (ensurePresent parks it again).
     const Addr waiter = *it;
     processRequest(waiter);
-    if (findTxn(waiter)->phase != Txn::Phase::WayWait) {
+    if (findTxn(waiter)->phase != Phase::WayWait) {
         way_waiters_.erase(std::find(way_waiters_.begin(),
                                      way_waiters_.end(), waiter));
     }
@@ -277,7 +277,7 @@ Directory::processGetS(Txn &txn, L2Block &blk)
             prof_->linePingPong(blk.block_addr);
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetS, blk.owner, blk.block_addr);
-        txn.phase = Txn::Phase::Fwd;
+        txn.phase = Phase::Fwd;
         FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
                 blk.block_addr, blk.owner);
         return;
@@ -317,7 +317,7 @@ Directory::processGetM(Txn &txn, L2Block &blk)
             prof_->linePingPong(blk.block_addr);
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetM, blk.owner, blk.block_addr);
-        txn.phase = Txn::Phase::Fwd;
+        txn.phase = Phase::Fwd;
         FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
                 blk.block_addr, blk.owner);
         return;
@@ -343,7 +343,7 @@ Directory::processGetM(Txn &txn, L2Block &blk)
     }
     stat_invs_sent_ += count;
     txn.pending_acks = count;
-    txn.phase = Txn::Phase::InvAcks;
+    txn.phase = Phase::InvAcks;
     FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirInv, blk.block_addr,
             count);
 }
@@ -422,7 +422,7 @@ Directory::handleAck(const Msg &msg)
     flAssert(blk, name(), ": ack for a block not in L2");
 
     if (msg.type == MsgType::InvAck) {
-        flAssert(txn.phase == Txn::Phase::InvAcks,
+        flAssert(txn.phase == Phase::InvAcks,
                  name(), ": unexpected InvAck");
         blk->removeSharer(msg.src);
         flAssert(txn.pending_acks > 0, "InvAck underflow");
@@ -441,7 +441,7 @@ Directory::handleAck(const Msg &msg)
     }
 
     // FwdDataAck / FwdNoDataAck from the (former) owner.
-    flAssert(txn.phase == Txn::Phase::Fwd,
+    flAssert(txn.phase == Phase::Fwd,
              name(), ": unexpected ", msg.toString());
     const CoreId old_owner = blk->owner;
     flAssert(old_owner == msg.src, name(), ": Fwd ack from ", msg.src,
@@ -492,7 +492,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
     if (L2Block *blk = array_.find(block_addr))
         return blk;
 
-    if (txn.phase == Txn::Phase::Dram) {
+    if (txn.phase == Phase::Dram) {
         panic(name(), ": re-entered ensurePresent while in Dram phase");
     }
 
@@ -513,13 +513,13 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                 // Every way of the set belongs to an active transaction.
                 // Park until one of them completes (complete() retries
                 // the set's oldest waiter).
-                if (txn.phase != Txn::Phase::WayWait) {
-                    txn.phase = Txn::Phase::WayWait;
+                if (txn.phase != Phase::WayWait) {
+                    txn.phase = Phase::WayWait;
                     way_waiters_.push_back(block_addr);
                 }
                 return nullptr;
             }
-            txn.phase = Txn::Phase::Blocked;
+            txn.phase = Phase::Blocked;
             FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirBlocked,
                     block_addr,
                     static_cast<std::uint32_t>(
@@ -534,7 +534,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
     }
 
     // Fetch the block from DRAM.
-    txn.phase = Txn::Phase::Dram;
+    txn.phase = Phase::Dram;
     FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::Dram, block_addr);
     ++stat_dram_reads_;
     const Tick ready = std::max(curTick(), dram_next_free_)
@@ -573,7 +573,7 @@ Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
     if (blk->hasOwner()) {
         ++stat_fwds_sent_;
         sendToL1(MsgType::Recall, blk->owner, victim_addr);
-        txn.phase = Txn::Phase::Fwd;
+        txn.phase = Phase::Fwd;
         return;
     }
     flAssert(blk->hasSharers(), name(), ": recall of an uncached block");
@@ -586,7 +586,7 @@ Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
     }
     stat_invs_sent_ += count;
     txn.pending_acks = count;
-    txn.phase = Txn::Phase::InvAcks;
+    txn.phase = Phase::InvAcks;
 }
 
 void
@@ -657,20 +657,6 @@ Directory::debugRead(Addr addr, unsigned size) const
     if (blk)
         return array_.readInt(*blk, addr - blk->block_addr, size);
     return backing_.readInt(addr, size);
-}
-
-const char *
-Directory::phaseName(Txn::Phase p)
-{
-    switch (p) {
-      case Txn::Phase::Start: return "start";
-      case Txn::Phase::Dram: return "dram";
-      case Txn::Phase::Fwd: return "fwd";
-      case Txn::Phase::InvAcks: return "inv-acks";
-      case Txn::Phase::Blocked: return "blocked";
-      case Txn::Phase::WayWait: return "way-wait";
-    }
-    return "?";
 }
 
 } // namespace fenceless::mem

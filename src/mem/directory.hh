@@ -111,6 +111,17 @@ class Directory : public sim::SimObject, public MsgReceiver
 
     // --- stall-dossier inspection ---------------------------------------
 
+    /** What an active transaction is waiting for. */
+    enum class Phase : std::uint8_t
+    {
+        Start,    //!< scheduled, not yet processed
+        Dram,     //!< waiting for DRAM fill
+        Fwd,      //!< waiting for the owner's Fwd*Ack
+        InvAcks,  //!< waiting for sharer InvAcks
+        Blocked,  //!< waiting for a recall of an L2 victim
+        WayWait,  //!< every way of the set busy; parked for one
+    };
+
     /**
      * Snapshot of one active transaction, decoupled from the private
      * Txn so wait graphs and dossiers can walk directory state without
@@ -120,7 +131,7 @@ class Directory : public sim::SimObject, public MsgReceiver
     {
         Addr block = 0;
         std::uint64_t set = 0;    //!< L2 set the block maps to
-        const char *phase = "?";
+        Phase phase = Phase::Start;
         MsgType req_type = MsgType::GetS;
         NodeId requester = 0;
         bool is_recall = false;
@@ -138,7 +149,7 @@ class Directory : public sim::SimObject, public MsgReceiver
             TxnView v;
             v.block = addr;
             v.set = array_.setIndex(addr);
-            v.phase = phaseName(txn.phase);
+            v.phase = txn.phase;
             v.req_type = txn.req.type;
             v.requester = txn.req.src;
             v.is_recall = txn.is_recall;
@@ -159,16 +170,6 @@ class Directory : public sim::SimObject, public MsgReceiver
 
     struct Txn
     {
-        enum class Phase : std::uint8_t
-        {
-            Start,    //!< scheduled, not yet processed
-            Dram,     //!< waiting for DRAM fill
-            Fwd,      //!< waiting for the owner's Fwd*Ack
-            InvAcks,  //!< waiting for sharer InvAcks
-            Blocked,  //!< waiting for a recall of an L2 victim
-            WayWait,  //!< every way of the set busy; parked for one
-        };
-
         Msg req;                   //!< request being served
         Phase phase = Phase::Start;
         unsigned pending_acks = 0;
@@ -194,8 +195,6 @@ class Directory : public sim::SimObject, public MsgReceiver
             start_tick = now;
         }
     };
-
-    static const char *phaseName(Txn::Phase p);
 
     // transaction table
     Txn *findTxn(Addr block_addr);

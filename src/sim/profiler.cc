@@ -230,6 +230,17 @@ Profile::PcRow::wasted() const
     return total;
 }
 
+std::array<std::uint64_t, num_buckets>
+Profile::bucketTotals() const
+{
+    std::array<std::uint64_t, num_buckets> totals{};
+    for (const auto &[key, row] : pcs) {
+        for (std::size_t b = 0; b < num_buckets; ++b)
+            totals[b] += row.cycles[b];
+    }
+    return totals;
+}
+
 void
 Profile::merge(const Profile &other)
 {
@@ -366,6 +377,15 @@ Profile::writeReport(std::ostream &os, std::size_t top_n) const
     };
 
     os << "=== waste report ===\n";
+
+    os << "\n-- cycles by bucket --\n";
+    os << std::left << std::setw(40) << "bucket" << std::right
+       << std::setw(12) << "cycles" << "\n";
+    const auto totals = bucketTotals();
+    for (std::size_t b = 0; b < num_buckets; ++b) {
+        name_col(cycleBucketName(static_cast<CycleBucket>(b)), 40);
+        os << std::right << std::setw(12) << totals[b] << "\n";
+    }
 
     os << "\n-- top wasted cycles by instruction --\n";
     os << std::left << std::setw(40) << "symbol" << std::right

@@ -140,6 +140,9 @@ struct Profile
         return pcs.empty() && lines.empty() && rollbacks.empty();
     }
 
+    /** Whole-run cycles per bucket: exact sums over pcs. */
+    std::array<std::uint64_t, num_buckets> bucketTotals() const;
+
     /** Sum @p other into this profile (rows with equal keys merge). */
     void merge(const Profile &other);
 
@@ -152,7 +155,10 @@ struct Profile
      */
     void writeFolded(std::ostream &os) const;
 
-    /** Human-readable top-N waste table ("the ten ways" summary). */
+    /**
+     * Human-readable waste report ("the ten ways" summary): the
+     * bucketTotals() block, then the top-N tables.
+     */
     void writeReport(std::ostream &os, std::size_t top_n = 10) const;
 };
 

@@ -55,14 +55,16 @@ fullL2SetMachine()
     return cfg;
 }
 
-/** Run @p wl under @p cfg; assert termination, postconditions, audit. */
+/**
+ * Run @p wl under @p cfg; assert termination and postconditions
+ * (harness::runWorkload also audits coherence).
+ */
 inline void
 runAndAudit(workload::Workload &wl, const harness::SystemConfig &cfg)
 {
     harness::Run run = harness::runWorkload(wl, cfg);
     ASSERT_FALSE(run.hung) << run.error;
     EXPECT_TRUE(run.ok()) << run.error;
-    run.sys->auditCoherence();
 }
 
 /**

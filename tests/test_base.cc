@@ -179,7 +179,8 @@ TEST(Stats, GroupLookup)
     group.addScalar("loads", "loads");
     EXPECT_NE(group.find("loads"), nullptr);
     EXPECT_EQ(group.find("stores"), nullptr);
-    EXPECT_EQ(group.find("loads")->name(), "core0.loads");
+    EXPECT_EQ(group.find("loads")->name(), "loads");
+    EXPECT_EQ(group.qualifiedName(*group.find("loads")), "core0.loads");
 }
 
 TEST(Stats, RegistryPrint)

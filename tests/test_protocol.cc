@@ -1047,7 +1047,7 @@ TEST(Protocol2, MshrAndTxnWalksAreBlockOrdered)
     std::vector<Addr> txns;
     b.dirs[0]->forEachTxn([&](const Directory::TxnView &t) {
         txns.push_back(t.block);
-        EXPECT_STREQ(t.phase, "dram");
+        EXPECT_EQ(t.phase, Directory::Phase::Dram);
     });
     EXPECT_EQ(txns, mshrs);
 

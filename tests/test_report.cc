@@ -1,11 +1,13 @@
 /**
  * @file
  * Cross-run analysis tests: the JSON parser, the loaders' schema
- * gate and group tolerance, differential waste attribution, and the
- * report renderers' byte-for-byte determinism against a committed
- * golden.
+ * and taxonomy gates and group tolerance, differential waste
+ * attribution, the report renderers' byte-for-byte determinism
+ * against a committed golden, and round trips of the stats and
+ * profile documents through their loaders.
  */
 
+#include <array>
 #include <fstream>
 #include <sstream>
 
@@ -18,6 +20,8 @@
 #include "base/stats.hh"
 #include "base/stats_json.hh"
 #include "sim/profiler.hh"
+#include "tests/sim_test_util.hh"
+#include "workload/microbench.hh"
 
 using namespace fenceless;
 using namespace fenceless::analysis;
@@ -48,18 +52,16 @@ fixtureRuns()
     EXPECT_TRUE(loadStatsRun(slurp(dataPath("report_base.stats.json")),
                              "base", runs[0].stats, error))
         << error;
-    EXPECT_TRUE(loadProfileRun(
-        slurp(dataPath("report_base.prof.json")), runs[0].profile,
-        error))
+    EXPECT_TRUE(loadProfile(slurp(dataPath("report_base.prof.json")),
+                            runs[0].profile, error))
         << error;
     runs[0].label = "base";
     runs[0].has_profile = true;
     EXPECT_TRUE(loadStatsRun(slurp(dataPath("report_cand.stats.json")),
                              "cand", runs[1].stats, error))
         << error;
-    EXPECT_TRUE(loadProfileRun(
-        slurp(dataPath("report_cand.prof.json")), runs[1].profile,
-        error))
+    EXPECT_TRUE(loadProfile(slurp(dataPath("report_cand.prof.json")),
+                            runs[1].profile, error))
         << error;
     runs[1].label = "cand";
     runs[1].has_profile = true;
@@ -152,10 +154,37 @@ TEST(ReportLoader, RefusesMissingSchemaVersion)
     EXPECT_NE(error.find("schema_version"), std::string::npos)
         << error;
 
-    ProfileRun prof;
-    EXPECT_FALSE(loadProfileRun(R"({"pcs": []})", prof, error));
+    prof::Profile profile;
+    EXPECT_FALSE(loadProfile(R"({"pcs": []})", profile, error));
     EXPECT_NE(error.find("schema_version"), std::string::npos)
         << error;
+}
+
+TEST(ReportLoader, RefusesForeignBucketTaxonomy)
+{
+    const auto doc = [](const std::string &buckets) {
+        return "{\"schema_version\": " +
+               std::to_string(prof::profile_schema_version) +
+               ", \"buckets\": [" + buckets + "], \"pcs\": []}";
+    };
+    prof::Profile profile;
+    std::string error;
+    EXPECT_TRUE(loadProfile(doc(R"("execute", "fence_stall", "sb_full", )"
+                                R"("miss_wait", "rollback_discarded")"),
+                            profile, error))
+        << error;
+
+    EXPECT_FALSE(loadProfile(doc(R"("fence_stall", "execute", "sb_full", )"
+                                 R"("miss_wait", "rollback_discarded")"),
+                             profile, error));
+    EXPECT_NE(error.find("taxonomy"), std::string::npos) << error;
+
+    error.clear();
+    EXPECT_FALSE(loadProfile(doc(R"("execute", "fence_stall", "sb_full", )"
+                                 R"("miss_wait", "rollback_discarded", )"
+                                 R"("host_wait")"),
+                             profile, error));
+    EXPECT_NE(error.find("taxonomy"), std::string::npos) << error;
 }
 
 TEST(ReportLoader, LoadsFixtures)
@@ -222,7 +251,16 @@ TEST(ReportDiff, BucketTotalsAreExactIntegerSums)
     auto runs = fixtureRuns();
     ProfileDiff diff =
         diffProfiles(runs[0].profile, runs[1].profile, 10);
+    using Totals = std::array<std::uint64_t, prof::num_buckets>;
+    const Totals base = runs[0].profile.bucketTotals();
+    const Totals cand = runs[1].profile.bucketTotals();
+    EXPECT_EQ(base, (Totals{910, 1005, 20, 140, 10}));
+    EXPECT_EQ(cand, (Totals{940, 1125, 20, 215, 40}));
     ASSERT_EQ(diff.buckets.size(), prof::num_buckets);
+    for (std::size_t b = 0; b < prof::num_buckets; ++b) {
+        EXPECT_EQ(diff.buckets[b].base, base[b]);
+        EXPECT_EQ(diff.buckets[b].cand, cand[b]);
+    }
     // Taxonomy order, exact counts summed over the fixtures' pcs.
     EXPECT_EQ(diff.buckets[0].bucket, "execute");
     EXPECT_EQ(diff.buckets[0].base, 910u);
@@ -297,7 +335,6 @@ TEST(ReportDiff, SummaryAndScaling)
     EXPECT_DOUBLE_EQ(s.cycles, 2000.0);
     EXPECT_DOUBLE_EQ(s.insts, 2000.0);
     EXPECT_DOUBLE_EQ(s.rollbacks, 3.0);
-    EXPECT_EQ(s.waste.at("fence_stall"), 1005u);
 
     ScalingTable table = buildScaling(runs, "topology");
     ASSERT_EQ(table.rows.size(), 2u);
@@ -421,4 +458,40 @@ TEST(ReportSchema, RegistryJsonRoundTripsThroughLoader)
               "distribution");
     EXPECT_EQ(schema["core_0.instructions"]["desc"].asString(),
               "committed instructions");
+}
+
+// ---------------------------------------------------------------------
+// Profile document: emitter and loader agree
+// ---------------------------------------------------------------------
+
+TEST(ReportSchema, ProfileJsonRoundTripsThroughLoader)
+{
+    // A scoped profile, so its symbols carry the ';' sweep binaries'
+    // symbols do.
+    harness::SystemConfig cfg = test::testConfig(4);
+    cfg.withSpeculation();
+    cfg.profile = true;
+    workload::SpinlockCrit::Params p;
+    p.iters = 32;
+    workload::SpinlockCrit wl(p);
+    harness::Run run = harness::runWorkload(wl, cfg);
+    ASSERT_TRUE(run.ok()) << run.error;
+    const prof::Profile written = run.sys->profile("spin/IF-TSO");
+    ASSERT_FALSE(written.pcs.empty());
+
+    std::ostringstream os;
+    written.writeJson(os);
+    prof::Profile read;
+    std::string error;
+    ASSERT_TRUE(loadProfile(os.str(), read, error)) << error;
+
+    ASSERT_EQ(read.pcs.size(), written.pcs.size());
+    for (const auto &[sym, row] : written.pcs) {
+        SCOPED_TRACE(sym);
+        auto it = read.pcs.find(sym);
+        ASSERT_NE(it, read.pcs.end());
+        EXPECT_EQ(it->second.pc, row.pc);
+        EXPECT_EQ(it->second.execs, row.execs);
+        EXPECT_EQ(it->second.cycles, row.cycles);
+    }
 }

@@ -18,7 +18,8 @@
  *    flamegraph file, and a terse triage block for CI.
  *
  * Output is byte-identical for identical inputs; documents with a
- * mismatched schema_version are refused rather than misread.
+ * mismatched schema_version, or profiles with another waste-bucket
+ * taxonomy, are refused rather than misread.
  *
  * Usage:
  *   fl_report --baseline=LABEL=stats.json[,profile.json]
@@ -178,7 +179,7 @@ loadRun(const RunSpec &spec, RunInput &out, std::string &error)
         return true;
     if (!readFile(spec.profile_path, text, error))
         return false;
-    if (!loadProfileRun(text, out.profile, error)) {
+    if (!loadProfile(text, out.profile, error)) {
         error = spec.profile_path + ": " + error;
         return false;
     }
