@@ -1,5 +1,6 @@
 #include "base/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.hh"
@@ -122,39 +123,51 @@ Distribution::stdev() const
 std::string
 StatGroup::qualifiedName(const Stat &stat) const
 {
-    return name_.empty() ? stat.name() : name_ + "." + stat.name();
+    std::string qualified = name_;
+    if (!qualified.empty())
+        qualified += '.';
+    return qualified.append(stat.name());
+}
+
+template <typename T, typename... Args>
+T &
+StatGroup::add(std::string_view name, std::string_view desc,
+               Args &&...args)
+{
+    auto arena = stats_.get_allocator();
+    auto copy = [&arena](std::string_view text) {
+        auto *chars =
+            static_cast<char *>(arena.allocate_bytes(text.size(), 1));
+        std::copy(text.begin(), text.end(), chars);
+        return std::string_view(chars, text.size());
+    };
+    T *stat = arena.new_object<T>(copy(name), copy(desc),
+                                  std::forward<Args>(args)...);
+    stats_.push_back(StatPtr(stat));
+    return *stat;
 }
 
 Scalar &
-StatGroup::addScalar(const std::string &name, const std::string &desc)
+StatGroup::addScalar(std::string_view name, std::string_view desc)
 {
-    auto stat = std::make_unique<Scalar>(name, desc);
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
+    return add<Scalar>(name, desc);
 }
 
 Distribution &
-StatGroup::addDistribution(const std::string &name, const std::string &desc)
+StatGroup::addDistribution(std::string_view name, std::string_view desc)
 {
-    auto stat = std::make_unique<Distribution>(name, desc);
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
+    return add<Distribution>(name, desc);
 }
 
 Formula &
-StatGroup::addFormula(const std::string &name, const std::string &desc,
+StatGroup::addFormula(std::string_view name, std::string_view desc,
                       std::function<double()> fn)
 {
-    auto stat = std::make_unique<Formula>(name, desc, std::move(fn));
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
+    return add<Formula>(name, desc, std::move(fn));
 }
 
 const Stat *
-StatGroup::find(const std::string &short_name) const
+StatGroup::find(std::string_view short_name) const
 {
     for (const auto &s : stats_) {
         if (s->name() == short_name)
@@ -164,28 +177,28 @@ StatGroup::find(const std::string &short_name) const
 }
 
 std::uint64_t
-StatGroup::scalarCount(const std::string &short_name) const
+StatGroup::scalarCount(std::string_view short_name) const
 {
     const auto *s = dynamic_cast<const Scalar *>(find(short_name));
     return s ? s->count() : 0;
 }
 
 const Distribution *
-StatGroup::findDistribution(const std::string &short_name) const
+StatGroup::findDistribution(std::string_view short_name) const
 {
     return dynamic_cast<const Distribution *>(find(short_name));
 }
 
 StatGroup &
-StatRegistry::createGroup(const std::string &name)
+StatRegistry::createGroup(std::string_view name)
 {
     flAssert(!findGroup(name), "duplicate stat group '", name, "'");
-    groups_.push_back(std::make_unique<StatGroup>(name));
+    groups_.push_back(std::make_unique<StatGroup>(name, arena_));
     return *groups_.back();
 }
 
 StatGroup *
-StatRegistry::findGroup(const std::string &name)
+StatRegistry::findGroup(std::string_view name)
 {
     for (auto &g : groups_) {
         if (g->name() == name)
@@ -195,7 +208,7 @@ StatRegistry::findGroup(const std::string &name)
 }
 
 const StatGroup *
-StatRegistry::findGroup(const std::string &name) const
+StatRegistry::findGroup(std::string_view name) const
 {
     for (const auto &g : groups_) {
         if (g->name() == name)

@@ -6,6 +6,11 @@
  * it at construction time, and bumps them during simulation.
  * base/stats_json.hh renders the registry as JSON.
  *
+ * A registry keeps every group's stats, and copies of their names and
+ * descriptions, in one monotonic arena released with the registry:
+ * registering a stat allocates only when the arena takes its next
+ * chunk, so building a machine allocates per component, not per stat.
+ *
  * Supported kinds:
  *  - Scalar:        a counter or gauge (operator++, +=, =).
  *  - Distribution:  online mean/min/max/stddev of sampled values.
@@ -17,31 +22,36 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fenceless::statistics
 {
 
-/** Abstract base for all statistics. */
+/**
+ * Abstract base for all statistics.  The stat views its name and
+ * description: they must outlive it, as a StatGroup's copies do.
+ */
 class Stat
 {
   public:
-    Stat(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
+    Stat(std::string_view name, std::string_view desc)
+        : name_(name), desc_(desc)
     {}
 
     virtual ~Stat() = default;
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
+    std::string_view name() const { return name_; }
+    std::string_view desc() const { return desc_; }
 
     /** Primary value (what a formula referencing this stat sees). */
     virtual double value() const = 0;
 
   private:
-    std::string name_;
-    std::string desc_;
+    std::string_view name_;
+    std::string_view desc_;
 };
 
 /** A simple counter / gauge. */
@@ -147,9 +157,9 @@ class Distribution : public Stat
 class Formula : public Stat
 {
   public:
-    Formula(std::string name, std::string desc,
+    Formula(std::string_view name, std::string_view desc,
             std::function<double()> fn)
-        : Stat(std::move(name), std::move(desc)), fn_(std::move(fn))
+        : Stat(name, desc), fn_(std::move(fn))
     {}
 
     double value() const override { return fn_ ? fn_() : 0.0; }
@@ -162,43 +172,62 @@ class Formula : public Stat
  * A named collection of statistics belonging to one component.
  *
  * The group owns its stats; components keep references to the concrete
- * objects.  A stat keeps the short name it was registered with;
+ * objects.  The stats and copies of their names and descriptions live
+ * in the registry's arena, so a caller's text may die right after it
+ * registers.  A stat keeps the short name it was registered with;
  * qualifiedName() prefixes the group name where output needs it.
  */
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
+    /** Ends a stat's lifetime; the arena owns its memory. */
+    struct Destroy
+    {
+        void operator()(Stat *stat) const { stat->~Stat(); }
+    };
+    using StatPtr = std::unique_ptr<Stat, Destroy>;
+
+    /**
+     * A group allocating from @p arena, which must outlive it; groups
+     * come from StatRegistry::createGroup.
+     */
+    StatGroup(std::string_view name, std::pmr::memory_resource &arena)
+        : name_(name), stats_(&arena)
+    {}
 
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
     const std::string &name() const { return name_; }
 
-    Scalar &addScalar(const std::string &name, const std::string &desc);
-    Distribution &addDistribution(const std::string &name,
-                                  const std::string &desc);
-    Formula &addFormula(const std::string &name, const std::string &desc,
+    Scalar &addScalar(std::string_view name, std::string_view desc);
+    Distribution &addDistribution(std::string_view name,
+                                  std::string_view desc);
+    Formula &addFormula(std::string_view name, std::string_view desc,
                         std::function<double()> fn);
 
     /** Look up a stat by its short name; nullptr if absent. */
-    const Stat *find(const std::string &short_name) const;
+    const Stat *find(std::string_view short_name) const;
 
     /** Look up a scalar's count by short name; 0 if absent. */
-    std::uint64_t scalarCount(const std::string &short_name) const;
+    std::uint64_t scalarCount(std::string_view short_name) const;
 
     /** Look up a distribution by short name; nullptr if absent. */
     const Distribution *
-    findDistribution(const std::string &short_name) const;
+    findDistribution(std::string_view short_name) const;
 
-    const std::vector<std::unique_ptr<Stat>> &stats() const { return stats_; }
+    const std::pmr::vector<StatPtr> &stats() const { return stats_; }
 
     /** "group.stat": the name @p stat is printed under. */
     std::string qualifiedName(const Stat &stat) const;
 
   private:
+    /** Build a T from copies of @p name and @p desc, then @p args. */
+    template <typename T, typename... Args>
+    T &add(std::string_view name, std::string_view desc, Args &&...args);
+
     std::string name_;
-    std::vector<std::unique_ptr<Stat>> stats_;
+    std::pmr::vector<StatPtr> stats_; //!< registration order
 };
 
 /** Registry of all stat groups in a simulated system. */
@@ -206,11 +235,11 @@ class StatRegistry
 {
   public:
     /** Create (and own) a new group with the given name. */
-    StatGroup &createGroup(const std::string &name);
+    StatGroup &createGroup(std::string_view name);
 
     /** Find a group by exact name; nullptr if absent. */
-    StatGroup *findGroup(const std::string &name);
-    const StatGroup *findGroup(const std::string &name) const;
+    StatGroup *findGroup(std::string_view name);
+    const StatGroup *findGroup(std::string_view name) const;
 
     const std::vector<std::unique_ptr<StatGroup>> &groups() const
     {
@@ -218,6 +247,11 @@ class StatRegistry
     }
 
   private:
+    /**
+     * Every group's stats and text.  Declared first so it is released
+     * last; its chunks grow geometrically with what is registered.
+     */
+    std::pmr::monotonic_buffer_resource arena_;
     std::vector<std::unique_ptr<StatGroup>> groups_;
 };
 

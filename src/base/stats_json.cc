@@ -62,14 +62,14 @@ statUnit(const Stat &stat)
     // Match on the short name so a group's name cannot accidentally
     // satisfy a rule.
     for (const UnitRule &rule : unit_rules) {
-        if (stat.name().find(rule.needle) != std::string::npos)
+        if (stat.name().find(rule.needle) != std::string_view::npos)
             return rule.unit;
     }
     return "count";
 }
 
 std::string
-jsonQuote(const std::string &s)
+jsonQuote(std::string_view s)
 {
     std::string out = "\"";
     for (char c : s) {

@@ -38,6 +38,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "base/stats.hh"
 
@@ -66,7 +67,7 @@ constexpr int stats_schema_version = 2;
 const char *statUnit(const Stat &stat);
 
 /** Escape a string for embedding in a JSON document (adds quotes). */
-std::string jsonQuote(const std::string &s);
+std::string jsonQuote(std::string_view s);
 
 /** Render one stat (any kind) as a JSON object. */
 void printJson(std::ostream &os, const Stat &stat);

@@ -1,6 +1,7 @@
 #include "core/spec_controller.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/logging.hh"
 
@@ -38,16 +39,34 @@ overflowPolicyName(OverflowPolicy p)
     return "?";
 }
 
+namespace
+{
+
+/** Per RollbackCause, in enum order: its name and its stat's text. */
+struct CauseNames
+{
+    const char *cause;
+    const char *stat;
+    const char *desc;
+};
+
+constexpr CauseNames cause_names[] = {
+    {"remote_write", "rollback_remote_write",
+     "rollbacks caused by remote_write"},
+    {"remote_read", "rollback_remote_read",
+     "rollbacks caused by remote_read"},
+    {"overflow", "rollback_overflow", "rollbacks caused by overflow"},
+};
+static_assert(std::size(cause_names) ==
+              static_cast<std::size_t>(RollbackCause::NumCauses));
+
+} // namespace
+
 const char *
 rollbackCauseName(RollbackCause c)
 {
-    switch (c) {
-      case RollbackCause::RemoteWrite: return "remote_write";
-      case RollbackCause::RemoteRead: return "remote_read";
-      case RollbackCause::Overflow: return "overflow";
-      case RollbackCause::NumCauses: break;
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(c);
+    return i < std::size(cause_names) ? cause_names[i].cause : "?";
 }
 
 SpecController::SpecController(sim::SimContext &ctx,
@@ -91,23 +110,10 @@ SpecController::SpecController(sim::SimContext &ctx,
       stat_max_sr_(statGroup().addScalar("max_sr_blocks",
           "maximum speculatively-read blocks in one epoch"))
 {
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(RollbackCause::NumCauses); ++i) {
+    for (std::size_t i = 0; i < std::size(cause_names); ++i) {
         stat_rollback_cause_[i] = &statGroup().addScalar(
-            std::string("rollback_") +
-                rollbackCauseName(static_cast<RollbackCause>(i)),
-            "rollbacks caused by " +
-                std::string(rollbackCauseName(
-                    static_cast<RollbackCause>(i))));
+            cause_names[i].stat, cause_names[i].desc);
     }
-
-    std::vector<std::string> cause_names;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(RollbackCause::NumCauses); ++i)
-        cause_names.push_back(
-            rollbackCauseName(static_cast<RollbackCause>(i)));
-    tracer().setAuxNames(trace::EventKind::SpecRollback,
-                         std::move(cause_names));
 
     core_.setSpec(this);
     l1_.setSpecHooks(this);

@@ -1,5 +1,6 @@
 #include "cpu/core.hh"
 
+#include <iterator>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -37,23 +38,39 @@ parseConsistencyModel(const std::string &name)
     fatal("unknown consistency model '", name, "'");
 }
 
+namespace
+{
+
+/** Per StallReason, in enum order: its name and its stat's text. */
+struct StallNames
+{
+    const char *reason;
+    const char *stat;
+    const char *desc;
+};
+
+constexpr StallNames stall_names[] = {
+    {"sc_load_order", "stall_sc_load_order", "cycles stalled: sc_load_order"},
+    {"fence_drain", "stall_fence_drain", "cycles stalled: fence_drain"},
+    {"amo_order", "stall_amo_order", "cycles stalled: amo_order"},
+    {"amo_data", "stall_amo_data", "cycles stalled: amo_data"},
+    {"sb_full", "stall_sb_full", "cycles stalled: sb_full"},
+    {"load_access", "stall_load_access", "cycles stalled: load_access"},
+    {"amo_access", "stall_amo_access", "cycles stalled: amo_access"},
+    {"fwd_conflict", "stall_fwd_conflict", "cycles stalled: fwd_conflict"},
+    {"halt_drain", "stall_halt_drain", "cycles stalled: halt_drain"},
+    {"spec_limit", "stall_spec_limit", "cycles stalled: spec_limit"},
+};
+static_assert(std::size(stall_names) ==
+              static_cast<std::size_t>(StallReason::NumReasons));
+
+} // namespace
+
 const char *
 stallReasonName(StallReason r)
 {
-    switch (r) {
-      case StallReason::ScLoadOrder: return "sc_load_order";
-      case StallReason::FenceDrain: return "fence_drain";
-      case StallReason::AmoOrder: return "amo_order";
-      case StallReason::AmoData: return "amo_data";
-      case StallReason::SbFull: return "sb_full";
-      case StallReason::LoadAccess: return "load_access";
-      case StallReason::AmoAccess: return "amo_access";
-      case StallReason::FwdConflict: return "fwd_conflict";
-      case StallReason::HaltDrain: return "halt_drain";
-      case StallReason::SpecLimit: return "spec_limit";
-      case StallReason::NumReasons: break;
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(r);
+    return i < std::size(stall_names) ? stall_names[i].reason : "?";
 }
 
 Core::Core(sim::SimContext &ctx, const std::string &name,
@@ -84,13 +101,9 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
       stat_load_latency_(statGroup().addDistribution("load_latency",
           "cycles from load issue to writeback (cache path only)"))
 {
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(StallReason::NumReasons); ++i) {
-        stat_stalls_[i] = &statGroup().addScalar(
-            std::string("stall_") +
-                stallReasonName(static_cast<StallReason>(i)),
-            "cycles stalled: " +
-                std::string(stallReasonName(static_cast<StallReason>(i))));
+    for (std::size_t i = 0; i < std::size(stall_names); ++i) {
+        stat_stalls_[i] = &statGroup().addScalar(stall_names[i].stat,
+                                                 stall_names[i].desc);
     }
     statGroup().addFormula("ipc", "instructions per cycle up to halt",
                            [this] {
@@ -100,13 +113,6 @@ Core::Core(sim::SimContext &ctx, const std::string &name,
                                                    / cycles
                                              : 0.0;
                            });
-
-    std::vector<std::string> stall_names;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(StallReason::NumReasons); ++i)
-        stall_names.push_back(stallReasonName(static_cast<StallReason>(i)));
-    tracer().setAuxNames(trace::EventKind::CoreStall,
-                         std::move(stall_names));
 }
 
 void

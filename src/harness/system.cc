@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -36,6 +37,26 @@ dirWaitId(std::uint32_t banks, std::uint32_t b)
 {
     return banks == 1 ? 0 : b + 1;
 }
+
+/** The names of the first @p count values of @p Enum. */
+template <typename Enum>
+std::vector<std::string>
+enumNames(std::size_t count, const char *(*name)(Enum))
+{
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < count; ++i)
+        names.emplace_back(name(static_cast<Enum>(i)));
+    return names;
+}
+
+/** The tailtrace stat of each span stage but Done, in Stage order. */
+constexpr const char *stage_stat_names[] = {
+    "stage_l1_queue", "stage_req_net", "stage_dir_queue",
+    "stage_dir_access", "stage_dram", "stage_dir_blocked",
+    "stage_dir_fwd", "stage_dir_inv", "stage_reply_net",
+    "stage_fill_wait",
+};
+static_assert(std::size(stage_stat_names) == reqtrace::num_stages - 1);
 
 } // namespace
 
@@ -74,14 +95,28 @@ System::System(const SystemConfig &config, const isa::Program &prog)
              "L2 size must divide evenly across ", config_.dir_banks,
              " directory banks");
 
-    // Every sink is configured before any component is built.  Each
-    // component registers its trace track (and gets its flight-recorder
-    // ring) once, in its constructor, so the construction order below
-    // fixes the component ids: l1_<i>; each directory bank; core_<i>;
-    // spec_<i>.  The profiler must be configured first because
-    // components cache its ifEnabled() once.
+    // Every sink is configured before any component is built, the
+    // trace exporter's names for the stall-reason, rollback-cause and
+    // message-type payloads included.  Each component registers its
+    // trace track (and gets its flight-recorder ring) once, in its
+    // constructor, so the construction order below fixes the component
+    // ids: l1_<i>; each directory bank; core_<i>; spec_<i>.  The
+    // profiler must be configured first because components cache its
+    // ifEnabled() once.
     ctx_.tracer.setEnabled(config_.tracing);
     ctx_.tracer.configureRing(config_.blackbox_records);
+    ctx_.tracer.setAuxNames(
+        trace::EventKind::CoreStall,
+        enumNames(static_cast<std::size_t>(cpu::StallReason::NumReasons),
+                  cpu::stallReasonName));
+    ctx_.tracer.setAuxNames(
+        trace::EventKind::SpecRollback,
+        enumNames(static_cast<std::size_t>(spec::RollbackCause::NumCauses),
+                  spec::rollbackCauseName));
+    ctx_.tracer.setAuxNames(
+        trace::EventKind::NetHop,
+        enumNames(static_cast<std::size_t>(mem::MsgType::FwdNoDataAck) + 1,
+                  mem::msgTypeName));
     if (config_.profile) {
         ctx_.profiler.configure(prog_.code.size(), config_.num_cores,
                                 config_.l1.block_size, codeSyms(),
@@ -104,11 +139,9 @@ System::System(const SystemConfig &config, const isa::Program &prog)
             "fill yanks across sampled spans");
         tail_stat_e2e_ = &g.addDistribution("e2e_latency",
             "end-to-end cycles of sampled spans (incl. waiters)");
-        for (std::size_t s = 0; s < reqtrace::num_stages - 1; ++s) {
+        for (const char *stage : stage_stat_names) {
             tail_stat_stage_.push_back(&g.addDistribution(
-                std::string("stage_") + reqtrace::stageName(
-                    static_cast<reqtrace::Stage>(s)),
-                "per-span cycles attributed to this stage"));
+                stage, "per-span cycles attributed to this stage"));
         }
     }
 

@@ -14,10 +14,12 @@
  *  - Payloads live in one arena beside the table.  Block i's bytes sit
  *    at arena + i * block size, addressed by the block's index, so a
  *    block carries no pointer to them; the read, write, assign and
- *    compare helpers take the block.  The arena starts unwritten:
- *    every install is followed by a write of the whole payload (a fill
- *    or a DRAM read) before anything reads it, so zeroing it would
- *    only write every page at construction.
+ *    compare helpers take the block.
+ *  - The table and the arena start unwritten.  install() writes every
+ *    field of its block, and every install is followed by a write of
+ *    the whole payload (a fill or a DRAM read) before anything reads
+ *    it, so zeroing them would only write every page at construction,
+ *    most of which a run never touches.
  *  - One 64-bit valid-way mask per set is the only record of which ways
  *    hold a block.  Blocks enter through install() and leave through
  *    invalidate(); lookups, free-way and victim choice walk the mask.
@@ -31,55 +33,42 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "base/bitfield.hh"
 #include "base/logging.hh"
+#include "base/no_init_allocator.hh"
 #include "base/types.hh"
 
 namespace fenceless::mem
 {
 
 /**
- * std::allocator, except that a vector's resize() default-initializes
- * new elements instead of value-initializing them: new bytes stay
- * unwritten.
+ * State common to all cache blocks.  Like the block types deriving from
+ * it, it has no default member initializers: the block table is
+ * allocated unwritten, and install() writes every field.
  */
-template <typename T>
-struct NoInitAllocator : std::allocator<T>
-{
-    template <typename U>
-    struct rebind
-    {
-        using other = NoInitAllocator<U>;
-    };
-
-    template <typename U>
-    void
-    construct(U *p)
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
-};
-
-/** State common to all cache blocks. */
 struct CacheBlockBase
 {
-    /** Aligned address of the cached block; CacheArray::install sets it. */
-    Addr block_addr = invalid_addr;
-    std::uint64_t use_stamp = 0; //!< monotonic LRU stamp
+    Addr block_addr;         //!< aligned address of the cached block
+    std::uint64_t use_stamp; //!< monotonic LRU stamp
 };
 
 /**
- * Blocks of type BlockT (deriving from CacheBlockBase) in a set-major
- * table, their payloads in an arena addressed by block index, and one
- * valid-way mask per set; LRU replacement by use stamp.
+ * Blocks of type BlockT in a set-major table, their payloads in an
+ * arena addressed by block index, and one valid-way mask per set; LRU
+ * replacement by use stamp.  BlockT derives from CacheBlockBase, is
+ * trivially default-constructible, and provides
+ * `static BlockT fresh(Addr block_addr)`: the block install() leaves
+ * in a way.
  */
 template <typename BlockT>
 class CacheArray
 {
+    static_assert(std::is_trivially_default_constructible_v<BlockT>,
+                  "the block table is allocated unwritten");
+
   public:
     /** Widest set the valid-way mask can describe. */
     static constexpr unsigned max_assoc = 64;
@@ -186,8 +175,9 @@ class CacheArray
     }
 
     /**
-     * Make the free way @p block hold @p addr's block.  The caller
-     * writes the whole payload before anything reads it.
+     * Make the free way @p block hold @p addr's block, every field as
+     * BlockT::fresh() sets it.  The caller writes the whole payload
+     * before anything reads it.
      */
     void
     install(BlockT &block, Addr addr)
@@ -201,7 +191,7 @@ class CacheArray
         flAssert(!(valid_[set] & bit), "install of 0x", std::hex, ba,
                  " over the valid block 0x", block.block_addr);
         valid_[set] |= bit;
-        block.block_addr = ba;
+        block = BlockT::fresh(ba);
     }
 
     /** Free the valid @p block's way. */
@@ -297,7 +287,8 @@ class CacheArray
     std::uint64_t num_sets_ = 0;
     std::uint64_t set_mask_ = 0;
     std::uint64_t stamp_ = 0;
-    std::vector<BlockT> blocks_;      //!< set-major, assoc_ ways per set
+    /** Set-major, assoc_ ways per set; unwritten until installed. */
+    std::vector<BlockT, NoInitAllocator<BlockT>> blocks_;
     /** Payload i at i << block_shift_; unwritten until installed. */
     std::vector<std::uint8_t, NoInitAllocator<std::uint8_t>> arena_;
     std::vector<std::uint64_t> valid_; //!< valid-way mask per set

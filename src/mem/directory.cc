@@ -543,9 +543,6 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                       + params_.dram_cycle;
 
     array_.install(*way, block_addr);
-    way->dirty = false;
-    way->owner = invalid_core;
-    way->sharers = 0;
     backing_.read(block_addr, array_.data(*way), array_.blockSize());
     array_.touch(*way);
 

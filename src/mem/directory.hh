@@ -36,9 +36,16 @@ inline constexpr unsigned max_cores = 64;
 
 struct L2Block : CacheBlockBase
 {
-    bool dirty = false;              //!< data differs from DRAM
-    CoreId owner = invalid_core;     //!< L1 holding E/M (or MStale)
-    std::uint64_t sharers = 0;       //!< bit per core holding S
+    bool dirty;            //!< data differs from DRAM
+    CoreId owner;          //!< L1 holding E/M (or MStale)
+    std::uint64_t sharers; //!< bit per core holding S
+
+    /** A block installed for a DRAM read: clean, cached by no L1. */
+    static constexpr L2Block
+    fresh(Addr block_addr)
+    {
+        return {{block_addr, 0}, false, invalid_core, 0};
+    }
 
     bool hasOwner() const { return owner != invalid_core; }
     bool hasSharers() const { return sharers != 0; }

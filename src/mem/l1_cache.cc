@@ -485,8 +485,6 @@ L1Cache::tryCompleteFill(Mshr &mshr)
             blk = victim; // evict() leaves the way invalid
         }
         array_.install(*blk, mshr.block_addr);
-        blk->sr_epoch = 0;
-        blk->sw_epoch = 0;
     }
 
     flAssert(msg.data.size() == array_.blockSize(),
@@ -587,8 +585,6 @@ L1Cache::evict(L1Block &victim)
     wb_buffer_.push_back(std::move(wb));
 
     array_.invalidate(victim);
-    victim.state = L1State::I;
-    victim.dirty = false;
 }
 
 L1Cache::WbEntry *
@@ -694,7 +690,6 @@ L1Cache::handleInv(const Msg &msg)
              msg.block_addr);
     checkSpecConflict(*blk, true);
     array_.invalidate(*blk);
-    blk->state = L1State::I;
     sendToDir(MsgType::InvAck, msg.block_addr);
 }
 
@@ -764,7 +759,6 @@ L1Cache::handleFwd(const Msg &msg)
         // pre-speculation value.
         sendToDir(MsgType::FwdNoDataAck, msg.block_addr);
         array_.invalidate(*blk);
-        blk->state = L1State::I;
         return;
     }
 
@@ -778,8 +772,6 @@ L1Cache::handleFwd(const Msg &msg)
         blk->dirty = false; // directory updates the L2 copy
     } else {
         array_.invalidate(*blk);
-        blk->state = L1State::I;
-        blk->dirty = false;
     }
 }
 

@@ -55,10 +55,17 @@ const char *l1StateName(L1State s);
 
 struct L1Block : CacheBlockBase
 {
-    L1State state = L1State::I;
-    bool dirty = false;         //!< data differs from the L2 copy
-    std::uint32_t sr_epoch = 0; //!< speculatively-read tag (epoch id)
-    std::uint32_t sw_epoch = 0; //!< speculatively-written tag (epoch id)
+    L1State state;
+    bool dirty;             //!< data differs from the L2 copy
+    std::uint32_t sr_epoch; //!< speculatively-read tag (epoch id)
+    std::uint32_t sw_epoch; //!< speculatively-written tag (epoch id)
+
+    /** A block installed for a fill: invalid until it lands, untagged. */
+    static constexpr L1Block
+    fresh(Addr block_addr)
+    {
+        return {{block_addr, 0}, L1State::I, false, 0, 0};
+    }
 };
 static_assert(sizeof(L1Block) <= 32, "an L1 set scan reads whole blocks");
 

@@ -180,13 +180,6 @@ Network::Network(sim::SimContext &ctx, const std::string &name,
                  "per-hop latency must be positive");
         mesh_w_ = meshDims(num_nodes_).w;
     }
-
-    // Each endpoint records its arrivals (NetHop) on its own track.
-    std::vector<std::string> msg_names;
-    for (int t = 0; t <= static_cast<int>(MsgType::FwdNoDataAck); ++t)
-        msg_names.push_back(msgTypeName(static_cast<MsgType>(t)));
-    ctx_.tracer.setAuxNames(trace::EventKind::NetHop,
-                            std::move(msg_names));
 }
 
 void

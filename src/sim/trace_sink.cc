@@ -28,7 +28,7 @@ std::uint16_t
 TraceSink::registerComponent(const std::string &name)
 {
     components_.push_back(name);
-    rings_.push_back(Ring{std::vector<TraceRecord>(ring_capacity_), 0});
+    rings_.push_back(Ring{Ring::Slots(ring_capacity_), 0});
     return static_cast<std::uint16_t>(components_.size() - 1);
 }
 
@@ -44,7 +44,7 @@ TraceSink::configureRing(std::size_t records_per_comp)
     ring_capacity_ = cap;
     ring_mask_ = cap ? ring_kinds : 0;
     for (Ring &ring : rings_)
-        ring = Ring{std::vector<TraceRecord>(cap), 0};
+        ring = Ring{Ring::Slots(cap), 0};
 }
 
 void

@@ -14,7 +14,7 @@
  * slices chained by flow arrows.  Tracing is one switch: on, the sink
  * records every kind.  The same sink keeps the flight
  * recorder (sim/blackbox.hh): one fixed ring per component, allocated
- * when the component registers.
+ * (and left unwritten) when the component registers.
  *
  * Each component registers itself once, when it is built, and records
  * only what happened to it, on its own track; registration order is id
@@ -39,8 +39,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "base/no_init_allocator.hh"
 #include "base/types.hh"
 
 namespace fenceless::reqtrace
@@ -107,6 +109,8 @@ struct TraceRecord
 };
 
 static_assert(sizeof(TraceRecord) == 32, "keep trace records compact");
+static_assert(std::is_trivially_default_constructible_v<TraceRecord>,
+              "flight-recorder rings are allocated unwritten");
 
 class TraceSink
 {
@@ -176,8 +180,9 @@ class TraceSink
 
     /**
      * Map integer aux payloads of @p kind to printable names (e.g.
-     * StallReason ids); the exporter uses them for event args.  The
-     * owning component registers its table once at construction.
+     * StallReason ids); the exporter uses them for event args.  A
+     * system registers each table once, before building the components
+     * that record the kind.
      */
     void setAuxNames(EventKind kind, std::vector<std::string> names);
 
@@ -286,11 +291,16 @@ class TraceSink
     std::vector<std::string> components_;
     std::vector<std::vector<std::string>> aux_names_;
 
-    /** One component's flight-recorder ring. */
+    /**
+     * One component's flight-recorder ring.  Its slots start
+     * unwritten: only the head's pushes are ever read back.
+     */
     struct Ring
     {
-        std::vector<TraceRecord> slots; //!< ring_capacity_ of them
-        std::uint64_t head = 0;         //!< events ever pushed
+        using Slots =
+            std::vector<TraceRecord, NoInitAllocator<TraceRecord>>;
+        Slots slots;            //!< ring_capacity_ of them
+        std::uint64_t head = 0; //!< events ever pushed
     };
 
     std::uint32_t ring_mask_ = 0;   //!< ring_kinds, or 0 when off

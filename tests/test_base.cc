@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "base/bitfield.hh"
 #include "base/flat_memory.hh"
@@ -135,7 +136,8 @@ TEST(FlatMemory, CrossPageAccess)
 
 TEST(Stats, ScalarOps)
 {
-    statistics::StatGroup group("g");
+    statistics::StatRegistry registry;
+    auto &group = registry.createGroup("g");
     auto &s = group.addScalar("count", "a counter");
     ++s;
     s += 5;
@@ -148,7 +150,8 @@ TEST(Stats, ScalarOps)
 
 TEST(Stats, DistributionMoments)
 {
-    statistics::StatGroup group("g");
+    statistics::StatRegistry registry;
+    auto &group = registry.createGroup("g");
     auto &d = group.addDistribution("d", "values");
     d.sample(1);
     d.sample(2);
@@ -162,7 +165,8 @@ TEST(Stats, DistributionMoments)
 
 TEST(Stats, FormulaDerivesFromScalars)
 {
-    statistics::StatGroup group("g");
+    statistics::StatRegistry registry;
+    auto &group = registry.createGroup("g");
     auto &num = group.addScalar("num", "numerator");
     auto &den = group.addScalar("den", "denominator");
     auto &ipc = group.addFormula("ratio", "num/den", [&] {
@@ -175,7 +179,8 @@ TEST(Stats, FormulaDerivesFromScalars)
 
 TEST(Stats, GroupLookup)
 {
-    statistics::StatGroup group("core0");
+    statistics::StatRegistry registry;
+    auto &group = registry.createGroup("core0");
     group.addScalar("loads", "loads");
     EXPECT_NE(group.find("loads"), nullptr);
     EXPECT_EQ(group.find("stores"), nullptr);
@@ -193,4 +198,46 @@ TEST(Stats, RegistryPrint)
     statistics::printJson(os, reg);
     EXPECT_NE(os.str().find("\"x.v\": {\"kind\": \"scalar\", \"value\": 7}"),
               std::string::npos);
+}
+
+TEST(Stats, GroupsCopyTheTextTheyAreGiven)
+{
+    statistics::StatRegistry reg;
+    auto &g = reg.createGroup("grp");
+    {
+        // Too long for the small-string buffer: each text is a heap
+        // block, freed (and, here, overwritten first) before the
+        // registry is written.
+        std::string name = "scalar_named_at_run_time";
+        std::string desc = "a scalar whose text dies first";
+        g.addScalar(name, desc) += 3;
+        name.replace(0, 6, "distri");
+        desc.replace(2, 6, "distri");
+        g.addDistribution(name, desc).sample(5);
+        name.replace(0, 6, "formul");
+        desc.replace(2, 6, "formul");
+        g.addFormula(name, desc, [] { return 7.0; });
+        name.assign(name.size(), '#');
+        desc.assign(desc.size(), '#');
+    }
+    std::ostringstream os;
+    statistics::printJson(os, reg);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"grp.scalar_named_at_run_time\": {\"kind\": "
+                        "\"scalar\", \"value\": 3}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"grp.distri_named_at_run_time\": {\"kind\": "
+                        "\"distribution\", \"n\": 1"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"grp.formul_named_at_run_time\": {\"kind\": "
+                        "\"formula\", \"value\": 7}"),
+              std::string::npos)
+        << json;
+    for (const char *desc : {"a scalar whose text dies first",
+                             "a distri whose text dies first",
+                             "a formul whose text dies first"})
+        EXPECT_NE(json.find(desc), std::string::npos) << desc;
+    EXPECT_EQ(json.find('#'), std::string::npos);
 }

@@ -15,6 +15,8 @@
 #include "base/random.hh"
 #include "isa/assembler.hh"
 #include "mem/cache_array.hh"
+#include "mem/directory.hh"
+#include "mem/l1_cache.hh"
 #include "tests/sim_test_util.hh"
 
 using namespace fenceless;
@@ -30,7 +32,13 @@ namespace
 
 struct TestBlock : mem::CacheBlockBase
 {
-    int tag_state = 0;
+    int tag_state;
+
+    static constexpr TestBlock
+    fresh(Addr block_addr)
+    {
+        return {{block_addr, 0}, 0};
+    }
 };
 
 /** Install @p addr into its set's lowest free way and touch it. */
@@ -229,6 +237,50 @@ TEST(CacheArray, PayloadsOfNeighbouringBlocksDoNotAlias)
     EXPECT_FALSE(arr.sameData(*blocks[3], payloads[5].data()));
     EXPECT_EQ(arr.readInt(*blocks[1], 56, 8), 0x2001u);
     EXPECT_EQ(arr.readInt(*blocks[3], 0, 8), 0x1003u);
+}
+
+// The block table starts unwritten, so install() must write every
+// field: a way reused after an invalidation reads as freshly installed.
+TEST(CacheArray, InstallResetsEveryL1BlockField)
+{
+    mem::CacheArray<mem::L1Block> arr(4 * 64, 4, 64); // one set
+    mem::L1Block *b = arr.findFreeWay(0);
+    ASSERT_NE(b, nullptr);
+    arr.install(*b, 0);
+    arr.touch(*b);
+    b->state = mem::L1State::M;
+    b->dirty = true;
+    b->sr_epoch = 3;
+    b->sw_epoch = 4;
+    arr.invalidate(*b);
+
+    arr.install(*b, 0x1c0);
+    EXPECT_EQ(b->block_addr, 0x1c0u);
+    EXPECT_EQ(b->use_stamp, 0u);
+    EXPECT_EQ(b->state, mem::L1State::I);
+    EXPECT_FALSE(b->dirty);
+    EXPECT_EQ(b->sr_epoch, 0u);
+    EXPECT_EQ(b->sw_epoch, 0u);
+}
+
+TEST(CacheArray, InstallResetsEveryL2BlockField)
+{
+    mem::CacheArray<mem::L2Block> arr(4 * 64, 4, 64); // one set
+    mem::L2Block *b = arr.findFreeWay(0);
+    ASSERT_NE(b, nullptr);
+    arr.install(*b, 0);
+    arr.touch(*b);
+    b->dirty = true;
+    b->owner = 5;
+    b->addSharer(2);
+    arr.invalidate(*b);
+
+    arr.install(*b, 0x1c0);
+    EXPECT_EQ(b->block_addr, 0x1c0u);
+    EXPECT_EQ(b->use_stamp, 0u);
+    EXPECT_FALSE(b->dirty);
+    EXPECT_EQ(b->owner, invalid_core);
+    EXPECT_EQ(b->sharers, 0u);
 }
 
 TEST(CacheArray, WiderThanTheValidMaskDies)

@@ -20,7 +20,8 @@ using namespace fenceless::statistics;
 
 TEST(Formula, EvaluatesLazilyFromOtherStats)
 {
-    StatGroup g("core");
+    StatRegistry reg;
+    StatGroup &g = reg.createGroup("core");
     Scalar &insts = g.addScalar("insts", "instructions");
     Scalar &cycles = g.addScalar("cycles", "cycles");
     Formula &ipc = g.addFormula("ipc", "IPC", [&] {

@@ -464,4 +464,20 @@ TEST(TailTrace, StatGroupMatchesAssembledSpans)
     const auto *e2e = group->findDistribution("e2e_latency");
     ASSERT_NE(e2e, nullptr);
     EXPECT_EQ(e2e->samples(), sys.tailSpans().spans.size());
+
+    // Each stage but Done has a distribution named after it, holding
+    // exactly that stage's cycles.
+    for (std::size_t i = 0; i + 1 < num_stages; ++i) {
+        const auto stage = static_cast<Stage>(i);
+        const auto *d = group->findDistribution(std::string("stage_") +
+                                                stageName(stage));
+        ASSERT_NE(d, nullptr) << stageName(stage);
+        Tick cycles = 0;
+        for (const Span &s : sys.tailSpans().spans) {
+            for (const SpanStage &st : s.stages)
+                cycles += st.stage == stage ? st.cycles : 0;
+        }
+        EXPECT_EQ(d->total(), static_cast<double>(cycles))
+            << stageName(stage);
+    }
 }

@@ -32,6 +32,7 @@
  * of "-" also means stdout.
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -111,10 +112,24 @@ parseRunSpec(const std::string &spec, const char *option)
     return out;
 }
 
+/** The positive integer @p text spells in full, or a usage error. */
+std::size_t
+parseCount(const std::string &text, const char *option)
+{
+    std::size_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || ptr != end || n == 0)
+        usageError(std::string(option) +
+                   " wants a positive integer, got '" + text + "'");
+    return n;
+}
+
 Cli
 parseArgs(int argc, char **argv)
 {
     Cli cli;
+    bool have_baseline = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto eq = arg.find('=');
@@ -122,10 +137,14 @@ parseArgs(int argc, char **argv)
             eq == std::string::npos ? arg : arg.substr(0, eq);
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
+        const bool flag =
+            name == "--triage" || name == "--help" || name == "-h";
+        if (flag && eq != std::string::npos)
+            usageError(name + " takes no value, got '" + arg + "'");
         if (name == "--baseline") {
-            if (!cli.runs.empty() && !cli.runs.front().label.empty() &&
-                cli.runs.front().stats_path.empty())
+            if (have_baseline)
                 usageError("--baseline given twice");
+            have_baseline = true;
             cli.runs.insert(cli.runs.begin(),
                             parseRunSpec(value, "--baseline"));
         } else if (name == "--run") {
@@ -148,10 +167,7 @@ parseArgs(int argc, char **argv)
         } else if (name == "--triage") {
             cli.triage = true;
         } else if (name == "--top") {
-            const long n = std::strtol(value.c_str(), nullptr, 10);
-            if (n <= 0)
-                usageError("--top wants a positive integer");
-            cli.top_n = static_cast<std::size_t>(n);
+            cli.top_n = parseCount(value, "--top");
         } else if (name == "--help" || name == "-h") {
             printUsage(std::cout);
             std::exit(0);
