@@ -51,8 +51,9 @@ BM_EventQueue(benchmark::State &state)
         benchmark::DoNotOptimize(fired);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired));
-    // Pooling means the node count stops growing after the first
-    // burst: this counter catching fire is an allocation regression.
+    // The peak of live one-shots, which sizes the queue's slot array,
+    // is set by the first burst: this counter growing is an
+    // allocation regression.
     state.counters["oneshot_nodes"] = static_cast<double>(
         eq.oneShotNodesAllocated());
     state.counters["near_pops"] = static_cast<double>(eq.nearPops());
@@ -84,8 +85,8 @@ BM_FullSystem(benchmark::State &state)
         benchmark::DoNotOptimize(done);
         sim_insts += sys.totalInstructions();
         sim_cycles += sys.runtimeCycles();
-        // Queue health of the last run: the one-shot pool's high-water
-        // mark bounds steady-state event allocation.
+        // Queue health of the last run: the peak of live one-shots
+        // bounds steady-state event allocation.
         oneshot_nodes = static_cast<double>(
             sys.context().eventq.oneShotNodesAllocated());
     }

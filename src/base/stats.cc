@@ -8,34 +8,6 @@
 namespace fenceless::statistics
 {
 
-namespace
-{
-
-// 8 sub-buckets per power of two above the exact range [0, 8).
-constexpr unsigned sub_bits = 3;
-constexpr unsigned sub_buckets = 1u << sub_bits;
-
-} // namespace
-
-std::size_t
-PercentileSketch::bucketOf(double v)
-{
-    if (!(v > 0.0))
-        return 0; // negatives, zero and NaN all land in bucket 0
-    // Clamp instead of overflowing: anything at or beyond 2^63 shares
-    // the top bucket, which only flattens the extreme tail.
-    const double ceiling = 9.2e18;
-    const auto u = static_cast<std::uint64_t>(v < ceiling ? v : ceiling);
-    if (u < sub_buckets)
-        return static_cast<std::size_t>(u);
-    const unsigned order = 63u - static_cast<unsigned>(
-        __builtin_clzll(u));
-    const auto sub = static_cast<std::size_t>(
-        (u >> (order - sub_bits)) & (sub_buckets - 1));
-    return static_cast<std::size_t>(order - sub_bits + 1) * sub_buckets
-           + sub;
-}
-
 double
 PercentileSketch::bucketValue(std::size_t idx)
 {
@@ -50,18 +22,6 @@ PercentileSketch::bucketValue(std::size_t idx)
     // error versus reporting the lower edge.
     return static_cast<double>(lo)
            + static_cast<double>(width - 1) / 2.0;
-}
-
-void
-PercentileSketch::add(double v, std::uint64_t times)
-{
-    if (times == 0)
-        return;
-    const std::size_t idx = bucketOf(v);
-    if (idx >= counts_.size())
-        counts_.resize(idx + 1, 0);
-    counts_[idx] += times;
-    total_ += times;
 }
 
 double
@@ -84,31 +44,6 @@ PercentileSketch::quantile(double q) const
             return bucketValue(i);
     }
     return bucketValue(counts_.empty() ? 0 : counts_.size() - 1);
-}
-
-void
-Distribution::sample(double v, std::uint64_t times)
-{
-    if (times == 0)
-        return;
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-    count_ += times;
-    sum_ += v * times;
-    // Weighted Welford update: numerically stable where the naive
-    // sqsum/n - mean^2 form loses all significant digits.
-    const double delta = v - mean_;
-    mean_ += delta * static_cast<double>(times)
-             / static_cast<double>(count_);
-    m2_ += static_cast<double>(times) * delta * (v - mean_);
-    sketch_.add(v, times);
 }
 
 double

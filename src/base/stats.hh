@@ -94,7 +94,17 @@ class Scalar : public Stat
 class PercentileSketch
 {
   public:
-    void add(double v, std::uint64_t times = 1);
+    void
+    add(double v, std::uint64_t times = 1)
+    {
+        if (times == 0)
+            return;
+        const std::size_t idx = bucketOf(v);
+        if (idx >= counts_.size())
+            counts_.resize(idx + 1, 0);
+        counts_[idx] += times;
+        total_ += times;
+    }
 
     /**
      * Nearest-rank quantile estimate for @p q in (0, 1]: the
@@ -106,7 +116,30 @@ class PercentileSketch
     std::uint64_t samples() const { return total_; }
 
   private:
-    static std::size_t bucketOf(double v);
+    // 8 sub-buckets per power of two above the exact range [0, 8).
+    static constexpr unsigned sub_bits = 3;
+    static constexpr unsigned sub_buckets = 1u << sub_bits;
+
+    static std::size_t
+    bucketOf(double v)
+    {
+        if (!(v > 0.0))
+            return 0; // negatives, zero and NaN all land in bucket 0
+        // Clamp instead of overflowing: anything at or beyond 2^63
+        // shares the top bucket, which only flattens the extreme tail.
+        const double ceiling = 9.2e18;
+        const auto u =
+            static_cast<std::uint64_t>(v < ceiling ? v : ceiling);
+        if (u < sub_buckets)
+            return static_cast<std::size_t>(u);
+        const unsigned order = 63u - static_cast<unsigned>(
+            __builtin_clzll(u));
+        const auto sub = static_cast<std::size_t>(
+            (u >> (order - sub_bits)) & (sub_buckets - 1));
+        return static_cast<std::size_t>(order - sub_bits + 1) * sub_buckets
+               + sub;
+    }
+
     static double bucketValue(std::size_t idx);
 
     std::vector<std::uint64_t> counts_; //!< grown lazily to the max bucket
@@ -128,7 +161,30 @@ class Distribution : public Stat
   public:
     using Stat::Stat;
 
-    void sample(double v, std::uint64_t times = 1);
+    void
+    sample(double v, std::uint64_t times = 1)
+    {
+        if (times == 0)
+            return;
+        if (count_ == 0) {
+            min_ = v;
+            max_ = v;
+        } else {
+            if (v < min_)
+                min_ = v;
+            if (v > max_)
+                max_ = v;
+        }
+        count_ += times;
+        sum_ += v * times;
+        // Weighted Welford update: numerically stable where the naive
+        // sqsum/n - mean^2 form loses all significant digits.
+        const double delta = v - mean_;
+        mean_ += delta * static_cast<double>(times)
+                 / static_cast<double>(count_);
+        m2_ += static_cast<double>(times) * delta * (v - mean_);
+        sketch_.add(v, times);
+    }
 
     std::uint64_t samples() const { return count_; }
     double total() const { return sum_; }

@@ -75,9 +75,10 @@ stallReasonName(StallReason r)
 
 Core::Core(sim::SimContext &ctx, const std::string &name,
            const Params &params, CoreId core_id, const isa::Program &prog,
-           mem::L1Cache &l1, std::uint32_t num_cores)
+           const isa::DecodedProgram &decoded, mem::L1Cache &l1,
+           std::uint32_t num_cores)
     : SimObject(ctx, name), params_(params), core_id_(core_id),
-      prog_(prog), decoded_(prog), l1_(l1), num_cores_(num_cores),
+      prog_(prog), decoded_(decoded), l1_(l1), num_cores_(num_cores),
       prof_(ctx.profiler.ifEnabled()),
       sb_(statGroup(),
           StoreBuffer::Params{params.sb_size,

@@ -124,9 +124,14 @@ class Core : public sim::SimObject
         unsigned sb_prefetch_depth = 4;  //!< ownership-prefetch window
     };
 
+    /**
+     * A core running @p prog, whose execution classes @p decoded holds;
+     * both are shared by every core of a machine and must outlive it.
+     */
     Core(sim::SimContext &ctx, const std::string &name,
          const Params &params, CoreId core_id, const isa::Program &prog,
-         mem::L1Cache &l1, std::uint32_t num_cores);
+         const isa::DecodedProgram &decoded, mem::L1Cache &l1,
+         std::uint32_t num_cores);
 
     void setSpec(SpecInterface *spec) { spec_ = spec; }
 
@@ -295,7 +300,7 @@ class Core : public sim::SimObject
     Params params_;
     CoreId core_id_;
     const isa::Program &prog_;
-    isa::DecodedProgram decoded_; //!< per-pc execution classes
+    const isa::DecodedProgram &decoded_; //!< per-pc execution classes
     mem::L1Cache &l1_;
     std::uint32_t num_cores_;
     SpecInterface *spec_ = nullptr;

@@ -79,7 +79,7 @@ System::dataSyms() const
 }
 
 System::System(const SystemConfig &config, const isa::Program &prog)
-    : config_(config), prog_(prog),
+    : config_(config), prog_(prog), decoded_(prog_),
       dirmap_(config.num_cores, config.dir_banks,
               floorLog2(config.l2.block_size))
 {
@@ -171,7 +171,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
     for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
         cores_.push_back(std::make_unique<cpu::Core>(
             ctx_, "core_" + std::to_string(i), core_params, i, prog_,
-            *l1s_[i], config_.num_cores));
+            decoded_, *l1s_[i], config_.num_cores));
     }
 
     if (config_.spec.mode != spec::SpecMode::Off) {

@@ -20,6 +20,7 @@
 #include "base/flat_memory.hh"
 #include "core/spec_controller.hh"
 #include "cpu/core.hh"
+#include "isa/decoded.hh"
 #include "isa/program.hh"
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
@@ -398,6 +399,8 @@ class System
 
     SystemConfig config_;
     isa::Program prog_;
+    /** prog_'s execution classes, decoded once for every core. */
+    isa::DecodedProgram decoded_;
     /** Routes each block to its home bank, for the L1s and for us. */
     mem::DirectoryMap dirmap_;
 

@@ -24,17 +24,6 @@ bankIndexShift(std::uint32_t banks)
     return floorLog2(banks);
 }
 
-/** The first entry of a block-sorted index at or after @p block_addr. */
-template <typename Index>
-auto
-lowerBound(Index &index, Addr block_addr)
-{
-    return std::lower_bound(index.begin(), index.end(), block_addr,
-                            [](const auto &entry, Addr a) {
-                                return entry.first < a;
-                            });
-}
-
 } // namespace
 
 Directory::Directory(sim::SimContext &ctx, const std::string &name,
@@ -114,20 +103,63 @@ Directory::receiveMsg(const Msg &msg)
 // transaction table
 // ---------------------------------------------------------------------
 
-Directory::Txn *
-Directory::findTxn(Addr block_addr)
+bool
+Directory::TxnIndex::insert(Addr block_addr, Txn *txn)
 {
-    const auto it = lowerBound(active_, block_addr);
-    return it != active_.end() && it->first == block_addr ? it->second
-                                                          : nullptr;
+    if ((size_ + 1) * 2 > table_.size()) {
+        // Rehash into twice the slots, keeping the table half empty.
+        std::vector<Entry> old(table_.size() * 2);
+        old.swap(table_);
+        --shift_;
+        const std::size_t mask = table_.size() - 1;
+        for (const Entry &e : old) {
+            if (!e.txn)
+                continue;
+            std::size_t i = home(e.block);
+            while (table_[i].txn)
+                i = (i + 1) & mask;
+            table_[i] = e;
+        }
+    }
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = home(block_addr);
+    while (table_[i].txn) {
+        if (table_[i].block == block_addr)
+            return false;
+        i = (i + 1) & mask;
+    }
+    table_[i] = Entry{block_addr, txn};
+    ++size_;
+    return true;
+}
+
+void
+Directory::TxnIndex::erase(Addr block_addr)
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = home(block_addr);
+    while (table_[hole].block != block_addr || !table_[hole].txn) {
+        flAssert(table_[hole].txn, "no transaction for 0x", std::hex,
+                 block_addr);
+        hole = (hole + 1) & mask;
+    }
+    // Backward-shift: an entry behind the hole moves into it unless its
+    // home lies after the hole (cyclically), where a probe from its
+    // home would no longer pass the hole.
+    for (std::size_t j = (hole + 1) & mask; table_[j].txn;
+         j = (j + 1) & mask) {
+        if (((j - home(table_[j].block)) & mask) >= ((j - hole) & mask)) {
+            table_[hole] = table_[j];
+            hole = j;
+        }
+    }
+    table_[hole] = Entry{};
+    --size_;
 }
 
 Directory::Txn &
 Directory::addTxn(Addr block_addr)
 {
-    const auto it = lowerBound(active_, block_addr);
-    flAssert(it == active_.end() || it->first != block_addr, name(),
-             ": second transaction for 0x", std::hex, block_addr);
     Txn *txn;
     if (txn_free_.empty()) {
         txn = &txn_pool_.emplace_back();
@@ -137,7 +169,9 @@ Directory::addTxn(Addr block_addr)
         txn = txn_free_.back();
         txn_free_.pop_back();
     }
-    active_.insert(it, {block_addr, txn});
+    const bool added = active_.insert(block_addr, txn);
+    flAssert(added, name(), ": second transaction for 0x", std::hex,
+             block_addr);
     return *txn;
 }
 
@@ -219,16 +253,15 @@ Directory::processRequest(Addr block_addr)
 void
 Directory::complete(Addr block_addr)
 {
-    const auto active_it = lowerBound(active_, block_addr);
-    flAssert(active_it != active_.end() && active_it->first == block_addr,
-             name(), ": complete with no active transaction");
-    Txn &txn = *active_it->second;
+    Txn *found = findTxn(block_addr);
+    flAssert(found, name(), ": complete with no active transaction");
+    Txn &txn = *found;
     stat_txn_service_.sample(
         static_cast<double>(curTick() - txn.start_tick));
     const bool was_recall = txn.is_recall;
     if (txn.queue.empty()) {
         txn_free_.push_back(&txn);
-        active_.erase(active_it);
+        active_.erase(block_addr);
     } else {
         // The oldest queued request takes over this node in place.
         const QueuedReq next = std::move(txn.queue.front());

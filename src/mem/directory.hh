@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -151,7 +152,16 @@ class Directory : public sim::SimObject, public MsgReceiver
     void
     forEachTxn(Fn fn) const
     {
-        for (const auto &[addr, node] : active_) {
+        std::vector<std::pair<Addr, const Txn *>> sorted;
+        sorted.reserve(active_.size());
+        active_.forEach([&](Addr addr, const Txn *txn) {
+            sorted.emplace_back(addr, txn);
+        });
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        for (const auto &[addr, node] : sorted) {
             const Txn &txn = *node;
             TxnView v;
             v.block = addr;
@@ -203,8 +213,77 @@ class Directory : public sim::SimObject, public MsgReceiver
         }
     };
 
+    /**
+     * Active transactions by block address: open addressing with
+     * linear probing over a power-of-two table at most half full, so a
+     * lookup, insert or erase takes O(1) expected probes however many
+     * transactions a bank holds.  An erase shifts the entries probing
+     * past the hole back into it, so no tombstones build up.
+     */
+    class TxnIndex
+    {
+      public:
+        TxnIndex() : table_(initial_capacity) {}
+
+        std::size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+
+        /** The transaction of @p block_addr, or nullptr. */
+        Txn *
+        find(Addr block_addr) const
+        {
+            const std::size_t mask = table_.size() - 1;
+            for (std::size_t i = home(block_addr);; i = (i + 1) & mask) {
+                const Entry &e = table_[i];
+                if (!e.txn || e.block == block_addr)
+                    return e.txn;
+            }
+        }
+
+        /**
+         * Index @p txn under @p block_addr.  @return false, changing
+         * nothing, if the block already has a transaction.
+         */
+        bool insert(Addr block_addr, Txn *txn);
+
+        /** Drop @p block_addr, which must be present. */
+        void erase(Addr block_addr);
+
+        /** Visit every (block, transaction) pair in table order. */
+        template <typename Fn>
+        void
+        forEach(Fn fn) const
+        {
+            for (const Entry &e : table_) {
+                if (e.txn)
+                    fn(e.block, e.txn);
+            }
+        }
+
+      private:
+        static constexpr std::size_t initial_capacity = 16;
+
+        struct Entry
+        {
+            Addr block = 0;
+            Txn *txn = nullptr; //!< null: the slot is empty
+        };
+
+        /** Fibonacci hashing: the product's top bits pick the slot. */
+        std::size_t
+        home(Addr block_addr) const
+        {
+            return static_cast<std::size_t>(
+                (block_addr * 0x9E3779B97F4A7C15ull) >> shift_);
+        }
+
+        std::vector<Entry> table_;
+        unsigned shift_ = 64 - floorLog2(initial_capacity);
+        std::size_t size_ = 0;
+    };
+
     // transaction table
-    Txn *findTxn(Addr block_addr);
+    Txn *findTxn(Addr block_addr) { return active_.find(block_addr); }
     Txn &addTxn(Addr block_addr);
 
     // dispatch / queueing
@@ -253,14 +332,14 @@ class Directory : public sim::SimObject, public MsgReceiver
 
     /**
      * Active transactions: pooled nodes that never move (ensurePresent
-     * holds a Txn& while startRecall adds another), indexed by
-     * (block, node) pairs sorted by block address.  A finished node
-     * passes to the oldest request queued behind it, or else goes on a
-     * free list, so a steady state allocates nothing.
+     * holds a Txn& while startRecall adds another), indexed by block
+     * address.  A finished node passes to the oldest request queued
+     * behind it, or else goes on a free list, so a steady state
+     * allocates nothing.
      */
     std::deque<Txn> txn_pool_;
     std::vector<Txn *> txn_free_;
-    std::vector<std::pair<Addr, Txn *>> active_;
+    TxnIndex active_;
 
     /** Blocks of WayWait transactions, oldest first. */
     std::vector<Addr> way_waiters_;

@@ -63,6 +63,7 @@ L1Cache::L1Cache(sim::SimContext &ctx, const std::string &name,
              MsgPayload::capacity, "-byte message payload");
     mshrs_.resize(params_.num_mshrs);
     live_.reserve(params_.num_mshrs);
+    free_.reserve(params_.num_mshrs);
     for (Mshr &mshr : mshrs_)
         free_.push_back(&mshr);
     network_.registerEndpoint(node_id_, this);
@@ -340,8 +341,8 @@ void
 L1Cache::respond(const MemRequest &req, std::uint64_t value)
 {
     // The bound completion slot makes the delivery one-shot a POD
-    // closure -- it fits the pool node's inline storage and is
-    // trivially destructible, so an L1 hit allocates nothing at all.
+    // closure -- it fits an event's calendar slot and is trivially
+    // copyable and destructible, so an L1 hit allocates nothing.
     flAssert(req.done_fn, name(), ": request without completion callback");
     struct Deliver
     {

@@ -193,7 +193,7 @@ Network::registerEndpoint(NodeId id, MsgReceiver *receiver)
 }
 
 void
-Network::send(Msg msg)
+Network::send(const Msg &msg)
 {
     flAssert(msg.src < num_nodes_ && msg.dst < num_nodes_ &&
                  nodes_[msg.dst].receiver,
@@ -214,8 +214,7 @@ Network::send(Msg msg)
         return;
     }
 
-    msg.sent_tick = ctx_.curTick();
-
+    const Tick now = ctx_.curTick();
     const Cycles serialization =
         (msg.sizeBytes() + params_.link_bytes_per_cycle - 1)
         / params_.link_bytes_per_cycle;
@@ -226,13 +225,11 @@ Network::send(Msg msg)
         hops = routeHops(msg.src, msg.dst);
         route_latency = static_cast<Tick>(hops) * params_.hop_latency;
     }
-    msg.hops = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(hops, 255));
 
     if (src.chans.size() <= msg.dst)
         src.chans.resize(msg.dst + 1);
     TxChan &ch = src.chans[msg.dst];
-    Tick arrival = msg.sent_tick + route_latency + serialization;
+    Tick arrival = now + route_latency + serialization;
     // Preserve per-channel FIFO order and serialize on link bandwidth.
     if (arrival <= ch.last_arrival)
         arrival = ch.last_arrival + serialization;
@@ -250,32 +247,44 @@ Network::send(Msg msg)
     else
         ++stat_ctrl_msgs_;
 
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-        slot = static_cast<std::uint32_t>(slab_.size());
-        slab_.push_back(msg);
-    } else {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-        slab_[slot] = msg;
-    }
+    const std::uint32_t slot = takeSlot();
+    Msg &stored = parked(slot);
+    stored = msg;
+    stored.sent_tick = now;
+    stored.hops =
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(hops, 255));
     ctx_.eventq.scheduleOneShot(
         arrival, [this, slot] { deliver(slot); },
         delivery_prio_base +
             static_cast<int>(msg.dst * max_endpoints + msg.src));
 }
 
+std::uint32_t
+Network::takeSlot()
+{
+    if (free_slots_.empty()) {
+        const auto base =
+            static_cast<std::uint32_t>(slab_.size()) * slab_chunk;
+        slab_.push_back(std::make_unique<Msg[]>(slab_chunk));
+        for (std::uint32_t i = slab_chunk; i-- > 0;)
+            free_slots_.push_back(base + i);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+}
+
 void
 Network::deliver(std::uint32_t slot)
 {
-    // A copy: receiveMsg may send() into this very slot.
-    const Msg msg = slab_[slot];
-    free_slots_.push_back(slot);
-
+    // The slot stays taken, and its chunk in place, while the receiver
+    // runs and sends.
+    const Msg &msg = parked(slot);
     stat_msg_latency_.sample(
         static_cast<double>(ctx_.curTick() - msg.sent_tick));
     ++nodes_[msg.src].chans[msg.dst].delivered;
     nodes_[msg.dst].receiver->receiveMsg(msg);
+    free_slots_.push_back(slot);
 }
 
 std::uint32_t

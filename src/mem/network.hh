@@ -30,14 +30,17 @@
  * *timing* contention is not modeled: arrival times are a pure
  * function of the sending channel's state.
  *
- * Delivery goes through the event queue: send() parks the message in
- * a network-wide slab and schedules a pooled one-shot at its arrival
- * tick whose priority encodes (destination, source).  The queue orders
- * events by (tick, priority, insertion), and a channel's arrivals
- * strictly increase, so every tick delivers in (dst, src) order -- a
- * pure function of the message timing, never of the order in which
- * same-tick sends happened to execute -- and before any component
- * event of that tick.
+ * Delivery goes through the event queue: send() writes the message
+ * once, into a slot of a network-wide slab, and schedules a one-shot
+ * at its arrival tick whose priority encodes (destination, source).
+ * The queue orders events by (tick, priority, insertion), and a
+ * channel's arrivals strictly increase, so every tick delivers in
+ * (dst, src) order -- a pure function of the message timing, never of
+ * the order in which same-tick sends happened to execute -- and before
+ * any component event of that tick.  The delivery hands the receiver a
+ * reference to the parked message and frees the slot once the receiver
+ * returns.  Receivers send while they run, so the slab grows in fixed
+ * chunks that never move.
  *
  * The "network" stat group is live: send() bumps the traffic counters
  * and each delivery samples `msg_latency`.  Only the link stats are
@@ -47,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -199,10 +203,10 @@ class Network
     void registerEndpoint(NodeId id, MsgReceiver *receiver);
 
     /**
-     * Send a message: a pooled one-shot delivers it at its arrival
-     * tick, in the (dst, src) order the file comment describes.
+     * Send a message: a one-shot delivers it at its arrival tick, in
+     * the (dst, src) order the file comment describes.
      */
-    void send(Msg msg);
+    void send(const Msg &msg);
 
     /**
      * Spread the per-channel totals over the links into `links_used`,
@@ -275,6 +279,19 @@ class Network
     static constexpr int delivery_prio_base = -100000;
     static constexpr NodeId max_endpoints = 128;
 
+    /** Messages per slab chunk. */
+    static constexpr std::uint32_t slab_chunk = 64;
+
+    /** The slab slot @p slot. */
+    Msg &
+    parked(std::uint32_t slot)
+    {
+        return slab_[slot / slab_chunk][slot % slab_chunk];
+    }
+
+    /** A free slab slot, adding a chunk when none is left. */
+    std::uint32_t takeSlot();
+
     void deliver(std::uint32_t slot);
 
     /** Links a message s -> d crosses (ring/mesh only). */
@@ -293,7 +310,8 @@ class Network
     std::uint32_t num_nodes_;
     std::uint32_t mesh_w_ = 0; //!< mesh grid width (mesh only)
     std::vector<Node> nodes_;  //!< indexed by endpoint id
-    std::vector<Msg> slab_;                 //!< messages in flight
+    /** Messages in flight, in chunks of slab_chunk that never move. */
+    std::vector<std::unique_ptr<Msg[]>> slab_;
     std::vector<std::uint32_t> free_slots_; //!< unused slab slots
 
     statistics::Scalar &stat_msgs_;

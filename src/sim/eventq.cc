@@ -1,115 +1,114 @@
 #include "sim/eventq.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace fenceless::sim
 {
 
-EventQueue::Node *
-EventQueue::acquireNode()
-{
-    if (Node *node = free_) {
-        free_ = node->next_free;
-        node->next_free = nullptr;
-        --free_count_;
-        return node;
-    }
-    nodes_.push_back(std::make_unique<Node>());
-    return nodes_.back().get();
-}
-
 void
-EventQueue::push(Tick when, int priority, Node *node)
+EventQueue::pushFar(Tick when, std::uint32_t idx)
 {
     flAssert(when >= cur_tick_, "event scheduled in the past (", when,
              " < ", cur_tick_, ")");
-    const std::uint64_t stamp = next_stamp_++;
-    if (when - cur_tick_ < bucket_window)
-        pushNear(when, priority, stamp, node);
-    else
-        far_.push(Entry{when, priority, stamp, node});
+    far_.push(FarEntry{when, next_stamp_++, slots_[idx].priority, idx});
 }
 
 void
-EventQueue::pushNear(Tick when, int priority, std::uint64_t stamp,
-                     Node *node)
+EventQueue::pushNear(Tick when, std::uint32_t idx)
 {
-    Bucket &b = buckets_[when & (bucket_window - 1)];
-    const NearEntry e{stamp, node, priority};
-    // Entries are kept ascending by (priority, stamp) from head on;
-    // stamps grow monotonically, so a push at (or above) the current
-    // tail priority -- the overwhelmingly common uniform-priority case
-    // -- is a plain append.
-    const auto before = [](const NearEntry &a, const NearEntry &x) {
-        if (a.priority != x.priority)
-            return a.priority < x.priority;
-        return a.stamp < x.stamp;
-    };
-    if (b.entries.empty() || !before(e, b.entries.back())) {
-        b.entries.push_back(e);
+    const std::size_t b = when & window_mask;
+    Slot &slot = slots_[idx];
+    Lane &lane = buckets_[b].lanes[slot.priority < 0 ? 0 : 1];
+    // Every slot already in the lane has a smaller stamp (see
+    // advance()), so the new one goes after all slots of equal
+    // priority -- with uniform priorities (the common case) at the
+    // tail.
+    if (lane.tail != no_slot && slot.priority >= slots_[lane.tail].priority) {
+        slots_[lane.tail].next = idx;
+        slot.next = no_slot;
+        lane.tail = idx;
     } else {
-        auto pos = std::lower_bound(b.entries.begin() + b.head,
-                                    b.entries.end(), e, before);
-        b.entries.insert(pos, e);
+        std::uint32_t *link = &lane.head;
+        while (*link != no_slot && slots_[*link].priority <= slot.priority)
+            link = &slots_[*link].next;
+        slot.next = *link;
+        *link = idx;
+        if (slot.next == no_slot)
+            lane.tail = idx;
     }
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
     ++near_count_;
-    if (when < next_hint_)
-        next_hint_ = when;
+}
+
+void
+EventQueue::advance(Tick t)
+{
+    cur_tick_ = t;
+    while (!far_.empty() && far_.top().when - cur_tick_ < bucket_window) {
+        pushNear(far_.top().when, far_.top().slot);
+        far_.pop();
+    }
 }
 
 Tick
-EventQueue::findNext()
+EventQueue::findNext() const
 {
-    // Migrate every far entry that has entered the near window, so the
-    // bucket scan below sees the complete (when, priority, stamp) order.
-    while (!far_.empty() && far_.top().when - cur_tick_ < bucket_window) {
-        const Entry &top = far_.top();
-        pushNear(top.when, top.priority, top.stamp, top.node);
-        far_.pop();
-    }
     if (near_count_ == 0)
         return far_.top().when;
-
-    Tick t = std::max(next_hint_, cur_tick_);
-    while (buckets_[t & (bucket_window - 1)].entries.empty())
-        ++t;
-    next_hint_ = t;
-    return t;
+    // The first occupied bucket at or after now's, circularly: every
+    // near entry lies in [now, now + bucket_window).
+    const std::size_t start = cur_tick_ & window_mask;
+    std::size_t word = start / 64;
+    std::uint64_t bits =
+        occupied_[word] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+        word = (word + 1) % occupancy_words;
+        bits = occupied_[word];
+    }
+    const std::size_t b =
+        word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+    return cur_tick_ + ((b - start) & window_mask);
 }
 
 void
 EventQueue::fire(Tick when)
 {
     flAssert(when >= cur_tick_, "event time went backwards");
-    Node *node = nullptr;
+    std::uint32_t idx;
     if (near_count_ > 0) {
-        Bucket &b = buckets_[when & (bucket_window - 1)];
-        node = b.entries[b.head].node;
-        ++b.head;
+        const std::size_t b = when & window_mask;
+        Bucket &bucket = buckets_[b];
+        Lane &lane = bucket.lanes[bucket.lanes[0].head == no_slot ? 1 : 0];
+        idx = lane.head;
+        lane.head = slots_[idx].next;
+        if (lane.head != no_slot) {
+            // Likely the next to fire: load it while this one runs.
+            __builtin_prefetch(&slots_[lane.head]);
+        } else {
+            lane.tail = no_slot;
+            if (bucket.lanes[0].head == no_slot &&
+                bucket.lanes[1].head == no_slot)
+                occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        }
         --near_count_;
         ++near_pops_;
-        if (b.head == b.entries.size()) {
-            b.entries.clear();
-            b.head = 0;
-        }
     } else {
-        node = far_.top().node;
+        idx = far_.top().slot;
         far_.pop();
         ++far_pops_;
     }
-    cur_tick_ = when;
+    // Run a copy: the callback may schedule, reusing this slot or
+    // moving the array.
+    Slot fired = slots_[idx];
+    slots_[idx].next = free_;
+    free_ = idx;
+    if (when != cur_tick_)
+        advance(when);
 
-    // Run, destroy the closure, then recycle the node.  The callable
-    // may schedule further events; this node is not on the free list
-    // while it runs, so reentrant scheduling can never hand it out
-    // twice.
-    node->fn();
-    node->fn.clear();
-    node->next_free = free_;
-    free_ = node;
-    ++free_count_;
+    // The event stays live until its callback returns, so a callback
+    // that schedules counts toward the peak with its own event.
+    fired.invoke(fired.closure);
+    --live_;
 }
 
 bool
@@ -127,7 +126,7 @@ EventQueue::run(Tick max_tick)
     while (!empty()) {
         const Tick when = findNext();
         if (when > max_tick) {
-            cur_tick_ = max_tick;
+            advance(max_tick);
             break;
         }
         fire(when);

@@ -2,12 +2,12 @@
  * @file
  * The discrete-event queue at the heart of the simulator.
  *
- * There is one kind of event: a pooled one-shot callback.  A scheduled
- * event always fires at its tick; it can be neither cancelled nor
- * moved.  A component that must drop a pending callback orphans it
- * instead: the callable captures a generation counter and returns at
- * once when the component's counter has moved on (the core does this
- * for its tick and its memory responses after a rollback).
+ * There is one kind of event: a one-shot callback.  A scheduled event
+ * always fires at its tick; it can be neither cancelled nor moved.  A
+ * component that must drop a pending callback orphans it instead: the
+ * callable captures a generation counter and returns at once when the
+ * component's counter has moved on (the core does this for its tick
+ * and its memory responses after a rollback).
  *
  * Determinism: events scheduled for the same tick fire in (priority,
  * insertion-sequence) order, so a run is reproducible regardless of queue
@@ -15,20 +15,26 @@
  *
  * The queue is a two-level calendar queue.  Nearly every event a cycle-
  * accurate simulator schedules lands within a few ticks of "now" (core
- * ticks at +1, cache hits at +hit_latency, network hops at +latency), so
- * the near future -- a circular window of @ref bucket_window per-tick
- * buckets -- gets O(1) push and pop.  Each bucket keeps its entries
- * sorted by (priority, stamp); with uniform priorities (the common case)
- * an insert is a plain append.  Events beyond the window overflow into a
- * binary heap (the far queue) and migrate into the buckets as the
- * current tick approaches them, so the exact (when, priority, stamp)
- * total order of a single heap is preserved bit-for-bit.
+ * ticks at +1, cache hits at +hit_latency, network hops at +latency,
+ * DRAM fills at +dram_latency), so the near future -- a circular
+ * window of @ref bucket_window per-tick buckets -- gets O(1) push and
+ * pop.  Events beyond the window overflow into a binary heap (the far
+ * queue) and migrate into the buckets the moment time brings them into
+ * the window, so the exact (when, priority, stamp) total order of a
+ * single heap is preserved bit-for-bit.
  *
- * Event callbacks -- cache responses, message deliveries, core ticks --
- * are the hottest allocation site in the simulator, so their nodes are
- * pooled: the queue keeps fired nodes on an intrusive free list and
- * reuses them, and the callable is stored inline in the node (no
- * std::function, no per-fire heap traffic once the pool has warmed up).
+ * Every pending event is one slot of a single slot array: the closure
+ * inline (at most @ref closure_bytes, trivially copyable and trivially
+ * destructible), its invoker, its priority and a link.  Scheduling
+ * writes the closure straight into a free slot; firing copies the slot
+ * out and runs the copy, so a callback may schedule freely.  A bucket
+ * is two chains of slots, each in (priority, stamp) order: negative
+ * priorities (the network's deliveries) and the rest.  The negative
+ * chain drains first, so the fire order is the total order above, and
+ * a delivery inserted among deliveries never walks past the component
+ * events of its tick.  The slot array holds only what is pending, so
+ * it stays a few kilobytes (hot in the host's L1) and stops growing
+ * once it covers the peak number of pending events.
  */
 
 #pragma once
@@ -36,7 +42,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <queue>
 #include <type_traits>
@@ -56,64 +61,6 @@ enum Priority : int
     prio_lowest = 100,
 };
 
-namespace detail
-{
-
-/**
- * Type-erased nullary callable with inline storage, purpose-built for
- * pooled one-shot events.  Every closure (`this` plus a few words)
- * lives in the node itself; a larger one fails to compile.
- */
-class OneShotFn
-{
-  public:
-    static constexpr std::size_t inline_bytes = 48;
-
-    OneShotFn() = default;
-    ~OneShotFn() { clear(); }
-
-    OneShotFn(const OneShotFn &) = delete;
-    OneShotFn &operator=(const OneShotFn &) = delete;
-
-    template <typename F>
-    void
-    emplace(F &&fn)
-    {
-        using D = std::decay_t<F>;
-        static_assert(sizeof(D) <= inline_bytes &&
-                          alignof(D) <= alignof(std::max_align_t),
-                      "one-shot closure too large for the inline "
-                      "storage; capture less");
-        clear();
-        ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
-        invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
-        if constexpr (std::is_trivially_destructible_v<D>)
-            destroy_ = nullptr;
-        else
-            destroy_ = [](void *p) { static_cast<D *>(p)->~D(); };
-    }
-
-    /** Run the stored callable (one must be stored). */
-    void operator()() { invoke_(storage_); }
-
-    /** Destroy the stored callable, returning to the empty state. */
-    void
-    clear()
-    {
-        if (destroy_)
-            destroy_(storage_);
-        invoke_ = nullptr;
-        destroy_ = nullptr;
-    }
-
-  private:
-    alignas(std::max_align_t) unsigned char storage_[inline_bytes];
-    void (*invoke_)(void *) = nullptr;
-    void (*destroy_)(void *) = nullptr;
-};
-
-} // namespace detail
-
 /**
  * The global event queue.  Single-threaded: one queue drives the whole
  * simulated system.  Distinct queues share nothing, so independent
@@ -125,11 +72,15 @@ class EventQueue
     /**
      * Width of the near-future calendar window, in ticks.  Power of two
      * (bucket index is a mask).  Core ticks (+1), cache hits
-     * (+hit_latency) and network hops (+latency+serialization) all land
-     * well inside it; only long-horizon events (stat snapshots, parked
-     * retries under backpressure) overflow into the far heap.
+     * (+hit_latency), network hops (+latency+serialization) and DRAM
+     * fills (+dram_latency, 80 by default, plus the bank's queue) all
+     * land inside it; only long-horizon events (parked retries under
+     * deep DRAM queues) overflow into the far heap.
      */
-    static constexpr std::size_t bucket_window = 64;
+    static constexpr std::size_t bucket_window = 128;
+
+    /** Largest closure a one-shot may capture, in bytes. */
+    static constexpr std::size_t closure_bytes = 32;
 
     EventQueue() = default;
 
@@ -142,9 +93,9 @@ class EventQueue
     std::size_t numPending() const { return near_count_ + far_.size(); }
 
     /**
-     * Run @p fn at absolute tick @p when (>= curTick).  The event node
-     * comes from the queue's free-list pool and returns to it after
-     * firing; the steady state allocates nothing.
+     * Run @p fn at absolute tick @p when (>= curTick).  The closure is
+     * copied into the event's calendar slot and fired from a copy, so
+     * it must be trivially copyable and trivially destructible.
      *
      * @p priority orders the event among its tick's events.  The
      * network passes negative priorities that encode (dst, src), so
@@ -154,16 +105,33 @@ class EventQueue
     void
     scheduleOneShot(Tick when, F &&fn, int priority = prio_default)
     {
-        Node *node = acquireNode();
-        node->fn.emplace(std::forward<F>(fn));
-        push(when, priority, node);
+        using D = std::decay_t<F>;
+        static_assert(sizeof(D) <= closure_bytes &&
+                          alignof(D) <= alignof(std::uint64_t),
+                      "one-shot closure too large for its calendar "
+                      "slot; capture less");
+        static_assert(std::is_trivially_copyable_v<D> &&
+                          std::is_trivially_destructible_v<D>,
+                      "a one-shot closure is copied bytewise and never "
+                      "destroyed; capture only plain values");
+        const std::uint32_t idx = acquireSlot();
+        Slot &slot = slots_[idx];
+        ::new (static_cast<void *>(slot.closure)) D(std::forward<F>(fn));
+        slot.invoke = [](void *p) {
+            (*std::launder(static_cast<D *>(p)))();
+        };
+        slot.priority = priority;
+        push(when, idx);
     }
 
-    /** Total event nodes ever allocated (pool high-water mark). */
-    std::size_t oneShotNodesAllocated() const { return nodes_.size(); }
+    /**
+     * Peak number of live one-shots: pending plus the one firing (a
+     * callback's own event stays live until it returns).
+     */
+    std::size_t oneShotNodesAllocated() const { return peak_live_; }
 
-    /** Event nodes currently parked on the free list. */
-    std::size_t oneShotNodesFree() const { return free_count_; }
+    /** How far the live one-shots are below their peak right now. */
+    std::size_t oneShotNodesFree() const { return peak_live_ - live_; }
 
     /**
      * Entries skipped as stale while looking for the next event.  A
@@ -188,26 +156,51 @@ class EventQueue
     bool step();
 
   private:
-    /** A pooled event: the inline callable and the free-list link. */
-    struct Node
+    static constexpr std::uint32_t no_slot = ~std::uint32_t{0};
+
+    /** One pending event: the closure, its invoker and its priority. */
+    struct Slot
     {
-        detail::OneShotFn fn;
-        Node *next_free = nullptr;
+        alignas(std::uint64_t) unsigned char closure[closure_bytes];
+        void (*invoke)(void *);
+        int priority;
+        std::uint32_t next; //!< next slot of its chain (or free chain)
     };
 
-    /** A far-heap entry (also the migration record). */
-    struct Entry
+    /**
+     * A chain of slots ascending by (priority, stamp); no_slot marks
+     * the ends of an empty chain.
+     */
+    struct Lane
+    {
+        std::uint32_t head = no_slot;
+        std::uint32_t tail = no_slot;
+    };
+
+    /**
+     * The events of one tick.  Entries need no tick: a bucket only ever
+     * holds entries of one tick, because every entry of a tick fires
+     * before time moves past it.  lanes[0] holds negative priorities
+     * and fires first; lanes[1] holds the rest.
+     */
+    struct Bucket
+    {
+        std::array<Lane, 2> lanes;
+    };
+
+    /** A far-heap entry; only the heap needs the stamp. */
+    struct FarEntry
     {
         Tick when;
-        int priority;
         std::uint64_t stamp;
-        Node *node;
+        int priority;
+        std::uint32_t slot;
     };
 
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const FarEntry &a, const FarEntry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -217,68 +210,84 @@ class EventQueue
         }
     };
 
-    /**
-     * A near-window entry.  It needs no tick: a bucket only ever holds
-     * entries of one tick, because every entry of a tick fires before
-     * time moves past it.
-     */
-    struct NearEntry
+    static constexpr std::size_t window_mask = bucket_window - 1;
+    static constexpr std::size_t occupancy_words = bucket_window / 64;
+    static_assert(bucket_window % 64 == 0 &&
+                      (bucket_window & window_mask) == 0,
+                  "the window is a power of two of whole 64-bit words");
+
+    /** A free slot's index, growing the slot array if none is free. */
+    std::uint32_t
+    acquireSlot()
     {
-        std::uint64_t stamp;
-        Node *node;
-        int priority;
-    };
+        if (free_ == no_slot) {
+            slots_.emplace_back();
+            return static_cast<std::uint32_t>(slots_.size() - 1);
+        }
+        const std::uint32_t idx = free_;
+        free_ = slots_[idx].next;
+        return idx;
+    }
 
     /**
-     * One calendar bucket: entries sorted ascending by (priority,
-     * stamp) from `head` on; the prefix before `head` has been popped.
-     * The vector is recycled (clear keeps capacity) once drained.
+     * Queue the filled slot @p idx at @p when.  A tick in the past
+     * wraps to a far distance, where pushFar() refuses it.
      */
-    struct Bucket
+    void
+    push(Tick when, std::uint32_t idx)
     {
-        std::vector<NearEntry> entries;
-        std::size_t head = 0;
-    };
+        if (++live_ > peak_live_)
+            peak_live_ = live_;
+        if (when - cur_tick_ < bucket_window)
+            pushNear(when, idx);
+        else
+            pushFar(when, idx);
+    }
 
-    /** Stamp @p node and insert it into the calendar or the far heap. */
-    void push(Tick when, int priority, Node *node);
-
-    /** Insert into the calendar (when must be inside the window). */
-    void pushNear(Tick when, int priority, std::uint64_t stamp,
-                  Node *node);
+    /** Queue slot @p idx on the far heap (@p when >= curTick). */
+    void pushFar(Tick when, std::uint32_t idx);
 
     /**
-     * Migrate far entries that entered the window and return the tick
-     * of the earliest pending event (the queue must not be empty).  It
-     * heads its bucket if any near entry exists, else the far heap.
+     * Link slot @p idx into @p when's bucket (which must be inside the
+     * window) after every slot of its lane whose priority is not
+     * greater.
      */
-    Tick findNext();
+    void pushNear(Tick when, std::uint32_t idx);
+
+    /**
+     * Make @p t the current tick and move every far entry it brings
+     * into the window to its bucket, so a far entry always precedes,
+     * in its bucket, the entries scheduled there directly.
+     */
+    void advance(Tick t);
+
+    /**
+     * The tick of the earliest pending event (the queue must not be
+     * empty): the first occupied bucket from now on, else the far top.
+     */
+    Tick findNext() const;
 
     /** Pop the event findNext() located at @p when and run it. */
     void fire(Tick when);
 
-    /** Take a node from the free list, growing the pool if empty. */
-    Node *acquireNode();
+    /** Every pending event's slot; free ones chain from free_. */
+    std::vector<Slot> slots_;
+    std::uint32_t free_ = no_slot;
 
     std::array<Bucket, bucket_window> buckets_;
+    /** Bit i set iff bucket i holds an entry. */
+    std::array<std::uint64_t, occupancy_words> occupied_{};
     std::size_t near_count_ = 0; //!< entries in buckets
-    /**
-     * No near entry exists at any tick < next_hint_.  Lets the bucket
-     * scan resume where the previous one stopped instead of re-walking
-     * empty buckets from cur_tick_ on every pop.
-     */
-    Tick next_hint_ = 0;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> far_;
+    std::priority_queue<FarEntry, std::vector<FarEntry>, Later> far_;
     Tick cur_tick_ = 0;
-    std::uint64_t next_stamp_ = 1;
+    std::uint64_t next_stamp_ = 1; //!< far-heap insertion order
 
     std::uint64_t near_pops_ = 0;
     std::uint64_t far_pops_ = 0;
 
-    std::vector<std::unique_ptr<Node>> nodes_; //!< ownership
-    Node *free_ = nullptr;                     //!< free list head
-    std::size_t free_count_ = 0;
+    std::size_t live_ = 0;      //!< pending plus firing one-shots
+    std::size_t peak_live_ = 0; //!< high-water mark of live_
 };
 
 } // namespace fenceless::sim

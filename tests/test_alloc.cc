@@ -116,7 +116,7 @@ TEST(Alloc, BuildingAMachineAllocatesPerComponent)
     std::printf("building the 64-core mesh machine: %llu operator new "
                 "calls\n",
                 static_cast<unsigned long long>(built));
-    // About 1,500: a few per component.  Its ~4,000 stats add only the
+    // About 1,200: a few per component.  Its ~4,000 stats add only the
     // stat arena's chunks; one allocation per stat would add thousands.
     EXPECT_LE(built, 1600u);
 }

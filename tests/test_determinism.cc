@@ -185,14 +185,18 @@ TEST(Determinism, SweepJobsOneVsMany)
 
 TEST(Determinism, CalendarQueueRandomizedOrdering)
 {
-    // Randomly schedule events near (inside the 64-tick bucket window)
-    // and far (overflow heap), with mixed priorities; every fifth of
-    // them schedules a child 1..199 ticks ahead when it fires.  The
-    // fire order must match the (when, priority, stamp) total order,
-    // where stamp order is the order of the schedule calls.  A child
-    // lands after the tick that scheduled it, so the order covers the
-    // events scheduled from inside events too.
+    // Randomly schedule events near (inside the bucket window) and far
+    // (overflow heap), with component priorities mixed at the same
+    // ticks with negative ones from the network's delivery range, few
+    // enough of them that equal priorities collide; every fifth event
+    // schedules a child when it fires, half of them just inside, on
+    // or just past the window's edge.  The fire order must match the
+    // (when, priority, stamp) total order, where stamp order is the
+    // order of the schedule calls.  A child lands after the tick that
+    // scheduled it, so the order covers the events scheduled from
+    // inside events too.
     constexpr int num_roots = 500;
+    constexpr Tick window = sim::EventQueue::bucket_window;
     struct Stress
     {
         sim::EventQueue eq;
@@ -201,7 +205,23 @@ TEST(Determinism, CalendarQueueRandomizedOrdering)
         std::vector<int> pri;
         std::vector<int> fired;
 
-        int randomPri() { return static_cast<int>(rng.range(0, 4)) * 25; }
+        int
+        randomPri()
+        {
+            if (rng.range(0, 1) == 0)
+                return static_cast<int>(rng.range(0, 4)) * 25;
+            // delivery_prio_base + dst * 128 + src, for dst, src < 3.
+            return -100000 + static_cast<int>(rng.range(0, 2) * 128 +
+                                              rng.range(0, 2));
+        }
+
+        Tick
+        childHorizon()
+        {
+            if (rng.range(0, 1) == 0)
+                return window - 1 + rng.range(0, 2);
+            return 1 + rng.range(0, 2 * window);
+        }
 
         void
         schedule(Tick at)
@@ -218,18 +238,19 @@ TEST(Determinism, CalendarQueueRandomizedOrdering)
             EXPECT_EQ(eq.curTick(), when[id]) << "event " << id;
             fired.push_back(id);
             if (id < num_roots && id % 5 == 0)
-                schedule(eq.curTick() + 1 + rng.range(0, 198));
+                schedule(eq.curTick() + childHorizon());
         }
     } st;
 
     for (int id = 0; id < num_roots; ++id) {
         // Mostly a dense band (near entries plus far entries that
         // migrate into the window as time advances); every 50th event
-        // lands on a sparse tail with >64-tick gaps, which the queue
-        // must pop straight from the far heap (the time-jump path).
+        // lands on a sparse tail with gaps wider than the window, which
+        // the queue must pop straight from the far heap (the time-jump
+        // path).
         st.schedule((id % 50 == 49)
-                        ? 10'000 + static_cast<Tick>(id) * 100
-                        : 1 + st.rng.range(0, 199));
+                        ? 10'000 + static_cast<Tick>(id) * 4 * window
+                        : 1 + st.rng.range(0, 3 * window));
     }
     st.eq.run();
 

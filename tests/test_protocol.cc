@@ -1057,6 +1057,93 @@ TEST(Protocol2, MshrAndTxnWalksAreBlockOrdered)
     EXPECT_TRUE(b.dirs[0]->quiesced());
 }
 
+TEST(Protocol2, TxnIndexGrowsAndRetiresOutOfOrder)
+{
+    // Forty requesters each take a block in E, then each asks for its
+    // neighbour's block in M: forty forward transactions wait in one
+    // bank, more than its transaction index starts with room for.  The
+    // owners answer in a scrambled order; every answer must find its
+    // transaction, and the walk must stay in block order as they retire.
+    constexpr std::uint32_t n = 40;
+    struct Inbox : MsgReceiver
+    {
+        std::vector<Msg> msgs;
+        void receiveMsg(const Msg &msg) override { msgs.push_back(msg); }
+    };
+    sim::SimContext ctx;
+    FlatMemory backing;
+    Network net(ctx, "network", Network::Params{}, n + 1);
+    std::vector<Inbox> l1s(n);
+    for (NodeId i = 0; i < n; ++i)
+        net.registerEndpoint(i, &l1s[i]);
+    Directory dir(ctx, "dir", Directory::Params{}, DirectoryMap(n, 1, 6),
+                  0, net, backing);
+
+    const auto block = [](std::uint32_t i) { return Addr{0x10000} + i * 64; };
+    const auto send = [&](Msg msg) {
+        msg.dst = n;
+        net.send(msg);
+    };
+    for (std::uint32_t i = 0; i < n; ++i) {
+        Msg get;
+        get.type = MsgType::GetS;
+        get.src = i;
+        get.block_addr = block(i);
+        send(get);
+    }
+    ctx.eventq.run();
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ASSERT_EQ(l1s[i].msgs.size(), 1u);
+        EXPECT_EQ(l1s[i].msgs[0].type, MsgType::DataE);
+        l1s[i].msgs.clear();
+    }
+
+    for (std::uint32_t i = 0; i < n; ++i) {
+        Msg get;
+        get.type = MsgType::GetM;
+        get.src = (i + 1) % n;
+        get.block_addr = block(i);
+        send(get);
+    }
+    ctx.eventq.run();
+    std::vector<Addr> open;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ASSERT_EQ(l1s[i].msgs.size(), 1u);
+        EXPECT_EQ(l1s[i].msgs[0].type, MsgType::FwdGetM);
+        l1s[i].msgs.clear();
+        open.push_back(block(i));
+    }
+    const auto walk = [&dir] {
+        std::vector<Addr> blocks;
+        dir.forEachTxn([&](const Directory::TxnView &t) {
+            EXPECT_EQ(t.phase, Directory::Phase::Fwd);
+            blocks.push_back(t.block);
+        });
+        return blocks;
+    };
+    EXPECT_EQ(walk(), open);
+
+    // 17 is coprime to 40, so k * 17 % 40 visits every owner once.
+    for (std::uint32_t k = 0; k < n; ++k) {
+        const std::uint32_t owner = k * 17 % n;
+        Msg ack;
+        ack.type = MsgType::FwdDataAck;
+        ack.src = owner;
+        ack.block_addr = block(owner);
+        ack.data.assign(64, static_cast<std::uint8_t>(owner));
+        send(ack);
+        ctx.eventq.run();
+        const std::vector<Msg> &granted = l1s[(owner + 1) % n].msgs;
+        ASSERT_EQ(granted.size(), 1u);
+        EXPECT_EQ(granted[0].type, MsgType::DataM);
+        EXPECT_EQ(granted[0].block_addr, block(owner));
+        l1s[(owner + 1) % n].msgs.clear();
+        open.erase(std::find(open.begin(), open.end(), block(owner)));
+        EXPECT_EQ(walk(), open) << "after retiring block " << owner;
+    }
+    EXPECT_TRUE(dir.quiesced());
+}
+
 namespace
 {
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the event queue: ordering, determinism, run horizons
- * and the pooled one-shot events.
+ * and the count of live one-shot events.
  */
 
 #include <gtest/gtest.h>
@@ -131,4 +131,33 @@ TEST(EventQueue, NumPendingTracksLazyDeletes)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.curTick(), 10u);
     EXPECT_EQ(eq.stalePops(), 0u);
+}
+
+TEST(EventQueue, OneShotCountIsPeakOfLiveEvents)
+{
+    // oneShotNodesAllocated() is the peak of pending one-shots plus the
+    // one firing: a callback's own event stays live while it runs, and
+    // what it schedules into its own tick counts with it.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.scheduleOneShot(1, [&] {
+        log.push_back(0);
+        record(eq, log, 3, eq.curTick(), prio_lowest);
+        record(eq, log, 4, eq.curTick(), prio_lowest);
+        record(eq, log, 2, eq.curTick(), prio_highest);
+    });
+    record(eq, log, 5, 2);
+    record(eq, log, 6, 2);
+    EXPECT_EQ(eq.oneShotNodesAllocated(), 3u);
+
+    EXPECT_TRUE(eq.step());
+    // Event 0 ran with two pending and scheduled three: six live.
+    EXPECT_EQ(eq.oneShotNodesAllocated(), 6u);
+    EXPECT_EQ(eq.oneShotNodesFree(), 1u);
+
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(eq.curTick(), 2u);
+    EXPECT_EQ(eq.oneShotNodesAllocated(), 6u);
+    EXPECT_EQ(eq.oneShotNodesFree(), 6u);
 }

@@ -3,8 +3,8 @@
  * Unit tests for the host-parallel sweep runner: result ordering,
  * error propagation, the determinism guarantee (a table rendered from
  * simulation runs is byte-identical for any worker count) and the
- * exit code of a failed sweep.  Also covers the pooled one-shot event
- * path the runner's workloads lean on.
+ * exit code of a failed sweep.  Also covers the one-shot event path
+ * the runner's workloads lean on.
  */
 
 #include <gtest/gtest.h>
@@ -178,11 +178,11 @@ TEST(OneShotPool, ReusesNodesAcrossBursts)
             eq.scheduleOneShot(eq.curTick() + 1 + i % 3,
                                [&fired] { ++fired; });
         eq.run();
-        // Every node is back on the free list between bursts...
+        // Nothing is live between bursts...
         EXPECT_EQ(eq.oneShotNodesFree(), eq.oneShotNodesAllocated());
     }
     EXPECT_EQ(fired, 1000u);
-    // ...and the pool never grew past the first burst's peak.
+    // ...and the peak never grew past the first burst's.
     EXPECT_LE(eq.oneShotNodesAllocated(), 100u);
 }
 
@@ -209,8 +209,8 @@ TEST(OneShotPool, TeardownWithPendingOneShotIsClean)
     {
         sim::EventQueue eq;
         eq.scheduleOneShot(100, [&fired] { fired = true; });
-        // Destroy the queue with the event still pending: the pool
-        // owns the node, so nothing leaks and nothing asserts.
+        // Destroy the queue with the event still pending: its slot
+        // belongs to the queue, so nothing leaks and nothing asserts.
     }
     EXPECT_FALSE(fired);
 }

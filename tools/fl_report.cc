@@ -64,7 +64,6 @@ struct Cli
     std::string html_path;
     std::string folded_path;
     bool triage = false;
-    bool md_requested = false;
     std::size_t top_n = 10;
 };
 
@@ -112,6 +111,16 @@ parseRunSpec(const std::string &spec, const char *option)
     return out;
 }
 
+/** The FILE of `--NAME=FILE` option @p arg, or a usage error. */
+std::string
+parseFile(const std::string &arg, const std::string &name,
+          const std::string &value)
+{
+    if (value.empty())
+        usageError(name + " wants =FILE, got '" + arg + "'");
+    return value;
+}
+
 /** The positive integer @p text spells in full, or a usage error. */
 std::size_t
 parseCount(const std::string &text, const char *option)
@@ -150,7 +159,7 @@ parseArgs(int argc, char **argv)
         } else if (name == "--run") {
             cli.runs.push_back(parseRunSpec(value, "--run"));
         } else if (name == "--sweep-json") {
-            cli.sweep_path = value;
+            cli.sweep_path = parseFile(arg, name, value);
         } else if (name == "--axis") {
             if (value != "cores" && value != "dir_banks" &&
                 value != "topology")
@@ -158,12 +167,11 @@ parseArgs(int argc, char **argv)
                            "topology");
             cli.axis = value;
         } else if (name == "--md") {
-            cli.md_path = value;
-            cli.md_requested = true;
+            cli.md_path = parseFile(arg, name, value);
         } else if (name == "--html") {
-            cli.html_path = value;
+            cli.html_path = parseFile(arg, name, value);
         } else if (name == "--folded-diff") {
-            cli.folded_path = value;
+            cli.folded_path = parseFile(arg, name, value);
         } else if (name == "--triage") {
             cli.triage = true;
         } else if (name == "--top") {
@@ -203,12 +211,12 @@ loadRun(const RunSpec &spec, RunInput &out, std::string &error)
     return true;
 }
 
-/** Write via @p writer to @p path, or stdout for "" / "-". */
+/** Write via @p writer to @p path, or stdout for "-". */
 template <typename Writer>
 bool
 emit(const std::string &path, Writer writer)
 {
-    if (path.empty() || path == "-") {
+    if (path == "-") {
         writer(std::cout);
         return true;
     }
@@ -260,12 +268,12 @@ main(int argc, char **argv)
         buildReport(std::move(runs), std::move(sweep_rows), cli.axis,
                     cli.top_n);
 
-    const bool default_md = !cli.md_requested &&
+    const bool default_md = cli.md_path.empty() &&
                             cli.html_path.empty() &&
                             cli.folded_path.empty() && !cli.triage;
     bool ok = true;
-    if (cli.md_requested || default_md) {
-        ok = emit(cli.md_path, [&](std::ostream &os) {
+    if (!cli.md_path.empty() || default_md) {
+        ok = emit(default_md ? "-" : cli.md_path, [&](std::ostream &os) {
                  writeMarkdown(os, model);
              }) && ok;
     }
