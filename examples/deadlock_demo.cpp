@@ -13,6 +13,9 @@
  *   $ echo $?
  *   4
  *
+ * With `--watchdog-interval=0` there is no probe: the wedged machine's
+ * event queue drains at once, and the run ends there as the same hang.
+ *
  * With `--healthy` the fault injection is skipped: the same program
  * runs to completion, verifies, and exits 0 -- showing the workload
  * itself is correct and the deadlock really is the injected fault.
@@ -60,8 +63,8 @@ main(int argc, char **argv)
     if (!run.ok()) {
         std::cerr << "error: " << run.error << "\n";
         if (run.hung) {
-            // The watchdog already printed the dossier to stderr;
-            // repeat it on stdout so scripts can capture it separately.
+            // The run already printed the dossier to stderr; repeat
+            // it on stdout so scripts can capture it separately.
             std::cout << run.sys->dossier();
             return harness::exit_hang;
         }

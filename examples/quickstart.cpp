@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
         // 3. Build and run the system, then verify the parallel
         // program actually worked.  A hang exits with code 4 (the
-        // watchdog has already printed its stall dossier); a failed
+        // run has already printed its stall dossier); a failed
         // postcondition exits with code 3 and prints the flight-
         // recorder tail: the last events before the bad outcome.
         harness::Run run = harness::runWorkload(wl, run_cfg);

@@ -95,15 +95,13 @@ class PercentileSketch
 {
   public:
     void
-    add(double v, std::uint64_t times = 1)
+    add(double v)
     {
-        if (times == 0)
-            return;
         const std::size_t idx = bucketOf(v);
         if (idx >= counts_.size())
             counts_.resize(idx + 1, 0);
-        counts_[idx] += times;
-        total_ += times;
+        ++counts_[idx];
+        ++total_;
     }
 
     /**
@@ -151,10 +149,10 @@ class PercentileSketch
  * p50/p95/p99/p99.9 percentile estimates from an embedded
  * PercentileSketch.
  *
- * The variance uses Welford's online algorithm (weighted for repeated
- * samples): the naive sqsum/n - mean^2 form cancels catastrophically
- * for large-mean/small-variance data (e.g. tick-stamped latencies late
- * in a long run) and can even go negative.
+ * The variance uses Welford's online algorithm: the naive
+ * sqsum/n - mean^2 form cancels catastrophically for
+ * large-mean/small-variance data (e.g. tick-stamped latencies late in
+ * a long run) and can even go negative.
  */
 class Distribution : public Stat
 {
@@ -162,10 +160,8 @@ class Distribution : public Stat
     using Stat::Stat;
 
     void
-    sample(double v, std::uint64_t times = 1)
+    sample(double v)
     {
-        if (times == 0)
-            return;
         if (count_ == 0) {
             min_ = v;
             max_ = v;
@@ -175,15 +171,14 @@ class Distribution : public Stat
             if (v > max_)
                 max_ = v;
         }
-        count_ += times;
-        sum_ += v * times;
-        // Weighted Welford update: numerically stable where the naive
+        ++count_;
+        sum_ += v;
+        // Welford update: numerically stable where the naive
         // sqsum/n - mean^2 form loses all significant digits.
         const double delta = v - mean_;
-        mean_ += delta * static_cast<double>(times)
-                 / static_cast<double>(count_);
-        m2_ += static_cast<double>(times) * delta * (v - mean_);
-        sketch_.add(v, times);
+        mean_ += delta / static_cast<double>(count_);
+        m2_ += delta * (v - mean_);
+        sketch_.add(v);
     }
 
     std::uint64_t samples() const { return count_; }

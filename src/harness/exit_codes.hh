@@ -6,8 +6,9 @@
  *   0    success
  *   1    fatal() -- user/configuration error, or any generic failure
  *   3    the simulation terminated but a workload postcondition failed
- *   4    the run hung: the watchdog aborted it (stall dossier printed)
- *        or the cycle budget ran out before every core halted
+ *   4    the run hung: the watchdog aborted it or, with no watchdog,
+ *        the event queue drained before every core halted (stall
+ *        dossier printed either way), or the cycle budget ran out
  *   134  SIGABRT -- panic() tripped a simulator invariant (the shell
  *        reports 128+SIGABRT; an incident dump precedes the abort)
  *

@@ -103,10 +103,6 @@ optionTable()
         {"--watchdog-interval=N",
          "hang-watchdog window in cycles\n(default 100000; 0 = off)",
          O::Artifacts},
-        {"--watchdog-storm=N",
-         "rollbacks/window classified as a\n"
-         "rollback storm (default 256)",
-         O::Artifacts},
         {"--tail-sample=N",
          "trace 1 in N misses end to end\n"
          "(1 = every miss; needs an output\n"
@@ -121,14 +117,10 @@ optionTable()
          "--tail-sample=64 if unset)",
          O::Artifacts},
         {"--outliers-out=FILE",
-         "write top-K slowest-request\n"
+         "write the 10 slowest requests'\n"
          "dossiers as JSON (implies span\n"
          "tracing like --tail-report)",
          O::Artifacts},
-        {"--outliers=K",
-         "dossiers to keep (default 10;\n"
-         "needs --outliers-out)",
-         O::Artifacts, {"outliers-out"}},
         {"--healthy",
          "skip the injected fault: the run\n"
          "completes, verifies and exits 0",
@@ -350,8 +342,6 @@ Options::applyTo(SystemConfig base) const
             static_cast<std::size_t>(getInt("blackbox", 0));
     if (has("watchdog-interval"))
         base.watchdog_interval = getInt("watchdog-interval", 0);
-    if (has("watchdog-storm"))
-        base.watchdog_storm = getInt("watchdog-storm", 0);
     // --tail-report / --outliers-out imply span tracing at the default
     // period, and so does --trace-out, whose request arrows are the
     // sampled spans; --tail-sample=N sets the period explicitly (1 =
@@ -365,9 +355,6 @@ Options::applyTo(SystemConfig base) const
                          "tracing; tail outputs will be empty\n";
         }
     }
-    if (has("outliers"))
-        base.tail_outliers =
-            static_cast<std::uint32_t>(getInt("outliers", 10));
     return base;
 }
 

@@ -44,7 +44,7 @@ namespace fenceless::harness
 struct RunError
 {
     std::string error;
-    bool hung = false; //!< watchdog abort or cycle-budget exhaustion
+    bool hung = false; //!< System::hung() or cycle-budget exhaustion
 
     bool ok() const { return error.empty(); }
 };
@@ -63,11 +63,16 @@ runWorkload(workload::Workload &wl, const SystemConfig &cfg)
     isa::Program prog = wl.build(cfg.num_cores);
     run.sys = std::make_unique<System>(cfg, prog);
     if (!run.sys->run()) {
+        // Without a watchdog probe a run hangs only by draining its
+        // event queue before every core halts.
+        const char *why =
+            !run.sys->hung() ? "did not terminate within the cycle budget"
+            : cfg.watchdog_interval > 0
+                ? "hung (watchdog abort, stall dossier above)"
+                : "hung (event queue drained before every core halted, "
+                  "stall dossier above)";
         run.hung = true;
-        run.error = "workload '" + wl.name() +
-                    (run.sys->hung()
-                         ? "' hung (watchdog abort, stall dossier above)"
-                         : "' did not terminate within the cycle budget");
+        run.error = "workload '" + wl.name() + "' " + why;
         return run;
     }
     std::string check_error;

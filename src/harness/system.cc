@@ -58,6 +58,9 @@ constexpr const char *stage_stat_names[] = {
 };
 static_assert(std::size(stage_stat_names) == reqtrace::num_stages - 1);
 
+/** Slowest-request dossiers writeOutliers() keeps. */
+constexpr std::size_t outlier_dossiers = 10;
+
 } // namespace
 
 std::vector<prof::CodeSym>
@@ -181,13 +184,6 @@ System::System(const SystemConfig &config, const isa::Program &prog)
                 config_.spec, *cores_[i], *l1s_[i]));
         }
     }
-
-    if (config_.watchdog_interval > 0) {
-        sim::Watchdog::Params wp;
-        wp.interval = config_.watchdog_interval;
-        wp.storm_threshold = config_.watchdog_storm;
-        watchdog_ = std::make_unique<sim::Watchdog>(wp);
-    }
 }
 
 bool
@@ -197,34 +193,26 @@ System::allHalted() const
                        [](const auto &core) { return core->halted(); });
 }
 
-sim::Watchdog::Progress
-System::progress() const
-{
-    sim::Watchdog::Progress p;
-    for (const auto &core : cores_)
-        p.instret += core->instret();
-    for (const auto &s : specs_)
-        p.rollbacks += s->rollbacks();
-    return p;
-}
-
 bool
 System::run()
 {
     for (auto &core : cores_)
         core->reset();
+    hang_.reset();
+    dossier_.clear();
 
-    drv_ = DriverState{};
-    drv_.active = true;
-    drv_.now = ctx_.curTick();
-    drv_.next_snapshot = config_.stats_interval > 0
-                             ? drv_.now + config_.stats_interval
+    // The run stops at boundaries: a stat snapshot, a watchdog probe
+    // and, while a core runs, the tick past the cycle budget.  Each
+    // probe compares the retired total with its window's start.
+    const Tick probe_interval = config_.watchdog_interval;
+    Tick next_snapshot = config_.stats_interval > 0
+                             ? curTick() + config_.stats_interval
                              : max_tick;
-    if (watchdog_) {
-        watchdog_->prime(drv_.now, progress());
-        drv_.next_wd = drv_.now + watchdog_->interval();
-    }
-    drv_.boundary = nextBoundary(allHalted());
+    Tick next_probe =
+        probe_interval > 0 ? curTick() + probe_interval : max_tick;
+    Tick window_begin = curTick();
+    std::uint64_t window_instret = totalInstructions();
+    std::uint64_t window_rollbacks = totalRollbacks();
 
     // If a simulator invariant trips mid-run, dump this system's
     // evidence before aborting.  The hook is thread-local, so sweep
@@ -236,75 +224,60 @@ System::run()
         trace::writeBlackboxTail(os, ctx_.tracer);
         reportBlock(os.str());
     });
-    while (!drv_.done) {
-        ctx_.eventq.run(drv_.boundary - 1);
-        boundaryStep();
+    for (;;) {
+        Tick boundary = std::min(next_snapshot, next_probe);
+        if (!allHalted() && config_.max_cycles < max_tick)
+            boundary = std::min(boundary, config_.max_cycles + 1);
+        ctx_.eventq.run(boundary - 1);
+
+        // A drained queue leaves nothing to happen until the loop
+        // acts.  An armed probe keeps a wedged run alive until its
+        // tick; without one the run is over.
+        const bool halted = allHalted();
+        const bool drained = ctx_.eventq.empty();
+        if (drained && !halted && next_probe == max_tick) {
+            declareHang({true, curTick(), curTick(), totalInstructions(),
+                         0});
+            break;
+        }
+        if (boundary == max_tick)
+            break; // nothing armed: every core halted, the queue drained
+
+        if (boundary == next_snapshot) {
+            takeSnapshot(boundary);
+            next_snapshot =
+                halted ? max_tick : boundary + config_.stats_interval;
+        }
+        if (boundary == next_probe) {
+            const std::uint64_t instret = totalInstructions();
+            if (halted) {
+                next_probe = max_tick; // clean completion: stand down
+            } else if (instret == window_instret) {
+                declareHang({false, window_begin, boundary, instret,
+                             totalRollbacks() - window_rollbacks});
+                break;
+            } else {
+                window_begin = boundary;
+                window_instret = instret;
+                window_rollbacks = totalRollbacks();
+                next_probe = boundary + probe_interval;
+            }
+        }
+        if (!halted && boundary > config_.max_cycles)
+            break; // cycle budget exhausted
+        if (drained && halted) {
+            // The snapshot series ends with the one the interval owes.
+            if (next_snapshot != max_tick)
+                takeSnapshot(next_snapshot);
+            break;
+        }
     }
     setPanicHook(std::move(prev));
-    drv_.active = false;
 
     network_->foldLinkStats();
     if (config_.tail_sample > 0)
         finalizeTailTrace();
-    return !hung_ && allHalted();
-}
-
-void
-System::boundaryStep()
-{
-    const Tick b = drv_.boundary;
-    drv_.now = b;
-
-    if (b == drv_.next_snapshot) {
-        takeSnapshot(b);
-        drv_.next_snapshot =
-            !allHalted() ? b + config_.stats_interval : max_tick;
-    }
-
-    if (b == drv_.next_wd) {
-        if (allHalted()) {
-            drv_.next_wd = max_tick; // clean completion: stand down
-        } else if (watchdog_->checkAt(b, progress())) {
-            onWatchdogFire(watchdog_->report());
-            drv_.done = true;
-            return;
-        } else {
-            drv_.next_wd = b + watchdog_->interval();
-        }
-    }
-
-    const bool all_halted = allHalted();
-    if (b > config_.max_cycles && !all_halted) {
-        drv_.done = true; // cycle budget exhausted
-        return;
-    }
-
-    if (ctx_.eventq.empty()) {
-        // Nothing can happen until the run loop itself acts.  A wedged
-        // (not-halted) system stays alive for the watchdog or the
-        // snapshot series; otherwise take the one trailing snapshot the
-        // interval still owes and finish.
-        const bool keep_alive =
-            !all_halted &&
-            (watchdog_ != nullptr || drv_.next_snapshot != max_tick);
-        if (!keep_alive) {
-            if (drv_.next_snapshot != max_tick)
-                takeSnapshot(drv_.next_snapshot);
-            drv_.done = true;
-            return;
-        }
-    }
-
-    drv_.boundary = nextBoundary(all_halted);
-}
-
-Tick
-System::nextBoundary(bool all_halted) const
-{
-    Tick nb = std::min(drv_.next_snapshot, drv_.next_wd);
-    if (!all_halted && config_.max_cycles < max_tick)
-        nb = std::min(nb, config_.max_cycles + 1);
-    return nb;
+    return !hung() && allHalted();
 }
 
 void
@@ -444,7 +417,7 @@ void
 System::writeOutliers(std::ostream &os) const
 {
     const std::vector<const reqtrace::Span *> top =
-        reqtrace::topK(tail_spans_, config_.tail_outliers);
+        reqtrace::topK(tail_spans_, outlier_dossiers);
     const std::vector<std::uint64_t> lmsgs =
         network_->foldedLinkMsgs();
     const mem::Topology topo = config_.net.topology;
@@ -836,16 +809,18 @@ System::buildWaitGraph(sim::WaitGraph &g) const
 void
 System::writeStallDossier(std::ostream &os) const
 {
-    os << "=== stall dossier @"
-       << (drv_.active ? drv_.now : curTick()) << " ===\n";
+    os << "=== stall dossier @" << (hang_ ? hang_->at : curTick())
+       << " ===\n";
     os << "build: " << provenance::oneLine() << "\n";
-    if (watchdog_report_.cause != sim::Watchdog::Cause::None) {
-        os << "watchdog: cause="
-           << sim::Watchdog::causeName(watchdog_report_.cause)
-           << " window=[" << watchdog_report_.window_begin << ", "
-           << watchdog_report_.fire_tick << "] instret="
-           << watchdog_report_.instret << " rollbacks_in_window="
-           << watchdog_report_.rollbacks_in_window << "\n";
+    if (hang_ && hang_->drained) {
+        os << "hang: cause=drained-queue instret=" << hang_->instret
+           << "\n";
+    } else if (hang_) {
+        os << "watchdog: cause=no-retirement window=["
+           << hang_->window_begin << ", " << hang_->at
+           << "] instret=" << hang_->instret
+           << " rollbacks_in_window=" << hang_->rollbacks_in_window
+           << "\n";
     }
     if (network_->droppedMsgs() > 0) {
         os << "network: " << network_->droppedMsgs()
@@ -861,13 +836,17 @@ System::writeStallDossier(std::ostream &os) const
 }
 
 void
-System::onWatchdogFire(const sim::Watchdog::Report &report)
+System::declareHang(const Hang &hang)
 {
-    hung_ = true;
-    watchdog_report_ = report;
+    hang_ = hang;
     std::ostringstream os;
-    os << "watchdog: no forward progress for " << config_.watchdog_interval
-       << " cycles; aborting the run\n";
+    if (hang.drained) {
+        os << "hang: event queue drained at tick " << hang.at
+           << " before every core halted; aborting the run\n";
+    } else {
+        os << "watchdog: no forward progress for "
+           << config_.watchdog_interval << " cycles; aborting the run\n";
+    }
     std::ostringstream dossier;
     writeStallDossier(dossier);
     dossier_ = dossier.str();

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "mem/network.hh"
 #include "sim/sim_object.hh"
 #include "sim/waitgraph.hh"
-#include "sim/watchdog.hh"
 
 namespace fenceless::harness
 {
@@ -79,8 +79,9 @@ struct SystemConfig
      * are kept in a fixed ring (rounded up to a power of two) and
      * dumped on panic, watchdog abort, or demand (`--blackbox-out`).
      * On by default -- the ring records only the low-frequency event
-     * kinds (see trace::ring_kinds), keeping full-system cost within
-     * ~3%.  0 disables the recorder.
+     * kinds (see trace::ring_kinds); its cost is about 3% on 4 cores
+     * and 14-17% on the 64-core mesh (DESIGN.md section 7.5).  0
+     * disables the recorder.
      */
     std::size_t blackbox_records = 256;
 
@@ -94,22 +95,14 @@ struct SystemConfig
      */
     std::uint64_t tail_sample = 0;
 
-    /** Slowest-request dossiers kept by writeOutliers(). */
-    std::uint32_t tail_outliers = 10;
-
     /**
      * Hang-watchdog probe interval in cycles (0 disables).  If a whole
      * interval passes in which no core retires an instruction, the run
      * aborts with a stall dossier instead of spinning to max_cycles.
+     * A queue that drains before every core halts keeps the run alive
+     * until the next probe; with no probe it is a hang at once.
      */
     Tick watchdog_interval = 100'000;
-
-    /**
-     * Rollbacks within one watchdog window that, with zero retirement,
-     * classify the hang as a rollback storm (livelock) rather than a
-     * deadlock.
-     */
-    std::uint64_t watchdog_storm = 256;
 
     /** Convenience: enable on-demand block-granularity speculation. */
     SystemConfig &
@@ -153,10 +146,9 @@ struct SystemConfig
 
     /** Convenience: enable per-request span tracing. */
     SystemConfig &
-    withTailTrace(std::uint64_t period = 1, std::uint32_t outliers = 10)
+    withTailTrace(std::uint64_t period = 1)
     {
         tail_sample = period;
-        tail_outliers = outliers;
         return *this;
     }
 };
@@ -174,7 +166,8 @@ class System
     System(const SystemConfig &config, const isa::Program &prog);
 
     /**
-     * Run until every core halts (or the cycle budget is exhausted).
+     * Run until every core halts, the run hangs (see hung()) or the
+     * cycle budget is exhausted.
      * @return true if all cores halted
      */
     bool run();
@@ -250,20 +243,17 @@ class System
 
     // --- incident forensics ----------------------------------------------
 
-    /** @return true if the hang watchdog aborted the last run(). */
-    bool hung() const { return hung_; }
-
-    /** The watchdog's report of the last abort (cause None if none). */
-    const sim::Watchdog::Report &
-    watchdogReport() const
-    {
-        return watchdog_report_;
-    }
+    /**
+     * @return true if the last run() ended as a hang: a watchdog probe
+     * found a whole window without retirement, or the event queue
+     * drained before every core halted with no probe armed.
+     */
+    bool hung() const { return hang_.has_value(); }
 
     /**
-     * The stall dossier captured when the watchdog fired (empty
-     * otherwise): per-core architectural state, the wait-for graph with
-     * deadlock cycles highlighted, and the flight-recorder tail.
+     * The stall dossier captured when the run hung (empty otherwise):
+     * per-core architectural state, the wait-for graph with deadlock
+     * cycles highlighted, and the flight-recorder tail.
      */
     const std::string &dossier() const { return dossier_; }
 
@@ -329,9 +319,9 @@ class System
     /**
      * Write the top-K slowest-request dossiers as JSON: per-stage
      * timeline, symbolized issuing PC, home directory bank, and the
-     * hottest link on the request's route (ring/mesh).  K is
-     * `config.tail_outliers`; selection is ordered by (latency desc,
-     * req id asc), so the document is deterministic.
+     * hottest link on the request's route (ring/mesh).  K is 10;
+     * selection is ordered by (latency desc, req id asc), so the
+     * document is deterministic.
      */
     void writeOutliers(std::ostream &os) const;
 
@@ -368,32 +358,23 @@ class System
     std::string provenanceJson() const;
 
   private:
-    /**
-     * Run-loop state.  The event queue runs up to the next boundary --
-     * a stat snapshot, a watchdog probe or the cycle budget -- where
-     * boundaryStep() acts; with none of them armed one call runs the
-     * whole simulation.
-     */
-    struct DriverState
+    /** How the last run() hung: what the dossier reports. */
+    struct Hang
     {
-        bool active = false;   //!< a run() is in progress
-        Tick now = 0;          //!< the boundary last acted on
-        Tick boundary = 0;     //!< run-to target of the current leg
-        Tick next_snapshot = max_tick;
-        Tick next_wd = max_tick;
-        bool done = false;
+        bool drained;       //!< the queue drained; else a probe fired
+        Tick window_begin;  //!< the probe's window is [window_begin, at]
+        Tick at;            //!< the tick the run stopped at
+        std::uint64_t instret; //!< total retired at `at`
+        std::uint64_t rollbacks_in_window;
     };
 
     bool allHalted() const;
-    sim::Watchdog::Progress progress() const;
     std::vector<prof::CodeSym> codeSyms() const;
     std::vector<prof::DataSym> dataSyms() const;
 
-    void boundaryStep();
-    Tick nextBoundary(bool all_halted) const;
-
     void takeSnapshot(Tick tick);
-    void onWatchdogFire(const sim::Watchdog::Report &report);
+    /** End the run as @p hang: capture the dossier and report it. */
+    void declareHang(const Hang &hang);
     void writeArchState(std::ostream &os) const;
     void finalizeTailTrace();
 
@@ -416,12 +397,8 @@ class System
     std::vector<std::unique_ptr<mem::L1Cache>> l1s_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::vector<std::unique_ptr<spec::SpecController>> specs_;
-    std::unique_ptr<sim::Watchdog> watchdog_;
 
-    DriverState drv_;
-
-    bool hung_ = false;
-    sim::Watchdog::Report watchdog_report_;
+    std::optional<Hang> hang_;
     std::string dossier_;
 
     // Tail-latency observability (populated by finalizeTailTrace()).

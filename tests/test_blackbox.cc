@@ -2,8 +2,9 @@
  * @file
  * Incident-observability tests: the flight recorder (ring capture and
  * dump), the hang watchdog (a seeded true deadlock fires it; slow and
- * rollback-heavy-but-live runs do not), the wait-for graph (cycle
- * detection and deterministic printing), and the stall dossier.
+ * rollback-heavy-but-live runs do not), the run loop's snapshot and
+ * probe ticks, the wait-for graph (cycle detection and deterministic
+ * printing), and the stall dossier.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "isa/assembler.hh"
 #include "sim/blackbox.hh"
 #include "sim/waitgraph.hh"
-#include "sim/watchdog.hh"
 #include "tests/sim_test_util.hh"
 #include "workload/microbench.hh"
 
@@ -200,8 +200,6 @@ TEST(Watchdog, SeededDeadlockFiresWithNamedCycle)
 
     EXPECT_FALSE(sys->run());
     EXPECT_TRUE(sys->hung());
-    EXPECT_EQ(sys->watchdogReport().cause,
-              sim::Watchdog::Cause::NoRetirement);
 
     const std::string &dossier = sys->dossier();
     EXPECT_NE(dossier.find("DEADLOCK CYCLE"), std::string::npos);
@@ -308,14 +306,13 @@ TEST(Watchdog, SlowMemoryDoesNotFalsePositive)
 TEST(Watchdog, RollbackHeavyRunDoesNotFalsePositive)
 {
     // Dekker under speculative SC rolls back constantly, but the
-    // exponential cooldown guarantees retirement in every window --
-    // neither NoRetirement nor RollbackStorm may fire.
+    // exponential cooldown guarantees retirement in every window, so
+    // the watchdog must stay quiet.
     workload::Dekker wl;
     harness::SystemConfig cfg =
         testConfig(2, cpu::ConsistencyModel::SC);
     cfg.withSpeculation();
     cfg.watchdog_interval = 2'000;
-    cfg.watchdog_storm = 16; // tight threshold on purpose
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
@@ -343,6 +340,105 @@ TEST(Watchdog, StatsUnchangedByWatchdog)
         slot = {sys.runtimeCycles(), sys.totalInstructions()};
     }
     EXPECT_EQ(off, on);
+}
+
+// ---------------------------------------------------------------------
+// Run loop: the ticks a run stops at to snapshot or probe
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::vector<Tick>
+snapshotTicks(const harness::System &sys)
+{
+    std::vector<Tick> ticks;
+    for (const auto &snap : sys.snapshots())
+        ticks.push_back(snap.tick);
+    return ticks;
+}
+
+} // namespace
+
+TEST(RunLoop, SnapshotsKeepTheirIntervalBetweenProbes)
+{
+    // Probes every 2,500 cycles stop the run between its snapshots
+    // every 700: a snapshot lands on each multiple of 700 up to the
+    // first one past the last core's halt, and nowhere else.
+    workload::LocalLockStream wl;
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.stats_interval = 700;
+    cfg.watchdog_interval = 2'500;
+    harness::System sys(cfg, wl.build(cfg.num_cores));
+    ASSERT_TRUE(sys.run());
+    const std::vector<Tick> ticks = snapshotTicks(sys);
+    ASSERT_GT(sys.runtimeCycles(), 2 * cfg.watchdog_interval);
+    ASSERT_FALSE(ticks.empty());
+    for (std::size_t i = 0; i < ticks.size(); ++i)
+        EXPECT_EQ(ticks[i], 700 * (i + 1)) << "snapshot " << i;
+    EXPECT_LE(ticks.back() - 700, sys.runtimeCycles());
+    EXPECT_GT(ticks.back(), sys.runtimeCycles());
+}
+
+TEST(RunLoop, HaltBetweenBoundariesTakesTheOwedSnapshot)
+{
+    // A 300-cycle probe stops the run more often than its 1,000-cycle
+    // snapshots.  The cores halt at 1,403, the probe at 1,500 finds the
+    // queue drained, and the run takes the snapshot it owes at 2,000
+    // before it returns.
+    workload::LocalLockStream::Params params;
+    params.iters = 16;
+    workload::LocalLockStream wl(params);
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.stats_interval = 1'000;
+    cfg.watchdog_interval = 300;
+    harness::System sys(cfg, wl.build(cfg.num_cores));
+    ASSERT_TRUE(sys.run());
+    EXPECT_EQ(sys.runtimeCycles(), 1'403u);
+    EXPECT_EQ(snapshotTicks(sys), (std::vector<Tick>{1'000, 2'000}));
+}
+
+TEST(RunLoop, RunWithNoBoundaryTakesNoSnapshot)
+{
+    // No snapshot interval, no probe and no cycle budget: the whole run
+    // is one leg of the loop, and it records no snapshot.
+    workload::LocalLockStream::Params params;
+    params.iters = 16;
+    workload::LocalLockStream wl(params);
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.watchdog_interval = 0;
+    cfg.max_cycles = max_tick;
+    harness::System sys(cfg, wl.build(cfg.num_cores));
+    ASSERT_TRUE(sys.run());
+    EXPECT_TRUE(sys.snapshots().empty());
+}
+
+TEST(RunLoop, WedgedRunSnapshotsUntilTheProbeFires)
+{
+    // The seeded deadlock drains its queue at tick 176.  The armed
+    // probe keeps the run alive: snapshots go on every 700 cycles, the
+    // first window passes on the 31 instructions retired before the
+    // wedge, and the second fires at 10,000.
+    workload::SeededDeadlock wl;
+    harness::SystemConfig cfg = testConfig(2);
+    cfg.watchdog_interval = 5'000;
+    cfg.stats_interval = 700;
+    auto sys = buildDeadlockedSystem(wl, cfg);
+    EXPECT_FALSE(sys->run());
+    EXPECT_TRUE(sys->hung());
+    EXPECT_EQ(sys->curTick(), 176u);
+    std::vector<Tick> every_700;
+    for (Tick t = 700; t <= 9'800; t += 700)
+        every_700.push_back(t);
+    EXPECT_EQ(snapshotTicks(*sys), every_700);
+    const std::string &dossier = sys->dossier();
+    EXPECT_EQ(dossier.rfind("=== stall dossier @10000 ===\n", 0), 0u)
+        << dossier;
+    EXPECT_NE(dossier.find("watchdog: cause=no-retirement "
+                           "window=[5000, 10000] instret=31 "
+                           "rollbacks_in_window=0\n"),
+              std::string::npos)
+        << dossier;
 }
 
 // ---------------------------------------------------------------------

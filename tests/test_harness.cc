@@ -94,7 +94,8 @@ TEST(Options, UnknownOptionIsFatal)
     // an option it was given.
     for (const char *arg : {"--bogus", "--parallel-sim=1", "--shards=4",
                             "--shard-report", "--host-telemetry=1",
-                            "--trace=all"}) {
+                            "--trace=all", "--watchdog-storm=16",
+                            "--outliers=5"}) {
         EXPECT_EXIT(parse({arg}), testing::ExitedWithCode(1),
                     "unknown option")
             << arg;
@@ -170,12 +171,6 @@ TEST(Options, SpanOutputsImplySpanSampling)
              "--trace-out=" + path})
         EXPECT_EQ(sampling({arg}), 64u) << arg;
     EXPECT_EQ(sampling({"--trace-out=" + path, "--tail-sample=1"}), 1u);
-    // --outliers only sizes the dossiers; --outliers-out samples.
-    const SystemConfig dossiers =
-        parse({"--outliers=5", "--outliers-out=" + path})
-            .applyTo(SystemConfig{});
-    EXPECT_EQ(dossiers.tail_sample, 64u);
-    EXPECT_EQ(dossiers.tail_outliers, 5u);
     std::remove(path.c_str());
 }
 
@@ -193,7 +188,6 @@ TEST(Options, ShapingOptionWithoutItsOutputIsFatal)
         const char *needs;
     } cases[] = {
         {"--stats-interval=10", "--stats-json"},
-        {"--outliers=5", "--outliers-out"},
         {"--tail-sample=1",
          "--tail-report, --outliers-out, --trace-out or --stats-json"},
     };
@@ -343,6 +337,33 @@ TEST(RunWorkload, ExhaustedCycleBudgetIsAHang)
         << run.error;
     ASSERT_TRUE(run.sys);
     EXPECT_FALSE(run.sys->hung());
+}
+
+TEST(RunWorkload, DrainedQueueIsAHang)
+{
+    // With no probe armed, a queue that drains before every core has
+    // halted ends the run as a hang at once: the seeded deadlock drains
+    // at tick 176, far short of its cycle budget and its first snapshot.
+    workload::SeededDeadlock wl;
+    SystemConfig cfg = testConfig(2);
+    cfg.watchdog_interval = 0;
+    cfg.stats_interval = 1'000;
+    cfg.max_cycles = 20'000;
+    cfg.net.drop_fwd_acks_for = {wl.blockX(), wl.blockY()};
+    harness::Run run = runWorkload(wl, cfg);
+    EXPECT_TRUE(run.hung);
+    EXPECT_NE(run.error.find("event queue drained"), std::string::npos)
+        << run.error;
+    EXPECT_EQ(run.error.find("cycle budget"), std::string::npos)
+        << run.error;
+    ASSERT_TRUE(run.sys);
+    EXPECT_TRUE(run.sys->hung());
+    EXPECT_EQ(run.sys->curTick(), 176u);
+    EXPECT_TRUE(run.sys->snapshots().empty());
+    const std::string &dossier = run.sys->dossier();
+    EXPECT_EQ(dossier.rfind("=== stall dossier @176 ===\n", 0), 0u)
+        << dossier;
+    EXPECT_NE(dossier.find("DEADLOCK CYCLE"), std::string::npos);
 }
 
 TEST(RunWorkload, FailedPostconditionIsNotAHang)

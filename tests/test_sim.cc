@@ -133,6 +133,28 @@ TEST(EventQueue, NumPendingTracksLazyDeletes)
     EXPECT_EQ(eq.stalePops(), 0u);
 }
 
+TEST(EventQueue, FarEventsFireInOrderFromTheHeap)
+{
+    // Events more than a window ahead wait on the far heap.  With the
+    // calendar empty, fire() pops the heap's top directly; reaching its
+    // tick moves that tick's other entries into their bucket, where they
+    // keep their (priority, stamp) order.
+    EventQueue eq;
+    std::vector<int> log;
+    const Tick far = 10 * EventQueue::bucket_window;
+    record(eq, log, 5, 3 * far);
+    record(eq, log, 3, 2 * far, prio_lowest);
+    record(eq, log, 2, 2 * far, prio_highest);
+    record(eq, log, 4, 2 * far, prio_lowest);
+    record(eq, log, 1, far);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(eq.curTick(), 3 * far);
+    // 1, 2 and 5 each found the calendar empty; 3 and 4 followed 2 in.
+    EXPECT_EQ(eq.farPops(), 3u);
+    EXPECT_EQ(eq.nearPops(), 2u);
+}
+
 TEST(EventQueue, OneShotCountIsPeakOfLiveEvents)
 {
     // oneShotNodesAllocated() is the peak of pending one-shots plus the

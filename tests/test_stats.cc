@@ -59,20 +59,6 @@ TEST(Distribution, WelfordLargeMeanSmallVariance)
     EXPECT_NEAR(d.stdev(), std::sqrt(2.0 / 3.0), 1e-9);
 }
 
-TEST(Distribution, WeightedStdevMatchesRepeatedSamples)
-{
-    Distribution a("a", "weighted");
-    Distribution b("b", "repeated");
-    a.sample(5.0, 3);
-    a.sample(11.0, 1);
-    for (int i = 0; i < 3; ++i)
-        b.sample(5.0);
-    b.sample(11.0);
-    EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-    EXPECT_NEAR(a.stdev(), b.stdev(), 1e-12);
-    EXPECT_EQ(a.samples(), b.samples());
-}
-
 TEST(StatsJson, EveryKindRendersItsFullState)
 {
     StatRegistry reg;
@@ -175,19 +161,6 @@ TEST(PercentileSketch, DeepTailKeepsTheSameErrorBound)
     // not report the bulk.
     EXPECT_NEAR(skewed.quantile(0.999), 50000.0, 0.10 * 50000.0);
     EXPECT_NEAR(skewed.quantile(0.50), 100.0, 0.0625 * 100.0);
-}
-
-TEST(PercentileSketch, WeightedAddMatchesRepeated)
-{
-    PercentileSketch a, b;
-    a.add(100.0, 5);
-    a.add(2000.0, 1);
-    for (int i = 0; i < 5; ++i)
-        b.add(100.0);
-    b.add(2000.0);
-    EXPECT_EQ(a.samples(), b.samples());
-    for (double q : {0.1, 0.5, 0.9, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
 }
 
 TEST(Distribution, PercentilesTrackSamples)
